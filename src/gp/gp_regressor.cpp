@@ -208,12 +208,8 @@ bool GpRegressor::try_incremental_update(std::size_t new_rows) {
     scaled.push_back(scale_input(x_raw_[n_old + i]));
   }
 
-  la::Matrix cross(new_rows, n_old, 0.0);
-  for (std::size_t r = 0; r < new_rows; ++r) {
-    for (std::size_t j = 0; j < n_old; ++j) {
-      cross(r, j) = kernel_value(options_.kernel, params_, scaled[r], x_[j]);
-    }
-  }
+  // x_ still holds exactly the n_old fitted rows here.
+  const la::Matrix cross = kernel_cross(options_.kernel, params_, scaled, x_);
   la::Matrix corner = kernel_matrix(options_.kernel, params_, scaled);
   const double noise = std::exp(params_.log_noise_var);
   for (std::size_t i = 0; i < new_rows; ++i) {
@@ -439,15 +435,15 @@ double GpRegressor::log_marginal_likelihood(const KernelParams& params) const {
 double GpRegressor::predict_mean(const std::vector<double>& x) const {
   PAMO_CHECK(is_fit(), "predict before fit");
   const std::vector<double> xs = scale_input(x);
+  const KernelEvaluator k_eval(options_.kernel, params_);
   double sum = 0.0;
   if (sparse_.has_value()) {
     for (std::size_t j = 0; j < sparse_->z.size(); ++j) {
-      sum += kernel_value(options_.kernel, params_, xs, sparse_->z[j]) *
-             sparse_->alpha[j];
+      sum += k_eval(xs, sparse_->z[j]) * sparse_->alpha[j];
     }
   } else {
     for (std::size_t i = 0; i < x_.size(); ++i) {
-      sum += kernel_value(options_.kernel, params_, xs, x_[i]) * alpha_[i];
+      sum += k_eval(xs, x_[i]) * alpha_[i];
     }
   }
   return y_mean_ + y_std_ * sum;
@@ -456,13 +452,12 @@ double GpRegressor::predict_mean(const std::vector<double>& x) const {
 double GpRegressor::predict_var(const std::vector<double>& x) const {
   PAMO_CHECK(is_fit(), "predict before fit");
   const std::vector<double> xs = scale_input(x);
-  const double prior = std::exp(params_.log_signal_var);
+  const KernelEvaluator k_eval(options_.kernel, params_);
+  const double prior = k_eval.signal_var();
   if (sparse_.has_value()) {
     const std::size_t m = sparse_->z.size();
     la::Vector kstar(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      kstar[j] = kernel_value(options_.kernel, params_, xs, sparse_->z[j]);
-    }
+    for (std::size_t j = 0; j < m; ++j) kstar[j] = k_eval(xs, sparse_->z[j]);
     // DTC: k** − k*ₘ Kmm⁻¹ kₘ* + k*ₘ B⁻¹ kₘ*.
     const la::Vector v1 = sparse_->lm->solve_lower(kstar);
     const la::Vector v2 = sparse_->lb->solve_lower(kstar);
@@ -470,9 +465,7 @@ double GpRegressor::predict_var(const std::vector<double>& x) const {
     return std::max(0.0, var) * y_std_ * y_std_;
   }
   la::Vector kstar(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    kstar[i] = kernel_value(options_.kernel, params_, xs, x_[i]);
-  }
+  for (std::size_t i = 0; i < x_.size(); ++i) kstar[i] = k_eval(xs, x_[i]);
   const la::Vector v = chol_->solve_lower(kstar);
   const double var = prior - la::dot(v, v);
   return std::max(0.0, var) * y_std_ * y_std_;
@@ -494,6 +487,7 @@ void GpRegressor::refresh_posterior_workspace(
     const std::size_t m = xs.size();
     const std::size_t n_prev = workspace_.train_rows;
     const la::Matrix& l = chol_->lower();
+    const KernelEvaluator k_eval(options_.kernel, params_);
     la::Matrix k_cross(m, n, 0.0);
     la::Matrix v(n, m, 0.0);
     for (std::size_t c = 0; c < m; ++c) {
@@ -502,8 +496,7 @@ void GpRegressor::refresh_posterior_workspace(
         v(j, c) = workspace_.v(j, c);
       }
       for (std::size_t j = n_prev; j < n; ++j) {
-        k_cross(c, j) =
-            kernel_value(options_.kernel, params_, workspace_.xs[c], x_[j]);
+        k_cross(c, j) = k_eval(workspace_.xs[c], x_[j]);
       }
     }
     for (std::size_t i = n_prev; i < n; ++i) {

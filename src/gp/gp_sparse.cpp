@@ -116,11 +116,12 @@ bool GpRegressor::try_sparse_update(std::size_t new_rows) {
     for (std::size_t i = 0; i < n_old; ++i) grown(r, i) = s.kmn(r, i);
   }
   const double inv_sigma = 1.0 / std::sqrt(noise);
+  const KernelEvaluator k_eval(options_.kernel, params_);
   for (std::size_t j = 0; j < new_rows; ++j) {
     const std::vector<double> scaled = scale_input(x_raw_[n_old + j]);
     la::Vector k(m);
     for (std::size_t r = 0; r < m; ++r) {
-      k[r] = kernel_value(options_.kernel, params_, s.z[r], scaled);
+      k[r] = k_eval(s.z[r], scaled);
       grown(r, n_old + j) = k[r];
     }
     for (double& v : k) v *= inv_sigma;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/contracts.hpp"
 #include "common/error.hpp"
 
 namespace pamo::gp {
@@ -26,18 +27,6 @@ KernelParams KernelParams::unpack(const std::vector<double>& packed,
 
 namespace {
 
-/// Scaled squared distance Σ ((x_i - z_i) / ℓ_i)².
-double scaled_sqdist(const KernelParams& params, const std::vector<double>& x,
-                     const std::vector<double>& z) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double inv_ls = std::exp(-params.log_lengthscales[i]);
-    const double d = (x[i] - z[i]) * inv_ls;
-    sum += d * d;
-  }
-  return sum;
-}
-
 double kernel_from_sqdist(KernelType type, double sf2, double r2) {
   switch (type) {
     case KernelType::kRbf:
@@ -53,27 +42,47 @@ double kernel_from_sqdist(KernelType type, double sf2, double r2) {
 
 }  // namespace
 
+KernelEvaluator::KernelEvaluator(KernelType type, const KernelParams& params)
+    : type_(type), signal_var_(std::exp(params.log_signal_var)) {
+  inv_lengthscales_.reserve(params.dim());
+  for (const double log_ls : params.log_lengthscales) {
+    inv_lengthscales_.push_back(std::exp(-log_ls));
+  }
+}
+
+double KernelEvaluator::operator()(const std::vector<double>& x,
+                                   const std::vector<double>& z) const {
+  PAMO_EXPECTS(x.size() == dim() && z.size() == dim(),
+               "kernel input dimension mismatch");
+  // Scaled squared distance Σ ((x_i - z_i) / ℓ_i)².
+  double r2 = 0.0;
+  for (std::size_t i = 0; i < inv_lengthscales_.size(); ++i) {
+    const double d = (x[i] - z[i]) * inv_lengthscales_[i];
+    r2 += d * d;
+  }
+  return kernel_from_sqdist(type_, signal_var_, r2);
+}
+
 double kernel_value(KernelType type, const KernelParams& params,
                     const std::vector<double>& x,
                     const std::vector<double>& z) {
   PAMO_CHECK(x.size() == params.dim() && z.size() == params.dim(),
              "kernel input dimension mismatch");
-  const double sf2 = std::exp(params.log_signal_var);
-  return kernel_from_sqdist(type, sf2, scaled_sqdist(params, x, z));
+  return KernelEvaluator(type, params)(x, z);
 }
 
 la::Matrix kernel_matrix(KernelType type, const KernelParams& params,
                          const std::vector<std::vector<double>>& x) {
-  PAMO_CHECK(x.empty() || x.front().size() == params.dim(),
-             "kernel input dimension mismatch");
+  for (const auto& row : x) {
+    PAMO_CHECK(row.size() == params.dim(), "kernel input dimension mismatch");
+  }
+  const KernelEvaluator k_eval(type, params);
   const std::size_t n = x.size();
-  const double sf2 = std::exp(params.log_signal_var);
   la::Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = sf2;
+    k(i, i) = k_eval.signal_var();
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double v =
-          kernel_from_sqdist(type, sf2, scaled_sqdist(params, x[i], x[j]));
+      const double v = k_eval(x[i], x[j]);
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -84,13 +93,16 @@ la::Matrix kernel_matrix(KernelType type, const KernelParams& params,
 la::Matrix kernel_cross(KernelType type, const KernelParams& params,
                         const std::vector<std::vector<double>>& x,
                         const std::vector<std::vector<double>>& z) {
-  const double sf2 = std::exp(params.log_signal_var);
+  // The evaluator reads dim() entries from each side of every pair.
+  for (const auto* rows : {&x, &z}) {
+    for (const auto& row : *rows) {
+      PAMO_CHECK(row.size() == params.dim(), "kernel input dimension mismatch");
+    }
+  }
+  const KernelEvaluator k_eval(type, params);
   la::Matrix k(x.size(), z.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t j = 0; j < z.size(); ++j) {
-      k(i, j) =
-          kernel_from_sqdist(type, sf2, scaled_sqdist(params, x[i], z[j]));
-    }
+    for (std::size_t j = 0; j < z.size(); ++j) k(i, j) = k_eval(x[i], z[j]);
   }
   return k;
 }

@@ -30,6 +30,27 @@ struct KernelParams {
                              std::size_t dim);
 };
 
+/// k(·, ·) for one (type, params) pair with the loop-invariant work done
+/// once: σ_f² and the inverse lengthscales are exponentiated here, not per
+/// kernel pair. Entries are bit-identical to exponentiating per pair — the
+/// per-dimension arithmetic (x_i − z_i)·ℓ_i⁻¹ and its order are unchanged.
+class KernelEvaluator {
+ public:
+  KernelEvaluator(KernelType type, const KernelParams& params);
+
+  [[nodiscard]] std::size_t dim() const { return inv_lengthscales_.size(); }
+  [[nodiscard]] double signal_var() const { return signal_var_; }
+
+  /// k(x, z) without noise. Both inputs must have dim() entries.
+  [[nodiscard]] double operator()(const std::vector<double>& x,
+                                  const std::vector<double>& z) const;
+
+ private:
+  KernelType type_;
+  double signal_var_;                      // σ_f²
+  std::vector<double> inv_lengthscales_;   // ℓ_i⁻¹
+};
+
 /// k(x, z) for a single pair (without noise).
 double kernel_value(KernelType type, const KernelParams& params,
                     const std::vector<double>& x, const std::vector<double>& z);

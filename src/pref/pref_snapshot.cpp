@@ -75,6 +75,7 @@ void PreferenceGp::restore(const json::Value& snap) {
       codec::doubles_from_json(params.at("log_lengthscales"));
   params_.log_signal_var = params.at("log_signal_var").as_double();
   params_.log_noise_var = params.at("log_noise_var").as_double();
+  kernel_.emplace(options_.kernel, params_);
   points_ = codec::rows_from_json(snap.at("points"));
   pairs_ = pairs_from_json(snap.at("pairs"));
   pair_inv_noise_ = codec::doubles_from_json(snap.at("pair_inv_noise"));

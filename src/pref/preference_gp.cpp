@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/normal.hpp"
+#include "obs/obs.hpp"
 
 namespace pamo::pref {
 
@@ -37,6 +38,7 @@ void PreferenceGp::fit(std::vector<std::vector<double>> points,
   params_.log_lengthscales.assign(dim, std::log(options_.lengthscale));
   params_.log_signal_var = std::log(options_.signal_var);
   params_.log_noise_var = std::log(kKernelJitter);
+  kernel_.emplace(options_.kernel, params_);
 
   g_map_.assign(points_.size(), 0.0);
   laplace();
@@ -85,12 +87,17 @@ void PreferenceGp::compute_pair_weights() {
 }
 
 void PreferenceGp::laplace() {
+  PAMO_SPAN("pref.fit");
+  PAMO_COUNT("pref.fits", 1);
   const std::size_t n = points_.size();
   compute_pair_weights();
 
   la::Matrix k = gp::kernel_matrix(options_.kernel, params_, points_);
   k.add_diagonal(kKernelJitter);
   k_chol_.emplace(k);
+  // K is fixed for the whole fit: solve K X = I once, for every Newton
+  // iteration's A = W + K⁻¹ and for the final B.
+  const la::Matrix kinv = k_chol_->solve(la::Matrix::identity(n));
 
   // Negative log posterior (up to constants): ψ(g) = -Σ logΦ(z_v) + ½gᵀK⁻¹g.
   auto psi = [&](const la::Vector& g) {
@@ -126,12 +133,8 @@ void PreferenceGp::laplace() {
 
     // Newton target: (K⁻¹ + W) g⁺ = W g + b.
     la::Matrix a = w_;
-    {
-      // A += K⁻¹ by solving K X = I column-wise.
-      const la::Matrix kinv = k_chol_->solve(la::Matrix::identity(n));
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) a(r, c) += kinv(r, c);
-      }
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) a(r, c) += kinv(r, c);
     }
     la::Vector rhs = la::matvec(w_, g_map_);
     la::axpy(1.0, b, rhs);
@@ -172,7 +175,6 @@ void PreferenceGp::laplace() {
     w_(loser, winner) -= kappa;
   }
   la::Matrix b_mat = w_;
-  const la::Matrix kinv = k_chol_->solve(la::Matrix::identity(n));
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < n; ++c) b_mat(r, c) += kinv(r, c);
   }
@@ -232,11 +234,13 @@ gp::Posterior PreferenceGp::posterior(
 
 double PreferenceGp::utility_mean(const std::vector<double>& y) const {
   PAMO_CHECK(is_fit(), "utility_mean before fit");
-  la::Vector kstar(points_.size());
+  PAMO_CHECK(y.size() == kernel_->dim(), "outcome-vector dimension mismatch");
+  // k*(y)ᵀ K⁻¹g, accumulated in la::dot's order without materializing k*.
+  double mean = 0.0;
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    kstar[i] = gp::kernel_value(options_.kernel, params_, y, points_[i]);
+    mean += (*kernel_)(y, points_[i]) * kinv_g_[i];
   }
-  return la::dot(kstar, kinv_g_);
+  return mean;
 }
 
 la::Matrix PreferenceGp::sample_joint(const std::vector<std::vector<double>>& y,

@@ -104,6 +104,9 @@ class PreferenceGp {
   // pamo-analyze: allow(snapshot-coverage)
   PreferenceGpOptions options_;
   gp::KernelParams params_;
+  // Derived from options_.kernel and params_; rebuilt by fit and restore.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::optional<gp::KernelEvaluator> kernel_;
 
   std::vector<std::vector<double>> points_;
   std::vector<ComparisonPair> pairs_;

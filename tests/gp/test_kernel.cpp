@@ -89,16 +89,70 @@ TEST(KernelMatrix, SymmetricWithSignalDiagonal) {
   }
 }
 
+/// The pre-hoist formula: every pair exponentiates σ_f² and each inverse
+/// lengthscale itself. The hoisted evaluator must reproduce it bit for bit.
+double per_pair_reference(KernelType type, const KernelParams& p,
+                          const std::vector<double>& x,
+                          const std::vector<double>& z) {
+  double r2 = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = (x[i] - z[i]) * std::exp(-p.log_lengthscales[i]);
+    r2 += d * d;
+  }
+  const double sf2 = std::exp(p.log_signal_var);
+  if (type == KernelType::kRbf) return sf2 * std::exp(-0.5 * r2);
+  const double sqrt5_r = 2.2360679774997896 * std::sqrt(r2);
+  return sf2 * (1.0 + sqrt5_r + 5.0 / 3.0 * r2) * std::exp(-sqrt5_r);
+}
+
 TEST(KernelMatrix, MatchesCrossOnSameInputs) {
-  const KernelParams p = make_params(1, 1.0, 1.0);
-  const std::vector<std::vector<double>> x{{0.0}, {0.5}, {2.0}};
-  const la::Matrix k = kernel_matrix(KernelType::kRbf, p, x);
-  const la::Matrix c = kernel_cross(KernelType::kRbf, p, x, x);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(k(i, j), c(i, j), 1e-15);
+  for (const KernelType type : {KernelType::kRbf, KernelType::kMatern52}) {
+    for (const std::size_t dim : {std::size_t{2}, std::size_t{5}}) {
+      KernelParams p = make_params(dim, 1.0, 1.7);
+      for (std::size_t d = 0; d < dim; ++d) {
+        p.log_lengthscales[d] = std::log(0.3 + 0.45 * static_cast<double>(d));
+      }
+      std::vector<std::vector<double>> x;
+      std::vector<std::vector<double>> z;
+      for (int i = 0; i < 6; ++i) {
+        std::vector<double> row(dim);
+        for (std::size_t d = 0; d < dim; ++d) {
+          row[d] = std::sin(0.7 * i + 1.3 * static_cast<double>(d));
+        }
+        (i % 2 == 0 ? x : z).push_back(row);
+      }
+      const KernelEvaluator k_eval(type, p);
+      const la::Matrix k = kernel_matrix(type, p, x);
+      const la::Matrix same = kernel_cross(type, p, x, x);
+      const la::Matrix cross = kernel_cross(type, p, x, z);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        for (std::size_t j = 0; j < x.size(); ++j) {
+          const double ref = per_pair_reference(type, p, x[i], x[j]);
+          EXPECT_EQ(k(i, j), ref);
+          EXPECT_EQ(same(i, j), ref);
+          EXPECT_EQ(kernel_value(type, p, x[i], x[j]), ref);
+          EXPECT_EQ(k_eval(x[i], x[j]), ref);
+        }
+        for (std::size_t j = 0; j < z.size(); ++j) {
+          const double ref = per_pair_reference(type, p, x[i], z[j]);
+          EXPECT_EQ(cross(i, j), ref);
+          EXPECT_EQ(kernel_value(type, p, x[i], z[j]), ref);
+          EXPECT_EQ(k_eval(x[i], z[j]), ref);
+        }
+      }
     }
   }
+}
+
+TEST(KernelCross, DimensionMismatchThrows) {
+  const KernelParams p = make_params(2);
+  const std::vector<std::vector<double>> x{{0.0, 1.0}, {1.0, 0.0}};
+  // A z row shorter than x, and a row longer than params.dim().
+  EXPECT_THROW(kernel_cross(KernelType::kRbf, p, x, {{0.0}}), Error);
+  EXPECT_THROW(kernel_cross(KernelType::kRbf, p, {{0.0, 1.0, 2.0}}, x), Error);
+  EXPECT_THROW(kernel_cross(KernelType::kRbf, p, x, {{0.0, 1.0}, {1.0}}),
+               Error);
+  EXPECT_NO_THROW(kernel_cross(KernelType::kRbf, p, x, x));
 }
 
 class KernelPsdSweep
