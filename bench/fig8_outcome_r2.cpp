@@ -51,7 +51,6 @@ int main() {
       gp::GpOptions gp_options;
       gp_options.mle_restarts = 1;
       gp_options.mle_max_evals = 80;
-      gp_options.mle_subsample = 150;
       gp_options.seed = 9100 + rep;
       core::OutcomeModels models(space, gp_options);
       models.fit(configs, measurements);

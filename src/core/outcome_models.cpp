@@ -1,6 +1,7 @@
 #include "core/outcome_models.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -171,9 +172,14 @@ obs::json::Value OutcomeModels::snapshot() const {
 void OutcomeModels::restore(const obs::json::Value& snap) {
   PAMO_CHECK(snap.items().size() == models_.size(),
              "outcome-model snapshot metric count mismatch");
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    models_[m].restore(snap.items()[m]);
+  // Restore into copies (same per-metric options) and commit only after
+  // every metric decoded: a failure at metric k leaves all of them as
+  // they were.
+  std::vector<gp::GpRegressor> restored = models_;
+  for (std::size_t m = 0; m < restored.size(); ++m) {
+    restored[m].restore(snap.items()[m]);
   }
+  models_ = std::move(restored);
 }
 
 la::Matrix OutcomeModels::mean_grid_table() const {

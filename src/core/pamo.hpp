@@ -68,7 +68,10 @@ struct LearningHealth {
 struct PamoOptions {
   // Phase 1 (outcome models).
   std::size_t init_profiles = 64;        // U: initial profiling samples
-  std::size_t max_model_points = 220;    // training-set cap for the GPs
+  /// Cap on the raw observations each outcome GP stores. It bounds memory
+  /// and checkpoint size, not compute: the GPs solve on the distinct knob
+  /// inputs (at most the grid), whatever the row count.
+  std::size_t max_model_points = 220;
   /// Warm start (continual learning): when set and fit, Phase 1 copies
   /// this retained outcome-model bank instead of profiling init_profiles
   /// fresh samples and re-running the MLE from scratch; only

@@ -102,9 +102,6 @@ void GpRegressor::fit(std::vector<std::vector<double>> x,
   for (const auto& row : x) {
     PAMO_CHECK(row.size() == dim_, "ragged input matrix");
   }
-  PAMO_CHECK(options_.backend == GpBackend::kExact || !options_.robust_noise,
-             "robust_noise requires the exact backend (the IRLS residuals "
-             "are defined against the full factorization)");
   x_raw_ = std::move(x);
   y_raw_ = std::move(y);
   rebuild(/*optimize_hyperparams=*/!options_.fixed_params.has_value());
@@ -157,12 +154,11 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
     }
     diagnostics_.drift_score = drift_cusum_;
   }
-  // The factor extension is exact only when the solved system is a pure
-  // function of the appended rows: hyperparameters kept, robust noise off
-  // (reweighting re-solves over all rows), a jitter-free factor (the
-  // ladder restarts from zero on a full rebuild), and every new input
-  // inside the training box, so the min-max scaling of old rows — and with
-  // it the entire existing system — is unchanged.
+  // An in-box batch leaves the min-max scaling of the old rows — and with
+  // it every existing distinct input — unchanged, so without an MLE, a
+  // drift fire, or robust reweighting (which re-solves over all rows) the
+  // rebuild reduces to folding the new rows into the groups and
+  // re-solving the distinct-row system.
   auto inside_box = [this](const std::vector<std::vector<double>>& rows) {
     for (const auto& row : rows) {
       for (std::size_t d = 0; d < dim_; ++d) {
@@ -171,27 +167,35 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
     }
     return true;
   };
-  const bool eligible = options_.incremental && !want_mle && !drift_fired &&
-                        !options_.robust_noise && chol_.has_value() &&
-                        chol_->jitter() == 0.0 &&  // pamo-lint: allow(float-eq)
-                        !xs.empty() && inside_box(xs);
-  // The sparse system's inducing set and input scaling are frozen across
-  // incremental updates; a drift fire or an out-of-box row re-solves (and
-  // re-selects the inducing set) from scratch instead.
-  const bool sparse_eligible = options_.incremental && !want_mle &&
-                               !drift_fired && sparse_.has_value() &&
-                               !xs.empty() && inside_box(xs);
+  const bool in_box_solve = options_.incremental && !want_mle &&
+                            !drift_fired && !options_.robust_noise &&
+                            !xs.empty() && inside_box(xs);
   const std::size_t new_rows = xs.size();
+  const std::size_t first_new_row = x_raw_.size();
   for (auto& row : xs) x_raw_.push_back(std::move(row));
   y_raw_.insert(y_raw_.end(), ys.begin(), ys.end());
-  if (eligible && try_incremental_update(new_rows)) {
-    ++diagnostics_.incremental_updates;
-  } else if (sparse_eligible && try_sparse_update(new_rows)) {
-    ++diagnostics_.incremental_updates;
+  noise_scale_.resize(x_raw_.size(), 1.0);  // fresh rows carry λ = 1
+  if (in_box_solve) {
+    const std::size_t first_new = x_.size();
+    group_rows(first_new_row);
+    if (x_.size() - first_new < new_rows) {
+      // The batch repeats an input: a ≤ d-row re-solve, bit-identical to
+      // rebuild(false) because the scaling and grouping are unchanged.
+      solve_system();
+      ++diagnostics_.incremental_updates;
+    } else if (chol_->jitter() == 0.0 &&  // pamo-lint: allow(float-eq)
+               try_incremental_update(first_new)) {
+      // All-new inputs on a jitter-free factor (the ladder restarts from
+      // zero on a full rebuild): extend the factor in O(d²).
+      ++diagnostics_.incremental_updates;
+    } else {
+      ++diagnostics_.incremental_fallbacks;
+      rebuild(false);
+    }
   } else if (drift_fired && !want_mle) {
     // Selective forgetting: the inflated noise scales must survive, so a
     // plain rebuild (which resets them) is off the table.
-    refit_keep_noise(new_rows);
+    refit_keep_noise();
   } else {
     if (options_.incremental && !want_mle) ++diagnostics_.incremental_fallbacks;
     rebuild(want_mle);
@@ -200,35 +204,30 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
                "update leaves a solved system over every kept row");
 }
 
-bool GpRegressor::try_incremental_update(std::size_t new_rows) {
-  const std::size_t n_old = x_.size();
-  std::vector<std::vector<double>> scaled;
-  scaled.reserve(new_rows);
-  for (std::size_t i = 0; i < new_rows; ++i) {
-    scaled.push_back(scale_input(x_raw_[n_old + i]));
-  }
-
-  // x_ still holds exactly the n_old fitted rows here.
-  const la::Matrix cross = kernel_cross(options_.kernel, params_, scaled, x_);
-  la::Matrix corner = kernel_matrix(options_.kernel, params_, scaled);
+bool GpRegressor::try_incremental_update(std::size_t first_new) {
+  aggregate_targets();
+  // The new inputs' rows of K(x_, x_) + σ²·diag(1/W), entry for entry as
+  // kernel_matrix and solve_system would form them.
+  const std::size_t m = x_.size() - first_new;
+  const KernelEvaluator k_eval(options_.kernel, params_);
   const double noise = std::exp(params_.log_noise_var);
-  for (std::size_t i = 0; i < new_rows; ++i) {
-    corner(i, i) += noise;  // fresh rows always have noise_scale 1
+  la::Matrix cross(m, first_new);
+  la::Matrix corner(m, m);
+  for (std::size_t r = 0; r < m; ++r) {
+    const std::vector<double>& row = x_[first_new + r];
+    for (std::size_t j = 0; j < first_new; ++j) {
+      cross(r, j) = k_eval(row, x_[j]);
+    }
+    for (std::size_t c = 0; c < m; ++c) {
+      corner(r, c) = k_eval(row, x_[first_new + c]);
+    }
+    corner(r, r) = k_eval.signal_var();
+    corner(r, r) += noise / weight_[first_new + r];
   }
   if (!chol_->extend(cross, corner)) return false;
-
-  for (auto& row : scaled) x_.push_back(std::move(row));
-  noise_scale_.insert(noise_scale_.end(), new_rows, 1.0);
-
-  // Re-standardize the targets over the grown set — exactly the rebuild
-  // arithmetic — and re-solve against the extended factor: O(n) + O(n²)
-  // against the rebuild's O(n³) refactorization.
-  const std::size_t n = x_.size();
-  y_mean_ = mean_of(y_raw_);
-  y_std_ = stddev_of(y_raw_);
-  if (y_std_ < 1e-12) y_std_ = 1.0;  // constant targets: keep scale sane
-  y_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) y_[i] = (y_raw_[i] - y_mean_) / y_std_;
+  // The targets were re-standardized over the grown set above — exactly
+  // the rebuild arithmetic — so only the O(d²) re-solve against the
+  // extended factor remains.
   alpha_ = chol_->solve(y_);
   return true;
 }
@@ -237,26 +236,16 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
   PAMO_SPAN("gp.rebuild");
   PAMO_COUNT("gp.rebuilds", 1);
   const std::size_t n = x_raw_.size();
-
-  // Input scaling.
-  x_lo_.assign(dim_, std::numeric_limits<double>::max());
-  x_hi_.assign(dim_, std::numeric_limits<double>::lowest());
-  for (const auto& row : x_raw_) {
-    for (std::size_t i = 0; i < dim_; ++i) {
-      x_lo_[i] = std::min(x_lo_[i], row[i]);
-      x_hi_[i] = std::max(x_hi_[i], row[i]);
-    }
+  derive_inputs();
+  if (options_.drift_cusum_h > 0.0 && noise_scale_.size() <= n) {
+    // Drift downweights are not re-derivable from the data (unlike robust
+    // outlier weights), so a full rebuild keeps them and extends with 1.0
+    // for the fresh rows. fit() clears the scales first: a refit is a
+    // fresh start.
+    noise_scale_.resize(n, 1.0);
+  } else {
+    noise_scale_.assign(n, 1.0);
   }
-  x_.clear();
-  x_.reserve(n);
-  for (const auto& row : x_raw_) x_.push_back(scale_input(row));
-
-  // Target standardization.
-  y_mean_ = mean_of(y_raw_);
-  y_std_ = stddev_of(y_raw_);
-  if (y_std_ < 1e-12) y_std_ = 1.0;  // constant targets: keep scale sane
-  y_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) y_[i] = (y_raw_[i] - y_mean_) / y_std_;
 
   if (options_.fixed_params.has_value()) {
     params_ = *options_.fixed_params;
@@ -276,26 +265,11 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     box.lo[dim_ + 1] = std::log(options_.min_noise_var);
     box.hi[dim_ + 1] = std::log(1.0);
 
-    // MLE on a strided subsample when the training set is large — the
-    // marginal likelihood is O(n³) per evaluation.
-    std::vector<std::vector<double>> mle_x;
-    std::vector<double> mle_y;
-    const std::size_t cap = options_.mle_subsample;
-    if (cap > 0 && n > cap) {
-      const double stride = static_cast<double>(n) / static_cast<double>(cap);
-      for (std::size_t i = 0; i < cap; ++i) {
-        const auto idx = static_cast<std::size_t>(
-            static_cast<double>(i) * stride);
-        mle_x.push_back(x_[idx]);
-        mle_y.push_back(y_[idx]);
-      }
-    } else {
-      mle_x = x_;
-      mle_y = y_;
-    }
+    // Every row enters the likelihood, at the cost of a d-row solve.
+    aggregate_targets();  // the standardization unit_moments() reads
+    const GroupMoments moments = unit_moments();
     auto objective = [&](const std::vector<double>& packed) {
-      const KernelParams candidate = KernelParams::unpack(packed, dim_);
-      return -lml_on(mle_x, mle_y, candidate);
+      return -lml(moments, KernelParams::unpack(packed, dim_));
     };
 
     KernelParams init;
@@ -310,28 +284,18 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
         objective, box, options_.mle_restarts, options_.seed, &x0, nm);
     params_ = KernelParams::unpack(best.x, dim_);
   }
-
-  if (options_.drift_cusum_h > 0.0 && noise_scale_.size() <= n) {
-    // Drift downweights are not re-derivable from the data (unlike robust
-    // outlier weights), so a full rebuild keeps them and extends with 1.0
-    // for the fresh rows. fit() clears the scales first: a refit is a
-    // fresh start.
-    noise_scale_.resize(n, 1.0);
-  } else {
-    noise_scale_.assign(n, 1.0);
-  }
-  solve_system();
-  if (options_.robust_noise) {
-    for (std::size_t round = 0; round < options_.robust_rounds; ++round) {
-      if (!reweight_outliers()) break;
-    }
-  }
+  solve_and_reweight();
 }
 
-void GpRegressor::refit_keep_noise(std::size_t new_rows) {
+void GpRegressor::refit_keep_noise() {
   PAMO_SPAN("gp.refit_keep_noise");
-  const std::size_t n = x_raw_.size();
-  // Same scaling/standardization arithmetic as rebuild(), over all rows.
+  PAMO_CHECK(noise_scale_.size() == x_raw_.size(),
+             "noise scales cover every row");
+  derive_inputs();
+  solve_and_reweight();
+}
+
+void GpRegressor::derive_inputs() {
   x_lo_.assign(dim_, std::numeric_limits<double>::max());
   x_hi_.assign(dim_, std::numeric_limits<double>::lowest());
   for (const auto& row : x_raw_) {
@@ -341,36 +305,43 @@ void GpRegressor::refit_keep_noise(std::size_t new_rows) {
     }
   }
   x_.clear();
-  x_.reserve(n);
-  for (const auto& row : x_raw_) x_.push_back(scale_input(row));
-  y_mean_ = mean_of(y_raw_);
-  y_std_ = stddev_of(y_raw_);
-  if (y_std_ < 1e-12) y_std_ = 1.0;  // constant targets: keep scale sane
-  y_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) y_[i] = (y_raw_[i] - y_mean_) / y_std_;
-  noise_scale_.insert(noise_scale_.end(), new_rows, 1.0);
-  PAMO_CHECK(noise_scale_.size() == n, "noise scales cover every row");
-  solve_system();
-  if (options_.robust_noise) {
-    for (std::size_t round = 0; round < options_.robust_rounds; ++round) {
-      if (!reweight_outliers()) break;
-    }
+  group_.clear();
+  group_rows(0);
+}
+
+void GpRegressor::group_rows(std::size_t first) {
+  group_.reserve(x_raw_.size());
+  for (std::size_t j = first; j < x_raw_.size(); ++j) {
+    std::vector<double> scaled = scale_input(x_raw_[j]);
+    std::size_t i = 0;
+    while (i < x_.size() && x_[i] != scaled) ++i;
+    if (i == x_.size()) x_.push_back(std::move(scaled));
+    group_.push_back(i);
   }
 }
 
-void GpRegressor::solve_system() {
-  if (options_.backend == GpBackend::kInducing) {
-    solve_sparse();
-    return;
+void GpRegressor::aggregate_targets() {
+  y_mean_ = mean_of(y_raw_);
+  y_std_ = stddev_of(y_raw_);
+  if (y_std_ < 1e-12) y_std_ = 1.0;  // constant targets: keep scale sane
+  weight_.assign(x_.size(), 0.0);
+  y_.assign(x_.size(), 0.0);
+  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
+    const double w = 1.0 / noise_scale_[j];
+    weight_[group_[j]] += w;
+    y_[group_[j]] += w * standardized(j);
   }
+  for (std::size_t i = 0; i < x_.size(); ++i) y_[i] /= weight_[i];
+}
+
+void GpRegressor::solve_system() {
+  aggregate_targets();
   la::Matrix k = kernel_matrix(options_.kernel, params_, x_);
   const double noise = std::exp(params_.log_noise_var);
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    k(i, i) += noise * noise_scale_[i];
-  }
+  for (std::size_t i = 0; i < x_.size(); ++i) k(i, i) += noise / weight_[i];
   // Degrade to a wider jitter cap instead of throwing: a near-singular
-  // training covariance (duplicated inputs, heavily inflated outlier rows)
-  // yields a smoother posterior rather than a dead learner.
+  // training covariance (near-duplicate inputs, heavily inflated outlier
+  // rows) yields a smoother posterior rather than a dead learner.
   constexpr double kJitterLadder[] = {1e-4, 1e-2, 1.0};
   constexpr std::size_t kAttempts = 3;
   for (std::size_t attempt = 0;; ++attempt) {
@@ -387,23 +358,35 @@ void GpRegressor::solve_system() {
   ++factor_epoch_;  // full refactorization: cached V rows are now stale
 }
 
+void GpRegressor::solve_and_reweight() {
+  solve_system();
+  if (options_.robust_noise) {
+    for (std::size_t round = 0; round < options_.robust_rounds; ++round) {
+      if (!reweight_outliers()) break;
+    }
+  }
+}
+
 bool GpRegressor::reweight_outliers() {
   const double noise = std::exp(params_.log_noise_var);
-  bool changed = false;
+  // Posterior mean at each distinct input: μ_i = ȳ_i − (σ²/W_i)·α_i.
+  std::vector<double> mu(x_.size());
   for (std::size_t i = 0; i < x_.size(); ++i) {
-    const double var_i = noise * noise_scale_[i];
-    // At the training points the posterior mean is y − Σnoise·α, so the
-    // residual is var_i·α_i and its standardized form is √var_i·α_i.
-    const double z = std::sqrt(var_i) * alpha_[i];
+    mu[i] = y_[i] - noise / weight_[i] * alpha_[i];
+  }
+  bool changed = false;
+  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
+    const double z = (standardized(j) - mu[group_[j]]) /
+                     std::sqrt(noise * noise_scale_[j]);
     if (std::fabs(z) <= options_.robust_threshold) continue;
     const double ratio = std::fabs(z) / options_.robust_threshold;
     const double target = std::min(options_.robust_inflation_cap,
-                                   noise_scale_[i] * ratio * ratio);
-    if (target > noise_scale_[i]) {
+                                   noise_scale_[j] * ratio * ratio);
+    if (target > noise_scale_[j]) {
       // Scale is exactly 1.0 until the first inflation: this counts each
       // point at most once across the reweighting rounds.
-      if (noise_scale_[i] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-lint: allow(float-eq)
-      noise_scale_[i] = target;
+      if (noise_scale_[j] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-lint: allow(float-eq)
+      noise_scale_[j] = target;
       changed = true;
     }
   }
@@ -411,25 +394,54 @@ bool GpRegressor::reweight_outliers() {
   return changed;
 }
 
-double GpRegressor::lml_on(const std::vector<std::vector<double>>& xs,
-                           const std::vector<double>& ys,
-                           const KernelParams& params) const {
-  la::Matrix k = kernel_matrix(options_.kernel, params, xs);
-  k.add_diagonal(std::exp(params.log_noise_var));
+GpRegressor::GroupMoments GpRegressor::unit_moments() const {
+  const std::size_t d = x_.size();
+  GroupMoments m;
+  m.count.assign(d, 0.0);
+  m.mean.assign(d, 0.0);
+  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
+    m.count[group_[j]] += 1.0;
+    m.mean[group_[j]] += standardized(j);
+  }
+  for (std::size_t i = 0; i < d; ++i) {
+    m.mean[i] /= m.count[i];
+    m.log_count_sum += std::log(m.count[i]);
+  }
+  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
+    const double r = standardized(j) - m.mean[group_[j]];
+    m.within_ss += r * r;
+  }
+  return m;
+}
+
+double GpRegressor::lml(const GroupMoments& moments,
+                        const KernelParams& params) const {
+  const double noise = std::exp(params.log_noise_var);
+  la::Matrix k = kernel_matrix(options_.kernel, params, x_);
+  for (std::size_t i = 0; i < x_.size(); ++i) {
+    k(i, i) += noise / moments.count[i];
+  }
   try {
     const la::Cholesky chol(k);
-    const la::Vector alpha = chol.solve(ys);
-    const double fit_term = la::dot(ys, alpha);
-    const auto n = static_cast<double>(xs.size());
-    return -0.5 * (fit_term + chol.log_det() + n * kLog2Pi);
+    const la::Vector alpha = chol.solve(moments.mean);
+    const double fit_term = la::dot(moments.mean, alpha);
+    const auto d = static_cast<double>(x_.size());
+    const double reduced = -0.5 * (fit_term + chol.log_det() + d * kLog2Pi);
+    // Π_j N(y_j; f_i, σ²) = N(ȳ_i; f_i, σ²/m_i) · (2πσ²)^{−(m_i−1)/2} ·
+    // m_i^{−1/2} · exp(−SS_i/2σ²), summed over the groups. Zero when
+    // every input is distinct.
+    const auto repeats = static_cast<double>(x_raw_.size()) - d;
+    return reduced - 0.5 * (repeats * (kLog2Pi + params.log_noise_var) +
+                            moments.log_count_sum +
+                            moments.within_ss / noise);
   } catch (const Error&) {
     return -std::numeric_limits<double>::max();
   }
 }
 
 double GpRegressor::log_marginal_likelihood(const KernelParams& params) const {
-  PAMO_CHECK(!x_.empty(), "log_marginal_likelihood before fit");
-  return lml_on(x_, y_, params);
+  PAMO_CHECK(is_fit(), "log_marginal_likelihood before fit");
+  return lml(unit_moments(), params);
 }
 
 double GpRegressor::predict_mean(const std::vector<double>& x) const {
@@ -437,14 +449,8 @@ double GpRegressor::predict_mean(const std::vector<double>& x) const {
   const std::vector<double> xs = scale_input(x);
   const KernelEvaluator k_eval(options_.kernel, params_);
   double sum = 0.0;
-  if (sparse_.has_value()) {
-    for (std::size_t j = 0; j < sparse_->z.size(); ++j) {
-      sum += k_eval(xs, sparse_->z[j]) * sparse_->alpha[j];
-    }
-  } else {
-    for (std::size_t i = 0; i < x_.size(); ++i) {
-      sum += k_eval(xs, x_[i]) * alpha_[i];
-    }
+  for (std::size_t i = 0; i < x_.size(); ++i) {
+    sum += k_eval(xs, x_[i]) * alpha_[i];
   }
   return y_mean_ + y_std_ * sum;
 }
@@ -454,16 +460,6 @@ double GpRegressor::predict_var(const std::vector<double>& x) const {
   const std::vector<double> xs = scale_input(x);
   const KernelEvaluator k_eval(options_.kernel, params_);
   const double prior = k_eval.signal_var();
-  if (sparse_.has_value()) {
-    const std::size_t m = sparse_->z.size();
-    la::Vector kstar(m);
-    for (std::size_t j = 0; j < m; ++j) kstar[j] = k_eval(xs, sparse_->z[j]);
-    // DTC: k** − k*ₘ Kmm⁻¹ kₘ* + k*ₘ B⁻¹ kₘ*.
-    const la::Vector v1 = sparse_->lm->solve_lower(kstar);
-    const la::Vector v2 = sparse_->lb->solve_lower(kstar);
-    const double var = prior - la::dot(v1, v1) + la::dot(v2, v2);
-    return std::max(0.0, var) * y_std_ * y_std_;
-  }
   la::Vector kstar(x_.size());
   for (std::size_t i = 0; i < x_.size(); ++i) kstar[i] = k_eval(xs, x_[i]);
   const la::Vector v = chol_->solve_lower(kstar);
@@ -535,13 +531,6 @@ Posterior GpRegressor::posterior(
   std::vector<std::vector<double>> xs;
   xs.reserve(m);
   for (const auto& row : x) xs.push_back(scale_input(row));
-  if (sparse_.has_value()) {
-    Posterior post = sparse_posterior(xs);
-    PAMO_ENSURES(post.mean.size() == m && post.covariance.rows() == m &&
-                     post.covariance.cols() == m,
-                 "posterior is square over the query set");
-    return post;
-  }
   refresh_posterior_workspace(std::move(xs));
   const PosteriorWorkspace& ws = workspace_;
 

@@ -5,6 +5,14 @@
 // boxes are dimensionless. Hyperparameters are fit by multi-start
 // Nelder–Mead on the negative log marginal likelihood. predict() returns
 // the posterior on the original target scale.
+//
+// Repeated inputs are folded exactly: the system is solved on the distinct
+// inputs X_d with per-input sufficient statistics (weight W_i = Σ_j 1/λ_j
+// over the rows at input i, and their weighted mean target), because
+// Π_j N(y_j; f_i, σ²λ_j) = N(ȳ_i; f_i, σ²/W_i) × (a term free of f). So a
+// caller on a finite grid pays for at most |grid| rows in every solve,
+// marginal-likelihood evaluation and posterior, however many observations
+// it has fed in.
 #pragma once
 
 #include <cstdint>
@@ -18,24 +26,6 @@
 
 namespace pamo::gp {
 
-/// Inference backend of a GpRegressor.
-enum class GpBackend {
-  /// Exact GP: O(n³) factorization (O(n²) incremental extension), the
-  /// paper's regressor. The default; every pre-existing code path is
-  /// bit-for-bit unchanged under it.
-  kExact,
-  /// Inducing-point approximation (Deterministic Training Conditional):
-  /// inference runs through m = min(GpOptions::inducing_points, n)
-  /// inducing inputs (a strided subset of the training rows), so the
-  /// per-prediction and per-update cost is bounded by m — O(m²n) for a
-  /// full solve, O(m² + mn) per incremental update — instead of growing
-  /// as n³. With m == n the DTC posterior coincides analytically with the
-  /// exact GP; with m < n it is an approximation whose error contract is
-  /// pinned by tests/gp/test_gp_sparse.cpp. Unsupported combinations
-  /// (robust_noise) are rejected at fit() time.
-  kInducing,
-};
-
 struct GpOptions {
   KernelType kernel = KernelType::kMatern52;
   /// Number of Nelder–Mead restarts for hyperparameter MLE.
@@ -45,11 +35,6 @@ struct GpOptions {
   std::optional<KernelParams> fixed_params;
   /// Lower bound for the noise variance (standardized target scale).
   double min_noise_var = 1e-6;
-  /// Hyperparameter MLE runs on at most this many (strided) training
-  /// points; exact inference still uses all of them. The marginal
-  /// likelihood is O(n³) per evaluation, so this caps fit cost on large
-  /// training sets. 0 disables subsampling.
-  std::size_t mle_subsample = 220;
   /// When true, non-finite (NaN/Inf) training rows are dropped and counted
   /// in diagnostics() instead of failing the fit — at least 2 finite rows
   /// must remain. When false, fit()/update() reject non-finite data with a
@@ -70,24 +55,17 @@ struct GpOptions {
   /// (sample_joint); the jitter actually applied is recorded in
   /// diagnostics().posterior_jitter.
   double posterior_max_jitter = 1e-2;
-  /// O(n²) hot path for the decision loop: update() extends the cached
-  /// Cholesky factor by the new rows instead of refactorizing, and
-  /// posterior() keeps a cross-covariance workspace that is reused (and
-  /// incrementally extended) across calls over the same query set. Both
-  /// are bit-for-bit identical to the full recomputation and fall back to
-  /// it automatically whenever exactness cannot be guaranteed — see
-  /// diagnostics().incremental_fallbacks for when that happens.
+  /// Hot path for the decision loop. update() of a batch inside the input
+  /// box extends the cached Cholesky factor by the new inputs in O(d²)
+  /// when they are all new (d = distinct inputs), or re-solves the
+  /// ≤ d-row system without rescaling or MLE when the batch repeats an
+  /// input. posterior() keeps a cross-covariance workspace that is reused
+  /// (and incrementally extended) across calls over the same query set.
+  /// All of it is bit-for-bit identical to the full recomputation and
+  /// falls back to it automatically whenever exactness cannot be
+  /// guaranteed — see diagnostics().incremental_fallbacks for when that
+  /// happens.
   bool incremental = true;
-  /// Inference backend (see GpBackend). Hyperparameter MLE is shared by
-  /// both backends: it always runs on the exact marginal likelihood of an
-  /// mle_subsample-strided subset, so switching the backend changes the
-  /// inference cost model, never the hyperparameter search.
-  GpBackend backend = GpBackend::kExact;
-  /// Inducing-point budget m for GpBackend::kInducing. The inducing set
-  /// is a deterministic strided subset of the (scaled) training rows,
-  /// re-selected on every full solve and frozen across incremental
-  /// updates (that freeze is what keeps updates O(m² + mn)).
-  std::size_t inducing_points = 64;
   /// Drift detection for continual learning: a CUSUM statistic over the
   /// standardized prediction residuals of incoming update() rows, scored
   /// against the posterior *before* they are incorporated. Each row
@@ -124,7 +102,8 @@ struct GpFitDiagnostics {
   double fit_jitter = 0.0;
   /// Largest jitter used to repair a sampled posterior covariance.
   double posterior_jitter = 0.0;
-  /// update() calls served by the O(n²) incremental factor extension.
+  /// update() calls served without a full rebuild: the factor extension
+  /// or the in-box re-solve of a batch that repeats an input.
   std::size_t incremental_updates = 0;
   /// Incremental-eligible update() calls that fell back to a full rebuild
   /// (hyperparameter re-optimization, robust noise, prior jitter, a grown
@@ -157,8 +136,11 @@ class GpRegressor {
   void update(const std::vector<std::vector<double>>& x,
               const std::vector<double>& y, bool reoptimize = false);
 
-  [[nodiscard]] bool is_fit() const { return !x_.empty(); }
-  [[nodiscard]] std::size_t num_points() const { return x_.size(); }
+  [[nodiscard]] bool is_fit() const { return !x_raw_.empty(); }
+  /// Observations held (raw rows, repeats included).
+  [[nodiscard]] std::size_t num_points() const { return x_raw_.size(); }
+  /// Distinct inputs the system is solved on (≤ num_points()).
+  [[nodiscard]] std::size_t num_distinct() const { return x_.size(); }
   [[nodiscard]] std::size_t dim() const { return dim_; }
   [[nodiscard]] const KernelParams& params() const { return params_; }
 
@@ -193,21 +175,26 @@ class GpRegressor {
   [[nodiscard]] la::Matrix sample_joint_given(
       const std::vector<std::vector<double>>& x, const la::Matrix& z) const;
 
-  /// Log marginal likelihood of the standardized data under `params`.
+  /// Log marginal likelihood of the standardized data (every row, unit
+  /// noise weights) under `params`, computed on the distinct inputs.
   [[nodiscard]] double log_marginal_likelihood(
       const KernelParams& params) const;
 
-  /// Serialize the complete fitted state — training data, scaling,
-  /// hyperparameters, the Cholesky factor (with its jitter), alpha, the
-  /// robust-noise scales, diagnostics counters, and the factor epoch —
-  /// as deterministic JSON. The mutable posterior workspace is a pure
-  /// cache and is not serialized (recomputing it is bit-identical).
+  /// Serialize the source of truth as deterministic JSON: the raw rows,
+  /// their noise scales, the hyperparameters, diagnostics counters, and
+  /// the CUSUM score. Everything else (scaling, distinct rows, factor,
+  /// alpha, posterior workspace) is a deterministic function of these.
   [[nodiscard]] obs::json::Value snapshot() const;
 
-  /// Rebuild the fitted state from snapshot(). The regressor must have
-  /// been constructed with the same GpOptions as the snapshotted one;
-  /// after restore, every prediction, sample, and incremental update is
-  /// bit-for-bit identical to the original instance's.
+  /// Rebuild the fitted state from snapshot() by re-deriving the scaling,
+  /// the distinct rows, the factor and alpha with one solve (no MLE). The
+  /// regressor must have been constructed with the same GpOptions as the
+  /// snapshotted one; after restore, every prediction, sample, and
+  /// incremental update is bit-for-bit identical to the original
+  /// instance's. All-or-nothing: a snapshot that fails a check throws and
+  /// leaves this instance untouched. Snapshots that also carry the derived
+  /// keys (x, y, chol, alpha, ...) restore the same way; those keys are
+  /// ignored.
   void restore(const obs::json::Value& snap);
 
  private:
@@ -228,51 +215,51 @@ class GpRegressor {
     la::Matrix v;                         // n × m, V = L⁻¹ K*ᵀ
   };
 
-  /// Fitted state of the kInducing backend (absent under kExact). All of
-  /// it lives in standardized-target / scaled-input space, like the exact
-  /// factorization it replaces. D below is the per-row noise σ²·λ_i
-  /// (noise_scale_), so drift forgetting flows through the sparse solve
-  /// the same way it flows through the exact one.
-  struct SparseState {
-    std::vector<std::vector<double>> z;  // inducing rows (scaled inputs)
-    std::optional<la::Cholesky> lm;      // chol(Kmm [+ ladder jitter])
-    std::optional<la::Cholesky> lb;      // chol(B), B = Kmm_j + Kmn D⁻¹ Knm
-    la::Matrix kmn;                      // m × n cross-covariance
-    la::Vector b;                        // Kmn D⁻¹ y
-    la::Vector alpha;                    // B⁻¹ b
+  /// Unit-weight sufficient statistics of the standardized targets per
+  /// distinct input: the hyperparameter MLE's view of the data.
+  struct GroupMoments {
+    la::Vector count;            // m_i
+    la::Vector mean;             // ȳ_i
+    double log_count_sum = 0.0;  // Σ_i log m_i
+    double within_ss = 0.0;      // Σ_i Σ_{j∈i} (y_j − ȳ_i)²
   };
 
   void rebuild(bool optimize_hyperparams);
-  /// O(n²) update: extend the cached factor by the last `new_rows` rows of
-  /// x_raw_/y_raw_. Returns false when the extension would not be
-  /// bit-identical to a full rebuild (see GpOptions::incremental); the
-  /// fitted state is untouched then.
-  bool try_incremental_update(std::size_t new_rows);
+  /// Extend the cached factor by the distinct inputs from `first_new` on
+  /// (all of them fresh, each with weight 1). Returns false when the
+  /// extension would not be bit-identical to a full rebuild (see
+  /// GpOptions::incremental); callers then rebuild.
+  bool try_incremental_update(std::size_t first_new);
   /// Bring workspace_ up to date for the scaled query rows `xs`.
   void refresh_posterior_workspace(std::vector<std::vector<double>>&& xs) const;
-  /// Factorize K(x_, x_) + σ²·diag(noise_scale_) and solve for alpha_,
-  /// recovering from Cholesky failures by widening the jitter cap.
-  /// Routes to solve_sparse() under GpBackend::kInducing.
+  /// Min-max scale over every raw row, then group all of them.
+  void derive_inputs();
+  /// Assign raw rows [first, n) to distinct inputs, appending unseen
+  /// scaled inputs to x_ in first-occurrence order.
+  void group_rows(std::size_t first);
+  /// Standardize the targets and aggregate them per distinct input: W_i
+  /// and the W-weighted mean ȳ_i.
+  void aggregate_targets();
+  /// aggregate_targets(), then factorize K(x_, x_) + σ²·diag(1/W_i) and
+  /// solve for alpha_, recovering from Cholesky failures by widening the
+  /// jitter cap.
   void solve_system();
-  /// kInducing: select the inducing set from the current training rows and
-  /// solve the DTC system (Lm, B, b, alpha) from scratch in O(m²n).
-  void solve_sparse();
-  /// kInducing O(m² + mn) update: fold the last `new_rows` rows into the
-  /// frozen inducing system via rank-one factor updates of B. Returns
-  /// false when the sparse state is missing (callers then re-solve).
-  bool try_sparse_update(std::size_t new_rows);
-  /// DTC joint posterior over scaled query rows (standardized scale
-  /// handled by the caller-facing posterior()).
-  [[nodiscard]] Posterior sparse_posterior(
-      const std::vector<std::vector<double>>& xs) const;
-  /// Sparse-system snapshot codec (gp_snapshot.cpp).
-  static obs::json::Value sparse_to_json(const SparseState& s);
-  static SparseState sparse_from_json(const obs::json::Value& v);
+  /// solve_system(), then the robust reweighting rounds when enabled.
+  void solve_and_reweight();
+  [[nodiscard]] double standardized(std::size_t row) const {
+    return (y_raw_[row] - y_mean_) / y_std_;
+  }
+  [[nodiscard]] GroupMoments unit_moments() const;
+  /// Log marginal likelihood of every row under `params`: the distinct-row
+  /// GP with noise σ²/m_i plus the closed-form within-group term.
+  [[nodiscard]] double lml(const GroupMoments& moments,
+                           const KernelParams& params) const;
   /// The solved system covers every kept training row (postcondition of
-  /// fit()/update(), backend-independent).
+  /// fit()/update()).
   [[nodiscard]] bool solved_over_all_rows() const {
-    return sparse_.has_value() ? sparse_->kmn.cols() == x_raw_.size()
-                               : alpha_.size() == x_raw_.size();
+    return group_.size() == x_raw_.size() &&
+           noise_scale_.size() == x_raw_.size() &&
+           alpha_.size() == x_.size();
   }
   /// One pass of iteratively reweighted noise: inflate noise_scale_ for
   /// points with large standardized residuals, then re-solve. Returns
@@ -281,15 +268,12 @@ class GpRegressor {
   bool reweight_outliers();
   /// Selective refit after a drift fire: redo the input scaling and target
   /// standardization over all rows and re-solve with the *current*
-  /// noise_scale_ (extended by 1.0 for the `new_rows` fresh rows), so the
-  /// forgetting survives. Hyperparameters are never re-optimized here —
-  /// skipping the MLE is exactly the cost the detector avoids.
-  void refit_keep_noise(std::size_t new_rows);
+  /// noise_scale_, so the forgetting survives. Hyperparameters are never
+  /// re-optimized here — skipping the MLE is exactly the cost the detector
+  /// avoids.
+  void refit_keep_noise();
   /// Drop non-finite rows (reject_nonfinite) or reject them loudly.
   void sanitize(std::vector<std::vector<double>>& x, std::vector<double>& y);
-  [[nodiscard]] double lml_on(const std::vector<std::vector<double>>& xs,
-                              const std::vector<double>& ys,
-                              const KernelParams& params) const;
   [[nodiscard]] std::vector<double> scale_input(
       const std::vector<double>& x) const;
 
@@ -298,34 +282,45 @@ class GpRegressor {
   GpOptions options_;
   std::size_t dim_ = 0;
 
-  // Raw training data (original scale).
+  // Source of truth: raw training rows (original scale) and their
+  // per-row noise-variance inflation factors λ_j (≥ 1; 1 unless the robust
+  // fit or drift forgetting inflated the row).
   std::vector<std::vector<double>> x_raw_;
   std::vector<double> y_raw_;
-
-  // Input scaling (min-max per dimension) and target standardization.
-  std::vector<double> x_lo_, x_hi_;
-  double y_mean_ = 0.0, y_std_ = 1.0;
-
-  // Scaled training data and fitted state.
-  std::vector<std::vector<double>> x_;
-  std::vector<double> y_;  // standardized
-  KernelParams params_;
-  std::optional<la::Cholesky> chol_;
-  la::Vector alpha_;  // (K + σ²I)⁻¹ y
-  // kInducing backend state (absent under kExact; exactly one of
-  // chol_/alpha_ and sparse_ is populated after a fit).
-  std::optional<SparseState> sparse_;
-
-  // Per-point noise-variance inflation factors (≥ 1; 1 when the robust
-  // fit is off or the point is an inlier).
   std::vector<double> noise_scale_;
+  KernelParams params_;
   // Running CUSUM score of the drift detector (see GpOptions).
   double drift_cusum_ = 0.0;
   mutable GpFitDiagnostics diagnostics_;
 
+  // Everything below is derived from the members above; restore()
+  // re-derives it with one solve instead of reading it back.
+  // Input scaling (min-max per dimension) and target standardization.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<double> x_lo_, x_hi_;
+  // pamo-analyze: allow(snapshot-coverage)
+  double y_mean_ = 0.0, y_std_ = 1.0;
+  // Distinct scaled inputs X_d in first-occurrence order.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<std::vector<double>> x_;
+  // Raw row → index into x_.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<std::size_t> group_;
+  // Per distinct input: W_i = Σ_j 1/λ_j and the W-weighted mean ȳ_i of
+  // the standardized targets.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<double> weight_;
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<double> y_;
+  // pamo-analyze: allow(snapshot-coverage)
+  std::optional<la::Cholesky> chol_;
+  // (K_d + σ²·diag(1/W))⁻¹ ȳ
+  // pamo-analyze: allow(snapshot-coverage)
+  la::Vector alpha_;
   // Bumped by every full refactorization (solve_system); incremental
   // factor extensions keep it, which is what lets the posterior workspace
   // extend its V rows instead of starting over.
+  // pamo-analyze: allow(snapshot-coverage)
   std::uint64_t factor_epoch_ = 0;
   // Prediction scratch: contents are dead between calls.
   // pamo-analyze: allow(snapshot-coverage)

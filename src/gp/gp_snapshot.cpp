@@ -1,12 +1,14 @@
 // GpRegressor checkpoint serialization (see gp_regressor.hpp).
 //
-// The snapshot carries everything the fitted state owns — including the
-// Cholesky factor bits and its jitter — rather than refitting on restore:
-// a refit would redo the jitter ladder and MLE from scratch, and any
-// difference in that path (a different recovery jitter, another Nelder–
-// Mead tie) would silently fork the BO trajectory after resume. Restoring
-// the exact factor also preserves incremental-update eligibility, which
-// requires jitter == 0 on the cached factor.
+// The snapshot carries the source of truth only: raw rows, per-row noise
+// scales, hyperparameters, diagnostics and the CUSUM score. Restore
+// re-derives the scaling, the distinct rows, the factor and alpha with one
+// solve and no MLE. Every path that leaves a factor behind (full solve,
+// jitter ladder, factor extension, robust re-solve) produces exactly what
+// that one solve produces over the same state, so the restored model
+// predicts — and keeps updating — bit-for-bit like the original, including
+// its incremental-update eligibility (jitter == 0 on the cached factor).
+#include <cmath>
 #include <utility>
 
 #include "ckpt/codec.hpp"
@@ -89,92 +91,63 @@ GpFitDiagnostics diagnostics_from_json(const json::Value& v) {
 
 }  // namespace
 
-// pamo-analyze: snapshot(SparseState)
-json::Value GpRegressor::sparse_to_json(const SparseState& s) {
-  json::Value obj = json::Value::object();
-  obj.set("z", codec::rows_to_json(s.z));
-  obj.set("lm", codec::cholesky_to_json(s.lm));
-  obj.set("lb", codec::cholesky_to_json(s.lb));
-  obj.set("kmn", codec::matrix_to_json(s.kmn));
-  obj.set("b", codec::doubles_to_json(s.b));
-  obj.set("alpha", codec::doubles_to_json(s.alpha));
-  return obj;
-}
-
-// pamo-analyze: snapshot(SparseState)
-GpRegressor::SparseState GpRegressor::sparse_from_json(const json::Value& v) {
-  SparseState s;
-  s.z = codec::rows_from_json(v.at("z"));
-  s.lm = codec::cholesky_from_json(v.at("lm"));
-  s.lb = codec::cholesky_from_json(v.at("lb"));
-  s.kmn = codec::matrix_from_json(v.at("kmn"));
-  s.b = codec::doubles_from_json(v.at("b"));
-  s.alpha = codec::doubles_from_json(v.at("alpha"));
-  return s;
-}
-
 // pamo-analyze: snapshot(GpRegressor)
 json::Value GpRegressor::snapshot() const {
-  PAMO_CHECK(x_.size() == y_.size() && x_raw_.size() == y_raw_.size(),
+  PAMO_CHECK(x_raw_.size() == y_raw_.size() &&
+                 noise_scale_.size() == x_raw_.size(),
              "GP snapshot over inconsistent training arrays");
   json::Value obj = json::Value::object();
   obj.set("dim", json::Value(std::uint64_t{dim_}));
   obj.set("x_raw", codec::rows_to_json(x_raw_));
   obj.set("y_raw", codec::doubles_to_json(y_raw_));
-  obj.set("x_lo", codec::doubles_to_json(x_lo_));
-  obj.set("x_hi", codec::doubles_to_json(x_hi_));
-  obj.set("y_mean", json::Value(y_mean_));
-  obj.set("y_std", json::Value(y_std_));
-  obj.set("x", codec::rows_to_json(x_));
-  obj.set("y", codec::doubles_to_json(y_));
-  obj.set("params", params_to_json(params_));
-  obj.set("chol", codec::cholesky_to_json(chol_));
-  obj.set("alpha", codec::doubles_to_json(alpha_));
   obj.set("noise_scale", codec::doubles_to_json(noise_scale_));
+  obj.set("params", params_to_json(params_));
   obj.set("diagnostics", diagnostics_to_json(diagnostics_));
-  obj.set("factor_epoch", json::Value(factor_epoch_));
   obj.set("drift_cusum", json::Value(drift_cusum_));
-  if (sparse_.has_value()) obj.set("sparse", sparse_to_json(*sparse_));
   return obj;
 }
 
 // pamo-analyze: snapshot(GpRegressor)
 void GpRegressor::restore(const json::Value& snap) {
-  dim_ = static_cast<std::size_t>(snap.at("dim").as_uint());
-  x_raw_ = codec::rows_from_json(snap.at("x_raw"));
-  y_raw_ = codec::doubles_from_json(snap.at("y_raw"));
-  x_lo_ = codec::doubles_from_json(snap.at("x_lo"));
-  x_hi_ = codec::doubles_from_json(snap.at("x_hi"));
-  y_mean_ = snap.at("y_mean").as_double();
-  y_std_ = snap.at("y_std").as_double();
-  x_ = codec::rows_from_json(snap.at("x"));
-  y_ = codec::doubles_from_json(snap.at("y"));
-  params_ = params_from_json(snap.at("params"));
-  chol_ = codec::cholesky_from_json(snap.at("chol"));
-  alpha_ = codec::doubles_from_json(snap.at("alpha"));
-  noise_scale_ = codec::doubles_from_json(snap.at("noise_scale"));
-  diagnostics_ = diagnostics_from_json(snap.at("diagnostics"));
-  factor_epoch_ = snap.at("factor_epoch").as_uint();
+  PAMO_CHECK(snap.find("sparse") == nullptr,
+             "GP snapshot carries an inducing-point (sparse) system; that "
+             "backend no longer exists, so this checkpoint cannot be resumed");
+  // Decode into a fresh instance and move it in only once every check has
+  // passed: a rejected snapshot leaves this model untouched.
+  GpRegressor fresh(options_);
+  fresh.dim_ = static_cast<std::size_t>(snap.at("dim").as_uint());
+  fresh.x_raw_ = codec::rows_from_json(snap.at("x_raw"));
+  fresh.y_raw_ = codec::doubles_from_json(snap.at("y_raw"));
+  fresh.noise_scale_ = codec::doubles_from_json(snap.at("noise_scale"));
+  fresh.params_ = params_from_json(snap.at("params"));
+  const GpFitDiagnostics diagnostics =
+      diagnostics_from_json(snap.at("diagnostics"));
   // Backward-readable addition: pre-drift snapshots carry no CUSUM state.
   const json::Value* cusum = snap.find("drift_cusum");
-  drift_cusum_ = cusum ? cusum->as_double() : 0.0;
-  // Backward-readable addition: exact-backend snapshots carry no sparse
-  // system (the key is emitted only when the state exists).
-  const json::Value* sparse = snap.find("sparse");
-  sparse_ = sparse ? std::optional<SparseState>(sparse_from_json(*sparse))
-                   : std::nullopt;
-  PAMO_CHECK(x_.size() == y_.size() && x_raw_.size() == y_raw_.size(),
-             "GP snapshot is internally inconsistent");
-  PAMO_CHECK(!is_fit() || sparse_.has_value() ||
-                 (chol_.has_value() && alpha_.size() == x_.size()),
-             "fitted GP snapshot must carry its factorization");
-  PAMO_CHECK(!sparse_.has_value() ||
-                 (sparse_->lm.has_value() && sparse_->lb.has_value() &&
-                  sparse_->kmn.cols() == x_.size() &&
-                  sparse_->alpha.size() == sparse_->z.size()),
-             "sparse GP snapshot must carry a complete inducing system");
-  // The posterior workspace is a cache keyed to the live factor; drop it.
-  workspace_ = PosteriorWorkspace{};
+  fresh.drift_cusum_ = cusum ? cusum->as_double() : 0.0;
+
+  const std::size_t n = fresh.x_raw_.size();
+  PAMO_CHECK(fresh.y_raw_.size() == n && fresh.noise_scale_.size() == n,
+             "GP snapshot is internally inconsistent: x_raw, y_raw and "
+             "noise_scale differ in length");
+  for (std::size_t j = 0; j < n; ++j) {
+    PAMO_CHECK(fresh.x_raw_[j].size() == fresh.dim_,
+               "GP snapshot row width differs from its dim");
+    PAMO_CHECK(std::isfinite(fresh.noise_scale_[j]) &&
+                   fresh.noise_scale_[j] >= 1.0,
+               "GP snapshot noise scales must be finite and >= 1");
+  }
+  if (n > 0) {
+    PAMO_CHECK(n >= 2 && fresh.dim_ >= 1 && fresh.params_.dim() == fresh.dim_,
+               "fitted GP snapshot must carry >= 2 rows and hyperparameters "
+               "of its input dimension");
+    fresh.derive_inputs();
+    fresh.solve_system();
+  }
+  // The re-derivation may walk the jitter ladder again; its counters were
+  // already recorded when the original solve ran.
+  fresh.diagnostics_ = diagnostics;
+  *this = std::move(fresh);
 }
 
 }  // namespace pamo::gp

@@ -191,31 +191,6 @@ bool Cholesky::extend(const Matrix& cross, const Matrix& corner) {
   return true;
 }
 
-bool Cholesky::rank_one_update(const Vector& v) {
-  const std::size_t n = lower_.rows();
-  PAMO_CHECK(v.size() == n, "rank_one_update dimension mismatch");
-  for (const double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  // The sweep mutates a working copy of v; commit to lower_ in place only
-  // because every intermediate stays finite when the inputs are (the
-  // hypotenuse grows the diagonal, never shrinks it).
-  Vector w = v;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double lkk = lower_(k, k);
-    const double r = std::hypot(lkk, w[k]);
-    const double c = r / lkk;
-    const double s = w[k] / lkk;
-    lower_(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      lower_(i, k) = (lower_(i, k) + s * w[i]) / c;
-      w[i] = c * w[i] - s * lower_(i, k);
-    }
-  }
-  PAMO_ENSURES(lower_.rows() == n, "rank_one_update keeps the dimension");
-  return true;
-}
-
 double Cholesky::log_det() const {
   double sum = 0.0;
   for (std::size_t i = 0; i < lower_.rows(); ++i) sum += std::log(lower_(i, i));

@@ -61,17 +61,6 @@ class Cholesky {
   /// cannot imitate). Callers fall back to a full refactorization.
   [[nodiscard]] bool extend(const Matrix& cross, const Matrix& corner);
 
-  /// Rank-one update: replace this factor of A with the factor of
-  /// A + v vᵀ in O(n²) (the classical cholupdate Givens sweep), without
-  /// touching A itself. The dimension is unchanged — this is the
-  /// complement of extend(), which grows the factor. Unlike extend() the
-  /// arithmetic does *not* match a from-scratch factorization bit-for-bit
-  /// (the sweep is a different operation order); callers that need exact
-  /// interchangeability refactorize instead. Because v vᵀ is PSD the
-  /// update cannot destroy positive definiteness; a non-finite input
-  /// leaves the factor untouched and returns false.
-  [[nodiscard]] bool rank_one_update(const Vector& v);
-
   /// log |A| = 2 Σ log L_ii.
   [[nodiscard]] double log_det() const;
 

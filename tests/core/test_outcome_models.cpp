@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "obs/json.hpp"
 
 namespace pamo::core {
 namespace {
@@ -110,6 +112,33 @@ TEST(OutcomeModels, SampleTablesHaveRightShapeAndCenter) {
           << "metric " << m << " grid " << g;
     }
   }
+}
+
+TEST(OutcomeModels, RestoreIsAllOrNothing) {
+  Fixture f;
+  OutcomeModels source(f.space, fast_gp());
+  auto [configs, ms] = f.sample_profiles(40, 21);
+  source.fit(configs, ms);
+  OutcomeModels target(f.space, fast_gp());
+  auto [other_configs, other_ms] = f.sample_profiles(30, 22);
+  target.fit(other_configs, other_ms);
+  const la::Matrix before = target.mean_grid_table();
+
+  // Metric 3's snapshot is broken: metrics 0–2 decode fine, but none of
+  // them may be committed when 3 fails.
+  obs::json::Value snap = obs::json::Value::parse(source.snapshot().dump());
+  obs::json::Value broken = obs::json::Value::array();
+  for (std::size_t m = 0; m < snap.items().size(); ++m) {
+    obs::json::Value metric = snap.items()[m];
+    if (m == 3) metric.set("y_raw", obs::json::Value::array());
+    broken.push_back(std::move(metric));
+  }
+  EXPECT_THROW(target.restore(broken), Error);
+  EXPECT_EQ(target.num_points(), other_configs.size());
+  EXPECT_EQ(target.mean_grid_table().data(), before.data());
+
+  target.restore(snap);
+  EXPECT_EQ(target.mean_grid_table().data(), source.mean_grid_table().data());
 }
 
 TEST(OutcomeModels, RejectsBadInput) {

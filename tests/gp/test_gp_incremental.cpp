@@ -1,9 +1,10 @@
 // The incremental update()/posterior() hot path must be bit-for-bit
 // indistinguishable from the full rebuild it replaces: two regressors that
 // differ only in GpOptions::incremental must agree EXACTLY after any
-// sequence of updates, and every condition the fast path cannot reproduce
-// (MLE, robust noise, jittered factors, a grown input box) must fall back
-// to the rebuild — visibly, via diagnostics().
+// sequence of updates — factor extensions and re-solves of batches that
+// repeat an input alike — and every condition the fast path cannot
+// reproduce (MLE, robust noise, jittered factors, a grown input box) must
+// fall back to the rebuild — visibly, via diagnostics().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -235,6 +236,71 @@ TEST(GpIncremental, PosteriorWorkspaceReuseIsExact) {
   no_cache.update(xb, yb);
   ASSERT_GT(gp.diagnostics().incremental_updates, 0u);
   expect_posteriors_identical(gp, no_cache, query);
+}
+
+/// `x` with noisy targets, so rows that share an input disagree.
+std::vector<double> noisy_targets_of(const std::vector<std::vector<double>>& x,
+                                     Rng& rng) {
+  auto y = targets_of(x);
+  for (double& v : y) v += 0.05 * rng.normal();
+  return y;
+}
+
+TEST(GpIncremental, RepeatedInputBatchResolvesLikeRebuild) {
+  // A batch that repeats an input — a known one, or one twice within the
+  // batch — folds into the distinct-row groups and re-solves. It must
+  // equal the full rebuild exactly and count as an incremental update.
+  Rng rng(0x16c0000fULL);
+  auto x0 = make_seed_points(rng, 12);
+  const std::vector<std::vector<double>> repeats(x0.begin(), x0.begin() + 6);
+  x0.insert(x0.end(), repeats.begin(), repeats.end());
+  const auto y0 = noisy_targets_of(x0, rng);
+  GpRegressor fast(options_with(true));
+  GpRegressor slow(options_with(false));
+  fast.fit(x0, y0);
+  slow.fit(x0, y0);
+  ASSERT_EQ(fast.num_distinct(), 14u);
+
+  const auto fresh = make_points(rng, 2, 0.1, 0.9);
+  const std::vector<std::vector<std::vector<double>>> batches = {
+      {x0[0], x0[3], x0[3]},       // known inputs only
+      {x0[5], fresh[0]},           // a known input and a new one
+      {fresh[1], fresh[1]},        // one new input, twice
+  };
+  Rng qrng(0x16c00010ULL);
+  const auto query = make_points(qrng, 8, 0.1, 0.9);
+  for (const auto& xb : batches) {
+    const auto yb = noisy_targets_of(xb, rng);
+    fast.update(xb, yb);
+    slow.update(xb, yb);
+    expect_posteriors_identical(fast, slow, query);
+  }
+  EXPECT_EQ(fast.num_points(), x0.size() + 7);
+  EXPECT_EQ(fast.num_distinct(), 16u);
+  EXPECT_EQ(fast.diagnostics().incremental_updates, 3u);
+  EXPECT_EQ(fast.diagnostics().incremental_fallbacks, 0u);
+}
+
+TEST(GpIncremental, AllNewInputsExtendOverRepeatedGroups) {
+  // The factor extension on a bank whose inputs carry several rows each.
+  Rng rng(0x16c00011ULL);
+  auto x0 = make_seed_points(rng, 10);
+  const std::vector<std::vector<double>> repeats(x0.begin(), x0.begin() + 8);
+  x0.insert(x0.end(), repeats.begin(), repeats.end());
+  const auto y0 = noisy_targets_of(x0, rng);
+  GpRegressor fast(options_with(true));
+  GpRegressor slow(options_with(false));
+  fast.fit(x0, y0);
+  slow.fit(x0, y0);
+  Rng qrng(0x16c00012ULL);
+  const auto query = make_points(qrng, 8, 0.1, 0.9);
+  (void)fast.posterior(query);  // the workspace then extends
+  const auto xb = make_points(rng, 3, 0.1, 0.9);
+  const auto yb = noisy_targets_of(xb, rng);
+  fast.update(xb, yb);
+  slow.update(xb, yb);
+  EXPECT_EQ(fast.diagnostics().incremental_updates, 1u);
+  expect_posteriors_identical(fast, slow, query);
 }
 
 TEST(GpIncremental, SampleJointGivenMatchesSampleJoint) {

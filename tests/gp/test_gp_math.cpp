@@ -112,24 +112,5 @@ TEST(GpMath, LogMarginalLikelihoodMatchesDirectFormula) {
   EXPECT_NEAR(gp.log_marginal_likelihood(params), expected, 1e-10);
 }
 
-TEST(GpMath, MleSubsampleStillFitsWell) {
-  GpOptions options;
-  options.mle_restarts = 1;
-  options.mle_max_evals = 80;
-  options.mle_subsample = 40;  // far fewer than the data
-  GpRegressor gp(options);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 300; ++i) {
-    const double xi = i * 0.01;
-    x.push_back({xi});
-    y.push_back(std::sin(4.0 * xi));
-  }
-  gp.fit(x, y);
-  for (double xt : {0.35, 1.15, 2.45}) {
-    EXPECT_NEAR(gp.predict_mean({xt}), std::sin(4.0 * xt), 0.05);
-  }
-}
-
 }  // namespace
 }  // namespace pamo::gp
