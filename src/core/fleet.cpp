@@ -1,7 +1,6 @@
 #include "core/fleet.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -13,6 +12,8 @@ namespace pamo::core {
 namespace {
 
 /// Sum the robustness counters of one shard into the fleet aggregate.
+/// Shards warm-start from the fleet bank, so their own flag is not folded:
+/// the fleet fit its bank this epoch.
 void fold_health(LearningHealth& fleet, const LearningHealth& shard) {
   fleet.samples_rejected += shard.samples_rejected;
   fleet.samples_repaired += shard.samples_repaired;
@@ -24,7 +25,6 @@ void fold_health(LearningHealth& fleet, const LearningHealth& shard) {
   fleet.watchdog_fires += shard.watchdog_fires;
   fleet.inconsistent_pairs += shard.inconsistent_pairs;
   fleet.heuristic_fallback |= shard.heuristic_fallback;
-  fleet.warm_started |= shard.warm_started;
   fleet.drift_fires += shard.drift_fires;
   fleet.drift_downweighted += shard.drift_downweighted;
 }
@@ -50,8 +50,8 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
              "use_true_preference, or a shared_learner with learn_in_loop "
              "off");
   PAMO_CHECK(options.pamo.warm_start == nullptr,
-             "fleet mode does not support warm-started shards (the bank "
-             "is fit over one shard's streams, not the fleet's)");
+             "fleet mode fits its own shared outcome bank every epoch; a "
+             "caller-supplied warm_start bank is not supported");
 
   const sched::ShardPlan plan =
       sched::make_shard_plan(workload, options.shard);
@@ -72,18 +72,51 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
     shard_seeds.push_back(seed_root.fork(s).next_u64());
   }
 
+  // ---- Phase 1, once for the whole fleet. ----
+  // The outcome GPs model the two knobs only and pool every stream, so one
+  // bank fit over the fleet serves every shard: each copies it and
+  // re-anchors it with warm_profiles profiles of its own streams instead
+  // of fitting five GPs of its own. The bank is fit serially here and
+  // only read during the fan-out. Its telemetry goes through the fleet
+  // instance directly.
+  eva::TelemetryCorruption* telemetry = options.pamo.telemetry;
+  PamoResult fleet;
+  OutcomeModels bank(workload.space, PamoScheduler::harden(options.pamo).gp);
+  {
+    PAMO_SPAN("pamo.phase1_outcome_fit");
+    Rng rng(options.pamo.seed);
+    const Phase1Profiles profiles = profile_phase1(
+        workload, options.pamo.init_profiles, rng, telemetry,
+        kFleetBankTelemetryTag);
+    bank.fit(profiles.configs, profiles.measurements);
+    fleet.health.samples_rejected = profiles.dropped;
+    add_model_health(fleet.health, bank.diagnostics());
+    fleet.profiles_taken = options.pamo.init_profiles;
+  }
+
+  // Shards corrupt telemetry concurrently, each through a private view
+  // keyed by fleet stream id; the views fold back in shard-index order.
+  std::vector<eva::TelemetryCorruption> shard_telemetry;
+  if (telemetry != nullptr) {
+    shard_telemetry.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      shard_telemetry.push_back(telemetry->shard_view(plan.stream_ids[s]));
+    }
+  }
+
   std::vector<PamoResult> results(shards);
   parallel_for(shards, [&](std::size_t s) {
     PAMO_SPAN("fleet.shard_epoch");
     PamoOptions shard_options = options.pamo;
     shard_options.seed = shard_seeds[s];
+    shard_options.warm_start = &bank;
+    if (telemetry != nullptr) shard_options.telemetry = &shard_telemetry[s];
     pref::PreferenceOracle shard_oracle = oracle;
     PamoScheduler scheduler(shard_loads[s], shard_options);
     results[s] = scheduler.run(shard_oracle);
   });
 
   // ---- Merge in shard-index order (deterministic). ----
-  PamoResult fleet;
   fleet.feasible = shards > 0;
   fleet.best_config.assign(workload.num_streams(), eva::StreamConfig{});
   std::vector<sched::ScheduleResult> schedules;
@@ -101,6 +134,7 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
     fleet.oracle_queries += shard.oracle_queries;
     fleet.profiles_taken += shard.profiles_taken;
     fold_health(fleet.health, shard.health);
+    if (telemetry != nullptr) telemetry->merge_shard(shard_telemetry[s]);
     schedules.push_back(shard.best_schedule);
     const double benefit =
         shard.benefit_trace.empty() ? 0.0 : shard.benefit_trace.back();
@@ -124,9 +158,8 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
       row.iterations = shard.iterations;
       row.benefit = benefit;
     }
-    const std::string label = "fleet.shard." + std::to_string(s);
-    PAMO_GAUGE(label + ".benefit", benefit);
-    PAMO_COUNT(label + ".profiles", shard.profiles_taken);
+    PAMO_HISTOGRAM("fleet.shard_benefit", benefit);
+    PAMO_HISTOGRAM("fleet.shard_profiles", shard.profiles_taken);
   }
   if (fleet.feasible) {
     fleet.best_schedule = sched::merge_shard_schedules(

@@ -16,7 +16,50 @@ std::vector<double> to_vector(const eva::OutcomeVector& y) {
   return std::vector<double>(y.begin(), y.end());
 }
 
+/// Telemetry tag base of the scheduler's own Phase-1 profiles.
+constexpr std::uint64_t kPhase1Tag = 0xA000;
+
 }  // namespace
+
+void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
+                      const gp::GpFitDiagnostics& base) {
+  health.samples_rejected += now.rows_rejected - base.rows_rejected;
+  health.outliers_downweighted +=
+      now.outliers_downweighted - base.outliers_downweighted;
+  health.cholesky_recoveries +=
+      now.cholesky_recoveries - base.cholesky_recoveries;
+  health.drift_fires += now.drift_fires - base.drift_fires;
+  health.drift_downweighted += now.drift_downweighted - base.drift_downweighted;
+  health.max_jitter_applied = std::max(
+      {health.max_jitter_applied, now.fit_jitter, now.posterior_jitter});
+}
+
+Phase1Profiles profile_phase1(const eva::Workload& workload, std::size_t count,
+                              Rng& rng, eva::TelemetryCorruption* telemetry,
+                              std::uint64_t telemetry_tag) {
+  const bool corrupting = telemetry != nullptr && telemetry->enabled();
+  const std::size_t n = workload.num_streams();
+  PAMO_EXPECTS(n > 0 || count == 0, "profiling an empty workload");
+  const eva::Profiler profiler;
+  Phase1Profiles out;
+  out.configs.reserve(count);
+  out.measurements.reserve(count);
+  for (std::size_t u = 0; u < count; ++u) {
+    const eva::StreamConfig config = workload.space.sample(rng);
+    Rng sample_rng = rng.fork(0xA000 + u);
+    eva::StreamMeasurement meas =
+        profiler.measure(workload.clips[u % n], config, sample_rng);
+    if (corrupting && !telemetry->corrupt(meas, u % n, telemetry_tag + u)) {
+      ++out.dropped;  // report lost before it reached us
+      continue;
+    }
+    out.configs.push_back(config);
+    out.measurements.push_back(meas);
+  }
+  PAMO_ENSURES(out.configs.size() + out.dropped == count,
+               "every profile is either kept or counted as dropped");
+  return out;
+}
 
 PamoOptions PamoScheduler::harden(PamoOptions options) {
   if (options.telemetry != nullptr && options.telemetry->enabled()) {
@@ -239,8 +282,6 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   PamoResult result;
   health_ = {};
   const std::size_t queries_before = oracle.queries_answered();
-  const bool corrupting =
-      options_.telemetry != nullptr && options_.telemetry->enabled();
   bo::EpochWatchdog watchdog(options_.watchdog);
   watchdog.arm();
 
@@ -260,51 +301,23 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     model_points_ = models_.num_points();
     warm_base = models_.diagnostics();
     health_.warm_started = true;
-    std::vector<eva::StreamConfig> configs;
-    std::vector<eva::StreamMeasurement> measurements;
-    const eva::Profiler profiler;
-    configs.reserve(options_.warm_profiles);
-    for (std::size_t u = 0; u < options_.warm_profiles; ++u) {
-      const auto& clip = workload_.clips[u % workload_.num_streams()];
-      const eva::StreamConfig config = workload_.space.sample(rng);
-      Rng sample_rng = rng.fork(0xA000 + u);
-      eva::StreamMeasurement meas = profiler.measure(clip, config, sample_rng);
-      if (corrupting && !options_.telemetry->corrupt(
-                            meas, u % workload_.num_streams(), 0xA000 + u)) {
-        ++health_.samples_rejected;  // report lost before it reached us
-        continue;
-      }
-      configs.push_back(config);
-      measurements.push_back(meas);
-    }
-    if (model_points_ < options_.max_model_points && !configs.empty()) {
-      models_.update(configs, measurements);
-      model_points_ += configs.size();
+    const Phase1Profiles fresh =
+        profile_phase1(workload_, options_.warm_profiles, rng,
+                       options_.telemetry, kPhase1Tag);
+    health_.samples_rejected += fresh.dropped;
+    if (model_points_ < options_.max_model_points && !fresh.configs.empty()) {
+      models_.update(fresh.configs, fresh.measurements);
+      model_points_ += fresh.configs.size();
     }
     profiles_taken_ = options_.warm_profiles;
   } else {
     PAMO_SPAN("pamo.phase1_outcome_fit");
-    std::vector<eva::StreamConfig> configs;
-    std::vector<eva::StreamMeasurement> measurements;
-    const eva::Profiler profiler;
-    configs.reserve(options_.init_profiles);
-    for (std::size_t u = 0; u < options_.init_profiles; ++u) {
-      const auto& clip = workload_.clips[u % workload_.num_streams()];
-      const eva::StreamConfig config = workload_.space.sample(rng);
-      Rng sample_rng = rng.fork(0xA000 + u);
-      eva::StreamMeasurement meas = profiler.measure(clip, config, sample_rng);
-      if (corrupting && !options_.telemetry->corrupt(
-                            meas, u % workload_.num_streams(), 0xA000 + u)) {
-        ++health_.samples_rejected;  // report lost before it reached us
-        continue;
-      }
-      // Non-finite fields survive here on purpose: the (hardened) outcome
-      // GPs reject those rows per metric and count them.
-      configs.push_back(config);
-      measurements.push_back(meas);
-    }
-    models_.fit(configs, measurements);
-    model_points_ = configs.size();
+    const Phase1Profiles fresh =
+        profile_phase1(workload_, options_.init_profiles, rng,
+                       options_.telemetry, kPhase1Tag);
+    health_.samples_rejected += fresh.dropped;
+    models_.fit(fresh.configs, fresh.measurements);
+    model_points_ = fresh.configs.size();
     profiles_taken_ = options_.init_profiles;
   }
 
@@ -355,18 +368,9 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
 
   // Health bookkeeping shared by every exit path.
   auto finalize_health = [&]() {
-    const gp::GpFitDiagnostics d = models_.diagnostics();
     // Deltas against the warm-start baseline (all-zero on a cold start),
     // so health always describes *this* epoch.
-    health_.samples_rejected += d.rows_rejected - warm_base.rows_rejected;
-    health_.outliers_downweighted =
-        d.outliers_downweighted - warm_base.outliers_downweighted;
-    health_.cholesky_recoveries =
-        d.cholesky_recoveries - warm_base.cholesky_recoveries;
-    health_.drift_fires = d.drift_fires - warm_base.drift_fires;
-    health_.drift_downweighted =
-        d.drift_downweighted - warm_base.drift_downweighted;
-    health_.max_jitter_applied = std::max(d.fit_jitter, d.posterior_jitter);
+    add_model_health(health_, models_.diagnostics(), warm_base);
     health_.iteration_failures = watchdog.failures();
     if (watchdog.fired()) health_.watchdog_fires = 1;
     if (!options_.use_true_preference && active_learner_ != nullptr) {

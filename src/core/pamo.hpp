@@ -65,6 +65,13 @@ struct LearningHealth {
   std::size_t drift_downweighted = 0;
 };
 
+/// Add the outcome-model robustness counters `now` gathered since
+/// `base` (the warm-start bank's counters; empty for a bank fit this
+/// epoch) to `health`: rejected rows, outliers, Cholesky recoveries and
+/// drift as deltas, jitter as a maximum.
+void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
+                      const gp::GpFitDiagnostics& base = {});
+
 struct PamoOptions {
   // Phase 1 (outcome models).
   std::size_t init_profiles = 64;        // U: initial profiling samples
@@ -81,7 +88,9 @@ struct PamoOptions {
   /// epochs triggers selective forgetting instead of a full refit.
   /// Because the bank pools all streams per metric, surviving streams
   /// reuse their posterior evidence and newcomers inherit the pooled
-  /// prior mean automatically. Externally owned; null = cold start.
+  /// prior mean automatically. The fleet path hands every shard the bank
+  /// it fit over the whole fleet this way (core/fleet.hpp). Externally
+  /// owned and only read; null = cold start.
   const OutcomeModels* warm_start = nullptr;
   /// Fresh profiles taken when warm-starting (cheap re-anchoring).
   std::size_t warm_profiles = 12;
@@ -146,6 +155,25 @@ struct PamoResult {
   /// Robustness counters of this epoch (all-zero on a clean run).
   LearningHealth health;
 };
+
+/// Phase-1 profiles (Alg. 2 line 2), ready for OutcomeModels::fit/update.
+struct Phase1Profiles {
+  std::vector<eva::StreamConfig> configs;
+  std::vector<eva::StreamMeasurement> measurements;
+  /// Reports the telemetry model dropped before they reached the models.
+  std::size_t dropped = 0;
+};
+
+/// Profile `count` random knob configurations, cycling over the workload's
+/// streams: profile u measures stream u mod n with rng.fork(0xA000 + u).
+/// With `telemetry` enabled every report passes through it first (tag
+/// `telemetry_tag + u`); a dropped report is counted and skipped, while
+/// non-finite fields survive on purpose: the hardened outcome GPs reject
+/// those rows per metric and count them. The cold fit, the warm
+/// re-anchoring and the fleet's shared bank all profile through here.
+Phase1Profiles profile_phase1(const eva::Workload& workload, std::size_t count,
+                              Rng& rng, eva::TelemetryCorruption* telemetry,
+                              std::uint64_t telemetry_tag);
 
 class PamoScheduler {
  public:

@@ -138,9 +138,10 @@ struct ServiceOptions {
   /// workload has at least fleet.min_streams streams are partitioned by
   /// the global allocator and optimized per shard (see core/fleet.hpp);
   /// smaller epochs still run flat. Fleet epochs use fleet.pamo (its seed
-  /// re-derived per epoch and shard) instead of initial/steady, and skip
-  /// outcome-model retention/warm start — a per-shard bank is not
-  /// meaningful at the fleet level.
+  /// re-derived per epoch and shard) instead of initial/steady, and fit
+  /// one shared outcome bank per epoch that every shard warm-starts from.
+  /// They skip outcome-model retention/warm start across epochs: keeping
+  /// the fleet bank needs a bounded raw-row store first.
   FleetOptions fleet;
   /// Keep a copy of the most recent epoch's fitted outcome models so they
   /// ride along in checkpoints (snapshot()). Costs one model-bank copy per

@@ -50,8 +50,9 @@ bool TelemetryCorruption::corrupt(StreamMeasurement& measurement,
 
   // Corruption draws come from (seed, stream, tag) only — never from the
   // caller's RNG — so the scheduler's own random streams are untouched.
+  const std::size_t key = ids_.empty() ? stream : ids_.at(stream);
   Rng rng(options_.seed ^ (tag * 0xD1B54A32D192ED03ULL) ^
-          ((stream + 1) * 0x9E3779B97F4A7C15ULL));
+          ((key + 1) * 0x9E3779B97F4A7C15ULL));
 
   if (rng.uniform() < options_.drop_rate) {
     ++counters_.dropped_measurements;
@@ -91,6 +92,42 @@ bool TelemetryCorruption::corrupt(StreamMeasurement& measurement,
   last_[stream] = truth;
   has_last_[stream] = true;
   return true;
+}
+
+TelemetryCorruption TelemetryCorruption::shard_view(
+    const std::vector<std::size_t>& ids) const {
+  TelemetryCorruption view(options_);
+  view.ids_ = ids;
+  view.last_.resize(ids.size());
+  view.has_last_.assign(ids.size(), false);
+  for (std::size_t p = 0; p < ids.size(); ++p) {
+    if (ids[p] < last_.size() && has_last_[ids[p]]) {
+      view.last_[p] = last_[ids[p]];
+      view.has_last_[p] = true;
+    }
+  }
+  return view;
+}
+
+void TelemetryCorruption::merge_shard(const TelemetryCorruption& view) {
+  PAMO_CHECK(ids_.empty() && view.has_last_.size() <= view.ids_.size(),
+             "merge_shard folds a shard view into a fleet-keyed instance");
+  counters_.total_measurements += view.counters_.total_measurements;
+  counters_.dropped_measurements += view.counters_.dropped_measurements;
+  counters_.nan_fields += view.counters_.nan_fields;
+  counters_.inf_fields += view.counters_.inf_fields;
+  counters_.outlier_fields += view.counters_.outlier_fields;
+  counters_.stuck_fields += view.counters_.stuck_fields;
+  for (std::size_t p = 0; p < view.has_last_.size(); ++p) {
+    if (!view.has_last_[p]) continue;
+    const std::size_t id = view.ids_[p];
+    if (id >= last_.size()) {
+      last_.resize(id + 1);
+      has_last_.resize(id + 1, false);
+    }
+    last_[id] = view.last_[p];
+    has_last_[id] = true;
+  }
 }
 
 }  // namespace pamo::eva

@@ -52,6 +52,7 @@ struct CorruptionCounters {
   [[nodiscard]] std::size_t corrupted_fields() const {
     return nan_fields + inf_fields + outlier_fields + stuck_fields;
   }
+  bool operator==(const CorruptionCounters&) const = default;
 };
 
 class TelemetryCorruption {
@@ -72,6 +73,19 @@ class TelemetryCorruption {
   bool corrupt(StreamMeasurement& measurement, std::size_t stream,
                std::uint64_t tag);
 
+  /// A private copy for one shard of a fleet epoch, whose local stream p
+  /// is fleet stream ids[p]: corruption draws and stuck-at memory are
+  /// keyed by the fleet id, so a shard corrupts exactly what this instance
+  /// would. Counters start at zero. Shards corrupt through their own view
+  /// concurrently; merge_shard() folds each back serially. A view is
+  /// transient: snapshot() does not record its id map.
+  [[nodiscard]] TelemetryCorruption shard_view(
+      const std::vector<std::size_t>& ids) const;
+
+  /// Fold a shard view's counters and stuck-at memory back into this
+  /// (fleet-keyed) instance.
+  void merge_shard(const TelemetryCorruption& view);
+
   [[nodiscard]] const CorruptionCounters& counters() const {
     return counters_;
   }
@@ -91,6 +105,10 @@ class TelemetryCorruption {
   // Stuck-at memory: the previous true reading per stream.
   std::vector<StreamMeasurement> last_;
   std::vector<bool> has_last_;
+  // Shard views only: local stream -> fleet stream id (empty = identity).
+  // A view is never snapshotted.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<std::size_t> ids_;
 };
 
 }  // namespace pamo::eva

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -23,6 +26,15 @@ bool identical(const StreamMeasurement& a, const StreamMeasurement& b) {
   return a.accuracy == b.accuracy && a.bandwidth_mbps == b.bandwidth_mbps &&
          a.compute_tflops == b.compute_tflops &&
          a.power_watts == b.power_watts && a.proc_time == b.proc_time;
+}
+
+bool same_bits(const StreamMeasurement& a, const StreamMeasurement& b) {
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.accuracy) == bits(b.accuracy) &&
+         bits(a.bandwidth_mbps) == bits(b.bandwidth_mbps) &&
+         bits(a.compute_tflops) == bits(b.compute_tflops) &&
+         bits(a.power_watts) == bits(b.power_watts) &&
+         bits(a.proc_time) == bits(b.proc_time);
 }
 
 TEST(Telemetry, DisabledModelLeavesMeasurementsUntouched) {
@@ -150,6 +162,37 @@ TEST(Telemetry, ResetCountersClearsTallies) {
   model.reset_counters();
   EXPECT_EQ(model.counters().total_measurements, 0u);
   EXPECT_EQ(model.counters().corrupted_fields(), 0u);
+}
+
+TEST(Telemetry, ShardViewCorruptsLikeTheFleetInstanceAndMergesBack) {
+  TelemetryCorruptionOptions options;
+  options.nan_rate = 0.1;
+  options.outlier_rate = 0.2;
+  options.stuck_rate = 0.3;
+  options.drop_rate = 0.1;
+  TelemetryCorruption fleet(options);
+  // Stuck-at memory the view must inherit: one earlier reading per stream.
+  for (std::size_t id = 0; id < 8; ++id) {
+    StreamMeasurement m = reading(1.0 + 0.1 * static_cast<double>(id));
+    fleet.corrupt(m, id, 1);
+  }
+  TelemetryCorruption reference = fleet;  // corrupts in the fleet id space
+
+  const std::vector<std::size_t> ids = {5, 2, 7};
+  TelemetryCorruption view = fleet.shard_view(ids);
+  EXPECT_EQ(view.counters().total_measurements, 0u);
+  for (std::uint64_t tag = 10; tag < 40; ++tag) {
+    const std::size_t p = tag % ids.size();
+    StreamMeasurement local = reading(2.0 + static_cast<double>(tag));
+    StreamMeasurement global = local;
+    EXPECT_EQ(view.corrupt(local, p, tag),
+              reference.corrupt(global, ids[p], tag));
+    EXPECT_TRUE(same_bits(local, global)) << "tag " << tag;
+  }
+  fleet.merge_shard(view);
+  EXPECT_EQ(fleet.counters(), reference.counters());
+  EXPECT_EQ(fleet.snapshot().dump(), reference.snapshot().dump());
+  EXPECT_THROW(view.merge_shard(view), Error);  // views fold into the fleet
 }
 
 }  // namespace
