@@ -1,7 +1,11 @@
 #include "bench_util.hpp"
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
+
+#include "common/error.hpp"
 
 namespace pamo::bench {
 
@@ -11,6 +15,19 @@ bool fast_mode() {
 }
 
 std::size_t repetitions() { return fast_mode() ? 1 : 3; }
+
+double now_ms() {
+  const auto t = std::chrono::steady_clock::now().time_since_epoch();
+  return std::chrono::duration<double, std::milli>(t).count();
+}
+
+obs::json::Value read_baseline(const std::string& path) {
+  std::ifstream in(path);
+  PAMO_CHECK(in.good(), "cannot read baseline " + path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return obs::json::Value::parse(buffer.str());
+}
 
 void maybe_export_csv(const TablePrinter& table, const std::string& name) {
   const char* dir = std::getenv("PAMO_BENCH_CSV_DIR");

@@ -11,6 +11,7 @@
 #include "core/evaluation.hpp"
 #include "common/table.hpp"
 #include "core/pamo.hpp"
+#include "obs/json.hpp"
 
 namespace pamo::bench {
 
@@ -24,6 +25,15 @@ void maybe_export_csv(const TablePrinter& table, const std::string& name);
 
 /// Repetitions per configuration (the paper uses 3).
 std::size_t repetitions();
+
+/// Steady-clock milliseconds; only differences are meaningful.
+double now_ms();
+
+/// Parse a committed baseline report (the JSON a bench wrote with --out).
+/// Throws pamo::Error when the file cannot be read or is not valid JSON.
+/// Callers pull values out with json::Value::at(), which also throws on a
+/// missing key, so one catch covers every way a baseline can be unusable.
+obs::json::Value read_baseline(const std::string& path);
 
 enum class Method { kJcab, kFact, kPamo, kPamoPlus };
 

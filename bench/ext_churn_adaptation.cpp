@@ -26,7 +26,6 @@
 // Flags:
 //   --smoke    trimmed sizes (CI-friendly; PAMO_BENCH_FAST=1 also works)
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,11 +40,6 @@
 namespace {
 
 using namespace pamo;
-
-double now_ms() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double, std::milli>(t).count();
-}
 
 struct Sizes {
   std::size_t streams = 6;
@@ -124,10 +118,10 @@ std::vector<EpochScore> run_retention_service(
   std::vector<EpochScore> scores;
   scores.reserve(epochs);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    const double start = now_ms();
+    const double start = bench::now_ms();
     const auto report = service.run_epoch(oracle);
     EpochScore score;
-    score.ms = now_ms() - start;
+    score.ms = bench::now_ms() - start;
     // Score the decision on ground truth against the workload it was made
     // for: the plan's offered view of this epoch (the governor is off, so
     // offered == scheduled).

@@ -19,9 +19,7 @@
 //   --out PATH     write the JSON report (default BENCH_fleet.json)
 //   --check PATH   compare against a committed baseline JSON
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -29,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/fleet.hpp"
 #include "core/report_digest.hpp"
@@ -38,11 +38,6 @@
 namespace {
 
 using namespace pamo;
-
-double now_ms() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double, std::milli>(t).count();
-}
 
 struct FleetSize {
   std::size_t servers = 0;
@@ -83,9 +78,9 @@ EpochRun run_epoch(const eva::Workload& workload, std::uint64_t seed,
   const core::FleetOptions options = fleet_options(seed);
   const pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
   EpochRun run;
-  const double start = now_ms();
+  const double start = bench::now_ms();
   run.result = core::run_fleet_epoch(workload, options, oracle, &run.report);
-  run.ms = now_ms() - start;
+  run.ms = bench::now_ms() - start;
   return run;
 }
 
@@ -130,30 +125,27 @@ std::string json_report(const std::string& mode,
   return out.str();
 }
 
-bool json_number(const std::string& text, const std::string& key,
-                 std::size_t from, double& out, std::size_t* at = nullptr) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t hit = text.find(needle, from);
-  if (hit == std::string::npos) return false;
-  const std::size_t colon = text.find(':', hit + needle.size());
-  if (colon == std::string::npos) return false;
-  out = std::strtod(text.c_str() + colon + 1, nullptr);
-  if (at != nullptr) *at = colon;
-  return true;
-}
-
 int check_against_baseline(const std::string& path,
                            const std::vector<FleetSize>& sizes,
                            const std::vector<double>& epoch_ms,
                            double budget_ms) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "ext_fleet_scale: cannot read baseline " << path << "\n";
+  struct BaselineSize {
+    FleetSize size;
+    double ms = 0.0;
+  };
+  std::vector<BaselineSize> base;
+  try {
+    const obs::json::Value baseline = bench::read_baseline(path);
+    for (const obs::json::Value& entry : baseline.at("sizes").items()) {
+      base.push_back({{entry.at("servers").as_uint(),
+                       entry.at("streams").as_uint()},
+                      entry.at("epoch_ms").as_double()});
+    }
+  } catch (const Error& e) {
+    std::cerr << "ext_fleet_scale: unusable baseline " << path << ": "
+              << e.what() << "\n";
     return 2;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
   int status = 0;
   // The budget gate applies to the largest size of *this* run at this
   // run's own budget — in smoke mode a structural regression (a flat
@@ -169,24 +161,10 @@ int check_against_baseline(const std::string& path,
   // (servers, streams) shape; sizes the baseline does not record (e.g. a
   // smoke run checked against the committed full baseline) are skipped.
   constexpr double kTolerance = 1.3;  // fail on >30% wall-clock regression
-  struct BaselineSize {
-    double servers = 0.0;
-    double streams = 0.0;
-    double ms = 0.0;
-  };
-  std::vector<BaselineSize> base;
-  std::size_t cursor = text.find("\"sizes\"");
-  while (cursor != std::string::npos) {
-    BaselineSize b;
-    if (!json_number(text, "servers", cursor, b.servers, &cursor)) break;
-    if (!json_number(text, "streams", cursor, b.streams, &cursor)) break;
-    if (!json_number(text, "epoch_ms", cursor, b.ms, &cursor)) break;
-    base.push_back(b);
-  }
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     for (const BaselineSize& b : base) {
-      if (static_cast<std::size_t>(b.servers) != sizes[i].servers ||
-          static_cast<std::size_t>(b.streams) != sizes[i].streams) {
+      if (b.size.servers != sizes[i].servers ||
+          b.size.streams != sizes[i].streams) {
         continue;
       }
       if (epoch_ms[i] > b.ms * kTolerance) {
@@ -254,10 +232,10 @@ int main(int argc, char** argv) {
     core::FleetReport report;
     const core::FleetOptions options = fleet_options(kSeed);
     const pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
-    const double start = now_ms();
+    const double start = bench::now_ms();
     const core::PamoResult result =
         core::run_fleet_epoch(workload, options, oracle, &report);
-    const double ms = now_ms() - start;
+    const double ms = bench::now_ms() - start;
     if (!partition_holds(workload, result)) {
       std::cerr << "ext_fleet_scale: infeasible or incomplete decision at "
                 << size.servers << " servers / " << size.streams

@@ -26,13 +26,14 @@
 //   --check PATH   compare against a committed baseline JSON
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "eva/workload.hpp"
 #include "sched/bnb.hpp"
@@ -170,62 +171,38 @@ std::string json_report(const std::string& mode,
   return out.str();
 }
 
-bool json_number(const std::string& text, const std::string& key,
-                 std::size_t from, double& out, std::size_t* at = nullptr) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t hit = text.find(needle, from);
-  if (hit == std::string::npos) return false;
-  const std::size_t colon = text.find(':', hit + needle.size());
-  if (colon == std::string::npos) return false;
-  out = std::strtod(text.c_str() + colon + 1, nullptr);
-  if (at != nullptr) *at = colon;
-  return true;
-}
-
 int check_against_baseline(const std::string& path,
                            const std::vector<GapSize>& sizes,
                            const std::vector<PanelStats>& scratch,
                            const std::vector<PanelStats>& repair) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "ext_placement_gap: cannot read baseline " << path << "\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
   struct BaselineSize {
-    double streams = 0.0;
-    double servers = 0.0;
-    double both = 0.0;
-    double bnb_only = 0.0;
-    double budget = 0.0;
+    GapSize size;
+    std::size_t both = 0;
+    std::size_t bnb_only = 0;
+    std::size_t budget = 0;
     double mean_gap = 0.0;
     double max_gap = 0.0;
     double repair_mean_gap = 0.0;
     double repair_max_gap = 0.0;
   };
   std::vector<BaselineSize> base;
-  std::size_t cursor = text.find("\"sizes\"");
-  while (cursor != std::string::npos) {
-    BaselineSize b;
-    if (!json_number(text, "streams", cursor, b.streams, &cursor)) break;
-    if (!json_number(text, "servers", cursor, b.servers, &cursor)) break;
-    if (!json_number(text, "both_feasible", cursor, b.both, &cursor)) break;
-    if (!json_number(text, "bnb_only", cursor, b.bnb_only, &cursor)) break;
-    if (!json_number(text, "budget_limited", cursor, b.budget, &cursor)) break;
-    if (!json_number(text, "mean_gap_pct", cursor, b.mean_gap, &cursor)) break;
-    if (!json_number(text, "max_gap_pct", cursor, b.max_gap, &cursor)) break;
-    if (!json_number(text, "repair_mean_gap_pct", cursor, b.repair_mean_gap,
-                     &cursor)) {
-      break;
+  try {
+    const obs::json::Value baseline = bench::read_baseline(path);
+    for (const obs::json::Value& entry : baseline.at("sizes").items()) {
+      base.push_back({{entry.at("streams").as_uint(),
+                       entry.at("servers").as_uint()},
+                      entry.at("both_feasible").as_uint(),
+                      entry.at("bnb_only").as_uint(),
+                      entry.at("budget_limited").as_uint(),
+                      entry.at("mean_gap_pct").as_double(),
+                      entry.at("max_gap_pct").as_double(),
+                      entry.at("repair_mean_gap_pct").as_double(),
+                      entry.at("repair_max_gap_pct").as_double()});
     }
-    if (!json_number(text, "repair_max_gap_pct", cursor, b.repair_max_gap,
-                     &cursor)) {
-      break;
-    }
-    base.push_back(b);
+  } catch (const Error& e) {
+    std::cerr << "ext_placement_gap: unusable baseline " << path << ": "
+              << e.what() << "\n";
+    return 2;
   }
 
   // Every tally here is deterministic, so a committed baseline must match
@@ -235,16 +212,15 @@ int check_against_baseline(const std::string& path,
   constexpr double kPctTol = 0.01;  // report prints 4 decimals
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     for (const BaselineSize& b : base) {
-      if (static_cast<std::size_t>(b.streams) != sizes[i].streams ||
-          static_cast<std::size_t>(b.servers) != sizes[i].servers) {
+      if (b.size.streams != sizes[i].streams ||
+          b.size.servers != sizes[i].servers) {
         continue;
       }
       const PanelStats& s = scratch[i];
       const PanelStats& r = repair[i];
-      const bool counts_match =
-          static_cast<std::size_t>(b.both) == s.both_feasible &&
-          static_cast<std::size_t>(b.bnb_only) == s.bnb_only &&
-          static_cast<std::size_t>(b.budget) == s.budget_limited;
+      const bool counts_match = b.both == s.both_feasible &&
+                                b.bnb_only == s.bnb_only &&
+                                b.budget == s.budget_limited;
       const bool gaps_match =
           std::abs(b.mean_gap - s.mean_gap_pct) <= kPctTol &&
           std::abs(b.max_gap - s.max_gap_pct) <= kPctTol &&

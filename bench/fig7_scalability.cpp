@@ -7,7 +7,6 @@
 // through the hierarchical fleet path (core/fleet.hpp), and the table
 // reports per-epoch wall-clock next to the achieved benefit — the
 // scalability story is the flat O(M) axes above plus this joint axis.
-#include <chrono>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -18,11 +17,6 @@
 namespace {
 using namespace pamo;
 using bench::Method;
-
-double now_ms() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double, std::milli>(t).count();
-}
 
 void sweep(const std::string& title, const std::string& csv_name,
            const std::vector<std::pair<std::size_t, std::size_t>>& settings,
@@ -88,10 +82,10 @@ void joint_scaling() {
     options.pamo.seed = 9000 + streams * 3 + servers;
     core::FleetReport report;
     const pref::PreferenceOracle oracle(benefit);
-    const double start = now_ms();
+    const double start = bench::now_ms();
     const core::PamoResult result =
         core::run_fleet_epoch(workload, options, oracle, &report);
-    const double epoch_ms = now_ms() - start;
+    const double epoch_ms = bench::now_ms() - start;
     double score = 0.0;
     if (result.feasible) {
       const auto normalizer = eva::OutcomeNormalizer::for_workload(workload);

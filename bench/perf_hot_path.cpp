@@ -26,15 +26,15 @@
 //                    nonzero when either optimized lane regressed by more
 //                    than 20% wall-clock
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/outcome_models.hpp"
@@ -48,11 +48,6 @@ namespace {
 
 using pamo::Rng;
 using pamo::ThreadPool;
-
-double now_ms() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double, std::milli>(t).count();
-}
 
 struct Sizes {
   // gp_update lane.
@@ -138,13 +133,13 @@ GpLaneResult run_gp_lane(bool incremental, const Sizes& sz) {
   }
 
   GpLaneResult result;
-  const double start = now_ms();
+  const double start = pamo::bench::now_ms();
   while (gp.num_points() < sz.gp_final) {
     const auto xb = draw(sz.gp_batch);
     gp.update(xb, targets(xb));
     result.final_posterior = gp.posterior(query);
   }
-  result.ms = now_ms() - start;
+  result.ms = pamo::bench::now_ms() - start;
   return result;
 }
 
@@ -218,7 +213,7 @@ EpochResult run_epoch(bool incremental, std::size_t workers,
 
   EpochResult result;
   result.trace.reserve(sz.iterations);
-  const double start = now_ms();
+  const double start = pamo::bench::now_ms();
   for (std::size_t iter = 0; iter < sz.iterations; ++iter) {
     Rng srng = rng.fork(1000 + iter);
     const std::vector<pamo::la::Matrix> tables =
@@ -253,7 +248,7 @@ EpochResult run_epoch(bool incremental, std::size_t workers,
         profile_batch(sz.profiles_per_iter, 2000 + iter);
     models.update(new_configs, new_ms);
   }
-  result.ms = now_ms() - start;
+  result.ms = pamo::bench::now_ms() - start;
   return result;
 }
 
@@ -284,36 +279,18 @@ std::string json_report(const std::string& mode, const Sizes& sz,
   return out.str();
 }
 
-/// Extract the number following `"key":` — enough of a JSON reader for the
-/// report this bench itself emits.
-bool json_number(const std::string& text, const std::string& key,
-                 double& out) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 int check_against_baseline(const std::string& baseline_path,
                            double incr_ms, double opt_ms) {
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::cerr << "perf_hot_path: cannot read baseline " << baseline_path
-              << "\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
   double base_incr = 0.0;
   double base_opt = 0.0;
-  if (!json_number(text, "incremental_ms", base_incr) ||
-      !json_number(text, "optimized_ms", base_opt)) {
-    std::cerr << "perf_hot_path: baseline " << baseline_path
-              << " is missing incremental_ms/optimized_ms\n";
+  try {
+    const pamo::obs::json::Value baseline =
+        pamo::bench::read_baseline(baseline_path);
+    base_incr = baseline.at("gp_update").at("incremental_ms").as_double();
+    base_opt = baseline.at("epoch").at("optimized_ms").as_double();
+  } catch (const pamo::Error& e) {
+    std::cerr << "perf_hot_path: unusable baseline " << baseline_path << ": "
+              << e.what() << "\n";
     return 2;
   }
   constexpr double kTolerance = 1.2;  // fail on >20% wall-clock regression

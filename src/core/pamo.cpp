@@ -19,6 +19,16 @@ std::vector<double> to_vector(const eva::OutcomeVector& y) {
 /// Telemetry tag base of the scheduler's own Phase-1 profiles.
 constexpr std::uint64_t kPhase1Tag = 0xA000;
 
+/// Each stream's knob-grid row. grid_index() is a linear scan, so callers
+/// resolve a candidate once instead of once per MC scenario.
+std::vector<std::size_t> grid_rows_of(const OutcomeModels& models,
+                                      const eva::JointConfig& config) {
+  std::vector<std::size_t> rows;
+  rows.reserve(config.size());
+  for (const auto& c : config) rows.push_back(models.grid_index(c));
+  return rows;
+}
+
 }  // namespace
 
 void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
@@ -193,16 +203,6 @@ PamoScheduler::Observation PamoScheduler::observe(
   return obs;
 }
 
-eva::OutcomeVector PamoScheduler::outcomes_from_tables(
-    const std::vector<la::Matrix>& tables, std::size_t sample,
-    const eva::JointConfig& config,
-    const sched::ScheduleResult& schedule) const {
-  std::vector<std::size_t> grid_rows;
-  grid_rows.reserve(config.size());
-  for (const auto& c : config) grid_rows.push_back(models_.grid_index(c));
-  return outcomes_from_rows(tables, sample, grid_rows, config, schedule);
-}
-
 eva::OutcomeVector PamoScheduler::outcomes_from_rows(
     const std::vector<la::Matrix>& tables, std::size_t sample,
     const std::vector<std::size_t>& grid_rows, const eva::JointConfig& config,
@@ -264,8 +264,8 @@ void PamoScheduler::heuristic_fallback(PamoResult& result,
     auto drawn = random_feasible(rng);
     if (!drawn) continue;
     const auto& [config, schedule] = *drawn;
-    const eva::OutcomeVector y =
-        outcomes_from_tables(tables, 0, config, schedule);
+    const eva::OutcomeVector y = outcomes_from_rows(
+        tables, 0, grid_rows_of(models_, config), config, schedule);
     const double u = utility(normalizer_.normalize(y), oracle);
     if (u > best_utility) {
       best_utility = u;
@@ -386,13 +386,10 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     if (watchdog.breached()) break;
     auto drawn = random_feasible(rng);
     if (!drawn) break;
-    if (!watchdog.enabled()) {
-      observed.push_back(observe(drawn->first, std::move(drawn->second), rng));
-      continue;
-    }
     try {
       observed.push_back(observe(drawn->first, std::move(drawn->second), rng));
     } catch (const Error& e) {
+      if (!watchdog.enabled()) throw;
       watchdog.record_failure(e.what());
     }
   }
@@ -445,24 +442,18 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     const std::size_t num_samples = options_.mc_samples;
     const auto tables = models_.sample_grid_tables(num_samples, rng);
 
-    // Pre-resolve each candidate's knob-grid rows once; grid_index() is a
-    // linear scan and would otherwise run once per scenario cell.
-    auto grid_rows_of = [&](const eva::JointConfig& config) {
-      std::vector<std::size_t> rows;
-      rows.reserve(config.size());
-      for (const auto& c : config) rows.push_back(models_.grid_index(c));
-      return rows;
-    };
     const std::size_t num_pool = pool_configs.size();
     const std::size_t num_obs = observed.size();
     std::vector<std::vector<std::size_t>> pool_rows;
     pool_rows.reserve(num_pool);
     for (const auto& config : pool_configs) {
-      pool_rows.push_back(grid_rows_of(config));
+      pool_rows.push_back(grid_rows_of(models_, config));
     }
     std::vector<std::vector<std::size_t>> obs_rows;
     obs_rows.reserve(num_obs);
-    for (const auto& obs : observed) obs_rows.push_back(grid_rows_of(obs.config));
+    for (const auto& obs : observed) {
+      obs_rows.push_back(grid_rows_of(models_, obs.config));
+    }
 
     // Scenario evaluations are independent (tables are pre-sampled and the
     // preference model is read-only here), so fan out over every
@@ -532,16 +523,14 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   for (std::size_t iter = 0; iter < options_.max_iters; ++iter) {
     if (watchdog.breached()) break;
     ++result.iterations;
-    if (!watchdog.enabled()) {
-      if (!step(iter)) break;
-      continue;
-    }
-    // Tolerant mode: a failed iteration (corrupt profile that defeats
-    // repair, broken model refit) burns failure budget instead of killing
-    // the epoch; the next iteration retries with what was gathered so far.
+    // With the watchdog on, a failed iteration (corrupt profile that
+    // defeats repair, broken model refit) burns failure budget instead of
+    // killing the epoch; the next iteration retries with what was gathered
+    // so far. With it off, the failure propagates.
     try {
       if (!step(iter)) break;
     } catch (const Error& e) {
+      if (!watchdog.enabled()) throw;
       watchdog.record_failure(e.what());
     }
   }

@@ -213,15 +213,8 @@ class PamoScheduler {
                       sched::ScheduleResult schedule, Rng& rng);
 
   /// Model-predicted outcome vector of a scheduled candidate under one MC
-  /// scenario (row `sample` of the grid tables).
-  eva::OutcomeVector outcomes_from_tables(
-      const std::vector<la::Matrix>& tables, std::size_t sample,
-      const eva::JointConfig& config,
-      const sched::ScheduleResult& schedule) const;
-
-  /// outcomes_from_tables with the per-stream knob-grid rows resolved up
-  /// front: grid_index() is a linear scan, so the Phase-3 scenario loop
-  /// resolves each candidate once instead of once per MC sample.
+  /// scenario (row `sample` of the grid tables), given each stream's
+  /// knob-grid row.
   eva::OutcomeVector outcomes_from_rows(
       const std::vector<la::Matrix>& tables, std::size_t sample,
       const std::vector<std::size_t>& grid_rows,

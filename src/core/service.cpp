@@ -31,20 +31,14 @@ void SchedulingService::set_fault_plan(sim::FaultPlan plan) {
   fault_plan_ = std::move(plan);
 }
 
-void SchedulingService::clear_fault_plan() { fault_plan_.reset(); }
-
 void SchedulingService::set_churn_plan(eva::ChurnPlan plan) {
   churn_ = std::move(plan);
 }
-
-void SchedulingService::clear_churn_plan() { churn_ = eva::ChurnPlan(); }
 
 void SchedulingService::set_telemetry_corruption(
     eva::TelemetryCorruptionOptions options) {
   telemetry_.emplace(options);
 }
-
-void SchedulingService::clear_telemetry_corruption() { telemetry_.reset(); }
 
 void SchedulingService::ensure_learner(pref::PreferenceOracle& oracle) {
   if (learner_.has_value()) return;

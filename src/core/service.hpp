@@ -177,7 +177,6 @@ class SchedulingService {
   /// Install the fault schedule the validation simulator will honour from
   /// the next epoch on (the test/bench stand-in for real-world failures).
   void set_fault_plan(sim::FaultPlan plan);
-  void clear_fault_plan();
 
   /// Install a churn plan: from the next epoch on, the scheduled workload
   /// is the plan's offered view of the base workload (arrivals join,
@@ -186,7 +185,6 @@ class SchedulingService {
   /// an overlay, not a mutation. An empty plan (the default) leaves every
   /// epoch bit-for-bit identical to a churn-free service.
   void set_churn_plan(eva::ChurnPlan plan);
-  void clear_churn_plan();
   [[nodiscard]] const eva::ChurnPlan& churn_plan() const { return churn_; }
   [[nodiscard]] const AdmissionGovernor& governor() const {
     return governor_;
@@ -198,7 +196,6 @@ class SchedulingService {
   /// memory and counters are continuous; a disabled model (all rates 0)
   /// leaves every epoch bit-for-bit identical to a clean service.
   void set_telemetry_corruption(eva::TelemetryCorruptionOptions options);
-  void clear_telemetry_corruption();
   [[nodiscard]] const eva::TelemetryCorruption* telemetry_corruption() const {
     return telemetry_ ? &*telemetry_ : nullptr;
   }

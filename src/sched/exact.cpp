@@ -25,7 +25,6 @@ struct Search {
   const TickClock* clock = nullptr;
   std::size_t num_servers = 0;
   std::size_t max_nodes = 0;
-  bool feasibility_only = false;
 
   std::size_t nodes = 0;
   bool budget_exhausted = false;
@@ -34,7 +33,6 @@ struct Search {
   bool found = false;
 
   std::vector<GroupState> groups;
-  std::vector<std::size_t> assignment;
   double max_uplink = 0.0;
 
   /// Minimum possible communication cost for the current partial state:
@@ -49,11 +47,6 @@ struct Search {
   }
 
   void leaf() {
-    if (feasibility_only) {
-      found = true;
-      best_assignment = assignment;
-      return;
-    }
     // Optimal group→server mapping for this grouping.
     std::vector<std::size_t> active;
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -80,7 +73,7 @@ struct Search {
   }
 
   void recurse(std::size_t stream_idx) {
-    if (budget_exhausted || (feasibility_only && found)) return;
+    if (budget_exhausted) return;
     if (++nodes > max_nodes) {
       budget_exhausted = true;
       return;
@@ -89,8 +82,7 @@ struct Search {
       leaf();
       return;
     }
-    if (!feasibility_only &&
-        cost_lower_bound(stream_idx) >= best_cost - 1e-15) {
+    if (cost_lower_bound(stream_idx) >= best_cost - 1e-15) {
       return;  // cannot beat the incumbent
     }
     const auto& stream = (*streams)[stream_idx];
@@ -107,7 +99,6 @@ struct Search {
       groups[g].proc_sum = new_proc;
       groups[g].bits_sum += stream.bits_per_frame;
       groups[g].members.push_back(stream_idx);
-      assignment[stream_idx] = g;
       recurse(stream_idx + 1);
       groups[g] = saved;
     }
@@ -115,7 +106,6 @@ struct Search {
     if (open_groups < num_servers) {
       groups.push_back({stream.period_ticks, stream.proc_time,
                         stream.bits_per_frame, {stream_idx}});
-      assignment[stream_idx] = open_groups;
       recurse(stream_idx + 1);
       groups.pop_back();
     }
@@ -123,7 +113,7 @@ struct Search {
 };
 
 Search run_search(const eva::Workload& workload, const eva::JointConfig& config,
-                  const ExactOptions& options, bool feasibility_only,
+                  const ExactOptions& options,
                   std::vector<PeriodicStream>& streams_out) {
   streams_out = split_streams(workload, config);
   // Largest processing times first: fails fast on tight instances.
@@ -137,8 +127,6 @@ Search run_search(const eva::Workload& workload, const eva::JointConfig& config,
   search.clock = &workload.space.clock();
   search.num_servers = workload.num_servers();
   search.max_nodes = options.max_nodes;
-  search.feasibility_only = feasibility_only;
-  search.assignment.assign(streams_out.size(), 0);
   search.max_uplink = *std::max_element(workload.uplink_mbps.begin(),
                                         workload.uplink_mbps.end());
   search.recurse(0);
@@ -147,38 +135,11 @@ Search run_search(const eva::Workload& workload, const eva::JointConfig& config,
 
 }  // namespace
 
-const char* feasibility_name(Feasibility feasibility) {
-  switch (feasibility) {
-    case Feasibility::kFeasible:
-      return "feasible";
-    case Feasibility::kInfeasible:
-      return "infeasible";
-    case Feasibility::kUnknown:
-      return "unknown";
-  }
-  return "invalid";
-}
-
-Feasibility exists_zero_jitter_schedule(const eva::Workload& workload,
-                                        const eva::JointConfig& config,
-                                        const ExactOptions& options) {
-  std::vector<PeriodicStream> streams;
-  const Search search = run_search(workload, config, options,
-                                   /*feasibility_only=*/true, streams);
-  // The feasibility search stops at its first solution, so `found` is a
-  // proof even when the budget ran out afterwards; `!found` is only a
-  // proof when the space was fully explored.
-  if (search.found) return Feasibility::kFeasible;
-  if (search.budget_exhausted) return Feasibility::kUnknown;
-  return Feasibility::kInfeasible;
-}
-
 ExactResult schedule_exact(const eva::Workload& workload,
                            const eva::JointConfig& config,
                            const ExactOptions& options) {
   std::vector<PeriodicStream> streams;
-  const Search search = run_search(workload, config, options,
-                                   /*feasibility_only=*/false, streams);
+  const Search search = run_search(workload, config, options, streams);
   ExactResult result;
   if (!search.found) {
     // Budget exhaustion is "we don't know", not "there is no schedule" —

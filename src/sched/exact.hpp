@@ -42,27 +42,10 @@ struct ExactResult {
   std::optional<ScheduleResult> schedule;
 };
 
-/// Tri-state feasibility answer: kUnknown means the node budget ran out
-/// before either a schedule was found or the space was exhausted — it is
-/// NOT evidence of infeasibility.
-enum class Feasibility {
-  kFeasible,
-  kInfeasible,
-  kUnknown,
-};
-
-/// Human-readable label (for benches and logs).
-const char* feasibility_name(Feasibility feasibility);
-
 /// Exact minimum-communication-cost zero-jitter schedule under a node
 /// budget. See ExactResult for the status/schedule contract.
 ExactResult schedule_exact(const eva::Workload& workload,
                            const eva::JointConfig& config,
                            const ExactOptions& options = {});
-
-/// Exact feasibility test only (cheaper: stops at the first solution).
-Feasibility exists_zero_jitter_schedule(const eva::Workload& workload,
-                                        const eva::JointConfig& config,
-                                        const ExactOptions& options = {});
 
 }  // namespace pamo::sched

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <limits>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -374,41 +373,6 @@ ScheduleResult schedule_first_fit(const eva::Workload& workload,
       result.feasible = false;
       return result;
     }
-  }
-  result.feasible = true;
-  finalize(workload, result, /*stagger=*/false);
-  return result;
-}
-
-ScheduleResult schedule_worst_fit(const eva::Workload& workload,
-                                  const eva::JointConfig& config) {
-  PAMO_CHECK(config.size() == workload.num_streams(),
-             "joint config size mismatch");
-  ScheduleResult result;
-  result.streams = split_streams(workload, config);
-  const auto& clock = workload.space.clock();
-  const std::size_t num_servers = workload.num_servers();
-
-  std::vector<double> utilization(num_servers, 0.0);
-  result.assignment.assign(result.streams.size(), 0);
-  for (std::size_t i = 0; i < result.streams.size(); ++i) {
-    const auto& s = result.streams[i];
-    const double load = s.proc_time / clock.to_seconds(s.period_ticks);
-    std::size_t best_server = num_servers;  // sentinel: none fits
-    double best_util = std::numeric_limits<double>::max();
-    for (std::size_t server = 0; server < num_servers; ++server) {
-      if (utilization[server] + load <= 1.0 + 1e-12 &&
-          utilization[server] < best_util) {
-        best_util = utilization[server];
-        best_server = server;
-      }
-    }
-    if (best_server == num_servers) {
-      result.feasible = false;
-      return result;
-    }
-    utilization[best_server] += load;
-    result.assignment[i] = best_server;
   }
   result.feasible = true;
   finalize(workload, result, /*stagger=*/false);

@@ -70,12 +70,6 @@ ScheduleResult reschedule_pinned(const eva::Workload& workload,
 ScheduleResult schedule_first_fit(const eva::Workload& workload,
                                   const eva::JointConfig& config);
 
-/// Worst-Fit on Const1: each stream goes to the least-utilized server that
-/// still fits. Balances load better than First-Fit but, like it, ignores
-/// Const2 — an ablation point between First-Fit and Algorithm 1.
-ScheduleResult schedule_worst_fit(const eva::Workload& workload,
-                                  const eva::JointConfig& config);
-
 /// Build a complete zero-jitter ScheduleResult from an explicit split-
 /// stream list and per-split-stream server assignment: Theorem-1 phase
 /// staggering (transfer-compensated, optionally headroom-inflated), the

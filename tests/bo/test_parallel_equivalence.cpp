@@ -1,23 +1,21 @@
 // Thread-count invariance of the parallel hot path: every fanned-out loop
-// (acquisition scoring, outcome-model sampling, the full BO optimizer) must
-// produce bit-for-bit identical results whether the work runs inline on one
-// thread or across an 8-worker pool. Randomness is pre-drawn serially in a
-// fixed order, so parallelism only ever touches deterministic transforms —
-// these tests pin that contract down with exact comparisons.
+// (acquisition scoring, outcome-model sampling) must produce bit-for-bit
+// identical results whether the work runs inline on one thread or across an
+// 8-worker pool. Randomness is pre-drawn serially in a fixed order, so
+// parallelism only ever touches deterministic transforms — these tests pin
+// that contract down with exact comparisons. The whole PaMO loop is pinned
+// the same way by Determinism.SameSeedIsBitIdenticalAcrossThreadCounts.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "bo/acquisition.hpp"
-#include "bo/optimizer.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/outcome_models.hpp"
 #include "eva/profiler.hpp"
 #include "la/matrix.hpp"
-#include "opt/nelder_mead.hpp"
 
 namespace pamo {
 namespace {
@@ -126,44 +124,6 @@ TEST(ParallelEquivalence, OutcomeModelTablesMatchAcrossThreadCounts) {
     expect_identical(serial.tables[m], parallel.tables[m]);
   }
   expect_identical(serial.means, parallel.means);
-}
-
-// ---- full BO optimizer ----------------------------------------------------
-
-bo::BoResult run_bo(std::size_t workers) {
-  return with_pool(workers, [&] {
-    const auto f = [](const std::vector<double>& x) {
-      return -std::pow(x[0] - 0.3, 2.0) - std::pow(x[1] + 0.2, 2.0) +
-             0.1 * std::sin(8.0 * x[0]);
-    };
-    opt::Box box{{-1.0, -1.0}, {1.0, 1.0}};
-    bo::BoOptimizerOptions options;
-    options.init_samples = 6;
-    options.max_iters = 4;
-    options.batch_size = 2;
-    options.mc_samples = 24;
-    options.gp.mle_restarts = 1;
-    options.gp.mle_max_evals = 60;
-    options.seed = 0xace00005ULL;
-    return bo::maximize(f, box, options);
-  });
-}
-
-TEST(ParallelEquivalence, BoMaximizeTraceMatchesAcrossThreadCounts) {
-  const bo::BoResult serial = run_bo(1);
-  const bo::BoResult parallel = run_bo(8);
-  EXPECT_EQ(serial.evaluations, parallel.evaluations);
-  EXPECT_EQ(serial.iterations, parallel.iterations);
-  // pamo-lint: allow(float-eq)
-  EXPECT_EQ(serial.best_value, parallel.best_value);
-  ASSERT_EQ(serial.best_x.size(), parallel.best_x.size());
-  for (std::size_t i = 0; i < serial.best_x.size(); ++i) {
-    EXPECT_EQ(serial.best_x[i], parallel.best_x[i]);  // pamo-lint: allow(float-eq)
-  }
-  ASSERT_EQ(serial.trace.size(), parallel.trace.size());
-  for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-    EXPECT_EQ(serial.trace[i], parallel.trace[i]);  // pamo-lint: allow(float-eq)
-  }
 }
 
 }  // namespace

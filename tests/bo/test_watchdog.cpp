@@ -3,10 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
-
-#include "bo/optimizer.hpp"
-#include "common/error.hpp"
 
 namespace pamo::bo {
 namespace {
@@ -107,79 +103,6 @@ TEST(Watchdog, UnarmedWatchdogIsInert) {
   watchdog.record_failure("x");
   EXPECT_FALSE(watchdog.breached());
   EXPECT_EQ(watchdog.elapsed_seconds(), 0.0);
-}
-
-// ---- Optimizer integration. ----
-
-opt::Box unit_box() {
-  opt::Box box;
-  box.lo = {0.0};
-  box.hi = {1.0};
-  return box;
-}
-
-BoOptimizerOptions tiny_bo() {
-  BoOptimizerOptions options;
-  options.init_samples = 6;
-  options.max_iters = 6;
-  options.mc_samples = 16;
-  options.pool.num_quasi_random = 24;
-  options.gp.mle_restarts = 1;
-  options.gp.mle_max_evals = 60;
-  return options;
-}
-
-TEST(Watchdog, OptimizerWithoutWatchdogStillThrowsOnNonFinite) {
-  auto f = [](const std::vector<double>& x) {
-    return x[0] > 0.5 ? std::numeric_limits<double>::quiet_NaN()
-                      : 1.0 - x[0];
-  };
-  EXPECT_THROW(maximize(f, unit_box(), tiny_bo()), Error);
-}
-
-TEST(Watchdog, OptimizerToleratesFailuresWithinBudget) {
-  // Objective that fails intermittently after the initial design:
-  // failures burn watchdog budget, the rest of the run proceeds, and the
-  // best point is real.
-  std::size_t calls = 0;
-  auto f = [&calls](const std::vector<double>& x) {
-    ++calls;
-    if (calls > 6 && calls % 3 == 0) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    return 1.0 - (x[0] - 0.5) * (x[0] - 0.5);
-  };
-  BoOptimizerOptions options = tiny_bo();
-  options.watchdog.max_failures = 50;  // generous: absorb every failure
-  const BoResult result = maximize(f, unit_box(), options);
-  EXPECT_TRUE(std::isfinite(result.best_value));
-  EXPECT_GT(result.best_value, 0.9);
-  EXPECT_GE(result.evaluations, 2u);
-  EXPECT_FALSE(result.watchdog_fired);   // budget never exhausted
-  EXPECT_GT(calls, result.evaluations);  // some calls failed, were absorbed
-  EXPECT_GT(result.failures, 0u);
-}
-
-TEST(Watchdog, OptimizerReturnsBestSoFarOnBreach) {
-  // After the initial design every evaluation fails: the watchdog fires
-  // and maximize returns the best initial observation instead of dying.
-  std::size_t calls = 0;
-  const std::size_t init = 6;
-  auto f = [&calls, init](const std::vector<double>& x) {
-    ++calls;
-    if (calls > init) return std::numeric_limits<double>::quiet_NaN();
-    return 1.0 - (x[0] - 0.5) * (x[0] - 0.5);
-  };
-  BoOptimizerOptions options = tiny_bo();
-  options.init_samples = init;
-  options.max_iters = 20;
-  options.watchdog.max_failures = 3;
-  const BoResult result = maximize(f, unit_box(), options);
-  EXPECT_TRUE(result.watchdog_fired);
-  EXPECT_EQ(result.failures, 3u);
-  EXPECT_TRUE(std::isfinite(result.best_value));
-  EXPECT_EQ(result.evaluations, init);  // only the initial design stuck
-  EXPECT_LT(result.iterations, 20u);    // the loop stopped early
 }
 
 }  // namespace

@@ -135,5 +135,52 @@ TEST(PamoEdge, BenefitTraceIsRecorded) {
   EXPECT_EQ(result.benefit_trace.size(), result.iterations);
 }
 
+// With zero MC scenarios every BO iteration throws pamo::Error (the
+// acquisition rejects an empty scenario matrix), while Phase 1, Phase 2
+// and the initial observations still succeed. That drives the watchdog's
+// failure budget through PamoScheduler::run itself.
+PamoOptions always_failing_iterations() {
+  PamoOptions options = tiny_options(9);
+  options.mc_samples = 0;
+  options.max_iters = 5;
+  return options;
+}
+
+TEST(PamoEdge, IterationFailurePropagatesWithoutWatchdog) {
+  const eva::Workload w = eva::make_workload(4, 2, 7);
+  PamoScheduler scheduler(w, always_failing_iterations());
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  EXPECT_THROW(scheduler.run(oracle), Error);
+}
+
+TEST(PamoEdge, WatchdogStopsLoopWhenFailureBudgetIsSpent) {
+  const eva::Workload w = eva::make_workload(4, 2, 7);
+  PamoOptions options = always_failing_iterations();
+  options.watchdog.max_failures = 2;
+  PamoScheduler scheduler(w, options);
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  const PamoResult result = scheduler.run(oracle);
+  // Best-so-far from the initial observations, not a crash.
+  EXPECT_TRUE(result.feasible);
+  EXPECT_EQ(result.health.iteration_failures, 2u);
+  EXPECT_EQ(result.health.watchdog_fires, 1u);
+  EXPECT_EQ(result.iterations, 2u);  // the breach stopped the loop early
+  EXPECT_TRUE(result.benefit_trace.empty());
+}
+
+TEST(PamoEdge, WatchdogAbsorbsFailuresWithinBudget) {
+  const eva::Workload w = eva::make_workload(4, 2, 7);
+  PamoOptions options = always_failing_iterations();
+  options.watchdog.max_failures = 100;
+  PamoScheduler scheduler(w, options);
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  const PamoResult result = scheduler.run(oracle);
+  EXPECT_TRUE(result.feasible);
+  EXPECT_EQ(result.health.iteration_failures, 5u);
+  EXPECT_EQ(result.health.watchdog_fires, 0u);
+  EXPECT_EQ(result.iterations, 5u);
+  EXPECT_TRUE(result.benefit_trace.empty());
+}
+
 }  // namespace
 }  // namespace pamo::core

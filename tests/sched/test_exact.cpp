@@ -13,6 +13,13 @@ eva::Workload workload(std::size_t streams, std::size_t servers,
   return eva::make_workload(streams, servers, seed);
 }
 
+/// A schedule exists: found and proven optimal, or found before the node
+/// budget ran out. kUnknown is neither proof of feasibility nor of
+/// infeasibility.
+bool exact_feasible(BnbStatus status) {
+  return status == BnbStatus::kOptimal || status == BnbStatus::kFeasibleBudget;
+}
+
 TEST(ExactSchedule, FindsFeasibleLowLoadSchedule) {
   const eva::Workload w = workload(5, 3, 81);
   eva::JointConfig config(5, {720, 10});
@@ -28,7 +35,6 @@ TEST(ExactSchedule, FindsFeasibleLowLoadSchedule) {
 TEST(ExactSchedule, InfeasibleWhenOverloaded) {
   const eva::Workload w = workload(10, 2, 82);
   eva::JointConfig config(10, {1920, 30});
-  EXPECT_EQ(exists_zero_jitter_schedule(w, config), Feasibility::kInfeasible);
   const ExactResult result = schedule_exact(w, config);
   EXPECT_EQ(result.status, BnbStatus::kInfeasible);
   EXPECT_FALSE(result.schedule.has_value());
@@ -63,7 +69,7 @@ TEST(ExactSchedule, HeuristicFeasibleImpliesExactFeasible) {
     for (std::size_t i = 0; i < 5; ++i) config.push_back(w.space.sample(rng));
     const bool heuristic = schedule_zero_jitter(w, config).feasible;
     if (!heuristic) continue;
-    EXPECT_EQ(exists_zero_jitter_schedule(w, config), Feasibility::kFeasible);
+    EXPECT_TRUE(exact_feasible(schedule_exact(w, config).status));
   }
 }
 
@@ -82,12 +88,11 @@ TEST(ExactSchedule, CanBeatHeuristicFeasibility) {
                         w.space.fps_knobs()[rng.uniform_index(5)]});
     }
     const bool heuristic = schedule_zero_jitter(w, config).feasible;
-    const Feasibility exact = exists_zero_jitter_schedule(w, config);
-    if (exact == Feasibility::kUnknown) continue;
-    const bool exact_feasible = exact == Feasibility::kFeasible;
-    if (exact_feasible && !heuristic) ++heuristic_only_failures;
+    const BnbStatus exact = schedule_exact(w, config).status;
+    if (exact == BnbStatus::kUnknown) continue;
+    if (exact_feasible(exact) && !heuristic) ++heuristic_only_failures;
     // The converse must never happen.
-    ASSERT_FALSE(heuristic && !exact_feasible);
+    ASSERT_FALSE(heuristic && !exact_feasible(exact));
   }
   EXPECT_GT(heuristic_only_failures, 0)
       << "expected at least one instance where only the exact search "
@@ -110,12 +115,10 @@ TEST(ExactSchedule, SimulatesWithZeroJitter) {
 TEST(ExactSchedule, NodeBudgetReportsUnknownNotInfeasible) {
   const eva::Workload w = workload(8, 4, 87);
   eva::JointConfig config(8, {720, 10});
-  ASSERT_EQ(exists_zero_jitter_schedule(w, config), Feasibility::kFeasible);
+  ASSERT_TRUE(exact_feasible(schedule_exact(w, config).status));
 
   ExactOptions options;
   options.max_nodes = 3;  // absurdly small
-  EXPECT_EQ(exists_zero_jitter_schedule(w, config, options),
-            Feasibility::kUnknown);
   const ExactResult starved = schedule_exact(w, config, options);
   EXPECT_EQ(starved.status, BnbStatus::kUnknown);
   EXPECT_FALSE(starved.schedule.has_value());
