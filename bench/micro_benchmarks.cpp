@@ -117,20 +117,33 @@ void BM_Hungarian(benchmark::State& state) {
 }
 BENCHMARK(BM_Hungarian)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity();
 
+// Args: (streams, servers, top_knobs). Random knobs on 8 servers mostly
+// pack; 12 streams at the top knobs on 1 server is an overloaded fleet
+// shard, which the load screen rejects before splitting or packing.
 void BM_Algorithm1(benchmark::State& state) {
   const auto streams = static_cast<std::size_t>(state.range(0));
-  const eva::Workload w = eva::make_workload(streams, 8, 6);
+  const auto servers = static_cast<std::size_t>(state.range(1));
+  const eva::Workload w = eva::make_workload(streams, servers, 6);
   Rng rng(7);
   eva::JointConfig config;
   for (std::size_t i = 0; i < streams; ++i) {
-    config.push_back({w.space.resolutions()[rng.uniform_index(3)],
-                      w.space.fps_knobs()[rng.uniform_index(5)]});
+    config.push_back(state.range(2) != 0
+                         ? eva::StreamConfig{w.space.resolutions().back(),
+                                             w.space.fps_knobs().back()}
+                         : eva::StreamConfig{
+                               w.space.resolutions()[rng.uniform_index(3)],
+                               w.space.fps_knobs()[rng.uniform_index(5)]});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(sched::schedule_zero_jitter(w, config).feasible);
   }
 }
-BENCHMARK(BM_Algorithm1)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Algorithm1)
+    ->ArgNames({"streams", "servers", "top_knobs"})
+    ->Args({8, 8, 0})
+    ->Args({16, 8, 0})
+    ->Args({32, 8, 0})
+    ->Args({12, 1, 1});
 
 void BM_QneiScoring(benchmark::State& state) {
   const auto candidates = static_cast<std::size_t>(state.range(0));

@@ -21,7 +21,6 @@ namespace pamo::sched {
 namespace {
 
 constexpr double kEps = 1e-15;      // incumbent-vs-bound pruning tolerance
-constexpr double kJoinTol = 1e-12;  // gcd-condition tolerance (as exact.cpp)
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct GroupState {

@@ -59,7 +59,7 @@ bool theorem1_condition(const std::vector<PeriodicStream>& group,
   if (group.empty()) return true;
   double total_proc = 0.0;
   for (const auto& s : group) total_proc += s.proc_time;
-  return total_proc <= clock.to_seconds(group_period_gcd(group)) + 1e-12;
+  return total_proc <= clock.to_seconds(group_period_gcd(group)) + kJoinTol;
 }
 
 bool theorem3_condition(const std::vector<PeriodicStream>& group,
@@ -72,7 +72,7 @@ bool theorem3_condition(const std::vector<PeriodicStream>& group,
     if (s.period_ticks % t_min != 0) return false;  // condition (a)
     total_proc += s.proc_time;
   }
-  return total_proc <= clock.to_seconds(t_min) + 1e-12;  // condition (b)
+  return total_proc <= clock.to_seconds(t_min) + kJoinTol;  // condition (b)
 }
 
 }  // namespace pamo::sched

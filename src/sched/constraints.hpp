@@ -12,6 +12,11 @@
 
 namespace pamo::sched {
 
+/// Tolerance (seconds) of every Σp-fits-in-a-period test: the Theorem 1/3
+/// predicates here, Algorithm 1's group joins, and the exact and
+/// branch-and-bound searches, so all of them accept the same groups.
+inline constexpr double kJoinTol = 1e-12;
+
 /// Const1 (Eq. 6): Σ_{i: q_i = j} p_i · s_i <= 1 for every server j.
 /// `assignment[i]` is the server index of streams[i]; `num_servers` = N.
 bool const1_holds(const std::vector<PeriodicStream>& streams,

@@ -93,7 +93,7 @@ struct Search {
       const std::uint64_t new_gcd =
           std::gcd(groups[g].gcd_ticks, stream.period_ticks);
       const double new_proc = groups[g].proc_sum + stream.proc_time;
-      if (new_proc > clock->to_seconds(new_gcd) + 1e-12) continue;
+      if (new_proc > clock->to_seconds(new_gcd) + kJoinTol) continue;
       const GroupState saved = groups[g];
       groups[g].gcd_ticks = new_gcd;
       groups[g].proc_sum = new_proc;

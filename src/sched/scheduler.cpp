@@ -73,45 +73,63 @@ void finalize(const eva::Workload& workload, ScheduleResult& result,
                "per-parent vectors must align");
 }
 
-/// One co-scheduled set being packed under the Theorem 3 conditions.
+/// One co-scheduled set being packed under the Theorem 3 conditions, kept
+/// as aggregates; callers record which group each stream joined.
 struct Group {
-  std::vector<std::size_t> members;
-  std::uint64_t tmin = 0;
+  std::uint64_t tmin = 0;  // 0 while the group is empty
+  std::uint64_t gcd = 0;   // gcd of the member periods
   double proc = 0.0;  // Σ of (possibly headroom-inflated) processing times
+  double bits = 0.0;  // Σ θ_bit(r_i), accumulated in join order
 };
 
 /// Membership test of Algorithm 1 lines 4–19: all periods must be integer
 /// multiples of the new group minimum, and Σp must fit in it (Theorem 3
-/// (a)+(b), generalized to allow a new stream with a smaller period).
-/// Joins the group and returns true on success.
-bool try_join(Group& group, std::size_t idx,
-              const std::vector<PeriodicStream>& streams,
-              const std::vector<double>& proc, const TickClock& clock) {
-  const auto& stream = streams[idx];
-  if (group.members.empty()) {
-    group.members.push_back(idx);
-    group.tmin = stream.period_ticks;
-    group.proc = proc[idx];
+/// (a)+(b), generalized to allow a new stream with a smaller period). The
+/// first member must fit its own period too. `proc` is the stream's
+/// (possibly inflated) processing time. Joins the group and returns true
+/// on success.
+bool try_join(Group& group, const PeriodicStream& stream, double proc,
+              const TickClock& clock) {
+  const std::uint64_t period = stream.period_ticks;
+  if (group.tmin == 0) {
+    if (proc > clock.to_seconds(period) + kJoinTol) return false;
+    group = {period, period, proc, stream.bits_per_frame};
     return true;
   }
-  const std::uint64_t new_tmin = std::min(group.tmin, stream.period_ticks);
-  bool divisible = stream.period_ticks % new_tmin == 0;
-  if (divisible && new_tmin != group.tmin) {
-    for (std::size_t member : group.members) {
-      if (streams[member].period_ticks % new_tmin != 0) {
-        divisible = false;
-        break;
-      }
-    }
-  }
-  const double new_proc = group.proc + proc[idx];
-  if (!divisible || new_proc > clock.to_seconds(new_tmin) + 1e-12) {
-    return false;
-  }
-  group.members.push_back(idx);
+  // Every member period is a multiple of the new minimum iff their gcd is.
+  const std::uint64_t new_tmin = std::min(group.tmin, period);
+  if (period % new_tmin != 0 || group.gcd % new_tmin != 0) return false;
+  const double new_proc = group.proc + proc;
+  if (new_proc > clock.to_seconds(new_tmin) + kJoinTol) return false;
   group.tmin = new_tmin;
+  group.gcd = std::gcd(group.gcd, period);
   group.proc = new_proc;
+  group.bits += stream.bits_per_frame;
   return true;
+}
+
+/// Lines 5–15: the first group `stream` joins, or groups.size() when none
+/// admits it (line 16: no feasible grouping scheme).
+std::size_t join_first_fit(std::vector<Group>& groups,
+                           const PeriodicStream& stream, double proc,
+                           const TickClock& clock) {
+  std::size_t g = 0;
+  while (g < groups.size() && !try_join(groups[g], stream, proc, clock)) ++g;
+  return g;
+}
+
+/// Stable insertion sort: the same order as std::stable_sort, without its
+/// heap buffer (Algorithm 1 orders tens of streams per call).
+template <typename Key>
+void insertion_sort(std::vector<std::size_t>& items, Key key) {
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    const std::size_t item = items[i];
+    std::size_t j = i;
+    for (; j > 0 && key(item) < key(items[j - 1]); --j) {
+      items[j] = items[j - 1];
+    }
+    items[j] = item;
+  }
 }
 
 /// Lines 1–3 of Algorithm 1 over a subset of stream indices: sort by
@@ -119,91 +137,105 @@ bool try_join(Group& group, std::size_t idx,
 /// ascending (stable, so period order breaks ties).
 std::vector<std::size_t> alg1_order(const std::vector<PeriodicStream>& streams,
                                     std::vector<std::size_t> subset) {
-  std::stable_sort(subset.begin(), subset.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return streams[a].period_ticks < streams[b].period_ticks;
-                   });
-  const std::size_t m = subset.size();
-  std::vector<std::size_t> priority(m, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t ti = streams[subset[i]].period_ticks;
-    std::size_t count = 0;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (ti % streams[subset[j]].period_ticks == 0) ++count;
+  const auto period = [&](std::size_t s) { return streams[s].period_ticks; };
+  insertion_sort(subset, period);
+  // priority[s] = #{earlier streams in period order whose period divides
+  // T_s}. A stream with its predecessor's period counts exactly one more
+  // (the predecessor itself), and within a run of equal periods one
+  // modulo decides for the whole run.
+  std::vector<std::size_t> priority(streams.size(), 0);
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    const std::uint64_t ti = period(subset[i]);
+    if (i > 0 && ti == period(subset[i - 1])) {
+      priority[subset[i]] = priority[subset[i - 1]] + 1;
+      continue;
     }
-    priority[i] = count;
+    std::size_t count = 0;
+    bool divides = false;
+    for (std::size_t j = 0; j < i; ++j) {
+      const std::uint64_t tj = period(subset[j]);
+      if (j == 0 || tj != period(subset[j - 1])) divides = ti % tj == 0;
+      count += divides ? 1 : 0;
+    }
+    priority[subset[i]] = count;
   }
-  std::vector<std::size_t> rank(m);
-  std::iota(rank.begin(), rank.end(), 0);
-  std::stable_sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-    return priority[a] < priority[b];
-  });
-  std::vector<std::size_t> ordered(m);
-  for (std::size_t r = 0; r < m; ++r) ordered[r] = subset[rank[r]];
-  return ordered;
+  insertion_sort(subset, [&](std::size_t s) { return priority[s]; });
+  return subset;
+}
+
+/// Necessary condition for any Theorem 3 grouping onto `num_servers`
+/// groups, checked before splitting. A group's utilization Σ p_i/T_i is at
+/// most Σ p_i/T_min <= 1 + kJoinTol/T_min, and splitting a parent into k
+/// sub-streams of period k·T keeps its utilization at p·f, so a packing
+/// exists only if h·Σ p·f over the parents stays within num_servers times
+/// that (plus a relative margin far above the rounding of either sum).
+bool exceeds_load_bound(const eva::Workload& workload,
+                        const eva::JointConfig& config,
+                        std::size_t num_servers, double proc_headroom) {
+  double load = 0.0;
+  std::uint32_t max_fps = 0;
+  for (std::size_t i = 0; i < config.size(); ++i) {
+    load += workload.clips[i].proc_time(config[i].resolution) * config[i].fps;
+    max_fps = std::max(max_fps, config[i].fps);
+  }
+  const double slack = 1e-9 + kJoinTol * max_fps;
+  return proc_headroom * load >
+         static_cast<double>(num_servers) * (1.0 + slack);
 }
 
 /// Algorithm 1 over the given (ascending) list of usable server indices.
+/// Sets `*screened` when the load bound rejected the configuration before
+/// any splitting or packing.
 ScheduleResult zero_jitter_impl(const eva::Workload& workload,
                                 const eva::JointConfig& config,
                                 const std::vector<std::size_t>& servers,
-                                double proc_headroom) {
+                                double proc_headroom,
+                                bool* screened = nullptr) {
   PAMO_EXPECTS(config.size() == workload.num_streams(),
                "one knob configuration per parent stream");
   ScheduleResult result;
+  if (exceeds_load_bound(workload, config, servers.size(), proc_headroom)) {
+    if (screened != nullptr) *screened = true;
+    return result;
+  }
   result.streams = split_streams(workload, config);
   const auto& clock = workload.space.clock();
   const std::size_t m = result.streams.size();
-  std::vector<double> proc(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    proc[i] = result.streams[i].proc_time * proc_headroom;
-  }
 
   std::vector<std::size_t> all(m);
   std::iota(all.begin(), all.end(), 0);
-  const std::vector<std::size_t> ordered = alg1_order(result.streams, all);
+  const std::vector<std::size_t> ordered =
+      alg1_order(result.streams, std::move(all));
 
   // Lines 4–19: greedy group packing under the Theorem 3 conditions, one
-  // potential group per usable server.
+  // potential group per usable server. An empty group admits whatever
+  // fits its own period, so the used groups always form a prefix.
   std::vector<Group> groups(servers.size());
+  std::vector<std::size_t> group_of(m);
   for (std::size_t idx : ordered) {
-    bool placed = false;
-    for (auto& group : groups) {
-      if (try_join(group, idx, result.streams, proc, clock)) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
+    const PeriodicStream& stream = result.streams[idx];
+    const std::size_t g = join_first_fit(
+        groups, stream, stream.proc_time * proc_headroom, clock);
+    if (g == groups.size()) {
       result.feasible = false;  // line 16: no feasible grouping scheme
       return result;
     }
+    group_of[idx] = g;
   }
 
   // Line 20: assign non-empty groups to the usable servers, minimizing
   // total communication latency Σ θ_bit(r_i)/B_{q_i}.
-  std::vector<std::size_t> active;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (!groups[g].members.empty()) active.push_back(g);
-  }
-  la::Matrix cost(active.size(), servers.size());
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    double bits = 0.0;
-    for (std::size_t member : groups[active[a]].members) {
-      bits += result.streams[member].bits_per_frame;
-    }
+  std::size_t active = 0;
+  while (active < groups.size() && groups[active].tmin != 0) ++active;
+  la::Matrix cost(active, servers.size());
+  for (std::size_t g = 0; g < active; ++g) {
     for (std::size_t j = 0; j < servers.size(); ++j) {
-      cost(a, j) = bits / (workload.uplink_mbps[servers[j]] * 1e6);
+      cost(g, j) = groups[g].bits / (workload.uplink_mbps[servers[j]] * 1e6);
     }
   }
   const AssignmentResult assignment = solve_assignment(cost);
-
-  result.assignment.assign(m, 0);
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    for (std::size_t member : groups[active[a]].members) {
-      result.assignment[member] = servers[assignment.col_of[a]];
-    }
-  }
+  for (std::size_t& g : group_of) g = servers[assignment.col_of[g]];
+  result.assignment = std::move(group_of);
   result.feasible = true;
   finalize(workload, result, /*stagger=*/true, proc_headroom);
 
@@ -233,9 +265,13 @@ ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
   PAMO_SPAN("sched.zero_jitter");
   std::vector<std::size_t> servers(workload.num_servers());
   std::iota(servers.begin(), servers.end(), 0);
-  ScheduleResult result =
-      zero_jitter_impl(workload, config, servers, /*proc_headroom=*/1.0);
+  bool screened = false;
+  ScheduleResult result = zero_jitter_impl(
+      workload, config, servers, /*proc_headroom=*/1.0, &screened);
+  PAMO_ENSURES(!screened || (!result.feasible && result.streams.empty()),
+               "a screened result is infeasible with no per-stream vectors");
   PAMO_COUNT("sched.zero_jitter_calls", 1);
+  PAMO_COUNT("sched.zero_jitter_screened", screened ? 1 : 0);
   PAMO_COUNT("sched.zero_jitter_infeasible", result.feasible ? 0 : 1);
   return result;
 }
@@ -276,10 +312,6 @@ ScheduleResult reschedule_pinned(const eva::Workload& workload,
              "previous schedule does not match this configuration");
   const auto& clock = workload.space.clock();
   const std::size_t m = result.streams.size();
-  std::vector<double> proc(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    proc[i] = result.streams[i].proc_time * proc_headroom;
-  }
 
   std::vector<std::size_t> group_of(num_servers, num_servers);
   for (std::size_t g = 0; g < servers.size(); ++g) {
@@ -302,41 +334,34 @@ ScheduleResult reschedule_pinned(const eva::Workload& workload,
       orphans.push_back(i);
     }
   }
-  std::stable_sort(pinned.begin(), pinned.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return result.streams[a].period_ticks <
-                            result.streams[b].period_ticks;
-                   });
+  insertion_sort(pinned,
+                 [&](std::size_t s) { return result.streams[s].period_ticks; });
+  std::vector<std::size_t> assignment(m);
   for (std::size_t idx : pinned) {
-    Group& group = groups[group_of[previous.assignment[idx]]];
-    if (!try_join(group, idx, result.streams, proc, clock)) {
+    const PeriodicStream& stream = result.streams[idx];
+    const std::size_t server = previous.assignment[idx];
+    if (!try_join(groups[group_of[server]], stream,
+                  stream.proc_time * proc_headroom, clock)) {
       // The surviving placement no longer fits (e.g. straggler headroom
       // ate the slack): signal the caller to fall back to a full re-pack.
       result.feasible = false;
       return result;
     }
+    assignment[idx] = server;
   }
 
-  for (std::size_t idx : alg1_order(result.streams, orphans)) {
-    bool placed = false;
-    for (auto& group : groups) {
-      if (try_join(group, idx, result.streams, proc, clock)) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
+  for (std::size_t idx : alg1_order(result.streams, std::move(orphans))) {
+    const PeriodicStream& stream = result.streams[idx];
+    const std::size_t g = join_first_fit(
+        groups, stream, stream.proc_time * proc_headroom, clock);
+    if (g == groups.size()) {
       result.feasible = false;
       return result;
     }
+    assignment[idx] = servers[g];
   }
 
-  result.assignment.assign(m, 0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (std::size_t member : groups[g].members) {
-      result.assignment[member] = servers[g];
-    }
-  }
+  result.assignment = std::move(assignment);
   result.feasible = true;
   finalize(workload, result, /*stagger=*/true, proc_headroom);
 

@@ -35,7 +35,14 @@ struct ScheduleResult {
 };
 
 /// Algorithm 1 + Hungarian assignment. `result.feasible` is false when no
-/// grouping satisfying Const2 exists for this configuration.
+/// grouping satisfying Const2 exists for this configuration. A load screen
+/// runs first: when h·Σ p_i·s_i over the parent streams exceeds the server
+/// count, no Theorem 3 grouping can exist, and the result is infeasible
+/// without splitting or packing. Such a screened result carries no
+/// per-stream vectors (not even `streams`); callers read only `.feasible`
+/// from an infeasible result. Traces count the screened calls as
+/// `sched.zero_jitter_screened`, next to `sched.zero_jitter_calls` and
+/// `sched.zero_jitter_infeasible`.
 ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
                                     const eva::JointConfig& config);
 
@@ -43,7 +50,8 @@ ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
 /// are excluded from grouping and assignment). `proc_headroom` >= 1
 /// inflates processing times during group packing and phase staggering —
 /// slack for servers known to be running slow (stragglers) so the packed
-/// groups stay contention-free at the degraded speed.
+/// groups stay contention-free at the degraded speed. The load screen
+/// applies with the inflated times against the usable-server count.
 ScheduleResult schedule_zero_jitter_masked(
     const eva::Workload& workload, const eva::JointConfig& config,
     const std::vector<bool>& server_usable, double proc_headroom = 1.0);

@@ -110,6 +110,31 @@ TEST(Bnb, BudgetExhaustionIsNeverReportedInfeasible) {
   EXPECT_LE(anytime.lower_bound, anytime.objective + 1e-12);
 }
 
+// Algorithm 1's load screen rejects a configuration when Σ p·f over the
+// parent streams exceeds the server count. That must be a necessary
+// condition for every zero-jitter placement, not just Algorithm 1's: on
+// each such instance the exact engine proves infeasibility.
+TEST(Bnb, LoadAboveServerCountIsProvenInfeasible) {
+  Rng rng(23);
+  int overloaded = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t streams = 2 + rng.uniform_index(5);
+    const std::size_t servers = 1 + rng.uniform_index(3);
+    const eva::Workload w = workload(streams, servers, 230 + trial);
+    const eva::JointConfig config = random_config(w, rng);
+    double load = 0.0;
+    for (std::size_t i = 0; i < streams; ++i) {
+      load += w.clips[i].proc_time(config[i].resolution) * config[i].fps;
+    }
+    if (load <= static_cast<double>(servers) * (1.0 + 1e-9)) continue;
+    ++overloaded;
+    EXPECT_EQ(schedule_bnb(w, config).status, BnbStatus::kInfeasible)
+        << "trial " << trial << ": load " << load << " on " << servers
+        << " server(s)";
+  }
+  EXPECT_GT(overloaded, 20);
+}
+
 TEST(Bnb, LowerBoundIsAdmissibleAtEveryBudget) {
   const eva::Workload w = workload(6, 3, 88);
   const eva::JointConfig config(6, {960, 15});

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sched/constraints.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -253,5 +256,85 @@ TEST(Repair, SingleSurvivorSaturationBoundaryIsAnOrderedDegradation) {
   EXPECT_TRUE(was_infeasible) << "never saturated even at headroom 128";
 }
 
+// The load screen inside the masked re-pack is sound at any headroom: a
+// configuration whose inflated load h·Σ p·f exceeds the usable-server
+// count is never feasible, and every feasible packing keeps each usable
+// server's inflated utilization within 1 (Theorem 3(b) per group).
+TEST(Repair, MaskedNeverFeasibleAboveTheLoadBound) {
+  Rng rng(41);
+  for (double headroom : {1.0, 1.5, 3.0}) {
+    int rejected = 0;
+    int accepted = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::size_t streams = 2 + rng.uniform_index(5);
+      const std::size_t servers = 1 + rng.uniform_index(3);
+      const eva::Workload w = workload(streams, servers, 410 + trial);
+      eva::JointConfig config;
+      for (std::size_t i = 0; i < streams; ++i) {
+        config.push_back(w.space.sample(rng));
+      }
+      std::vector<bool> usable(servers, true);
+      if (servers > 1) usable[rng.uniform_index(servers)] = false;
+      const auto usable_count = static_cast<double>(
+          std::count(usable.begin(), usable.end(), true));
+      double load = 0.0;
+      for (std::size_t i = 0; i < streams; ++i) {
+        load += w.clips[i].proc_time(config[i].resolution) * config[i].fps;
+      }
+      const ScheduleResult r =
+          schedule_zero_jitter_masked(w, config, usable, headroom);
+      if (headroom * load > usable_count * (1.0 + 1e-9)) {
+        ++rejected;
+        EXPECT_FALSE(r.feasible) << "headroom " << headroom << " trial "
+                                 << trial;
+        continue;
+      }
+      if (!r.feasible) continue;
+      ++accepted;
+      std::vector<double> utilization(servers, 0.0);
+      for (std::size_t i = 0; i < r.streams.size(); ++i) {
+        utilization[r.assignment[i]] +=
+            r.streams[i].proc_time * headroom /
+            w.space.clock().to_seconds(r.streams[i].period_ticks);
+      }
+      for (double u : utilization) EXPECT_LE(u, 1.0 + 1e-9);
+    }
+    EXPECT_GT(rejected, 10) << "headroom " << headroom;
+    EXPECT_GT(accepted, 10) << "headroom " << headroom;
+  }
+}
+
+// Theorem 3(b) binds a group's first member too: a stream whose inflated
+// processing time exceeds its own period cannot keep up on any server, so
+// neither the masked re-pack nor the pinned repair may report it feasible
+// (branch-and-bound already proves such instances infeasible). The mixed
+// configuration keeps the total load under the server count at headroom
+// 10, so there the packing itself, not the load screen, must reject it.
+TEST(Repair, StreamSlowerThanItsOwnPeriodIsNeverFeasible) {
+  const eva::Workload w = workload(3, 3, 7);
+  const std::vector<bool> all(w.num_servers(), true);
+  const std::vector<eva::JointConfig> configs = {
+      eva::JointConfig(3, {720, 10}),
+      eva::JointConfig{{720, 10}, {480, 5}, {480, 5}}};
+  for (const eva::JointConfig& config : configs) {
+    const ScheduleResult spread =
+        schedule_fixed_assignment(w, config, {0, 1, 2});
+    for (double headroom : {10.0, 1e4}) {
+      const double p0 = w.clips[0].proc_time(config[0].resolution);
+      ASSERT_GT(p0 * headroom * config[0].fps, 1.0);
+      EXPECT_FALSE(
+          schedule_zero_jitter_masked(w, config, all, headroom).feasible)
+          << "headroom " << headroom;
+      EXPECT_FALSE(reschedule_pinned(w, config, spread, all, headroom).feasible)
+          << "headroom " << headroom;
+    }
+  }
+  double mixed_load = 0.0;
+  for (std::size_t i = 0; i < configs[1].size(); ++i) {
+    mixed_load += w.clips[i].proc_time(configs[1][i].resolution) *
+                  configs[1][i].fps * 10.0;
+  }
+  EXPECT_LT(mixed_load, static_cast<double>(w.num_servers()));
+}
 }  // namespace
 }  // namespace pamo::sched

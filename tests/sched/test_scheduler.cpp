@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "ckpt/digest.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sched/constraints.hpp"
 
 namespace pamo::sched {
@@ -151,6 +153,47 @@ TEST(FixedAssignment, HonorsParentMapping) {
   EXPECT_THROW(schedule_fixed_assignment(
                    w, config, std::vector<std::size_t>{0, 1, 2, 9}),
                Error);
+}
+
+// Pins Algorithm 1's decisions bit-for-bit: one FNV digest over the
+// feasible flag, assignment, phases, per-parent uplinks and communication
+// cost of 2,040 seeded configurations on the paper's testbed shape (12
+// streams, 4 servers) and the fleet-shard shapes (12 streams on 1 and on 2
+// servers). Knob draws are capped the way PamoScheduler::random_feasible
+// caps them, so light (packable) and heavy (rejected) draws alternate.
+// The constant was computed before the load screen and the vector-free
+// packing existed; an optimization of Algorithm 1 must leave it unchanged.
+TEST(ZeroJitter, GoldenDigestOverSeededConfigs) {
+  const std::vector<eva::Workload> shapes = {
+      eva::make_workload(12, 4, 19), eva::make_fleet_workload(12, 1, 19),
+      eva::make_fleet_workload(12, 2, 19)};
+  Rng rng(1919);
+  ckpt::Fnv1a digest;
+  std::size_t feasible = 0;
+  for (const eva::Workload& w : shapes) {
+    const auto& resolutions = w.space.resolutions();
+    const auto& fps_knobs = w.space.fps_knobs();
+    for (std::size_t trial = 0; trial < 680; ++trial) {
+      const std::size_t shrink = trial % 6;
+      const std::size_t cap_res = resolutions.size() - shrink;
+      const std::size_t cap_fps = std::max<std::size_t>(
+          1, fps_knobs.size() - std::min(shrink, fps_knobs.size()));
+      eva::JointConfig config(w.num_streams());
+      for (auto& c : config) {
+        c.resolution = resolutions[rng.uniform_index(cap_res)];
+        c.fps = fps_knobs[rng.uniform_index(cap_fps)];
+      }
+      const ScheduleResult r = schedule_zero_jitter(w, config);
+      feasible += r.feasible ? 1 : 0;
+      digest.mix(r.feasible);
+      digest.mix_all(r.assignment);
+      digest.mix_all(r.phase);
+      digest.mix_all(r.uplink_per_parent);
+      digest.mix(r.comm_cost);
+    }
+  }
+  EXPECT_EQ(feasible, 1132u);
+  EXPECT_EQ(digest.value(), 0xFC28C4350E8479F9ULL);
 }
 
 // Feasibility should be monotone-ish in load: the all-minimum config must
