@@ -147,7 +147,7 @@ bool posteriors_identical(const pamo::gp::Posterior& a,
                           const pamo::gp::Posterior& b) {
   if (a.mean.size() != b.mean.size()) return false;
   for (std::size_t i = 0; i < a.mean.size(); ++i) {
-    if (a.mean[i] != b.mean[i]) return false;  // pamo-lint: allow(float-eq)
+    if (a.mean[i] != b.mean[i]) return false;  // pamo-analyze: allow(float-eq)
   }
   if (a.covariance.rows() != b.covariance.rows() ||
       a.covariance.cols() != b.covariance.cols()) {

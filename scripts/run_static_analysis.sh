@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# One-stop local static analysis: the same three passes CI's analyze.yml
+# One-stop local static analysis: the same two passes CI's analyze.yml
 # runs, in the same scopes, against an existing build tree.
 #
-#   1. pamo_lint     per-file rules over src tests bench examples tools
-#   2. pamo_analyze  cross-file semantics (snapshot coverage, layer DAG,
-#                    contract coverage, capture hygiene) over src tools
-#   3. clang-tidy    curated .clang-tidy profile over the compile database
+#   1. pamo_analyze  every repo-native rule (per-file rules and cross-file
+#                    analyses) over src tests bench examples tools
+#   2. clang-tidy    curated .clang-tidy profile over the compile database
 #                    (skipped with a note when run-clang-tidy is absent)
 #
 # usage: scripts/run_static_analysis.sh [build-dir]   (default: build)
@@ -17,15 +16,12 @@ cd "$ROOT"
 
 [ -d "$BUILD" ] || { echo "error: build dir '$BUILD' not found (configure with cmake first)" >&2; exit 2; }
 
-cmake --build "$BUILD" -j "$(nproc)" --target pamo_lint pamo_analyze
+cmake --build "$BUILD" -j "$(nproc)" --target pamo_analyze
 
 status=0
 
-echo "== pamo_lint =="
-"$BUILD"/tools/pamo_lint src tests bench examples tools || status=1
-
 echo "== pamo_analyze =="
-"$BUILD"/tools/pamo_analyze src tools || status=1
+"$BUILD"/tools/pamo_analyze src tests bench examples tools || status=1
 
 echo "== clang-tidy =="
 if command -v run-clang-tidy >/dev/null 2>&1; then

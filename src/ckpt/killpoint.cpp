@@ -76,7 +76,7 @@ void kill_point(const char* name) {
     std::_Exit(137);
   }
   state.active = false;  // fire once, then disarm (the "process" is dead)
-  throw InjectedKill(state.point);  // pamo-lint: allow(throw-discipline)
+  throw InjectedKill(state.point);  // pamo-analyze: allow(throw-discipline)
 }
 
 }  // namespace pamo::ckpt

@@ -275,9 +275,9 @@ obs::json::Value AdmissionGovernor::snapshot() const {
 void AdmissionGovernor::restore(const obs::json::Value& snap) {
   // Restore rebuilds remembered state from a checkpoint: the decisions
   // were logged when they were made, so no new GovernorAction is emitted.
-  admitted_.clear();  // pamo-lint: allow(governor-action)
+  admitted_.clear();  // pamo-analyze: allow(governor-action)
   for (const auto& v : snap.at("admitted").items()) {
-    // pamo-lint: allow(governor-action)
+    // pamo-analyze: allow(governor-action)
     admitted_.push_back(static_cast<std::uint64_t>(v.as_double()));
   }
   deferred_.clear();

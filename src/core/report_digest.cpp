@@ -92,7 +92,7 @@ std::uint64_t digest_epoch(const SchedulingService::EpochReport& report) {
   const bool churn_active =
       churn.arrived != 0 || churn.departed != 0 || churn.deferred != 0 ||
       churn.shed != 0 || churn.offered != churn.admitted ||
-      churn.load_factor != 1.0 ||  // pamo-lint: allow(float-eq)
+      churn.load_factor != 1.0 ||  // pamo-analyze: allow(float-eq)
       !report.governor_actions.empty();
   if (churn_active) {
     d.mix(std::uint64_t{churn.offered});

@@ -135,7 +135,7 @@ void SchedulingService::attempt_repair(EpochReport& report) {
   const bool slo_breached =
       sim0.slo_violations > 0 || sim0.unserved_streams > 0;
   // headroom stays exactly 1.0 unless a slowdown observable moved it.
-  if (!orphaned && !degraded_net && headroom == 1.0 &&  // pamo-lint: allow(float-eq)
+  if (!orphaned && !degraded_net && headroom == 1.0 &&  // pamo-analyze: allow(float-eq)
       !slo_breached) {
     return;  // healthy epoch — nothing to repair
   }

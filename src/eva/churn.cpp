@@ -168,7 +168,7 @@ Workload ChurnPlan::offered_workload(const Workload& base,
   }
   // Exact compare on purpose: load_factor returns the literal 1.0 when the
   // diurnal wave is off, and the identity wave must not touch the clips.
-  if (wave != 1.0) {  // pamo-lint: allow(float-eq)
+  if (wave != 1.0) {  // pamo-analyze: allow(float-eq)
     for (ClipProfile& clip : offered.clips) {
       clip = ClipProfile::scaled_load(clip, wave);
     }

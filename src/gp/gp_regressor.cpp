@@ -183,7 +183,7 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
       // rebuild(false) because the scaling and grouping are unchanged.
       solve_system();
       ++diagnostics_.incremental_updates;
-    } else if (chol_->jitter() == 0.0 &&  // pamo-lint: allow(float-eq)
+    } else if (chol_->jitter() == 0.0 &&  // pamo-analyze: allow(float-eq)
                try_incremental_update(first_new)) {
       // All-new inputs on a jitter-free factor (the ladder restarts from
       // zero on a full rebuild): extend the factor in O(d²).
@@ -385,7 +385,7 @@ bool GpRegressor::reweight_outliers() {
     if (target > noise_scale_[j]) {
       // Scale is exactly 1.0 until the first inflation: this counts each
       // point at most once across the reweighting rounds.
-      if (noise_scale_[j] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-lint: allow(float-eq)
+      if (noise_scale_[j] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-analyze: allow(float-eq)
       noise_scale_[j] = target;
       changed = true;
     }

@@ -41,7 +41,7 @@ Cholesky::Cholesky(const Matrix& a, double max_jitter) {
     scale = std::max(scale, std::fabs(a(i, i)));
   }
   // An all-zero diagonal gives no magnitude to scale by; fall back to 1.
-  if (scale == 0.0) scale = 1.0;  // pamo-lint: allow(float-eq)
+  if (scale == 0.0) scale = 1.0;  // pamo-analyze: allow(float-eq)
   jitter = scale * 1e-10;
   while (jitter <= max_jitter * scale) {
     if (try_factor(a, jitter, lower_)) {
@@ -142,7 +142,7 @@ bool Cholesky::extend(const Matrix& cross, const Matrix& corner) {
   // A jittered factor is L(A + jI); the full refactorization would rerun
   // the ladder on the grown matrix from jitter 0, which no extension of
   // this factor can reproduce exactly.
-  if (jitter_ != 0.0) return false;  // pamo-lint: allow(float-eq)
+  if (jitter_ != 0.0) return false;  // pamo-analyze: allow(float-eq)
 
   // New rows of the factor: row r of L21 solves L11 y = cross(r, ·)ᵀ. The
   // accumulation (k ascending) and the divide match try_factor's column

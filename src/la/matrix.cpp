@@ -40,7 +40,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
     for (std::size_t k = 0; k < a.cols(); ++k) {
       const double aik = a(i, k);
       // Exact-zero skip: sparsity shortcut, any nonzero must multiply.
-      if (aik == 0.0) continue;  // pamo-lint: allow(float-eq)
+      if (aik == 0.0) continue;  // pamo-analyze: allow(float-eq)
       for (std::size_t j = 0; j < b.cols(); ++j) {
         c(i, j) += aik * b(k, j);
       }
@@ -61,7 +61,7 @@ Matrix matmul_blocked(const Matrix& a, const Matrix& b, std::size_t block) {
         for (std::size_t k = 0; k < a.cols(); ++k) {
           const double aik = a(i, k);
           // Exact-zero skip: sparsity shortcut, any nonzero must multiply.
-          if (aik == 0.0) continue;  // pamo-lint: allow(float-eq)
+          if (aik == 0.0) continue;  // pamo-analyze: allow(float-eq)
           for (std::size_t j = j0; j < j1; ++j) {
             c(i, j) += aik * b(k, j);
           }
@@ -89,7 +89,7 @@ Vector matvec_transposed(const Matrix& a, const Vector& x) {
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const double xi = x[i];
     // Exact-zero skip: sparsity shortcut, any nonzero must multiply.
-    if (xi == 0.0) continue;  // pamo-lint: allow(float-eq)
+    if (xi == 0.0) continue;  // pamo-analyze: allow(float-eq)
     for (std::size_t j = 0; j < a.cols(); ++j) y[j] += a(i, j) * xi;
   }
   return y;

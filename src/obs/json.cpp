@@ -247,7 +247,7 @@ bool Value::as_bool() const {
 std::uint64_t Value::as_uint() const {
   if (kind_ == Kind::kUint) return uint_;
   PAMO_CHECK(kind_ == Kind::kNumber, "JSON value is not a number");
-  PAMO_CHECK(num_ >= 0.0 && std::floor(num_) == num_ && num_ < 1.9e19,  // pamo-lint: allow(float-eq)
+  PAMO_CHECK(num_ >= 0.0 && std::floor(num_) == num_ && num_ < 1.9e19,  // pamo-analyze: allow(float-eq)
              "JSON number is not an unsigned integer");
   return static_cast<std::uint64_t>(num_);
 }

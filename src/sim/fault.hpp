@@ -68,7 +68,7 @@ class FaultPlan {
     // Loss probability is exactly 0.0 until drop_frames() sets it; the
     // empty-plan no-op guarantee hinges on this exact compare.
     return crashes_.empty() && collapses_.empty() && slowdowns_.empty() &&
-           frame_loss_prob_ == 0.0;  // pamo-lint: allow(float-eq)
+           frame_loss_prob_ == 0.0;  // pamo-analyze: allow(float-eq)
   }
 
   // -- Point-in-time queries used by the simulator. --

@@ -33,7 +33,7 @@ void expect_identical(const la::Matrix& a, const la::Matrix& b) {
   ASSERT_EQ(a.cols(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(a(i, j), b(i, j))  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(a(i, j), b(i, j))  // pamo-analyze: allow(float-eq)
           << "mismatch at (" << i << ", " << j << ")";
     }
   }
@@ -67,7 +67,7 @@ TEST(ParallelEquivalence, AcquisitionScoresMatchAcrossThreadCounts) {
     });
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t c = 0; c < serial.size(); ++c) {
-      EXPECT_EQ(serial[c], parallel[c])  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(serial[c], parallel[c])  // pamo-analyze: allow(float-eq)
           << acquisition_name(type) << " candidate " << c;
     }
   }

@@ -180,7 +180,7 @@ void expect_matches_full_row(const GpRegressor& gp, const Rows& x,
                              KernelType kernel) {
   const FullRowGp ref =
       full_row_gp(kernel, gp.params(), x, y, noise_scales_of(gp));
-  ASSERT_EQ(ref.chol->jitter(), 0.0);  // pamo-lint: allow(float-eq)
+  ASSERT_EQ(ref.chol->jitter(), 0.0);  // pamo-analyze: allow(float-eq)
   const Posterior post = gp.posterior(q);
   const KernelEvaluator k_eval(kernel, gp.params());
   for (std::size_t c = 0; c < q.size(); ++c) {

@@ -72,11 +72,11 @@ void expect_posteriors_identical(const GpRegressor& a, const GpRegressor& b,
   const Posterior pb = b.posterior(q);
   ASSERT_EQ(pa.mean.size(), pb.mean.size());
   for (std::size_t i = 0; i < pa.mean.size(); ++i) {
-    EXPECT_EQ(pa.mean[i], pb.mean[i]);  // pamo-lint: allow(float-eq)
+    EXPECT_EQ(pa.mean[i], pb.mean[i]);  // pamo-analyze: allow(float-eq)
   }
   for (std::size_t i = 0; i < pa.covariance.rows(); ++i) {
     for (std::size_t j = 0; j < pa.covariance.cols(); ++j) {
-      // pamo-lint: allow(float-eq)
+      // pamo-analyze: allow(float-eq)
       EXPECT_EQ(pa.covariance(i, j), pb.covariance(i, j));
     }
   }
@@ -103,9 +103,9 @@ TEST(GpIncremental, UpdateMatchesFullRebuildExactly) {
     ASSERT_EQ(fast.num_points(), slow.num_points());
     expect_posteriors_identical(fast, slow, query);
     for (const auto& row : query) {
-      // pamo-lint: allow(float-eq)
+      // pamo-analyze: allow(float-eq)
       EXPECT_EQ(fast.predict_mean(row), slow.predict_mean(row));
-      // pamo-lint: allow(float-eq)
+      // pamo-analyze: allow(float-eq)
       EXPECT_EQ(fast.predict_var(row), slow.predict_var(row));
     }
   }
@@ -218,12 +218,12 @@ TEST(GpIncremental, PosteriorWorkspaceReuseIsExact) {
   no_cache.fit(x0, y0);
   const Posterior ref = no_cache.posterior(query);
   for (std::size_t i = 0; i < ref.mean.size(); ++i) {
-    EXPECT_EQ(first.mean[i], ref.mean[i]);   // pamo-lint: allow(float-eq)
-    EXPECT_EQ(cached.mean[i], ref.mean[i]);  // pamo-lint: allow(float-eq)
+    EXPECT_EQ(first.mean[i], ref.mean[i]);   // pamo-analyze: allow(float-eq)
+    EXPECT_EQ(cached.mean[i], ref.mean[i]);  // pamo-analyze: allow(float-eq)
   }
   for (std::size_t i = 0; i < ref.covariance.rows(); ++i) {
     for (std::size_t j = 0; j < ref.covariance.cols(); ++j) {
-      // pamo-lint: allow(float-eq)
+      // pamo-analyze: allow(float-eq)
       EXPECT_EQ(cached.covariance(i, j), ref.covariance(i, j));
     }
   }
@@ -328,7 +328,7 @@ TEST(GpIncremental, SampleJointGivenMatchesSampleJoint) {
   ASSERT_EQ(given.cols(), direct.cols());
   for (std::size_t s = 0; s < num_samples; ++s) {
     for (std::size_t i = 0; i < query.size(); ++i) {
-      EXPECT_EQ(given(s, i), direct(s, i));  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(given(s, i), direct(s, i));  // pamo-analyze: allow(float-eq)
     }
   }
 }

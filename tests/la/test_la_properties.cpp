@@ -50,7 +50,7 @@ void expect_identical(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.cols(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(a(i, j), b(i, j))  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(a(i, j), b(i, j))  // pamo-analyze: allow(float-eq)
           << "mismatch at (" << i << ", " << j << ")";
     }
   }
@@ -115,7 +115,7 @@ TEST(LaProperties, BatchedSolveLowerMatchesColumnwiseVectorSolves) {
     for (std::size_t i = 0; i < n; ++i) col[i] = b(i, c);
     const Vector ref = chol.solve_lower(col);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(batched(i, c), ref[i]);  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(batched(i, c), ref[i]);  // pamo-analyze: allow(float-eq)
     }
   }
 }
@@ -131,7 +131,7 @@ TEST(LaProperties, BatchedSolveUpperMatchesColumnwiseVectorSolves) {
     for (std::size_t i = 0; i < n; ++i) col[i] = y(i, c);
     const Vector ref = chol.solve_upper(col);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(batched(i, c), ref[i]);  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(batched(i, c), ref[i]);  // pamo-analyze: allow(float-eq)
     }
   }
 }
@@ -195,7 +195,7 @@ TEST(LaProperties, ExtendMatchesFromScratchFactorBitForBit) {
     ASSERT_TRUE(incremental.extend(cross, corner));
     const Cholesky scratch(full);
     expect_identical(incremental.lower(), scratch.lower());
-    EXPECT_EQ(incremental.jitter(), 0.0);  // pamo-lint: allow(float-eq)
+    EXPECT_EQ(incremental.jitter(), 0.0);  // pamo-analyze: allow(float-eq)
   }
 }
 

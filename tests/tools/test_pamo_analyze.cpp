@@ -1,13 +1,16 @@
-// Tests for the pamo_analyze cross-file analysis engine and the shared
-// tokenizer it is built on. Fixtures are in-memory SourceFile trees handed
-// to analyze_tree; the tokenizer tests pin the geometry-preservation
-// property every downstream line number depends on.
+// Tests for the pamo_analyze engine (its cross-file analyses, suppression,
+// scoping, and reports) and the shared tokenizer it is built on. Fixtures
+// are in-memory SourceFile trees handed to analyze_tree; the tokenizer
+// tests pin the geometry-preservation property every downstream line
+// number depends on. The per-file rules' fixtures live in
+// test_pamo_analyze_rules.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "pamo_analyze/analyze.hpp"
 #include "pamo_analyze/tokenizer.hpp"
 
@@ -257,6 +260,7 @@ TEST(AnalyzeIndex, DirectivesParsedFromCommentsOnly) {
 // ---- snapshot-coverage ----------------------------------------------------
 
 const char* const kSnapshotHeader =
+    "#pragma once\n"
     "struct Counter {\n"
     "  double kept_ = 0.0;\n"
     "  double dropped_ = 0.0;\n"
@@ -280,7 +284,7 @@ TEST(AnalyzeSnapshot, OmittedMemberIsCaught) {
       {{"src/eva/counter.hpp", kSnapshotHeader}, {"src/eva/codec.cpp", codec}});
   ASSERT_EQ(count_rule(findings, "snapshot-coverage"), 1u);
   EXPECT_EQ(findings[0].file, "src/eva/counter.hpp");
-  EXPECT_EQ(findings[0].line, 3u);  // dropped_'s declaration line
+  EXPECT_EQ(findings[0].line, 4u);  // dropped_'s declaration line
   EXPECT_NE(findings[0].message.find("dropped_"), std::string::npos);
 }
 
@@ -364,6 +368,7 @@ TEST(AnalyzeSnapshot, FindReadsAreOptionalNotAsymmetric) {
 
 TEST(AnalyzeSnapshot, MemberAllowSuppressesAtDeclaration) {
   const std::string header =
+      "#pragma once\n"
       "struct Counter {\n"
       "  double kept_ = 0.0;\n"
       "  // scratch, rebuilt on demand. pamo-analyze: allow(snapshot-coverage)\n"
@@ -422,11 +427,11 @@ TEST(AnalyzeSnapshot, UnknownTypeAndOneSidedAnnotationFlagged) {
 
 TEST(AnalyzeLayers, UpwardIncludeIsCaught) {
   const auto findings = analyze_tree(
-      {{"src/la/matrix.hpp", "#include \"core/service.hpp\"\n"},
-       {"src/core/service.hpp", "int x;\n"}});
+      {{"src/la/matrix.hpp", "#pragma once\n#include \"core/service.hpp\"\n"},
+       {"src/core/service.hpp", "#pragma once\n"}});
   ASSERT_EQ(count_rule(findings, "layer-dag"), 1u);
   EXPECT_EQ(findings[0].file, "src/la/matrix.hpp");
-  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_EQ(findings[0].line, 2u);
 }
 
 TEST(AnalyzeLayers, LateralSameRankIncludeIsCaught) {
@@ -448,8 +453,8 @@ TEST(AnalyzeLayers, DownwardIncludesAreQuiet) {
 
 TEST(AnalyzeLayers, IncludeCycleIsCaught) {
   const auto findings = analyze_tree(
-      {{"src/gp/a.hpp", "#include \"gp/b.hpp\"\n"},
-       {"src/gp/b.hpp", "#include \"gp/a.hpp\"\n"}});
+      {{"src/gp/a.hpp", "#pragma once\n#include \"gp/b.hpp\"\n"},
+       {"src/gp/b.hpp", "#pragma once\n#include \"gp/a.hpp\"\n"}});
   EXPECT_GE(count_rule(findings, "layer-dag"), 1u);
   for (const auto& f : findings) {
     EXPECT_NE(f.message.find("cycle"), std::string::npos);
@@ -583,12 +588,17 @@ TEST(AnalyzeCaptures, ByValueLambdasAndPlainLoopsAreQuiet) {
 // ---- engine surface -------------------------------------------------------
 
 TEST(AnalyzeEngine, RuleListIsStable) {
-  const auto& ids = rule_ids();
-  ASSERT_EQ(ids.size(), 4u);
-  EXPECT_EQ(ids[0], "snapshot-coverage");
-  EXPECT_EQ(ids[1], "layer-dag");
-  EXPECT_EQ(ids[2], "contract-coverage");
-  EXPECT_EQ(ids[3], "capture-hygiene");
+  // Report order is a stable API: the per-file rules, then the tree
+  // analyses, each family appended to at its end.
+  const std::vector<std::string> expected = {
+      "determinism-rng",      "time-seeded-rng",   "unordered-iter",
+      "throw-discipline",     "catch-all-swallow", "float-eq",
+      "unchecked-front-back", "pragma-once",       "using-namespace-header",
+      "raw-thread",           "wall-clock",        "unchecked-file-write",
+      "governor-action",      "snapshot-coverage", "layer-dag",
+      "contract-coverage",    "capture-hygiene",
+  };
+  EXPECT_EQ(rule_ids(), expected);
 }
 
 TEST(AnalyzeEngine, AllowOnLineOrAboveSuppresses) {
@@ -615,27 +625,126 @@ TEST(AnalyzeEngine, AllowOnLineOrAboveSuppresses) {
   }
 }
 
+TEST(AnalyzeEngine, OneTagSilencesBothFamilies) {
+  // One line holds a per-file hit (float-eq) and a tree hit
+  // (capture-hygiene); one allow on the line above silences both.
+  const auto fixture = [](const std::string& allow) {
+    return "void sum_up(double& total, const std::vector<double>& v) {\n"
+           "  parallel_for(v.size(), [&](std::size_t i) {\n" +
+           allow +
+           "    total += v[i] == 0.0 ? 1.0 : 0.0;\n"
+           "  });\n"
+           "}\n";
+  };
+  const auto run = [&](const std::string& allow, const Options& options) {
+    return analyze_tree({{"src/core/fix.cpp", fixture(allow)}}, options);
+  };
+  const auto bare = run("", {});
+  ASSERT_EQ(bare.size(), 2u);
+  EXPECT_EQ(count_rule(bare, "float-eq"), 1u);
+  EXPECT_EQ(count_rule(bare, "capture-hygiene"), 1u);
+
+  const std::string allow =
+      "    // pamo-analyze: allow(float-eq, capture-hygiene)\n";
+  EXPECT_TRUE(run(allow, {}).empty());
+  Options keep;
+  keep.include_suppressed = true;
+  const auto marked = run(allow, keep);
+  ASSERT_EQ(marked.size(), 2u);
+  for (const auto& f : marked) EXPECT_TRUE(f.suppressed) << f.rule;
+
+  // The retired per-file tag is not a second spelling: it silences nothing.
+  const std::string retired =
+      "    // pamo-" "lint: allow(float-eq, capture-hygiene)\n";
+  const auto unsilenced = run(retired, {});
+  ASSERT_EQ(unsilenced.size(), 2u);
+  for (const auto& f : unsilenced) EXPECT_FALSE(f.suppressed) << f.rule;
+}
+
+TEST(AnalyzeEngine, CheckoutLocationDoesNotChangeFindings) {
+  // A checkout under a directory named src/ (/home/u/src/pamo): every
+  // absolute path contains "src/", but rules read the scope, the path
+  // below the root's parent, so both trees give the same findings.
+  const std::vector<SourceFile> tree = {
+      // Fodder for src/-only per-file rules; quiet under tests/.
+      {"tests/x.cpp",
+       "#include <thread>\n"
+       "void f() { throw std::runtime_error(\"x\"); }\n"
+       "bool g(double x) { return x == 0.0; }\n"
+       "void h() { std::thread t([] {}); t.join(); }\n"},
+      // One upward include: the only finding either way.
+      {"src/la/m.cpp", "#include \"core/s.hpp\"\n"},
+      {"src/core/s.hpp", "#pragma once\n"},
+  };
+  const std::string checkout = "/home/u/src/pamo/";
+  std::vector<SourceFile> moved;
+  for (const auto& f : tree) {
+    const std::string top = f.path.substr(0, f.path.find('/'));
+    const std::string path = checkout + f.path;
+    moved.push_back({path, f.content, scope_path(checkout + top, path)});
+    EXPECT_EQ(moved.back().scope, f.path);
+  }
+  EXPECT_EQ(scope_path(checkout + "tests/", checkout + "tests/x.cpp"),
+            "tests/x.cpp");
+
+  const auto here = analyze_tree(tree);
+  const auto there = analyze_tree(moved);
+  ASSERT_EQ(here.size(), 1u);
+  EXPECT_EQ(here[0].rule, "layer-dag");
+  ASSERT_EQ(there.size(), here.size());
+  for (std::size_t i = 0; i < here.size(); ++i) {
+    EXPECT_EQ(there[i].file, checkout + here[i].file);
+    EXPECT_EQ(there[i].line, here[i].line);
+    EXPECT_EQ(there[i].rule, here[i].rule);
+    EXPECT_EQ(there[i].message, here[i].message);
+  }
+}
+
 TEST(AnalyzeEngine, ReportFormats) {
+  // One report carries both families: a tree finding (layer-dag) and a
+  // per-file one (float-eq).
   const auto findings = analyze_tree(
-      {{"src/la/matrix.hpp", "#include \"core/service.hpp\"\n"},
-       {"src/core/service.hpp", "int x;\n"}});
-  ASSERT_EQ(findings.size(), 1u);
+      {{"src/la/matrix.cpp",
+        "#include \"core/service.hpp\"\n"
+        "bool f(double x) { return x == 0.0; }\n"},
+       {"src/core/service.hpp", "#pragma once\n"}});
+  ASSERT_EQ(findings.size(), 2u);
   const std::string text = to_text(findings);
-  EXPECT_NE(text.find("src/la/matrix.hpp:1: [layer-dag]"), std::string::npos);
+  EXPECT_NE(text.find("src/la/matrix.cpp:1: [layer-dag]"), std::string::npos);
+  EXPECT_NE(text.find("src/la/matrix.cpp:2: [float-eq]"), std::string::npos);
   const std::string json = to_json(findings);
   EXPECT_NE(json.find("\"rule\":\"layer-dag\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-  EXPECT_EQ(to_json({}).find("\"count\":0") == std::string::npos, false);
+  EXPECT_NE(json.find("\"rule\":\"float-eq\""), std::string::npos);
+  EXPECT_NE(json.find("\"line\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"count\":2"), std::string::npos);
+  // Exact bytes: fixed key order, compact form.
+  EXPECT_EQ(to_json({}), "{\"findings\":[],\"count\":0}");
+  EXPECT_EQ(to_json({Finding{"a.cpp", 3, "float-eq", "say \"hi\"\tnow", true}}),
+            "{\"findings\":[{\"file\":\"a.cpp\",\"line\":3,"
+            "\"rule\":\"float-eq\",\"message\":\"say \\\"hi\\\"\\tnow\","
+            "\"suppressed\":true}],\"count\":1}");
+}
+
+TEST(AnalyzeEngine, JsonReportRoundTripsControlCharacters) {
+  const Finding f{"dir\r/a\x01.cpp", 7, "float-eq", "a\rb\x01" "c", false};
+  const auto report = obs::json::Value::parse(to_json({f}));
+  ASSERT_EQ(report.at("count").as_uint(), 1u);
+  const auto& entry = report.at("findings").items().at(0);
+  EXPECT_EQ(entry.at("file").as_string(), f.file);
+  EXPECT_EQ(entry.at("line").as_uint(), 7u);
+  EXPECT_EQ(entry.at("rule").as_string(), f.rule);
+  EXPECT_EQ(entry.at("message").as_string(), f.message);
+  EXPECT_FALSE(entry.at("suppressed").as_bool());
 }
 
 TEST(AnalyzeEngine, FindingsSortedByFileThenLine) {
   const auto findings = analyze_tree(
-      {{"src/la/zzz.hpp", "#include \"core/b.hpp\"\n"},
-       {"src/la/aaa.hpp", "int y;\n#include \"core/b.hpp\"\n"},
-       {"src/core/b.hpp", "int x;\n"}});
+      {{"src/la/zzz.cpp", "#include \"core/b.hpp\"\n"},
+       {"src/la/aaa.cpp", "int y;\n#include \"core/b.hpp\"\n"},
+       {"src/core/b.hpp", "#pragma once\n"}});
   ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(findings[0].file, "src/la/aaa.hpp");
-  EXPECT_EQ(findings[1].file, "src/la/zzz.hpp");
+  EXPECT_EQ(findings[0].file, "src/la/aaa.cpp");
+  EXPECT_EQ(findings[1].file, "src/la/zzz.cpp");
 }
 
 }  // namespace

@@ -1,17 +1,24 @@
-// Fixture-driven tests of the pamo_lint rule engine: every rule has a
+// Fixture-driven tests of pamo_analyze's per-file rules: every rule has a
 // positive (fires) and a negative (stays quiet) fixture, plus suppression
-// and report-format coverage. Fixtures are in-memory sources handed to
-// lint_source with paths that exercise the path-scoping logic.
+// coverage. Fixtures are one-file in-memory trees handed to analyze_tree
+// with paths that exercise the path-scoping logic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "pamo_lint/lint.hpp"
+#include "pamo_analyze/analyze.hpp"
+#include "pamo_analyze/tokenizer.hpp"
 
-namespace pamo::lint {
+namespace pamo::analyze {
 namespace {
+
+std::vector<Finding> analyze_one(const std::string& path,
+                                 const std::string& source,
+                                 const Options& options = {}) {
+  return analyze_tree({{path, source}}, options);
+}
 
 std::vector<std::string> rules_hit(const std::vector<Finding>& findings) {
   std::vector<std::string> rules;
@@ -25,20 +32,6 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
                      [&](const Finding& f) { return f.rule == rule; });
 }
 
-TEST(PamoLint, RuleListIsStableAndComplete) {
-  const auto& ids = rule_ids();
-  ASSERT_EQ(ids.size(), 13u);
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "determinism-rng"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "float-eq"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "pragma-once"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "raw-thread"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "wall-clock"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "unchecked-file-write"),
-            ids.end());
-  // Appended rules land at the end: the report order is a stable API.
-  EXPECT_EQ(ids.back(), "governor-action");
-}
-
 // ---- determinism-rng ------------------------------------------------------
 
 TEST(PamoLint, FlagsStdRandAndRandomDevice) {
@@ -47,7 +40,7 @@ TEST(PamoLint, FlagsStdRandAndRandomDevice) {
       "int f() { return std::rand(); }\n"
       "int g() { std::random_device rd; return int(rd()); }\n"
       "int h() { std::mt19937 gen(7); return int(gen()); }\n";
-  const auto rules = rules_hit(lint_source("src/eva/fixture.cpp", source));
+  const auto rules = rules_hit(analyze_one("src/eva/fixture.cpp", source));
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "determinism-rng"), 3);
 }
 
@@ -56,7 +49,7 @@ TEST(PamoLint, PamoRngIsNotFlagged) {
       "#include \"common/rng.hpp\"\n"
       "double f(pamo::Rng& rng) { return rng.uniform(); }\n"
       "pamo::Rng forked(const pamo::Rng& rng) { return rng.fork(3); }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/eva/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/eva/fixture.cpp", source),
                         "determinism-rng"));
 }
 
@@ -65,7 +58,7 @@ TEST(PamoLint, CommentsAndStringsDoNotTriggerRules) {
       "// std::rand() is banned here\n"
       "/* so is std::random_device */\n"
       "const char* kDoc = \"call std::rand()\";\n";
-  EXPECT_TRUE(lint_source("src/eva/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/eva/fixture.cpp", source).empty());
 }
 
 // ---- time-seeded-rng ------------------------------------------------------
@@ -78,7 +71,7 @@ TEST(PamoLint, FlagsClockSeededRng) {
       ".count();\n"
       "  return pamo::Rng(uint64_t(seed));\n"
       "}\n";
-  EXPECT_TRUE(has_rule(lint_source("src/eva/fixture.cpp", source),
+  EXPECT_TRUE(has_rule(analyze_one("src/eva/fixture.cpp", source),
                        "time-seeded-rng"));
 }
 
@@ -87,7 +80,7 @@ TEST(PamoLint, PlainClockUseIsNotASeed) {
   // deadline — no RNG involved, so the rule must stay quiet.
   const std::string source =
       "void arm() { start_ = std::chrono::steady_clock::now(); }\n";
-  EXPECT_TRUE(lint_source("src/bo/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/bo/fixture.cpp", source).empty());
 }
 
 // ---- unordered-iter -------------------------------------------------------
@@ -101,7 +94,7 @@ TEST(PamoLint, FlagsRangeForOverUnorderedInSchedulingPath) {
       "  for (const auto& [k, v] : weights_) sum += v;\n"
       "  return sum;\n"
       "}\n";
-  const auto findings = lint_source("src/sched/fixture.cpp", source);
+  const auto findings = analyze_one("src/sched/fixture.cpp", source);
   EXPECT_TRUE(has_rule(findings, "unordered-iter"));
 }
 
@@ -114,7 +107,7 @@ TEST(PamoLint, UnorderedIterationOutsideSchedulingPathIsAllowed) {
       "  for (const auto& [k, v] : weights_) sum += v;\n"
       "  return sum;\n"
       "}\n";
-  EXPECT_FALSE(has_rule(lint_source("src/eva/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/eva/fixture.cpp", source),
                         "unordered-iter"));
 }
 
@@ -128,7 +121,7 @@ TEST(PamoLint, OrderedIterationIsAllowedInSchedulingPath) {
       "  for (const auto& [k, v] : weights_) sum += v;\n"
       "  return sum;\n"
       "}\n";
-  EXPECT_FALSE(has_rule(lint_source("src/sched/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/sched/fixture.cpp", source),
                         "unordered-iter"));
 }
 
@@ -138,7 +131,7 @@ TEST(PamoLint, FlagsForeignExceptionTypesInSrc) {
   const std::string source =
       "#include <stdexcept>\n"
       "void f() { throw std::runtime_error(\"boom\"); }\n";
-  EXPECT_TRUE(has_rule(lint_source("src/gp/fixture.cpp", source),
+  EXPECT_TRUE(has_rule(analyze_one("src/gp/fixture.cpp", source),
                        "throw-discipline"));
 }
 
@@ -148,13 +141,13 @@ TEST(PamoLint, PamoErrorAndBareRethrowAreAllowed) {
       "void g() { throw Error(\"boom\"); }\n"
       "void h() { try { f(); } catch (const Error&) { throw; } }\n"
       "void k(std::exception_ptr p) { std::rethrow_exception(p); }\n";
-  EXPECT_TRUE(lint_source("src/gp/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/gp/fixture.cpp", source).empty());
 }
 
 TEST(PamoLint, ThrowDisciplineDoesNotApplyToTests) {
   const std::string source =
       "void f() { throw std::runtime_error(\"test-only\"); }\n";
-  EXPECT_TRUE(lint_source("tests/gp/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("tests/gp/fixture.cpp", source).empty());
 }
 
 // ---- catch-all-swallow ----------------------------------------------------
@@ -166,7 +159,7 @@ TEST(PamoLint, FlagsSwallowingCatchAll) {
       "    return -1;\n"
       "  }\n"
       "}\n";
-  EXPECT_TRUE(has_rule(lint_source("src/core/fixture.cpp", source),
+  EXPECT_TRUE(has_rule(analyze_one("src/core/fixture.cpp", source),
                        "catch-all-swallow"));
 }
 
@@ -176,7 +169,7 @@ TEST(PamoLint, CatchAllThatCapturesOrRethrowsIsAllowed) {
       "  try { g(); } catch (...) { error = std::current_exception(); }\n"
       "  try { g(); } catch (...) { cleanup(); throw; }\n"
       "}\n";
-  EXPECT_TRUE(lint_source("src/core/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/core/fixture.cpp", source).empty());
 }
 
 // ---- float-eq -------------------------------------------------------------
@@ -186,7 +179,7 @@ TEST(PamoLint, FlagsFloatLiteralComparisons) {
       "bool f(double x) { return x == 0.0; }\n"
       "bool g(double x) { return 1.5f != x; }\n"
       "bool h(double x) { return x == 1e-6; }\n";
-  const auto rules = rules_hit(lint_source("src/la/fixture.cpp", source));
+  const auto rules = rules_hit(analyze_one("src/la/fixture.cpp", source));
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "float-eq"), 3);
 }
 
@@ -196,7 +189,7 @@ TEST(PamoLint, IntegerComparisonsAndInequalitiesAreAllowed) {
       "bool g(double x) { return x <= 0.5; }\n"
       "bool h(double x) { return x >= 1.0 && x < 2.0; }\n"
       "bool k(std::size_t n) { return n != 10; }\n";
-  EXPECT_TRUE(lint_source("src/la/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/la/fixture.cpp", source).empty());
 }
 
 // ---- unchecked-front-back -------------------------------------------------
@@ -206,7 +199,7 @@ TEST(PamoLint, FlagsUncheckedFrontInSchedulingPath) {
       "double f(const std::vector<double>& v) {\n"
       "  return v.front();\n"
       "}\n";
-  EXPECT_TRUE(has_rule(lint_source("src/sim/fixture.cpp", source),
+  EXPECT_TRUE(has_rule(analyze_one("src/sim/fixture.cpp", source),
                        "unchecked-front-back"));
 }
 
@@ -220,14 +213,14 @@ TEST(PamoLint, GuardedFrontBackIsAllowed) {
       "  v.push_back(1.0);\n"
       "  return v.back();\n"
       "}\n";
-  EXPECT_FALSE(has_rule(lint_source("src/sim/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/sim/fixture.cpp", source),
                         "unchecked-front-back"));
 }
 
 // ---- header hygiene -------------------------------------------------------
 
 TEST(PamoLint, FlagsHeaderWithoutPragmaOnce) {
-  const auto findings = lint_source("src/eva/fixture.hpp", "int x = 0;\n");
+  const auto findings = analyze_one("src/eva/fixture.hpp", "int x = 0;\n");
   ASSERT_TRUE(has_rule(findings, "pragma-once"));
   EXPECT_EQ(findings.front().line, 1u);
 }
@@ -236,13 +229,13 @@ TEST(PamoLint, FlagsUsingNamespaceInHeader) {
   const std::string source =
       "#pragma once\n"
       "using namespace std;\n";
-  EXPECT_TRUE(has_rule(lint_source("src/eva/fixture.hpp", source),
+  EXPECT_TRUE(has_rule(analyze_one("src/eva/fixture.hpp", source),
                        "using-namespace-header"));
 }
 
 TEST(PamoLint, HeaderRulesDoNotApplyToCpp) {
   const std::string source = "using namespace std;\n";
-  EXPECT_TRUE(lint_source("src/eva/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/eva/fixture.cpp", source).empty());
 }
 
 // ---- raw-thread -----------------------------------------------------------
@@ -252,7 +245,7 @@ TEST(PamoLint, FlagsDirectThreadConstructionInSrc) {
       "#include <thread>\n"
       "void spawn() { std::thread t([] {}); t.join(); }\n"
       "void spawn2() { std::jthread t([] {}); }\n";
-  const auto rules = rules_hit(lint_source("src/eva/fixture.cpp", source));
+  const auto rules = rules_hit(analyze_one("src/eva/fixture.cpp", source));
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "raw-thread"), 2);
 }
 
@@ -260,9 +253,9 @@ TEST(PamoLint, ThreadPoolImplementationMayOwnThreads) {
   const std::string source =
       "#include <thread>\n"
       "std::vector<std::thread> workers_;\n";
-  EXPECT_FALSE(has_rule(lint_source("src/common/thread_pool.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/common/thread_pool.cpp", source),
                         "raw-thread"));
-  EXPECT_FALSE(has_rule(lint_source("src/common/thread_pool.hpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/common/thread_pool.hpp", source),
                         "raw-thread"));
 }
 
@@ -271,7 +264,7 @@ TEST(PamoLint, StaticThreadQueriesAreNotFlagged) {
       "#include <thread>\n"
       "unsigned n() { return std::thread::hardware_concurrency(); }\n"
       "auto id() { return std::this_thread::get_id(); }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/eva/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/eva/fixture.cpp", source),
                         "raw-thread"));
 }
 
@@ -279,7 +272,7 @@ TEST(PamoLint, RawThreadOutsideSrcIsAllowed) {
   const std::string source =
       "#include <thread>\n"
       "void spawn() { std::thread t([] {}); t.join(); }\n";
-  EXPECT_FALSE(has_rule(lint_source("tests/common/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("tests/common/fixture.cpp", source),
                         "raw-thread"));
 }
 
@@ -293,7 +286,7 @@ TEST(PamoLint, FlagsWallClockReadsInSrc) {
       "void c(timeval* tv) { gettimeofday(tv, nullptr); }\n"
       "tm* d(const time_t* t) { return localtime(t); }\n"
       "void e(timespec* ts) { clock_gettime(CLOCK_REALTIME, ts); }\n";
-  const auto rules = rules_hit(lint_source("src/eva/fixture.cpp", source));
+  const auto rules = rules_hit(analyze_one("src/eva/fixture.cpp", source));
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "wall-clock"), 5);
 }
 
@@ -303,7 +296,7 @@ TEST(PamoLint, MonotonicClocksAndTimeLikeNamesAreAllowed) {
       "auto a() { return std::chrono::steady_clock::now(); }\n"
       "double b(double x) { return proc_time(x) + elapsed_time(x); }\n"
       "double c(const Frame& f) { return f.start_time; }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/sim/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/sim/fixture.cpp", source),
                         "wall-clock"));
 }
 
@@ -311,11 +304,11 @@ TEST(PamoLint, ObsAndTicksMayReadWallClock) {
   const std::string source =
       "#include <chrono>\n"
       "auto stamp() { return std::chrono::system_clock::now(); }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/obs/obs.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/obs/obs.cpp", source),
                         "wall-clock"));
-  EXPECT_FALSE(has_rule(lint_source("src/common/ticks.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/common/ticks.cpp", source),
                         "wall-clock"));
-  EXPECT_FALSE(has_rule(lint_source("tests/common/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("tests/common/fixture.cpp", source),
                         "wall-clock"));
 }
 
@@ -327,7 +320,7 @@ TEST(PamoLint, FlagsStreamWritersInLibraryCode) {
       "void a(const std::string& p) { std::ofstream out(p); out << 1; }\n"
       "void b(const std::string& p) { std::fstream f(p); }\n"
       "void c(const char* p) { FILE* f = fopen(p, \"w\"); (void)f; }\n";
-  const auto rules = rules_hit(lint_source("src/core/fixture.cpp", source));
+  const auto rules = rules_hit(analyze_one("src/core/fixture.cpp", source));
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "unchecked-file-write"), 3);
 }
 
@@ -335,14 +328,14 @@ TEST(PamoLint, ReadsAndNonLibraryWritersAreAllowed) {
   const std::string source =
       "#include <fstream>\n"
       "std::string a(const std::string& p) { std::ifstream in(p); return {}; }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/core/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/core/fixture.cpp", source),
                         "unchecked-file-write"));
   const std::string writer =
       "#include <fstream>\n"
       "void w(const std::string& p) { std::ofstream out(p); }\n";
-  EXPECT_FALSE(has_rule(lint_source("tools/fixture.cpp", writer),
+  EXPECT_FALSE(has_rule(analyze_one("tools/fixture.cpp", writer),
                         "unchecked-file-write"));
-  EXPECT_FALSE(has_rule(lint_source("bench/fixture.cpp", writer),
+  EXPECT_FALSE(has_rule(analyze_one("bench/fixture.cpp", writer),
                         "unchecked-file-write"));
 }
 
@@ -350,16 +343,16 @@ TEST(PamoLint, AtomicIoIsTheSanctionedWriter) {
   const std::string source =
       "#include <fstream>\n"
       "void w(const std::string& p) { std::ofstream out(p); }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/ckpt/atomic_io.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/ckpt/atomic_io.cpp", source),
                         "unchecked-file-write"));
 }
 
 TEST(PamoLint, UncheckedFileWriteIsSuppressible) {
   const std::string source =
       "#include <fstream>\n"
-      "// pamo-lint: allow(unchecked-file-write)\n"
+      "// pamo-analyze: allow(unchecked-file-write)\n"
       "void w(const std::string& p) { std::ofstream out(p); }\n";
-  EXPECT_TRUE(lint_source("src/core/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/core/fixture.cpp", source).empty());
 }
 
 // ---- governor-action ------------------------------------------------------
@@ -372,7 +365,7 @@ TEST(PamoLint, FlagsUnloggedAdmittedSetMutationInCore) {
       "void Governor::swap_in(std::vector<std::uint64_t> next) {\n"
       "  admitted_ = std::move(next);\n"
       "}\n";
-  const auto rules = rules_hit(lint_source("src/core/fixture.cpp", source));
+  const auto rules = rules_hit(analyze_one("src/core/fixture.cpp", source));
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "governor-action"), 2);
 }
 
@@ -382,7 +375,7 @@ TEST(PamoLint, LoggedAdmittedSetMutationIsAllowed) {
       "  record_action(plan, epoch_, id, GovernorDecision::kAdmit, \"ok\");\n"
       "  admitted_.push_back(id);\n"
       "}\n";
-  EXPECT_FALSE(has_rule(lint_source("src/core/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/core/fixture.cpp", source),
                         "governor-action"));
 }
 
@@ -396,93 +389,74 @@ TEST(PamoLint, AdmittedReadsAndLookalikeNamesAreNotMutations) {
       "  plan.admitted_load = load_sum_;\n"
       "  next_admitted.push_back(7);\n"
       "}\n";
-  EXPECT_TRUE(lint_source("src/core/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/core/fixture.cpp", source).empty());
 }
 
 TEST(PamoLint, GovernorActionDoesNotApplyOutsideCore) {
   const std::string source =
       "void Fixture::reset() { admitted_.clear(); }\n";
-  EXPECT_FALSE(has_rule(lint_source("src/eva/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("src/eva/fixture.cpp", source),
                         "governor-action"));
-  EXPECT_FALSE(has_rule(lint_source("tests/core/fixture.cpp", source),
+  EXPECT_FALSE(has_rule(analyze_one("tests/core/fixture.cpp", source),
                         "governor-action"));
 }
 
 TEST(PamoLint, GovernorActionIsSuppressibleForStateRebuild) {
   const std::string source =
       "void Governor::restore() {\n"
-      "  admitted_.clear();  // pamo-lint: allow(governor-action)\n"
+      "  admitted_.clear();  // pamo-analyze: allow(governor-action)\n"
       "}\n";
-  EXPECT_TRUE(lint_source("src/core/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/core/fixture.cpp", source).empty());
 }
 
 // ---- suppressions ---------------------------------------------------------
 
 TEST(PamoLint, SameLineSuppressionSilencesFinding) {
   const std::string source =
-      "bool f(double x) { return x == 0.0; }  // pamo-lint: allow(float-eq)\n";
-  EXPECT_TRUE(lint_source("src/la/fixture.cpp", source).empty());
+      "bool f(double x) { return x == 0.0; }"
+      "  // pamo-analyze: allow(float-eq)\n";
+  EXPECT_TRUE(analyze_one("src/la/fixture.cpp", source).empty());
 }
 
 TEST(PamoLint, PreviousLineSuppressionSilencesFinding) {
   const std::string source =
-      "// pamo-lint: allow(float-eq)\n"
+      "// pamo-analyze: allow(float-eq)\n"
       "bool f(double x) { return x == 0.0; }\n";
-  EXPECT_TRUE(lint_source("src/la/fixture.cpp", source).empty());
+  EXPECT_TRUE(analyze_one("src/la/fixture.cpp", source).empty());
 }
 
 TEST(PamoLint, SuppressionIsRuleSpecific) {
   const std::string source =
-      "// pamo-lint: allow(determinism-rng)\n"
+      "// pamo-analyze: allow(determinism-rng)\n"
       "bool f(double x) { return x == 0.0; }\n";
-  EXPECT_TRUE(has_rule(lint_source("src/la/fixture.cpp", source), "float-eq"));
+  EXPECT_TRUE(has_rule(analyze_one("src/la/fixture.cpp", source), "float-eq"));
 }
 
 TEST(PamoLint, IncludeSuppressedKeepsAndMarksFinding) {
   Options options;
   options.include_suppressed = true;
   const std::string source =
-      "bool f(double x) { return x == 0.0; }  // pamo-lint: allow(float-eq)\n";
-  const auto findings = lint_source("src/la/fixture.cpp", source, options);
+      "bool f(double x) { return x == 0.0; }"
+      "  // pamo-analyze: allow(float-eq)\n";
+  const auto findings = analyze_one("src/la/fixture.cpp", source, options);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_TRUE(findings.front().suppressed);
-}
-
-TEST(PamoLint, SuppressionInsideStringLiteralIsInert) {
-  // The allow directive lives in a string literal, not a comment; it must
-  // not silence the float-eq on the next line (it used to, when
-  // suppressions were scanned over raw source text).
-  const std::string source =
-      "const char* doc = \"pamo-lint: allow(float-eq)\";\n"
-      "bool f(double x) { return x == 0.0; }\n";
-  EXPECT_TRUE(has_rule(lint_source("src/la/fixture.cpp", source), "float-eq"));
 }
 
 TEST(PamoLint, MultiRuleSuppressionList) {
   const std::string source =
       "bool f(double x) { return x == 0.0; }"
-      "  // pamo-lint: allow(float-eq, determinism-rng)\n";
-  EXPECT_TRUE(lint_source("src/la/fixture.cpp", source).empty());
+      "  // pamo-analyze: allow(float-eq, determinism-rng)\n";
+  EXPECT_TRUE(analyze_one("src/la/fixture.cpp", source).empty());
 }
 
-// ---- report formats -------------------------------------------------------
-
-TEST(PamoLint, TextReportCarriesLocationAndRule) {
-  const auto findings =
-      lint_source("src/la/fixture.cpp", "bool f(double x) { return x == 0.0; }\n");
-  const std::string text = to_text(findings);
-  EXPECT_NE(text.find("src/la/fixture.cpp:1"), std::string::npos);
-  EXPECT_NE(text.find("[float-eq]"), std::string::npos);
-}
-
-TEST(PamoLint, JsonReportIsMachineReadable) {
-  const auto findings =
-      lint_source("src/la/fixture.cpp", "bool f(double x) { return x == 0.0; }\n");
-  const std::string json = to_json(findings);
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"float-eq\""), std::string::npos);
-  EXPECT_NE(json.find("\"line\":1"), std::string::npos);
-  EXPECT_EQ(to_json({}).find("{\"findings\":[],\"count\":0}"), 0u);
+TEST(PamoLint, SuppressionInsideStringLiteralIsInert) {
+  // The allow directive lives in a string literal, not a comment; it must
+  // not silence the float-eq on the next line.
+  const std::string source =
+      "const char* doc = \"pamo-analyze: allow(float-eq)\";\n"
+      "bool f(double x) { return x == 0.0; }\n";
+  EXPECT_TRUE(has_rule(analyze_one("src/la/fixture.cpp", source), "float-eq"));
 }
 
 // ---- stripping ------------------------------------------------------------
@@ -491,7 +465,7 @@ TEST(PamoLint, StripPreservesGeometryAndBlanksLiterals) {
   const std::string source =
       "int a = 1; // std::rand\n"
       "const char* s = \"x == 0.0\";\n";
-  const std::string stripped = strip_comments_and_strings(source);
+  const std::string stripped = strip_source(source).code;
   EXPECT_EQ(std::count(stripped.begin(), stripped.end(), '\n'),
             std::count(source.begin(), source.end(), '\n'));
   EXPECT_EQ(stripped.find("std::rand"), std::string::npos);
@@ -503,19 +477,57 @@ TEST(PamoLint, StripHandlesRawStrings) {
   const std::string source =
       "const char* s = R\"(std::random_device inside)\";\n"
       "int after = 2;\n";
-  const std::string stripped = strip_comments_and_strings(source);
+  const std::string stripped = strip_source(source).code;
   EXPECT_EQ(stripped.find("random_device"), std::string::npos);
   EXPECT_NE(stripped.find("int after = 2;"), std::string::npos);
 }
 
 TEST(PamoLint, SchedulingPathPredicate) {
-  EXPECT_TRUE(is_scheduling_path("src/sched/scheduler.cpp"));
-  EXPECT_TRUE(is_scheduling_path("/root/repo/src/bo/candidates.cpp"));
-  EXPECT_TRUE(is_scheduling_path("src/sim/fault.hpp"));
-  EXPECT_TRUE(is_scheduling_path("src/core/service.cpp"));
-  EXPECT_FALSE(is_scheduling_path("src/eva/profiler.cpp"));
-  EXPECT_FALSE(is_scheduling_path("tests/sched/test_scheduler.cpp"));
+  EXPECT_TRUE(Scope("src/sched/scheduler.cpp").scheduling_path());
+  EXPECT_TRUE(Scope(scope_path("/home/u/src/pamo/src",
+                               "/home/u/src/pamo/src/bo/candidates.cpp"))
+                  .scheduling_path());
+  EXPECT_TRUE(Scope("src/sim/fault.hpp").scheduling_path());
+  EXPECT_TRUE(Scope("src/core/service.cpp").scheduling_path());
+  EXPECT_FALSE(Scope("src/eva/profiler.cpp").scheduling_path());
+  EXPECT_FALSE(Scope("tests/sched/test_scheduler.cpp").scheduling_path());
+}
+
+// ---- rule list and reports -----------------------------------------------
+
+TEST(PamoLint, RuleListIsStableAndComplete) {
+  const auto& ids = rule_ids();
+  ASSERT_EQ(ids.size(), 17u);
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "determinism-rng"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "float-eq"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "pragma-once"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "raw-thread"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "wall-clock"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "unchecked-file-write"),
+            ids.end());
+  // The per-file rules come first and end with the last one appended to
+  // that family; the tree analyses follow.
+  EXPECT_EQ(ids.front(), "determinism-rng");
+  EXPECT_EQ(ids[12], "governor-action");
+}
+
+TEST(PamoLint, TextReportCarriesLocationAndRule) {
+  const auto findings = analyze_one("src/la/fixture.cpp",
+                                    "bool f(double x) { return x == 0.0; }\n");
+  const std::string text = to_text(findings);
+  EXPECT_NE(text.find("src/la/fixture.cpp:1"), std::string::npos);
+  EXPECT_NE(text.find("[float-eq]"), std::string::npos);
+}
+
+TEST(PamoLint, JsonReportIsMachineReadable) {
+  const auto findings = analyze_one("src/la/fixture.cpp",
+                                    "bool f(double x) { return x == 0.0; }\n");
+  const std::string json = to_json(findings);
+  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"rule\":\"float-eq\""), std::string::npos);
+  EXPECT_NE(json.find("\"line\":1"), std::string::npos);
+  EXPECT_EQ(to_json({}).find("{\"findings\":[],\"count\":0}"), 0u);
 }
 
 }  // namespace
-}  // namespace pamo::lint
+}  // namespace pamo::analyze

@@ -1,22 +1,33 @@
 #include "pamo_analyze/analyze.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
 
+#include "obs/json.hpp"
+#include "pamo_analyze/rules.hpp"
+
 namespace pamo::analyze {
 namespace {
 
-// New rules are APPENDED: the id order is the stable report order that
-// --list-rules and the tests pin down.
+// New rules are APPENDED to their family: the id order is the stable
+// report order that --list-rules and the tests pin down.
 const char* const kRuleIds[] = {
-    "snapshot-coverage",
-    "layer-dag",
-    "contract-coverage",
+    // Per-file rules (rules.cpp).
+    "determinism-rng",   "time-seeded-rng",      "unordered-iter",
+    "throw-discipline",  "catch-all-swallow",    "float-eq",
+    "unchecked-front-back", "pragma-once",       "using-namespace-header",
+    "raw-thread",        "wall-clock",           "unchecked-file-write",
+    "governor-action",
+    // Tree analyses.
+    "snapshot-coverage", "layer-dag",            "contract-coverage",
     "capture-hygiene",
 };
+
+const char* const kSchedulingDirs[] = {"sim", "sched", "bo", "core"};
 
 // The layer table: includes may only point at the same directory or a
 // strictly lower rank. This is the dependency order the tree actually
@@ -61,36 +72,6 @@ bool is_keyword(const std::string& s) {
       "do",       "else",     "case",     "break",    "continue",
   };
   return kKeywords.count(s) != 0;
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// First path component under `root` ("src/" or "tools/"), where root must
-/// sit at the start of the path or right after a '/'. Empty when absent.
-std::string dir_under(const std::string& path, const std::string& root) {
-  std::size_t pos = 0;
-  while ((pos = path.find(root, pos)) != std::string::npos) {
-    if (pos == 0 || path[pos - 1] == '/') {
-      const std::size_t b = pos + root.size();
-      const std::size_t e = path.find('/', b);
-      if (e == std::string::npos) return "";
-      return path.substr(b, e - b);
-    }
-    ++pos;
-  }
-  return "";
-}
-
-bool under_root(const std::string& path, const std::string& root) {
-  std::size_t pos = 0;
-  while ((pos = path.find(root, pos)) != std::string::npos) {
-    if (pos == 0 || path[pos - 1] == '/') return true;
-    ++pos;
-  }
-  return false;
 }
 
 int layer_rank(const std::string& dir) {
@@ -624,6 +605,20 @@ void parse_comment_directives(FileIndex& fi, const std::string& comments) {
   }
 }
 
+FileIndex index_stripped(const std::string& path, const std::string& scope,
+                         const std::string& content,
+                         const std::string& comments) {
+  FileIndex fi;
+  fi.path = path;
+  fi.scope = Scope(scope);
+  fi.tokens = tokenize(content);
+  fi.includes = parse_includes(content);
+  parse_comment_directives(fi, comments);
+  Indexer indexer{fi, fi.tokens};
+  indexer.parse_block(fi.tokens.size(), nullptr, nullptr);
+  return fi;
+}
+
 // ---- Analyses -------------------------------------------------------------
 
 struct Analyzer {
@@ -649,7 +644,7 @@ struct Analyzer {
   void layer_dag() {
     // Directory-rank edges.
     for (const auto& fi : files) {
-      const std::string dir = dir_under(fi.path, "src/");
+      const std::string& dir = fi.scope.layer;
       int rank = -1;
       if (!dir.empty()) {
         rank = layer_rank(dir);
@@ -660,7 +655,7 @@ struct Analyzer {
                   "DESIGN.md) before introducing a new layer");
           continue;
         }
-      } else if (under_root(fi.path, "tools/")) {
+      } else if (fi.scope.top == "tools") {
         rank = kToolsRank;
       } else {
         continue;
@@ -694,7 +689,7 @@ struct Analyzer {
     const auto resolve = [&](const std::string& target) -> std::size_t {
       for (std::size_t i = 0; i < files.size(); ++i) {
         if (files[i].path == target ||
-            ends_with(files[i].path, "/" + target)) {
+            files[i].path.ends_with("/" + target)) {
           return i;
         }
       }
@@ -897,10 +892,9 @@ struct Analyzer {
   // -- contract-coverage ----------------------------------------------------
   void contract_coverage() {
     for (const auto& fi : files) {
-      const std::string dir = dir_under(fi.path, "src/");
       bool in_scope = false;
       for (const char* d : kContractDirs) {
-        if (dir == d) in_scope = true;
+        if (fi.scope.layer == d) in_scope = true;
       }
       if (!in_scope) continue;
       for (const auto& fd : fi.functions) {
@@ -947,7 +941,7 @@ struct Analyzer {
   // -- capture-hygiene ------------------------------------------------------
   void capture_hygiene() {
     for (const auto& fi : files) {
-      if (dir_under(fi.path, "src/").empty()) continue;
+      if (fi.scope.layer.empty()) continue;
       const auto& tk = fi.tokens;
       for (std::size_t i = 0; i + 1 < tk.size(); ++i) {
         if (tk[i].kind != TokenKind::kIdentifier) continue;
@@ -1204,23 +1198,6 @@ struct Analyzer {
   }
 };
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 const std::vector<std::string>& rule_ids() {
@@ -1229,24 +1206,49 @@ const std::vector<std::string>& rule_ids() {
   return ids;
 }
 
+std::string scope_path(const std::string& root, const std::string& file) {
+  namespace fs = std::filesystem;
+  fs::path r = fs::path(root).lexically_normal();
+  if (!r.has_filename()) r = r.parent_path();  // "src/" names "src"
+  return fs::path(file)
+      .lexically_normal()
+      .lexically_relative(r.parent_path())
+      .generic_string();
+}
+
+Scope::Scope(std::string rel_path) : rel(std::move(rel_path)) {
+  const std::size_t slash = rel.find('/');
+  top = rel.substr(0, slash);
+  if (top == "src" && slash != std::string::npos) {
+    const std::size_t next = rel.find('/', slash + 1);
+    if (next != std::string::npos) {
+      layer = rel.substr(slash + 1, next - slash - 1);
+    }
+  }
+}
+
+bool Scope::scheduling_path() const {
+  return std::find(std::begin(kSchedulingDirs), std::end(kSchedulingDirs),
+                   layer) != std::end(kSchedulingDirs);
+}
+
 FileIndex index_file(const std::string& path, const std::string& content) {
-  FileIndex fi;
-  fi.path = path;
-  fi.tokens = tokenize(content);
-  fi.includes = parse_includes(content);
-  parse_comment_directives(fi, strip_source(content).comments);
-  Indexer indexer{fi, fi.tokens};
-  indexer.parse_block(fi.tokens.size(), nullptr, nullptr);
-  return fi;
+  return index_stripped(path, path, content, strip_source(content).comments);
 }
 
 std::vector<Finding> analyze_tree(const std::vector<SourceFile>& files,
                                   const Options& options) {
   std::vector<FileIndex> idx;
   idx.reserve(files.size());
-  for (const auto& f : files) idx.push_back(index_file(f.path, f.content));
+  std::vector<Finding> findings;
+  for (const auto& f : files) {
+    const StripResult stripped = strip_source(f.content);
+    idx.push_back(index_stripped(f.path, f.scope.empty() ? f.path : f.scope,
+                                 f.content, stripped.comments));
+    check_file(f.path, idx.back().scope, stripped.code, findings);
+  }
 
-  Analyzer analyzer{idx, {}};
+  Analyzer analyzer{idx, std::move(findings)};
   analyzer.snapshot_coverage();
   analyzer.layer_dag();
   analyzer.contract_coverage();
@@ -1292,21 +1294,21 @@ std::string to_text(const std::vector<Finding>& findings) {
 }
 
 std::string to_json(const std::vector<Finding>& findings) {
-  std::ostringstream os;
-  os << "{\"findings\":[";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const auto& f = findings[i];
-    if (i != 0) os << ',';
-    os << "{\"file\":\"";
-    json_escape(os, f.file);
-    os << "\",\"line\":" << f.line << ",\"rule\":\"";
-    json_escape(os, f.rule);
-    os << "\",\"message\":\"";
-    json_escape(os, f.message);
-    os << "\",\"suppressed\":" << (f.suppressed ? "true" : "false") << '}';
+  using obs::json::Value;
+  Value list = Value::array();
+  for (const auto& f : findings) {
+    Value entry = Value::object();
+    entry.set("file", f.file);
+    entry.set("line", static_cast<std::uint64_t>(f.line));
+    entry.set("rule", f.rule);
+    entry.set("message", f.message);
+    entry.set("suppressed", f.suppressed);
+    list.push_back(std::move(entry));
   }
-  os << "],\"count\":" << findings.size() << '}';
-  return os.str();
+  Value report = Value::object();
+  report.set("findings", std::move(list));
+  report.set("count", static_cast<std::uint64_t>(findings.size()));
+  return report.dump();
 }
 
 }  // namespace pamo::analyze

@@ -1,10 +1,14 @@
-// pamo_analyze CLI — index every C++ source under the given paths as one
-// tree, run the cross-file analyses (snapshot-coverage, layer-dag,
-// contract-coverage, capture-hygiene), print findings, exit non-zero when
-// any unsuppressed finding remains.
+// pamo_analyze CLI — run every rule (the per-file rules and the cross-file
+// analyses) over the C++ sources under the given roots as one tree, print
+// findings, exit 1 when any unsuppressed finding remains and 2 on a usage
+// error, a missing root, or an unreadable file.
 //
 // Usage: pamo_analyze [--format=text|json] [--include-suppressed]
-//                     [--list-rules] <path>...
+//                     [--list-rules] <root>...
+//
+// Roots are top-level directories of a checkout (src tests bench examples
+// tools). Path-scoped rules read each file's path below its root's parent,
+// so `pamo_analyze src` and `pamo_analyze /any/where/src` agree.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -22,27 +26,6 @@ namespace fs = std::filesystem;
 bool analyzable(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cpp" || ext == ".hpp" || ext == ".h";
-}
-
-std::vector<std::string> collect(const std::vector<std::string>& inputs) {
-  std::vector<std::string> files;
-  for (const auto& input : inputs) {
-    const fs::path p(input);
-    if (fs::is_directory(p)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p)) {
-        if (entry.is_regular_file() && analyzable(entry.path())) {
-          files.push_back(entry.path().generic_string());
-        }
-      }
-    } else if (fs::is_regular_file(p)) {
-      files.push_back(p.generic_string());
-    } else {
-      std::cerr << "pamo_analyze: no such file or directory: " << input
-                << '\n';
-    }
-  }
-  std::sort(files.begin(), files.end());  // deterministic report order
-  return files;
 }
 
 }  // namespace
@@ -66,7 +49,7 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: pamo_analyze [--format=text|json] "
-                   "[--include-suppressed] [--list-rules] <path>...\n";
+                   "[--include-suppressed] [--list-rules] <root>...\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "pamo_analyze: unknown option '" << arg << "'\n";
@@ -81,15 +64,37 @@ int main(int argc, char** argv) {
   }
 
   std::vector<pamo::analyze::SourceFile> sources;
-  for (const auto& file : collect(inputs)) {
-    std::ifstream in(file, std::ios::binary);
+  for (const auto& root : inputs) {
+    std::vector<std::string> found;
+    if (fs::is_directory(root)) {
+      for (const auto& entry : fs::recursive_directory_iterator(root)) {
+        if (entry.is_regular_file() && analyzable(entry.path())) {
+          found.push_back(entry.path().generic_string());
+        }
+      }
+    } else if (fs::is_regular_file(root)) {
+      found.push_back(fs::path(root).generic_string());
+    } else {
+      // A mistyped root would otherwise check nothing and pass the gate.
+      std::cerr << "pamo_analyze: no such file or directory: " << root << '\n';
+      return 2;
+    }
+    for (auto& file : found) {
+      std::string scope = pamo::analyze::scope_path(root, file);
+      sources.push_back({std::move(file), {}, std::move(scope)});
+    }
+  }
+  std::sort(sources.begin(), sources.end(),  // deterministic report order
+            [](const auto& a, const auto& b) { return a.path < b.path; });
+  for (auto& source : sources) {
+    std::ifstream in(source.path, std::ios::binary);
     if (!in) {
-      std::cerr << "pamo_analyze: cannot read " << file << '\n';
+      std::cerr << "pamo_analyze: cannot read " << source.path << '\n';
       return 2;
     }
     std::ostringstream content;
     content << in.rdbuf();
-    sources.push_back(pamo::analyze::SourceFile{file, content.str()});
+    source.content = content.str();
   }
 
   const auto all = pamo::analyze::analyze_tree(sources, options);

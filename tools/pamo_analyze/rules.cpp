@@ -1,37 +1,19 @@
-#include "pamo_lint/lint.hpp"
+// The per-file rules: token/regex passes over one file's code channel.
+// Rule ids and their scopes are documented in analyze.hpp; suppression,
+// sorting, and reporting are analyze_tree's, shared with the tree analyses.
+#include "pamo_analyze/rules.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <regex>
 #include <set>
-#include <sstream>
 
 #include "pamo_analyze/tokenizer.hpp"
 
-namespace pamo::lint {
+namespace pamo::analyze {
 namespace {
 
-// New rules are APPENDED: the id order is the stable report order that
-// --list-rules and the tests pin down.
-const char* const kRuleIds[] = {
-    "determinism-rng",   "time-seeded-rng",      "unordered-iter",
-    "throw-discipline",  "catch-all-swallow",    "float-eq",
-    "unchecked-front-back", "pragma-once",       "using-namespace-header",
-    "raw-thread",        "wall-clock",           "unchecked-file-write",
-    "governor-action",
-};
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool is_header_path(const std::string& path) {
-  return ends_with(path, ".hpp") || ends_with(path, ".h");
-}
-
-bool is_src_path(const std::string& path) {
-  return path.find("src/") != std::string::npos;
+  return path.ends_with(".hpp") || path.ends_with(".h");
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -49,37 +31,11 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
-// Per-line sets of rule ids silenced by `pamo-lint: allow(a, b)` comments.
-// Scans the comment channel of the shared stripper, so the directive only
-// counts inside a real comment — a string literal that merely mentions the
-// allow syntax cannot silence a rule.
-std::vector<std::set<std::string>> parse_suppressions(
-    const std::vector<std::string>& comment_lines) {
-  std::vector<std::set<std::string>> allow(comment_lines.size());
-  static const std::regex kAllow(R"(pamo-lint:\s*allow\(([^)]*)\))");
-  for (std::size_t i = 0; i < comment_lines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(comment_lines[i], m, kAllow)) continue;
-    std::stringstream list(m[1].str());
-    std::string id;
-    while (std::getline(list, id, ',')) {
-      id.erase(std::remove_if(id.begin(), id.end(),
-                              [](unsigned char c) { return std::isspace(c); }),
-               id.end());
-      if (!id.empty()) allow[i].insert(id);
-    }
-  }
-  return allow;
-}
-
-bool is_word(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
 struct Linter {
   const std::string& path;
+  const Scope& scope;
   const std::vector<std::string>& code;   // comments/strings blanked
-  std::vector<Finding> findings;
+  std::vector<Finding>& findings;
 
   void add(std::size_t line_index, const char* rule, std::string message) {
     findings.push_back(Finding{path, line_index + 1, rule, std::move(message),
@@ -116,7 +72,7 @@ struct Linter {
 
   // -- unordered-iter -------------------------------------------------------
   void rule_unordered_iter() {
-    if (!is_scheduling_path(path)) return;
+    if (!scope.scheduling_path()) return;
     // Pass 1: names declared with an unordered type anywhere in this file
     // (members, locals, parameters — all hazardous to range-iterate).
     std::set<std::string> unordered_names;
@@ -143,7 +99,7 @@ struct Linter {
           ++name_begin;
         }
         std::size_t name_end = name_begin;
-        while (name_end < line.size() && is_word(line[name_end])) ++name_end;
+        while (name_end < line.size() && is_word_char(line[name_end])) ++name_end;
         if (name_end > name_begin) {
           unordered_names.insert(line.substr(name_begin, name_end - name_begin));
         }
@@ -161,7 +117,7 @@ struct Linter {
       std::string component;
       bool hit = false;
       for (std::size_t k = 0; k <= expr.size(); ++k) {
-        if (k == expr.size() || !is_word(expr[k])) {
+        if (k == expr.size() || !is_word_char(expr[k])) {
           if (unordered_names.count(component) != 0) hit = true;
           component.clear();
         } else {
@@ -180,14 +136,14 @@ struct Linter {
 
   // -- throw-discipline -----------------------------------------------------
   void rule_throw_discipline() {
-    if (!is_src_path(path)) return;
+    if (!scope.in_src()) return;
     for (std::size_t i = 0; i < code.size(); ++i) {
       const std::string& line = code[i];
       for (std::size_t pos = line.find("throw"); pos != std::string::npos;
            pos = line.find("throw", pos + 5)) {
-        if (pos > 0 && is_word(line[pos - 1])) continue;       // rethrow_…
+        if (pos > 0 && is_word_char(line[pos - 1])) continue;       // rethrow_…
         const std::size_t after = pos + 5;
-        if (after < line.size() && is_word(line[after])) continue;  // throw_…
+        if (after < line.size() && is_word_char(line[after])) continue;  // throw_…
         std::size_t arg = after;
         while (arg < line.size() &&
                std::isspace(static_cast<unsigned char>(line[arg]))) {
@@ -246,7 +202,7 @@ struct Linter {
 
   // -- float-eq -------------------------------------------------------------
   void rule_float_eq() {
-    if (!is_src_path(path)) return;
+    if (!scope.in_src()) return;
     // A floating-point literal: has a dot, an exponent, or an f suffix.
     static const std::string kLit =
         R"((\d+\.\d*([eE][+-]?\d+)?[fFlL]?|\.\d+([eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?|\d+[fF]))";
@@ -266,7 +222,7 @@ struct Linter {
 
   // -- unchecked-front-back -------------------------------------------------
   void rule_unchecked_front_back() {
-    if (!is_scheduling_path(path)) return;
+    if (!scope.scheduling_path()) return;
     static const std::regex kFrontBack(
         R"(([A-Za-z_][\w]*(?:(?:\.|->)[A-Za-z_][\w]*)*)(?:\.|->)(front|back)\s*\(\s*\))");
     static const char* const kEvidence[] = {
@@ -310,9 +266,9 @@ struct Linter {
 
   // -- raw-thread -----------------------------------------------------------
   void rule_raw_thread() {
-    if (!is_src_path(path)) return;
+    if (!scope.in_src()) return;
     // The pool itself is the one place allowed to own std::thread objects.
-    if (path.find("common/thread_pool.") != std::string::npos) return;
+    if (scope.rel.starts_with("src/common/thread_pool.")) return;
     static const std::regex kThread(R"(std::\s*j?thread\b)");
     for (std::size_t i = 0; i < code.size(); ++i) {
       for (auto it = std::sregex_iterator(code[i].begin(), code[i].end(),
@@ -340,13 +296,12 @@ struct Linter {
 
   // -- wall-clock -----------------------------------------------------------
   void rule_wall_clock() {
-    if (!is_src_path(path)) return;
+    if (!scope.in_src()) return;
     // Monotonic clocks (steady_clock, common/ticks) are fine anywhere;
     // *wall-clock* reads make library behaviour depend on the date. Only
     // the observability layer and the tick utilities may touch real time,
     // and then only to label exports — never to steer a decision.
-    if (path.find("src/obs") != std::string::npos ||
-        path.find("common/ticks") != std::string::npos) {
+    if (scope.layer == "obs" || scope.rel.starts_with("src/common/ticks")) {
       return;
     }
     // The bare time() form matches only the argless/null-arg call so
@@ -365,10 +320,10 @@ struct Linter {
 
   // -- unchecked-file-write -------------------------------------------------
   void rule_unchecked_file_write() {
-    if (!is_src_path(path)) return;
+    if (!scope.in_src()) return;
     // The atomic-write protocol is the one sanctioned library writer
     // (POSIX fds + fsync + rename); everything durable routes through it.
-    if (path.find("src/ckpt/atomic_io") != std::string::npos) return;
+    if (scope.rel.starts_with("src/ckpt/atomic_io")) return;
     static const std::regex kWriter(
         R"((^|[^\w])(std::\s*)?(o?fstream)\b|(^|[^\w])fopen\s*\()");
     static const std::regex kPreprocessor(R"(^\s*#)");
@@ -386,7 +341,7 @@ struct Linter {
 
   // -- governor-action ------------------------------------------------------
   void rule_governor_action() {
-    if (path.find("src/core") == std::string::npos) return;
+    if (scope.layer != "core") return;
     // A mutation of the governor's remembered admitted set: assignment or
     // a mutating member call on the exact identifier `admitted_`. Reads
     // (begin/end/size, binary_search) and lookalike names (admitted_count,
@@ -429,53 +384,12 @@ struct Linter {
   }
 };
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
-const std::vector<std::string>& rule_ids() {
-  static const std::vector<std::string> ids(std::begin(kRuleIds),
-                                            std::end(kRuleIds));
-  return ids;
-}
-
-bool is_scheduling_path(const std::string& path) {
-  for (const char* dir : {"src/sim", "src/sched", "src/bo", "src/core"}) {
-    if (path.find(dir) != std::string::npos) return true;
-  }
-  return false;
-}
-
-std::string strip_comments_and_strings(const std::string& content) {
-  // The single stripper implementation lives in pamo_analyze; the lint rules
-  // consume its code channel (comments and literal bodies blanked, geometry
-  // preserved).
-  return analyze::strip_source(content).code;
-}
-
-std::vector<Finding> lint_source(const std::string& path,
-                                 const std::string& content,
-                                 const Options& options) {
-  const analyze::StripResult stripped = analyze::strip_source(content);
-  const std::vector<std::string> code = split_lines(stripped.code);
-  const auto allow = parse_suppressions(split_lines(stripped.comments));
-
-  Linter linter{path, code, {}};
+void check_file(const std::string& path, const Scope& scope,
+                const std::string& code, std::vector<Finding>& out) {
+  const std::vector<std::string> lines = split_lines(code);
+  Linter linter{path, scope, lines, out};
   linter.rule_determinism_rng();
   linter.rule_time_seeded_rng();
   linter.rule_unordered_iter();
@@ -489,50 +403,6 @@ std::vector<Finding> lint_source(const std::string& path,
   linter.rule_wall_clock();
   linter.rule_unchecked_file_write();
   linter.rule_governor_action();
-
-  std::vector<Finding> result;
-  for (auto& f : linter.findings) {
-    const std::size_t idx = f.line - 1;
-    const bool suppressed =
-        (idx < allow.size() && allow[idx].count(f.rule) != 0) ||
-        (idx > 0 && idx - 1 < allow.size() && allow[idx - 1].count(f.rule) != 0);
-    if (suppressed && !options.include_suppressed) continue;
-    f.suppressed = suppressed;
-    result.push_back(std::move(f));
-  }
-  std::stable_sort(result.begin(), result.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.line < b.line;
-                   });
-  return result;
 }
 
-std::string to_text(const std::vector<Finding>& findings) {
-  std::ostringstream os;
-  for (const auto& f : findings) {
-    os << f.file << ':' << f.line << ": [" << f.rule << "] " << f.message;
-    if (f.suppressed) os << " (suppressed)";
-    os << '\n';
-  }
-  return os.str();
-}
-
-std::string to_json(const std::vector<Finding>& findings) {
-  std::ostringstream os;
-  os << "{\"findings\":[";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const auto& f = findings[i];
-    if (i != 0) os << ',';
-    os << "{\"file\":\"";
-    json_escape(os, f.file);
-    os << "\",\"line\":" << f.line << ",\"rule\":\"";
-    json_escape(os, f.rule);
-    os << "\",\"message\":\"";
-    json_escape(os, f.message);
-    os << "\",\"suppressed\":" << (f.suppressed ? "true" : "false") << '}';
-  }
-  os << "],\"count\":" << findings.size() << '}';
-  return os.str();
-}
-
-}  // namespace pamo::lint
+}  // namespace pamo::analyze

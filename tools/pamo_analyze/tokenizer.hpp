@@ -1,9 +1,10 @@
 // Shared lossless C++ tokenizer for PaMO's repo-native static analyses.
 //
-// One comment/string stripping implementation serves both pamo_lint (per-file
-// regex rules) and pamo_analyze (whole-tree semantic passes). The contract is
-// geometric: every transformation preserves line and column positions exactly,
-// so a finding computed on the stripped text maps 1:1 onto the raw source.
+// One comment/string stripping implementation serves both of pamo_analyze's
+// rule families (per-file regex rules and whole-tree semantic passes). The
+// contract is geometric: every transformation preserves line and column
+// positions exactly, so a finding computed on the stripped text maps 1:1
+// onto the raw source.
 //
 // Three views of a translation unit:
 //   strip_source    two parallel strings the same shape as the input — `code`
