@@ -23,7 +23,10 @@ void fold_health(LearningHealth& fleet, const LearningHealth& shard) {
       std::max(fleet.max_jitter_applied, shard.max_jitter_applied);
   fleet.iteration_failures += shard.iteration_failures;
   fleet.watchdog_fires += shard.watchdog_fires;
-  fleet.inconsistent_pairs += shard.inconsistent_pairs;
+  // Every shard reads the one shared learner, so each reports the same
+  // count: summing would multiply it by the shard count.
+  fleet.inconsistent_pairs =
+      std::max(fleet.inconsistent_pairs, shard.inconsistent_pairs);
   fleet.heuristic_fallback |= shard.heuristic_fallback;
   fleet.drift_fires += shard.drift_fires;
   fleet.drift_downweighted += shard.drift_downweighted;

@@ -1,7 +1,6 @@
 #include "la/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -83,18 +82,6 @@ Vector matvec(const Matrix& a, const Vector& x) {
   return y;
 }
 
-Vector matvec_transposed(const Matrix& a, const Vector& x) {
-  PAMO_CHECK(a.rows() == x.size(), "matvec_transposed dimension mismatch");
-  Vector y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    // Exact-zero skip: sparsity shortcut, any nonzero must multiply.
-    if (xi == 0.0) continue;  // pamo-analyze: allow(float-eq)
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += a(i, j) * xi;
-  }
-  return y;
-}
-
 double dot(const Vector& a, const Vector& b) {
   PAMO_CHECK(a.size() == b.size(), "dot dimension mismatch");
   double sum = 0.0;
@@ -106,7 +93,5 @@ void axpy(double s, const Vector& x, Vector& y) {
   PAMO_CHECK(x.size() == y.size(), "axpy dimension mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += s * x[i];
 }
-
-double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
 
 }  // namespace pamo::la

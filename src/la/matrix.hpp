@@ -54,16 +54,10 @@ Matrix matmul_blocked(const Matrix& a, const Matrix& b,
 /// y = a * x.
 Vector matvec(const Matrix& a, const Vector& x);
 
-/// y = aᵀ * x.
-Vector matvec_transposed(const Matrix& a, const Vector& x);
-
 /// Dot product.
 double dot(const Vector& a, const Vector& b);
 
 /// y += s * x.
 void axpy(double s, const Vector& x, Vector& y);
-
-/// Euclidean norm.
-double norm2(const Vector& v);
 
 }  // namespace pamo::la

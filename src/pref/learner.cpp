@@ -1,6 +1,8 @@
 #include "pref/learner.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/normal.hpp"
@@ -28,7 +30,47 @@ PreferenceLearner::PreferenceLearner(
   refit();
 }
 
-void PreferenceLearner::refit() { model_.fit(pool_, pairs_); }
+std::size_t PreferenceLearner::model_row(
+    std::size_t index, std::vector<std::vector<double>>& fresh) {
+  const auto it = std::find(model_points_.begin(), model_points_.end(), index);
+  if (it != model_points_.end()) {
+    return static_cast<std::size_t>(it - model_points_.begin());
+  }
+  model_points_.push_back(index);
+  fresh.push_back(pool_[index]);
+  return model_points_.size() - 1;
+}
+
+void PreferenceLearner::refit() {
+  model_points_.clear();
+  if (pairs_.empty()) {
+    model_points_.resize(pool_.size());
+    std::iota(model_points_.begin(), model_points_.end(), std::size_t{0});
+    model_.fit(pool_, {});
+    return;
+  }
+  std::vector<std::vector<double>> points;
+  std::vector<ComparisonPair> rows;
+  rows.reserve(pairs_.size());
+  for (const auto& [winner, loser] : pairs_) {
+    const std::size_t w = model_row(winner, points);
+    rows.emplace_back(w, model_row(loser, points));
+  }
+  model_.fit(std::move(points), std::move(rows));
+}
+
+void PreferenceLearner::absorb(ComparisonPair pair) {
+  pairs_.push_back(pair);
+  // The first comparison replaces the prior-only fit over the whole pool.
+  if (model_.num_pairs() == 0) {
+    refit();
+    return;
+  }
+  std::vector<std::vector<double>> fresh;
+  const std::size_t w = model_row(pair.first, fresh);
+  const std::size_t l = model_row(pair.second, fresh);
+  model_.update(fresh, {{w, l}});
+}
 
 void PreferenceLearner::add_comparison(ComparisonPair pair) {
   PAMO_CHECK(pair.first < pool_.size() && pair.second < pool_.size(),
@@ -41,7 +83,6 @@ std::size_t PreferenceLearner::extend_pool(
     const std::vector<std::vector<double>>& outcomes) {
   const std::size_t first = pool_.size();
   pool_.insert(pool_.end(), outcomes.begin(), outcomes.end());
-  refit();
   return first;
 }
 
@@ -128,9 +169,8 @@ void PreferenceLearner::run(PreferenceOracle& oracle,
       }
     }
     const bool a_wins = oracle.prefers(pool_[best_a], pool_[best_b]);
-    pairs_.push_back(a_wins ? ComparisonPair{best_a, best_b}
-                            : ComparisonPair{best_b, best_a});
-    refit();
+    absorb(a_wins ? ComparisonPair{best_a, best_b}
+                  : ComparisonPair{best_b, best_a});
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // Each round, the learner scores candidate comparison pairs with the
 // Expected Utility of the Best Option (EUBO, Lin et al. 2022 — Eq. 11),
-// asks the decision-maker the winning question, and refits the preference
+// asks the decision-maker the winning question, and updates the preference
 // GP with the answer. EUBO has a closed form under the joint Gaussian
 // posterior: E[max(g₁, g₂)] = μ₁Φ(d) + μ₂Φ(−d) + θ φ(d) with
 // θ² = Var[g₁ − g₂], d = (μ₁ − μ₂)/θ.
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "pref/oracle.hpp"
 #include "pref/preference_gp.hpp"
@@ -36,8 +37,15 @@ struct LearnerOptions {
   bool use_eubo = true;
 };
 
-/// Drives rounds of (select pair → query oracle → refit model) over a
-/// fixed pool of candidate outcome vectors.
+/// Drives rounds of (select pair → query oracle → update model) over a
+/// pool of candidate outcome vectors.
+///
+/// The pool is only the EUBO candidate set. The model is fit on the
+/// compared points alone, in the order each first appears in a comparison:
+/// a point no comparison references carries no likelihood term, so leaving
+/// it out changes neither the MAP nor any prediction, and EUBO evaluates it
+/// as a test point instead. Until the first comparison the model is the
+/// prior over the whole pool, which predicts 0 everywhere.
 class PreferenceLearner {
  public:
   PreferenceLearner(std::vector<std::vector<double>> candidate_outcomes,
@@ -46,11 +54,13 @@ class PreferenceLearner {
   /// Run `num_comparisons` query rounds against the oracle.
   void run(PreferenceOracle& oracle, std::size_t num_comparisons);
 
-  /// Add one externally obtained comparison (indices into the pool).
+  /// Add one externally obtained comparison (indices into the pool) and
+  /// refit the model cold.
   void add_comparison(ComparisonPair pair);
 
   /// Append candidate outcome vectors (e.g. newly observed outcomes from
-  /// the BO loop); returns the index of the first appended point.
+  /// the BO loop); returns the index of the first appended point. The model
+  /// is untouched until a comparison references one of them.
   std::size_t extend_pool(const std::vector<std::vector<double>>& outcomes);
 
   /// Bound the pool for long-running (churned) lineages: keep the first
@@ -63,14 +73,16 @@ class PreferenceLearner {
   std::size_t compact_pool(std::size_t max_points, std::size_t keep_anchor);
 
   /// Serialize the learner's persistent state: the candidate pool, every
-  /// comparison asked so far, the pair-selection RNG mid-stream, and the
-  /// fitted preference model.
+  /// comparison asked so far, the pair-selection RNG mid-stream, the
+  /// fitted preference model, and the pool index of each model row.
   [[nodiscard]] obs::json::Value snapshot() const;
 
   /// Rebuild from snapshot(), replacing pool, pairs, RNG, and model. The
   /// learner must have been constructed with the same LearnerOptions; the
   /// construction-time pool and seed are overwritten. After restore, the
-  /// next run() asks bit-identical queries to the original instance.
+  /// next run() asks bit-identical queries to the original instance. A
+  /// snapshot without model rows (the model then holds the whole pool, in
+  /// pool order) restores with the identity map.
   void restore(const obs::json::Value& snap);
 
   [[nodiscard]] const PreferenceGp& model() const { return model_; }
@@ -80,10 +92,20 @@ class PreferenceLearner {
   [[nodiscard]] std::size_t num_comparisons() const { return pairs_.size(); }
 
  private:
+  /// Cold fit on the compared points (the prior over the pool when there
+  /// are no comparisons).
   void refit();
+  /// Record one answered comparison with a warm-started model update.
+  void absorb(ComparisonPair pair);
+  /// Model row of pool point `index`, appending it to the model rows (and
+  /// its outcome vector to `fresh`) when it has none yet.
+  std::size_t model_row(std::size_t index,
+                        std::vector<std::vector<double>>& fresh);
 
   std::vector<std::vector<double>> pool_;
   std::vector<ComparisonPair> pairs_;
+  // Pool index of each model row.
+  std::vector<std::size_t> model_points_;
   // Construction-time configuration, re-supplied by the ctor on restore.
   // pamo-analyze: allow(snapshot-coverage)
   LearnerOptions options_;

@@ -7,6 +7,7 @@
 // bitwise-different MAP. Carrying g_map, W, both Cholesky factors, and the
 // per-pair weights across makes the restored posterior — and every EUBO
 // score computed from it — identical to the uninterrupted instance's.
+#include <numeric>
 #include <utility>
 
 #include "ckpt/codec.hpp"
@@ -99,6 +100,7 @@ json::Value PreferenceLearner::snapshot() const {
   obj.set("pairs", pairs_to_json(pairs_));
   obj.set("rng", codec::rng_to_json(rng_));
   obj.set("model", model_.snapshot());
+  obj.set("model_points", codec::uints_to_json(model_points_));
   return obj;
 }
 
@@ -113,6 +115,20 @@ void PreferenceLearner::restore(const json::Value& snap) {
   }
   rng_ = codec::rng_from_json(snap.at("rng"));
   model_.restore(snap.at("model"));
+  if (const json::Value* rows = snap.find("model_points")) {
+    model_points_ = codec::uints_from_json(*rows);
+  } else {
+    // Written before the model was cut down to the compared points: it
+    // holds the whole pool in pool order.
+    model_points_.resize(pool_.size());
+    std::iota(model_points_.begin(), model_points_.end(), std::size_t{0});
+  }
+  PAMO_CHECK(model_points_.size() == model_.num_points(),
+             "learner snapshot model rows do not match the model");
+  for (const std::size_t index : model_points_) {
+    PAMO_CHECK(index < pool_.size(),
+               "learner snapshot model row index out of range");
+  }
 }
 
 }  // namespace pamo::pref

@@ -243,23 +243,4 @@ double PreferenceGp::utility_mean(const std::vector<double>& y) const {
   return mean;
 }
 
-la::Matrix PreferenceGp::sample_joint(const std::vector<std::vector<double>>& y,
-                                      std::size_t num_samples,
-                                      Rng& rng) const {
-  const gp::Posterior post = posterior(y);
-  const std::size_t m = y.size();
-  const la::Cholesky chol(post.covariance, /*max_jitter=*/1e-2);
-  la::Matrix samples(num_samples, m);
-  la::Vector z(m);
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    for (auto& zi : z) zi = rng.normal();
-    for (std::size_t i = 0; i < m; ++i) {
-      double sum = post.mean[i];
-      for (std::size_t j = 0; j <= i; ++j) sum += chol.lower()(i, j) * z[j];
-      samples(s, i) = sum;
-    }
-  }
-  return samples;
-}
-
 }  // namespace pamo::pref

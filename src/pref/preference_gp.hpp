@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
 #include "la/cholesky.hpp"
@@ -76,18 +75,13 @@ class PreferenceGp {
   /// Posterior mean utility of a single outcome vector.
   [[nodiscard]] double utility_mean(const std::vector<double>& y) const;
 
-  /// Joint posterior samples of the utility at `y` (num_samples × |y|).
-  [[nodiscard]] la::Matrix sample_joint(
-      const std::vector<std::vector<double>>& y, std::size_t num_samples,
-      Rng& rng) const;
-
   /// MAP latent utilities at the training points.
   [[nodiscard]] const la::Vector& map_utilities() const { return g_map_; }
 
   /// Serialize the full posterior state (points, pairs, pair weights, the
   /// MAP solution, both Cholesky factors) as deterministic JSON. Restoring
   /// skips the Laplace iteration entirely — the exact factors come back,
-  /// so posterior()/sample_joint() are bit-identical after the round-trip.
+  /// so posterior() is bit-identical after the round-trip.
   [[nodiscard]] obs::json::Value snapshot() const;
 
   /// Rebuild from snapshot(). Must be constructed with the same

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "common/error.hpp"
 #include "core/evaluation.hpp"
 #include "eva/dynamics.hpp"
@@ -82,6 +85,14 @@ TEST(Service, LearnerPersistsAndGrows) {
   const std::size_t after_first = service.learner()->num_comparisons();
   (void)service.run_epoch(oracle);
   EXPECT_GE(service.learner()->num_comparisons(), after_first);
+  // The model holds exactly the compared points, not the whole pool.
+  const obs::json::Value snap = service.learner()->snapshot();
+  std::set<std::uint64_t> compared;
+  for (const auto& pair : snap.at("pairs").items()) {
+    for (const auto& index : pair.items()) compared.insert(index.as_uint());
+  }
+  EXPECT_EQ(service.learner()->model().num_points(), compared.size());
+  EXPECT_LT(compared.size(), service.learner()->pool().size());
 }
 
 TEST(Service, TruePreferenceModeSkipsOracleEntirely) {

@@ -6,7 +6,7 @@
 // path, and fleet-routed service epochs reproduce digest-for-digest across
 // independent services. One fleet epoch fits one shared outcome bank and
 // counts its diagnostics once, and its metric series do not grow with the
-// shard count.
+// shard count; so does the shared learner's count of contradicted pairs.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,6 +22,7 @@
 #include "eva/telemetry.hpp"
 #include "eva/workload.hpp"
 #include "obs/obs.hpp"
+#include "pref/learner.hpp"
 #include "pref/oracle.hpp"
 
 namespace pamo::core {
@@ -281,6 +282,38 @@ TEST(ServiceFleet, BankRejectionsCountOnceAndEpochIsNotWarmStarted) {
     EXPECT_EQ(result.health.samples_rejected, 1u)
         << report.plan.num_shards() << " shards";
     EXPECT_FALSE(result.health.warm_started);
+  }
+}
+
+TEST(ServiceFleet, SharedLearnerInconsistencyCountsOnce) {
+  // Every shard reads the one shared learner, so the fleet reports its
+  // contradicted pairs once, whatever the shard count.
+  const eva::Workload workload = eva::make_fleet_workload(24, 8, 509);
+  Rng rng(41);
+  std::vector<std::vector<double>> pool(6, std::vector<double>(5));
+  for (auto& y : pool) {
+    for (auto& v : y) v = rng.uniform();
+  }
+  pref::LearnerOptions learner_options;
+  learner_options.model.downweight_inconsistent = true;
+  pref::PreferenceLearner learner(pool, learner_options, 43);
+  learner.add_comparison({0, 1});
+  learner.add_comparison({1, 0});  // contradicts the first
+  learner.add_comparison({2, 3});
+  ASSERT_EQ(learner.model().num_inconsistent_pairs(), 2u);
+  for (const std::size_t target : {24u, 3u}) {
+    FleetOptions options = small_fleet(47);
+    options.shard.target_streams = target;
+    options.pamo.use_true_preference = false;
+    options.pamo.shared_learner = &learner;
+    options.pamo.learn_in_loop = false;
+    const pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+    FleetReport report;
+    const PamoResult result =
+        run_fleet_epoch(workload, options, oracle, &report);
+    EXPECT_EQ(report.plan.num_shards() > 1, target == 3u);
+    EXPECT_EQ(result.health.inconsistent_pairs, 2u)
+        << report.plan.num_shards() << " shards";
   }
 }
 

@@ -89,21 +89,6 @@ TEST(Matvec, KnownProduct) {
   EXPECT_DOUBLE_EQ(y[1], 3.0);
 }
 
-TEST(Matvec, TransposedMatchesExplicitTranspose) {
-  Matrix a(3, 2);
-  int v = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) a(i, j) = ++v;
-  }
-  const Vector x{1.0, -2.0, 0.5};
-  const Vector expected = matvec(a.transposed(), x);
-  const Vector actual = matvec_transposed(a, x);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(actual[i], expected[i]);
-  }
-}
-
 TEST(VectorOps, DotAxpyNorm) {
   const Vector a{1.0, 2.0, 3.0};
   const Vector b{4.0, -5.0, 6.0};
@@ -113,7 +98,6 @@ TEST(VectorOps, DotAxpyNorm) {
   EXPECT_DOUBLE_EQ(y[0], 6.0);
   EXPECT_DOUBLE_EQ(y[1], -1.0);
   EXPECT_DOUBLE_EQ(y[2], 12.0);
-  EXPECT_DOUBLE_EQ(norm2({3.0, 4.0}), 5.0);
   EXPECT_THROW(dot(a, {1.0}), Error);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <set>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -183,6 +185,93 @@ TEST(PreferenceLearner, AddComparisonValidatesIndices) {
   learner.add_comparison({0, 1});
   EXPECT_EQ(learner.num_comparisons(), 1u);
 }
+
+TEST(PreferenceLearner, NoComparisonsPredictsZero) {
+  Rng rng(15);
+  PreferenceLearner learner(pool_5d(6, rng), {}, 23);
+  learner.extend_pool(pool_5d(3, rng));
+  EXPECT_EQ(learner.model().num_points(), 6u);  // the prior over the pool
+  for (const auto& y : pool_5d(5, rng)) {
+    EXPECT_EQ(learner.model().utility_mean(y), 0.0);
+  }
+}
+
+/// Every comparison asked so far, read back from the learner's snapshot.
+std::vector<ComparisonPair> asked_pairs(const PreferenceLearner& learner) {
+  const obs::json::Value snap = learner.snapshot();
+  std::vector<ComparisonPair> pairs;
+  for (const auto& item : snap.at("pairs").items()) {
+    pairs.emplace_back(static_cast<std::size_t>(item.items()[0].as_uint()),
+                       static_cast<std::size_t>(item.items()[1].as_uint()));
+  }
+  return pairs;
+}
+
+class ComparedOnlyModel : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ComparedOnlyModel, MatchesAllPoolFitThroughInterleavedOps) {
+  // The model holds only the compared points, yet predicts what a cold fit
+  // over the whole pool on the same comparisons predicts: an uncompared
+  // point carries no likelihood term.
+  LearnerOptions options;
+  options.pairs_per_round = 40;
+  options.model.downweight_inconsistent = GetParam();
+  OracleOptions noisy;
+  noisy.response_noise = 0.3;  // contradicted pairs for the downweighting
+  std::size_t flagged = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    PreferenceLearner learner(pool_5d(10, rng), options, seed);
+    PreferenceOracle oracle(BenefitFunction({2.0, 1.0, 0.5, 1.5, 1.0}), noisy,
+                            seed + 100);
+    const auto probes = pool_5d(6, rng);
+    for (int step = 0; step < 30; ++step) {
+      switch (rng.uniform_index(4)) {
+        case 0:
+          learner.extend_pool(pool_5d(1 + rng.uniform_index(3), rng));
+          break;
+        case 1:
+          learner.run(oracle, 1 + rng.uniform_index(2));
+          break;
+        case 2: {
+          const std::size_t a = rng.uniform_index(learner.pool().size());
+          const std::size_t b =
+              (a + 1 + rng.uniform_index(learner.pool().size() - 1)) %
+              learner.pool().size();
+          learner.add_comparison({a, b});
+          break;
+        }
+        default:
+          learner.compact_pool(18, 10);
+          break;
+      }
+      const auto pairs = asked_pairs(learner);
+      PreferenceGp reference(options.model);
+      reference.fit(learner.pool(), pairs);
+      for (const auto& y : probes) {
+        ASSERT_NEAR(learner.model().utility_mean(y), reference.utility_mean(y),
+                    1e-8)
+            << "seed " << seed << " step " << step;
+      }
+      ASSERT_EQ(learner.model().num_inconsistent_pairs(),
+                reference.num_inconsistent_pairs());
+      std::set<std::size_t> compared;
+      for (const auto& [winner, loser] : pairs) {
+        compared.insert(winner);
+        compared.insert(loser);
+      }
+      if (!pairs.empty()) {
+        ASSERT_EQ(learner.model().num_points(), compared.size());
+      }
+    }
+    flagged += learner.model().num_inconsistent_pairs();
+  }
+  if (GetParam()) {
+    EXPECT_GT(flagged, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Downweight, ComparedOnlyModel, ::testing::Bool());
 
 }  // namespace
 }  // namespace pamo::pref

@@ -18,6 +18,27 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// Joint samples of the Laplace posterior utility at `y` (num_samples ×
+/// |y|), coloured by the Cholesky factor of posterior().
+la::Matrix sample_joint(const PreferenceGp& model,
+                        const std::vector<std::vector<double>>& y,
+                        std::size_t num_samples, Rng& rng) {
+  const gp::Posterior post = model.posterior(y);
+  const std::size_t m = y.size();
+  const la::Cholesky chol(post.covariance, /*max_jitter=*/1e-2);
+  la::Matrix samples(num_samples, m);
+  la::Vector z(m);
+  for (std::size_t s = 0; s < num_samples; ++s) {
+    for (auto& zi : z) zi = rng.normal();
+    for (std::size_t i = 0; i < m; ++i) {
+      double sum = post.mean[i];
+      for (std::size_t j = 0; j <= i; ++j) sum += chol.lower()(i, j) * z[j];
+      samples(s, i) = sum;
+    }
+  }
+  return samples;
+}
+
 std::vector<std::vector<double>> pool_5d(std::size_t n, Rng& rng) {
   std::vector<std::vector<double>> pool;
   for (std::size_t i = 0; i < n; ++i) {
@@ -76,8 +97,8 @@ TEST(PreferenceGpSnapshot, SampleJointStaysIdenticalFromEqualRngs) {
   Rng draw_b(77);
   Rng probe_rng(5);
   const auto probes = pool_5d(4, probe_rng);
-  const auto samp_a = original.sample_joint(probes, 3, draw_a);
-  const auto samp_b = restored.sample_joint(probes, 3, draw_b);
+  const auto samp_a = sample_joint(original, probes, 3, draw_a);
+  const auto samp_b = sample_joint(restored, probes, 3, draw_b);
   for (std::size_t i = 0; i < samp_a.rows(); ++i) {
     for (std::size_t j = 0; j < samp_a.cols(); ++j) {
       EXPECT_EQ(bits(samp_b(i, j)), bits(samp_a(i, j)));
@@ -176,6 +197,82 @@ TEST(PreferenceLearnerSnapshot, ResumedLearnerAsksIdenticalQueries) {
     EXPECT_EQ(bits(restored.model().utility_mean(y)),
               bits(uninterrupted.model().utility_mean(y)));
   }
+}
+
+/// The comparisons recorded in a learner snapshot.
+std::vector<ComparisonPair> asked_pairs(const obs::json::Value& snap) {
+  std::vector<ComparisonPair> pairs;
+  for (const auto& item : snap.at("pairs").items()) {
+    pairs.emplace_back(static_cast<std::size_t>(item.items()[0].as_uint()),
+                       static_cast<std::size_t>(item.items()[1].as_uint()));
+  }
+  return pairs;
+}
+
+TEST(PreferenceLearnerSnapshot, PendingExtensionsRoundTripBitIdentically) {
+  // Extensions no comparison has referenced yet live in the pool but not
+  // in the model; the row map carries that split across the round-trip.
+  Rng rng(33);
+  LearnerOptions options;
+  options.pairs_per_round = 40;
+  PreferenceLearner original(pool_5d(10, rng), options, 0xBEE);
+  PreferenceOracle oracle_a(BenefitFunction::uniform());
+  original.run(oracle_a, 6);
+  original.extend_pool(pool_5d(4, rng));
+  ASSERT_LT(original.model().num_points(), original.pool().size());
+
+  PreferenceLearner restored(pool_5d(2, rng), options, 1);
+  restored.restore(obs::json::Value::parse(original.snapshot().dump()));
+  EXPECT_EQ(restored.snapshot().dump(), original.snapshot().dump());
+
+  PreferenceOracle oracle_b(BenefitFunction::uniform());
+  original.run(oracle_a, 4);
+  restored.run(oracle_b, 4);
+  EXPECT_EQ(restored.snapshot().dump(), original.snapshot().dump());
+}
+
+TEST(PreferenceLearnerSnapshot, LegacySnapshotWithoutModelRowsRestores) {
+  // A snapshot from before the compared-only model: no "model_points",
+  // and a model fit over the whole pool. It restores with the identity
+  // row map and keeps answering what an all-pool fit answers.
+  Rng rng(34);
+  LearnerOptions options;
+  options.pairs_per_round = 40;
+  PreferenceLearner source(pool_5d(12, rng), options, 0xCAB);
+  PreferenceOracle oracle(BenefitFunction::uniform());
+  source.run(oracle, 5);
+  source.extend_pool(pool_5d(3, rng));
+  const obs::json::Value current = source.snapshot();
+  PreferenceGp whole_pool(options.model);
+  whole_pool.fit(source.pool(), asked_pairs(current));
+  obs::json::Value legacy = obs::json::Value::object();
+  legacy.set("pool", current.at("pool"));
+  legacy.set("pairs", current.at("pairs"));
+  legacy.set("rng", current.at("rng"));
+  legacy.set("model", whole_pool.snapshot());
+
+  PreferenceLearner restored(pool_5d(2, rng), options, 1);
+  restored.restore(obs::json::Value::parse(legacy.dump()));
+  EXPECT_EQ(restored.model().num_points(), source.pool().size());
+  restored.run(oracle, 4);
+  restored.extend_pool(pool_5d(2, rng));
+  restored.run(oracle, 2);
+  EXPECT_EQ(restored.num_comparisons(), 11u);
+
+  PreferenceGp reference(options.model);
+  reference.fit(restored.pool(), asked_pairs(restored.snapshot()));
+  Rng probe_rng(11);
+  for (const auto& y : pool_5d(6, probe_rng)) {
+    EXPECT_NEAR(restored.model().utility_mean(y), reference.utility_mean(y),
+                1e-8);
+  }
+
+  // A legacy model that does not cover the pool cannot be mapped.
+  obs::json::Value short_model = legacy;
+  PreferenceGp partial(options.model);
+  partial.fit(pool_5d(4, rng), {{0, 1}});
+  short_model.set("model", partial.snapshot());
+  EXPECT_THROW(restored.restore(short_model), pamo::Error);
 }
 
 TEST(PreferenceLearnerSnapshot, RestoreRejectsMangledSnapshots) {
