@@ -8,12 +8,15 @@
 // configurations, compare Algorithm 1 (zero-jitter grouping + staggering)
 // against jitter-oblivious First-Fit on simulated jitter, queueing delay,
 // and tail latency.
+//
+// Panel 3: Algorithm 1 vs the exact branch-and-bound engine (sched/bnb)
+// on feasibility and communication cost.
 #include <iostream>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "sched/bnb.hpp"
 #include "sched/constraints.hpp"
-#include "sched/exact.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -106,18 +109,18 @@ int main() {
         config.push_back(w.space.sample(rng));
       }
       const auto heuristic = sched::schedule_zero_jitter(w, config);
-      const sched::ExactResult exact = sched::schedule_exact(w, config);
+      const sched::BnbResult exact = sched::schedule_bnb(w, config);
       if (exact.status == sched::BnbStatus::kUnknown ||
           exact.status == sched::BnbStatus::kFeasibleBudget) {
         // An exhausted node budget proves nothing about this instance;
         // folding it into either feasibility column would skew the gap.
         ++unknown;
-      } else if (heuristic.feasible && exact.schedule.has_value()) {
+      } else if (heuristic.feasible && exact.schedule.feasible) {
         ++both_feasible;
-        if (exact.schedule->comm_cost > 0) {
-          cost_gap.add(heuristic.comm_cost / exact.schedule->comm_cost);
+        if (exact.schedule.comm_cost > 0) {
+          cost_gap.add(heuristic.comm_cost / exact.schedule.comm_cost);
         }
-      } else if (exact.schedule.has_value()) {
+      } else if (exact.schedule.feasible) {
         ++exact_only;
       } else if (!heuristic.feasible) {
         ++neither;

@@ -12,6 +12,13 @@
 
 namespace pamo::core {
 
+namespace {
+
+/// Maximum (resolution, fps) step-down rounds while degrading a repair.
+constexpr std::size_t kMaxDegradeRounds = 4;
+
+}  // namespace
+
 SchedulingService::SchedulingService(eva::Workload workload,
                                      ServiceOptions options)
     : workload_(std::move(workload)),
@@ -236,7 +243,7 @@ void SchedulingService::attempt_repair(EpochReport& report) {
 
   // ---- Step 2: validate under the residual faults; degrade knobs until
   // ---- every surviving stream is served within the SLO (or the floor).
-  for (std::size_t round = 0; round <= policy.max_degrade_rounds; ++round) {
+  for (std::size_t round = 0; round <= kMaxDegradeRounds; ++round) {
     if (candidate.feasible) {
       const sim::SimReport post = sim::simulate(view, candidate, validate);
       if (post.unserved_streams == 0 && post.slo_violations == 0) {
@@ -256,7 +263,7 @@ void SchedulingService::attempt_repair(EpochReport& report) {
         report.post_repair_sim = post;
         return;
       }
-      if (round == policy.max_degrade_rounds) break;
+      if (round == kMaxDegradeRounds) break;
       // Blame the parents that missed the SLO or went unserved; if the
       // signal does not single anyone out, degrade everyone a step.
       std::vector<bool> blame(scheduled.num_streams(), false);
@@ -283,7 +290,7 @@ void SchedulingService::attempt_repair(EpochReport& report) {
              << " to recover the SLO";
       log(RepairKind::kKnobStepDown, detail.str());
     } else {
-      if (round == policy.max_degrade_rounds) break;
+      if (round == kMaxDegradeRounds) break;
       bool stepped = false;
       for (auto& stream_config : config) {
         stepped |= step_down(stream_config, /*resolution_first=*/false);
@@ -394,8 +401,7 @@ SchedulingService::EpochReport SchedulingService::run_epoch(
 
       PamoScheduler scheduler(active, options);
       result = scheduler.run(oracle);
-      if (options_.retain_outcome_models &&
-          scheduler.outcome_models().is_fit()) {
+      if (scheduler.outcome_models().is_fit()) {
         // Copy (never move — the scheduler still owns its run) so the
         // fitted model bank rides along in snapshot(). No RNG is touched.
         retained_models_ = scheduler.outcome_models();

@@ -79,8 +79,6 @@ struct ResilienceOptions {
   /// Per-stream end-to-end latency SLO (seconds) enforced by the
   /// validation simulations; 0 disables latency-driven degradation.
   double slo_latency = 0.0;
-  /// Maximum (resolution, fps) step-down rounds while degrading.
-  std::size_t max_degrade_rounds = 4;
   /// A server still slowed by at least this factor at the epoch boundary
   /// is routed around like a dead one instead of being padded for.
   double straggler_exclusion = 4.0;
@@ -88,8 +86,8 @@ struct ResilienceOptions {
   ExactRepairOptions exact_repair;
 };
 
-/// Continual-learning policy across epochs (requires
-/// retain_outcome_models for the warm path to have a bank to reuse).
+/// Continual-learning policy across epochs. The warm path reuses the
+/// outcome models the service retains from its last feasible epoch.
 struct ContinualOptions {
   /// Warm-start steady-state epochs from the previous epoch's retained
   /// outcome models instead of re-profiling and re-fitting from scratch.
@@ -143,10 +141,6 @@ struct ServiceOptions {
   /// They skip outcome-model retention/warm start across epochs: keeping
   /// the fleet bank needs a bounded raw-row store first.
   FleetOptions fleet;
-  /// Keep a copy of the most recent epoch's fitted outcome models so they
-  /// ride along in checkpoints (snapshot()). Costs one model-bank copy per
-  /// feasible epoch and never touches any RNG stream.
-  bool retain_outcome_models = true;
   std::uint64_t seed = 1;
 };
 
@@ -256,8 +250,10 @@ class SchedulingService {
   }
   [[nodiscard]] const eva::Workload& workload() const { return workload_; }
   [[nodiscard]] bool has_last_good() const { return last_good_.has_value(); }
-  /// Most recent epoch's fitted outcome models (retain_outcome_models),
-  /// or nullptr before the first feasible epoch / when retention is off.
+  /// Most recent flat epoch's fitted outcome models, or nullptr before the
+  /// first one. Kept so they ride along in checkpoints (snapshot()) and
+  /// warm-start the next epoch; costs one model-bank copy per feasible
+  /// epoch and never touches any RNG stream.
   [[nodiscard]] const OutcomeModels* retained_models() const {
     return retained_models_ ? &*retained_models_ : nullptr;
   }

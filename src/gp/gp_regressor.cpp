@@ -560,24 +560,11 @@ Posterior GpRegressor::posterior(
   return post;
 }
 
-la::Matrix GpRegressor::sample_joint(const std::vector<std::vector<double>>& x,
-                                     std::size_t num_samples, Rng& rng) const {
-  PAMO_EXPECTS(num_samples > 0, "sample_joint of zero samples");
-  // Draw every normal serially in sample-major order — the exact sequence
-  // the historical all-serial loop consumed — then run the deterministic
-  // colouring transform (possibly in parallel) on top.
-  la::Matrix z(num_samples, x.size());
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    for (std::size_t i = 0; i < x.size(); ++i) z(s, i) = rng.normal();
-  }
-  return sample_joint_given(x, z);
-}
-
 la::Matrix GpRegressor::sample_joint_given(
     const std::vector<std::vector<double>>& x, const la::Matrix& z) const {
   const std::size_t m = x.size();
   const std::size_t num_samples = z.rows();
-  PAMO_EXPECTS(num_samples > 0, "sample_joint of zero samples");
+  PAMO_EXPECTS(num_samples > 0, "sample_joint_given of zero samples");
   PAMO_CHECK(z.cols() == m, "normals/query-set size mismatch");
   const Posterior post = posterior(x);
   // Small jitter for numerical PSD-ness of the posterior covariance.

@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "gp/kernel.hpp"
 #include "la/cholesky.hpp"
 #include "obs/json.hpp"
@@ -52,7 +51,7 @@ struct GpOptions {
   /// Cap on the per-point noise-variance inflation factor.
   double robust_inflation_cap = 1e4;
   /// PSD-repair jitter cap for posterior covariance sampling
-  /// (sample_joint); the jitter actually applied is recorded in
+  /// (sample_joint_given); the jitter actually applied is recorded in
   /// diagnostics().posterior_jitter.
   double posterior_max_jitter = 1e-2;
   /// Hot path for the decision loop. update() of a batch inside the input
@@ -145,7 +144,7 @@ class GpRegressor {
   [[nodiscard]] const KernelParams& params() const { return params_; }
 
   /// Robustness bookkeeping since the last fit(). posterior_jitter is
-  /// additionally updated by sample_joint (hence mutable state).
+  /// additionally updated by sample_joint_given (hence mutable state).
   [[nodiscard]] const GpFitDiagnostics& diagnostics() const {
     return diagnostics_;
   }
@@ -161,17 +160,11 @@ class GpRegressor {
   [[nodiscard]] Posterior posterior(
       const std::vector<std::vector<double>>& x) const;
 
-  /// Draw `num_samples` joint samples of the latent function at `x`.
-  /// Result is (num_samples × x.size()).
-  [[nodiscard]] la::Matrix sample_joint(
-      const std::vector<std::vector<double>>& x, std::size_t num_samples,
-      Rng& rng) const;
-
-  /// sample_joint with the standard normals supplied by the caller: row s
-  /// of `z` (num_samples × x.size()) drives sample s. Lets callers pre-draw
-  /// the randomness serially in a fixed order and run the deterministic
-  /// colouring transform in parallel — sample_joint(x, S, rng) is exactly
-  /// sample_joint_given(x, z) with z filled row-major from `rng`.
+  /// Joint samples of the latent function at `x`, driven by standard
+  /// normals the caller supplies: row s of `z` (num_samples × x.size())
+  /// drives sample s, and the result is (num_samples × x.size()). Callers
+  /// pre-draw the randomness serially in a fixed order; the deterministic
+  /// colouring transform then runs in parallel.
   [[nodiscard]] la::Matrix sample_joint_given(
       const std::vector<std::vector<double>>& x, const la::Matrix& z) const;
 

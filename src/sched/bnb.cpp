@@ -29,24 +29,16 @@ struct GroupState {
   double bits_sum = 0.0;
 };
 
-/// One knob choice for a parent stream: the configuration, its objective
-/// penalty, the sub-streams it splits into, and suffix bit sums for the
-/// unplaced-tail lower bound (tail_bits[k] = Σ_{j >= k} subs[j].bits).
-struct Variant {
-  eva::StreamConfig knob;
-  double penalty = 0.0;
-  std::vector<PeriodicStream> subs;
-  std::vector<double> tail_bits;
-};
-
-/// The placement work for one parent: choose a variant, then place each of
-/// its sub-streams. lb_cost is the cheapest conceivable contribution
-/// (min over variants of penalty + bits at the fastest usable uplink).
+/// The placement work for one parent: place each of its sub-streams.
+/// tail_bits[k] = Σ_{j >= k} subs[j].bits feeds the unplaced-tail lower
+/// bound; lb_cost is the cheapest conceivable contribution (every bit at
+/// the fastest usable uplink).
 struct ParentTask {
   std::size_t parent = 0;
-  double max_proc = 0.0;  // ordering key: nominal variant's largest p_i
+  double max_proc = 0.0;  // ordering key: largest p_i among subs
   double lb_cost = 0.0;
-  std::vector<Variant> variants;
+  std::vector<PeriodicStream> subs;
+  std::vector<double> tail_bits;
 };
 
 /// Mutable search position, reconstructed from a decision path. Placement
@@ -56,12 +48,9 @@ struct ParentTask {
 struct State {
   std::vector<GroupState> bound_groups;
   std::vector<GroupState> anon_groups;
-  double committed = 0.0;  // exact: bound-group comm cost + knob penalties
+  double committed = 0.0;  // exact: bound-group comm cost
   std::size_t task = 0;
-  std::size_t variant = 0;
   std::size_t sub = 0;
-  bool in_variant = false;
-  std::vector<std::size_t> chosen_variant;            // per task
   std::vector<std::vector<std::uint16_t>> placements;  // per task, per sub
 };
 
@@ -88,7 +77,6 @@ struct SearchContext {
   const TickClock* clock = nullptr;
   double headroom = 1.0;
   double max_uplink = 0.0;  // fastest usable uplink (Mbps)
-  bool assignment_bound = true;
   std::vector<std::size_t> bound_servers;  // server index per bound slot
   std::vector<std::size_t> free_servers;   // usable servers with no pinning
   std::vector<ParentTask> tasks;
@@ -98,8 +86,8 @@ struct SearchContext {
   State root;
 };
 
-/// Theorem-1 gcd-condition join (headroom-inflated, same tolerance as the
-/// exhaustive search). Mutates `group` only on success.
+/// Theorem-1 gcd-condition join (headroom-inflated, same kJoinTol tolerance
+/// as const2_holds). Mutates `group` only on success.
 bool join_group(const SearchContext& ctx, GroupState& group,
                 const PeriodicStream& stream) {
   const std::uint64_t new_gcd =
@@ -121,21 +109,7 @@ bool join_group(const SearchContext& ctx, GroupState& group,
 bool apply_decision(const SearchContext& ctx, State& state,
                     std::uint16_t code) {
   const ParentTask& task = ctx.tasks[state.task];
-  if (!state.in_variant) {
-    if (code >= task.variants.size()) return false;
-    state.variant = code;
-    state.chosen_variant[state.task] = code;
-    state.committed += task.variants[code].penalty;
-    state.in_variant = true;
-    state.sub = 0;
-    if (task.variants[code].subs.empty()) {
-      ++state.task;
-      state.in_variant = false;
-    }
-    return true;
-  }
-  const Variant& variant = task.variants[state.variant];
-  const PeriodicStream& stream = variant.subs[state.sub];
+  const PeriodicStream& stream = task.subs[state.sub];
   const std::size_t num_bound = ctx.bound_servers.size();
   const std::size_t num_anon = state.anon_groups.size();
   if (code < num_bound) {
@@ -157,9 +131,9 @@ bool apply_decision(const SearchContext& ctx, State& state,
   }
   state.placements[state.task].push_back(code);
   ++state.sub;
-  if (state.sub == variant.subs.size()) {
+  if (state.sub == task.subs.size()) {
     ++state.task;
-    state.in_variant = false;
+    state.sub = 0;
   }
   return true;
 }
@@ -185,50 +159,31 @@ la::Matrix anon_cost_matrix(const SearchContext& ctx, const State& state) {
   return cost;
 }
 
-/// Lower bound on the eventual cost of the anonymous groups: the optimal
-/// injective mapping of their *current* bits onto the free servers (any
-/// completion can only grow the groups), or the weaker all-at-the-fastest-
-/// uplink sum when the assignment bound is disabled.
-double anon_lower_bound(const SearchContext& ctx, const State& state) {
-  if (state.anon_groups.empty()) return 0.0;
-  if (!ctx.assignment_bound) {
-    double bits = 0.0;
-    for (const GroupState& group : state.anon_groups) bits += group.bits_sum;
-    return bits / (ctx.max_uplink * 1e6);
-  }
-  return solve_assignment(anon_cost_matrix(ctx, state)).total_cost;
-}
-
-/// Admissible lower bound for a partial state: exact committed cost, the
-/// assignment relaxation of the anonymous groups, the current variant's
-/// unplaced tail at the fastest uplink, and the cheapest-variant suffix of
-/// the untouched tasks.
-double node_bound(const SearchContext& ctx, const State& state) {
-  double bound = state.committed + anon_lower_bound(ctx, state);
-  std::size_t next_task = state.task;
-  if (state.in_variant) {
-    const Variant& variant = ctx.tasks[state.task].variants[state.variant];
-    bound += variant.tail_bits[state.sub] / (ctx.max_uplink * 1e6);
-    next_task = state.task + 1;
-  }
-  bound += ctx.suffix_lb[next_task];
-  return bound;
-}
-
-/// Exact objective of a terminal state: committed cost plus the optimal
-/// anonymous-group→free-server assignment (always exact, regardless of
-/// the interior-bound mode).
-double leaf_objective(const SearchContext& ctx, const State& state) {
+/// Committed cost plus the optimal injective mapping of the anonymous
+/// groups' *current* bits onto the free servers. Exact at a leaf; at an
+/// interior node a lower bound, since any completion only grows the groups.
+double placed_cost(const SearchContext& ctx, const State& state) {
   if (state.anon_groups.empty()) return state.committed;
   return state.committed +
          solve_assignment(anon_cost_matrix(ctx, state)).total_cost;
 }
 
+/// Admissible lower bound for a partial state: placed_cost, the current
+/// task's unplaced tail at the fastest uplink, and the suffix bound of the
+/// untouched tasks. A task not yet started is billed through suffix_lb.
+double node_bound(const SearchContext& ctx, const State& state) {
+  if (state.sub == 0) {
+    return placed_cost(ctx, state) + ctx.suffix_lb[state.task];
+  }
+  return placed_cost(ctx, state) +
+         ctx.tasks[state.task].tail_bits[state.sub] / (ctx.max_uplink * 1e6) +
+         ctx.suffix_lb[state.task + 1];
+}
+
 /// Rebuild the complete schedule from a terminal decision path: pinned
 /// streams keep their servers, placed streams get their group's server
-/// (bound slot directly, anonymous groups through the Hungarian mapping),
-/// and the chosen knob variants overwrite the nominal configuration.
-BnbResult build_result(const SearchContext& ctx, const eva::JointConfig& config,
+/// (bound slot directly, anonymous groups through the Hungarian mapping).
+BnbResult build_result(const SearchContext& ctx,
                        const std::vector<std::uint16_t>& path,
                        double objective) {
   State state = replay_path(ctx, path);
@@ -243,20 +198,15 @@ BnbResult build_result(const SearchContext& ctx, const eva::JointConfig& config,
     }
   }
   BnbResult result;
-  result.config = config;
   std::vector<PeriodicStream> streams = ctx.pinned_streams;
   std::vector<std::size_t> assignment = ctx.pinned_assignment;
-  double penalties = 0.0;
   for (std::size_t t = 0; t < ctx.tasks.size(); ++t) {
     const ParentTask& task = ctx.tasks[t];
-    const Variant& variant = task.variants[state.chosen_variant[t]];
-    penalties += variant.penalty;
-    result.config[task.parent] = variant.knob;
-    PAMO_ASSERT(state.placements[t].size() == variant.subs.size(),
+    PAMO_ASSERT(state.placements[t].size() == task.subs.size(),
                 "every sub-stream of a completed task must be placed");
-    for (std::size_t s = 0; s < variant.subs.size(); ++s) {
+    for (std::size_t s = 0; s < task.subs.size(); ++s) {
       const std::uint16_t code = state.placements[t][s];
-      streams.push_back(variant.subs[s]);
+      streams.push_back(task.subs[s]);
       assignment.push_back(code < ctx.bound_servers.size()
                                ? ctx.bound_servers[code]
                                : anon_server[code - ctx.bound_servers.size()]);
@@ -265,17 +215,16 @@ BnbResult build_result(const SearchContext& ctx, const eva::JointConfig& config,
   result.schedule = assemble_zero_jitter(*ctx.workload, std::move(streams),
                                          std::move(assignment), ctx.headroom);
   result.objective = objective;
-  const double rebuilt = result.schedule.comm_cost + penalties;
   PAMO_ASSERT(
-      std::abs(rebuilt - objective) <= 1e-9 * (1.0 + std::abs(objective)),
+      std::abs(result.schedule.comm_cost - objective) <=
+          1e-9 * (1.0 + std::abs(objective)),
       "the incremental objective must match the assembled schedule's cost");
   return result;
 }
 
-BnbResult infeasible_result(const eva::JointConfig& config) {
+BnbResult infeasible_result() {
   BnbResult result;
   result.status = BnbStatus::kInfeasible;
-  result.config = config;
   result.objective = kInf;
   result.lower_bound = kInf;
   return result;
@@ -286,11 +235,6 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
                   const std::vector<bool>* usable_in, double headroom) {
   PAMO_CHECK(config.size() == workload.num_streams(),
              "joint config must cover every stream");
-  PAMO_CHECK(options.knob_alternatives.empty() ||
-                 options.knob_alternatives.size() == workload.num_streams(),
-             "knob_alternatives must be empty or one list per stream");
-  PAMO_CHECK(options.degrade_penalty >= 0.0,
-             "degrade penalty must be non-negative");
   PAMO_CHECK(headroom >= 1.0, "processing headroom must be >= 1");
   PAMO_CHECK(workload.num_servers() + 2 < 65535,
              "server count exceeds the 16-bit decision encoding");
@@ -304,16 +248,15 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
   ctx.workload = &workload;
   ctx.clock = &workload.space.clock();
   ctx.headroom = headroom;
-  ctx.assignment_bound = options.assignment_bound;
 
   // ---- Pinned / orphan classification -----------------------------------
-  const std::vector<PeriodicStream> nominal = split_streams(workload, config);
+  const std::vector<PeriodicStream> split = split_streams(workload, config);
   std::vector<std::vector<PeriodicStream>> orphan_subs(workload.num_streams());
   std::vector<bool> parent_pinned(workload.num_streams(), false);
   if (previous != nullptr) {
     PAMO_CHECK(previous->streams.size() == previous->assignment.size(),
                "previous schedule must be internally consistent");
-    PAMO_CHECK(previous->streams.size() == nominal.size(),
+    PAMO_CHECK(previous->streams.size() == split.size(),
                "previous schedule must match the (workload, config) split");
     for (std::size_t i = 0; i < previous->streams.size(); ++i) {
       const std::size_t server = previous->assignment[i];
@@ -349,7 +292,7 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
           ctx.clock->to_seconds(group.gcd_ticks) + kJoinTol) {
         // The surviving placement itself no longer fits under the headroom:
         // no pinned repair exists (a full re-pack might still).
-        return infeasible_result(config);
+        return infeasible_result();
       }
       ctx.bound_servers.push_back(server);
       ctx.root.bound_groups.push_back(group);
@@ -365,50 +308,18 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
 
   // ---- Parent tasks ------------------------------------------------------
   for (std::size_t p = 0; p < workload.num_streams(); ++p) {
-    if (previous != nullptr && parent_pinned[p]) {
-      // Knob fixed by the schedule under repair; only orphans need placing.
-      PAMO_CHECK(options.knob_alternatives.empty() ||
-                     options.knob_alternatives[p].empty(),
-                 "knob alternatives are not allowed for parents with pinned "
-                 "sub-streams");
-      if (orphan_subs[p].empty()) continue;
-      ParentTask task;
-      task.parent = p;
-      Variant fixed;
-      fixed.knob = config[p];
-      fixed.subs = orphan_subs[p];
-      task.variants.push_back(std::move(fixed));
-      ctx.tasks.push_back(std::move(task));
-      continue;
-    }
     ParentTask task;
     task.parent = p;
-    Variant nominal_variant;
-    nominal_variant.knob = config[p];
     if (previous != nullptr) {
-      nominal_variant.subs = orphan_subs[p];  // fully orphaned: all subs
+      // Repair: only the orphans need placing (all subs of a parent with
+      // no survivor, the lost subs of a partly pinned one).
+      task.subs = orphan_subs[p];
     } else {
-      for (const PeriodicStream& stream : nominal) {
-        if (stream.parent == p) nominal_variant.subs.push_back(stream);
+      for (const PeriodicStream& stream : split) {
+        if (stream.parent == p) task.subs.push_back(stream);
       }
     }
-    task.variants.push_back(std::move(nominal_variant));
-    if (!options.knob_alternatives.empty()) {
-      eva::JointConfig alt_config = config;
-      const auto& alternatives = options.knob_alternatives[p];
-      for (std::size_t k = 0; k < alternatives.size(); ++k) {
-        alt_config[p] = alternatives[k];
-        Variant alt;
-        alt.knob = alternatives[k];
-        alt.penalty = options.degrade_penalty * static_cast<double>(k + 1);
-        for (const PeriodicStream& stream :
-             split_streams(workload, alt_config)) {
-          if (stream.parent == p) alt.subs.push_back(stream);
-        }
-        task.variants.push_back(std::move(alt));
-      }
-    }
-    ctx.tasks.push_back(std::move(task));
+    if (!task.subs.empty()) ctx.tasks.push_back(std::move(task));
   }
 
   // ---- Trivial and degenerate roots -------------------------------------
@@ -416,32 +327,25 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
     // Nothing to place (empty workload, or a pinned repair with no
     // orphans): the committed placement is the unique — hence optimal —
     // completion.
-    BnbResult result = build_result(ctx, config, {}, ctx.root.committed);
+    BnbResult result = build_result(ctx, {}, ctx.root.committed);
     result.status = BnbStatus::kOptimal;
     result.lower_bound = result.objective;
     return result;
   }
   if (!(ctx.max_uplink > 0.0)) {
     // Streams to place but no usable server: proven infeasible.
-    return infeasible_result(config);
+    return infeasible_result();
   }
 
   // ---- Per-task bounds and deterministic ordering ------------------------
   for (ParentTask& task : ctx.tasks) {
-    double cheapest = kInf;
-    for (Variant& variant : task.variants) {
-      variant.tail_bits.assign(variant.subs.size() + 1, 0.0);
-      for (std::size_t k = variant.subs.size(); k > 0; --k) {
-        variant.tail_bits[k - 1] =
-            variant.tail_bits[k] + variant.subs[k - 1].bits_per_frame;
-      }
-      cheapest = std::min(cheapest, variant.penalty + variant.tail_bits[0] /
-                                                         (ctx.max_uplink * 1e6));
+    task.tail_bits.assign(task.subs.size() + 1, 0.0);
+    for (std::size_t k = task.subs.size(); k > 0; --k) {
+      task.tail_bits[k - 1] =
+          task.tail_bits[k] + task.subs[k - 1].bits_per_frame;
     }
-    task.lb_cost = cheapest;
-    PAMO_ASSERT(!task.variants.empty(),
-                "every task carries at least its nominal variant");
-    for (const PeriodicStream& stream : task.variants.front().subs) {
+    task.lb_cost = task.tail_bits[0] / (ctx.max_uplink * 1e6);
+    for (const PeriodicStream& stream : task.subs) {
       task.max_proc = std::max(task.max_proc, stream.proc_time);
     }
   }
@@ -457,24 +361,18 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
   for (std::size_t t = ctx.tasks.size(); t > 0; --t) {
     ctx.suffix_lb[t - 1] = ctx.suffix_lb[t] + ctx.tasks[t - 1].lb_cost;
   }
-  ctx.root.chosen_variant.assign(ctx.tasks.size(), 0);
   ctx.root.placements.assign(ctx.tasks.size(), {});
 
   // ---- Incumbent seed (anytime behaviour) --------------------------------
-  double incumbent = kInf;
-  bool have_incumbent = false;
-  ScheduleResult seed_schedule;
-  if (options.seed_greedy) {
-    ScheduleResult greedy =
-        previous != nullptr
-            ? reschedule_pinned(workload, config, *previous, usable, headroom)
-            : schedule_zero_jitter(workload, config);
-    if (greedy.feasible) {
-      incumbent = greedy.comm_cost;  // nominal knobs: no penalty
-      have_incumbent = true;
-      seed_schedule = std::move(greedy);
-    }
-  }
+  // Algorithm 1's answer (reschedule_pinned for a repair) keeps the search
+  // anytime — a budget breach still returns a feasible schedule — and
+  // tightens pruning from the first node on.
+  ScheduleResult seed_schedule =
+      previous != nullptr
+          ? reschedule_pinned(workload, config, *previous, usable, headroom)
+          : schedule_zero_jitter(workload, config);
+  bool have_incumbent = seed_schedule.feasible;
+  double incumbent = have_incumbent ? seed_schedule.comm_cost : kInf;
 
   // ---- Best-first search -------------------------------------------------
   std::priority_queue<Node, std::vector<Node>, NodeOrder> frontier;
@@ -505,9 +403,7 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
     }
     const State state = replay_path(ctx, node.path);
     const std::size_t code_limit =
-        state.in_variant ? ctx.bound_servers.size() + state.anon_groups.size() +
-                               1
-                         : ctx.tasks[state.task].variants.size();
+        ctx.bound_servers.size() + state.anon_groups.size() + 1;
     for (std::size_t code = 0; code < code_limit; ++code) {
       State child = state;
       if (!apply_decision(ctx, child, static_cast<std::uint16_t>(code))) {
@@ -518,7 +414,7 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
       if (child.task == ctx.tasks.size()) {
         // Leaves are evaluated at generation, never queued: this is what
         // makes the search anytime under the node budget.
-        const double objective = leaf_objective(ctx, child);
+        const double objective = placed_cost(ctx, child);
         if (!have_incumbent || objective < incumbent - kEps) {
           incumbent = objective;
           have_incumbent = true;
@@ -548,10 +444,9 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
   BnbResult result;
   if (have_incumbent) {
     if (best_from_search) {
-      result = build_result(ctx, config, best_path, incumbent);
+      result = build_result(ctx, best_path, incumbent);
     } else {
       result.schedule = std::move(seed_schedule);
-      result.config = config;
       result.objective = incumbent;
     }
     if (budget_exhausted) {
@@ -563,11 +458,10 @@ BnbResult run_bnb(const eva::Workload& workload, const eva::JointConfig& config,
     }
   } else if (budget_exhausted) {
     result.status = BnbStatus::kUnknown;
-    result.config = config;
     result.objective = kInf;
     result.lower_bound = frontier.top().bound;
   } else {
-    result = infeasible_result(config);
+    result = infeasible_result();
   }
   result.nodes_expanded = expanded;
   PAMO_ENSURES(result.status != BnbStatus::kInfeasible || !budget_exhausted,

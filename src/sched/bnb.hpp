@@ -31,11 +31,8 @@
 //     best-found-so-far with an explicit status instead of an answer
 //     that conflates "unknown" with "infeasible".
 //
-// The optional knob dimension makes the search joint over
-// (stream → server, knob): per-parent alternative configurations are
-// explored with a lexicographic degrade penalty, so the solver prefers
-// nominal knobs and only steps down when placement is otherwise
-// infeasible (or the caller prices degradation cheaply on purpose).
+// This is the repo's only exact placement engine: the knobs are an input,
+// and the search is over placement alone.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +43,7 @@
 
 namespace pamo::sched {
 
-/// Outcome of a budgeted branch-and-bound (or exact) search. The four
+/// Outcome of a budgeted branch-and-bound search. The four
 /// states keep "we ran out of budget" distinguishable from "there is no
 /// solution" — conflating them is precisely the bug class this engine
 /// audits against.
@@ -61,32 +58,11 @@ enum class BnbStatus {
 const char* bnb_status_name(BnbStatus status);
 
 struct BnbOptions {
-  /// Deterministic search budget: the maximum number of node expansions
-  /// (priority-queue pops). Acts as the "deadline" — deterministic by
-  /// construction, unlike wall-clock, so same inputs give same outputs.
+  /// Deterministic search budget: the maximum number of placement-node
+  /// expansions (priority-queue pops; each places one sub-stream). Acts as
+  /// the "deadline" — deterministic by construction, unlike wall-clock, so
+  /// same inputs give same outputs.
   std::size_t max_nodes = 200'000;
-  /// Seed the incumbent with Algorithm 1's schedule (reschedule_pinned
-  /// for the pinned entry point) when it is feasible. Keeps the search
-  /// anytime — a budget breach then still returns a feasible schedule —
-  /// and tightens pruning from the first node on.
-  bool seed_greedy = true;
-  /// Use the rectangular-Hungarian assignment relaxation in the interior
-  /// lower bound. Off falls back to the weaker (still admissible)
-  /// fastest-uplink bound — exposed for the bound-quality property tests
-  /// and the audit bench's bound ablation.
-  bool assignment_bound = true;
-  /// Optional per-parent knob alternatives (the joint "(server, knob)"
-  /// search). alternatives[p] lists configurations tried for parent p in
-  /// addition to the nominal config[p]; entry k costs an extra
-  /// degrade_penalty * (k + 1) in the objective, so nominal knobs win
-  /// unless placement needs the headroom. Empty (the default) searches
-  /// placement only. The pinned entry point rejects alternatives for
-  /// parents with surviving (pinned) sub-streams — their knobs are fixed
-  /// by the schedule being repaired.
-  std::vector<std::vector<eva::StreamConfig>> knob_alternatives;
-  /// Objective charge per knob-alternative step (seconds of communication
-  /// latency). Large values make knob degradation lexicographically last.
-  double degrade_penalty = 1.0;
 };
 
 struct BnbResult {
@@ -94,11 +70,8 @@ struct BnbResult {
   /// Complete zero-jitter schedule; feasible exactly when status is
   /// kOptimal or kFeasibleBudget (default-constructed otherwise).
   ScheduleResult schedule;
-  /// Knob configuration of `schedule` — equal to the input config unless
-  /// knob alternatives were enabled and the solver stepped a parent down.
-  eva::JointConfig config;
-  /// Objective of `schedule`: comm cost plus degrade penalties. Equals
-  /// schedule.comm_cost when no knob alternative was taken.
+  /// Objective of `schedule`: its communication cost (+infinity when no
+  /// schedule was found).
   double objective = 0.0;
   /// Admissible lower bound on the optimal objective: equal to
   /// `objective` when kOptimal, the best unexplored node's bound when the

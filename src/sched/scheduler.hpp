@@ -84,8 +84,8 @@ ScheduleResult schedule_first_fit(const eva::Workload& workload,
 /// per-parent uplink/latency bookkeeping, and the communication cost —
 /// exactly the construction Algorithm 1 applies after its own grouping.
 /// The assignment must already satisfy Const2 per server (asserted); the
-/// exact and branch-and-bound searches use this to turn a raw assignment
-/// into a result consistent with the rest of the library.
+/// branch-and-bound search uses this to turn a raw assignment into a
+/// result consistent with the rest of the library.
 ScheduleResult assemble_zero_jitter(const eva::Workload& workload,
                                     std::vector<PeriodicStream> streams,
                                     std::vector<std::size_t> assignment,

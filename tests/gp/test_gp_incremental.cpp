@@ -303,35 +303,5 @@ TEST(GpIncremental, AllNewInputsExtendOverRepeatedGroups) {
   expect_posteriors_identical(fast, slow, query);
 }
 
-TEST(GpIncremental, SampleJointGivenMatchesSampleJoint) {
-  Rng rng(0x16c0000cULL);
-  auto x0 = make_seed_points(rng, 14);
-  auto y0 = targets_of(x0);
-  GpRegressor gp(options_with(true));
-  gp.fit(x0, y0);
-
-  Rng qrng(0x16c0000dULL);
-  const auto query = make_points(qrng, 6, 0.2, 0.8);
-  const std::size_t num_samples = 5;
-
-  Rng draw_a(0x16c0000eULL);
-  const la::Matrix direct = gp.sample_joint(query, num_samples, draw_a);
-
-  // Pre-draw the same normals row-major — the documented equivalence.
-  Rng draw_b(0x16c0000eULL);
-  la::Matrix z(num_samples, query.size());
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    for (std::size_t i = 0; i < query.size(); ++i) z(s, i) = draw_b.normal();
-  }
-  const la::Matrix given = gp.sample_joint_given(query, z);
-  ASSERT_EQ(given.rows(), direct.rows());
-  ASSERT_EQ(given.cols(), direct.cols());
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    for (std::size_t i = 0; i < query.size(); ++i) {
-      EXPECT_EQ(given(s, i), direct(s, i));  // pamo-analyze: allow(float-eq)
-    }
-  }
-}
-
 }  // namespace
 }  // namespace pamo::gp

@@ -20,9 +20,9 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Joint samples of the Laplace posterior utility at `y` (num_samples ×
 /// |y|), coloured by the Cholesky factor of posterior().
-la::Matrix sample_joint(const PreferenceGp& model,
-                        const std::vector<std::vector<double>>& y,
-                        std::size_t num_samples, Rng& rng) {
+la::Matrix draw_joint(const PreferenceGp& model,
+                      const std::vector<std::vector<double>>& y,
+                      std::size_t num_samples, Rng& rng) {
   const gp::Posterior post = model.posterior(y);
   const std::size_t m = y.size();
   const la::Cholesky chol(post.covariance, /*max_jitter=*/1e-2);
@@ -83,7 +83,7 @@ TEST(PreferenceGpSnapshot, PosteriorIsBitIdenticalAfterRestore) {
 }
 
 TEST(PreferenceGpSnapshot, SampleJointStaysIdenticalFromEqualRngs) {
-  // sample_joint consumes caller RNG state; with equal factors and equal
+  // draw_joint consumes caller RNG state; with equal factors and equal
   // RNGs the draws must match exactly.
   Rng rng(22);
   const auto points = pool_5d(10, rng);
@@ -97,8 +97,8 @@ TEST(PreferenceGpSnapshot, SampleJointStaysIdenticalFromEqualRngs) {
   Rng draw_b(77);
   Rng probe_rng(5);
   const auto probes = pool_5d(4, probe_rng);
-  const auto samp_a = sample_joint(original, probes, 3, draw_a);
-  const auto samp_b = sample_joint(restored, probes, 3, draw_b);
+  const auto samp_a = draw_joint(original, probes, 3, draw_a);
+  const auto samp_b = draw_joint(restored, probes, 3, draw_b);
   for (std::size_t i = 0; i < samp_a.rows(); ++i) {
     for (std::size_t j = 0; j < samp_a.cols(); ++j) {
       EXPECT_EQ(bits(samp_b(i, j)), bits(samp_a(i, j)));

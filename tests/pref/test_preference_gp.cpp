@@ -12,9 +12,9 @@ namespace {
 
 /// Joint samples of the Laplace posterior utility at `y` (num_samples ×
 /// |y|), coloured by the Cholesky factor of posterior().
-la::Matrix sample_joint(const PreferenceGp& model,
-                        const std::vector<std::vector<double>>& y,
-                        std::size_t num_samples, Rng& rng) {
+la::Matrix draw_joint(const PreferenceGp& model,
+                      const std::vector<std::vector<double>>& y,
+                      std::size_t num_samples, Rng& rng) {
   const gp::Posterior post = model.posterior(y);
   const std::size_t m = y.size();
   const la::Cholesky chol(post.covariance, /*max_jitter=*/1e-2);
@@ -165,7 +165,7 @@ TEST(PreferenceGp, SampleJointMatchesPosteriorMean) {
   const std::vector<std::vector<double>> test{{0.2, 0.8}, {0.8, 0.2}};
   const gp::Posterior post = model.posterior(test);
   Rng sample_rng(9);
-  const la::Matrix samples = sample_joint(model, test, 3000, sample_rng);
+  const la::Matrix samples = draw_joint(model, test, 3000, sample_rng);
   for (std::size_t c = 0; c < test.size(); ++c) {
     double mean = 0.0;
     for (std::size_t s = 0; s < samples.rows(); ++s) mean += samples(s, c);
