@@ -239,7 +239,7 @@ double PamoScheduler::utility(const eva::OutcomeVector& normalized,
     return oracle.benefit().value(normalized);
   }
   PAMO_ASSERT(active_learner_ != nullptr, "preference model missing");
-  return active_learner_->model().utility_mean(to_vector(normalized));
+  return active_learner_->model().utility_mean(normalized);
 }
 
 void PamoScheduler::heuristic_fallback(PamoResult& result,

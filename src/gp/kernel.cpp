@@ -25,23 +25,6 @@ KernelParams KernelParams::unpack(const std::vector<double>& packed,
   return p;
 }
 
-namespace {
-
-double kernel_from_sqdist(KernelType type, double sf2, double r2) {
-  switch (type) {
-    case KernelType::kRbf:
-      return sf2 * std::exp(-0.5 * r2);
-    case KernelType::kMatern52: {
-      const double r = std::sqrt(r2);
-      const double sqrt5_r = 2.2360679774997896 * r;
-      return sf2 * (1.0 + sqrt5_r + 5.0 / 3.0 * r2) * std::exp(-sqrt5_r);
-    }
-  }
-  return 0.0;  // unreachable
-}
-
-}  // namespace
-
 KernelEvaluator::KernelEvaluator(KernelType type, const KernelParams& params)
     : type_(type), signal_var_(std::exp(params.log_signal_var)) {
   inv_lengthscales_.reserve(params.dim());
@@ -54,13 +37,7 @@ double KernelEvaluator::operator()(const std::vector<double>& x,
                                    const std::vector<double>& z) const {
   PAMO_EXPECTS(x.size() == dim() && z.size() == dim(),
                "kernel input dimension mismatch");
-  // Scaled squared distance Σ ((x_i - z_i) / ℓ_i)².
-  double r2 = 0.0;
-  for (std::size_t i = 0; i < inv_lengthscales_.size(); ++i) {
-    const double d = (x[i] - z[i]) * inv_lengthscales_[i];
-    r2 += d * d;
-  }
-  return kernel_from_sqdist(type_, signal_var_, r2);
+  return (*this)(x.data(), z.data());
 }
 
 double kernel_value(KernelType type, const KernelParams& params,

@@ -4,6 +4,7 @@
 // optimization is unconstrained-ish (we still box them to sane ranges).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -44,6 +45,28 @@ class KernelEvaluator {
   /// k(x, z) without noise. Both inputs must have dim() entries.
   [[nodiscard]] double operator()(const std::vector<double>& x,
                                   const std::vector<double>& z) const;
+
+  /// k(x, z) over dim() entries read in place (no size check). The one
+  /// body of the kernel: the vector form calls it after checking sizes.
+  [[nodiscard]] double operator()(const double* x, const double* z) const {
+    // Scaled squared distance Σ ((x_i - z_i) / ℓ_i)².
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < inv_lengthscales_.size(); ++i) {
+      const double d = (x[i] - z[i]) * inv_lengthscales_[i];
+      r2 += d * d;
+    }
+    switch (type_) {
+      case KernelType::kRbf:
+        return signal_var_ * std::exp(-0.5 * r2);
+      case KernelType::kMatern52: {
+        const double r = std::sqrt(r2);
+        const double sqrt5_r = 2.2360679774997896 * r;
+        return signal_var_ * (1.0 + sqrt5_r + 5.0 / 3.0 * r2) *
+               std::exp(-sqrt5_r);
+      }
+    }
+    return 0.0;  // unreachable
+  }
 
  private:
   KernelType type_;

@@ -7,6 +7,7 @@
 // bitwise-different MAP. Carrying g_map, W, both Cholesky factors, and the
 // per-pair weights across makes the restored posterior — and every EUBO
 // score computed from it — identical to the uninterrupted instance's.
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -87,7 +88,12 @@ void PreferenceGp::restore(const json::Value& snap) {
   k_chol_ = codec::cholesky_from_json(snap.at("k_chol"));
   b_chol_ = codec::cholesky_from_json(snap.at("b_chol"));
   kinv_g_ = codec::doubles_from_json(snap.at("kinv_g"));
-  PAMO_CHECK(g_map_.size() == points_.size(),
+  PAMO_CHECK(g_map_.size() == points_.size() &&
+                 kinv_g_.size() == points_.size() &&
+                 std::all_of(points_.begin(), points_.end(),
+                             [&](const std::vector<double>& p) {
+                               return p.size() == params_.dim();
+                             }),
              "preference snapshot is internally inconsistent");
   PAMO_CHECK(!is_fit() || (k_chol_.has_value() && b_chol_.has_value()),
              "fitted preference snapshot must carry both factors");

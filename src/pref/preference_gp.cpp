@@ -233,12 +233,17 @@ gp::Posterior PreferenceGp::posterior(
 }
 
 double PreferenceGp::utility_mean(const std::vector<double>& y) const {
+  return utility_mean(std::span<const double>(y));
+}
+
+double PreferenceGp::utility_mean(std::span<const double> y) const {
   PAMO_CHECK(is_fit(), "utility_mean before fit");
   PAMO_CHECK(y.size() == kernel_->dim(), "outcome-vector dimension mismatch");
   // k*(y)ᵀ K⁻¹g, accumulated in la::dot's order without materializing k*.
+  // Every stored point has kernel_->dim() entries (checked on fit/update).
   double mean = 0.0;
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    mean += (*kernel_)(y, points_[i]) * kinv_g_[i];
+    mean += (*kernel_)(y.data(), points_[i].data()) * kinv_g_[i];
   }
   return mean;
 }

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,8 @@ class PreferenceGp {
 
   /// Posterior mean utility of a single outcome vector.
   [[nodiscard]] double utility_mean(const std::vector<double>& y) const;
+  /// The same, reading the outcome vector in place (no copy, no heap).
+  [[nodiscard]] double utility_mean(std::span<const double> y) const;
 
   /// MAP latent utilities at the training points.
   [[nodiscard]] const la::Vector& map_utilities() const { return g_map_; }
