@@ -66,7 +66,9 @@ void ThreadPool::parallel_for(std::size_t n,
   if (n == 0) return;
   if (grain == 0) grain = 1;
 
-  const std::size_t max_blocks = std::max<std::size_t>(1, size()) * 4;
+  // Four blocks per participant: the caller claims blocks alongside the
+  // size() helpers.
+  const std::size_t max_blocks = (size() + 1) * 4;
   const std::size_t num_blocks =
       std::min<std::size_t>((n + grain - 1) / grain, max_blocks);
 
