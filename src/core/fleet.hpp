@@ -51,7 +51,6 @@ struct FleetOptions {
     o.init_profiles = 24;
     o.max_model_points = 96;
     o.init_observations = 3;
-    o.mc_samples = 16;
     o.batch_size = 2;
     o.max_iters = 3;
     o.max_pool_feasible = 48;

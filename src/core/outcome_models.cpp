@@ -1,10 +1,12 @@
 #include "core/outcome_models.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/normal.hpp"
 #include "common/thread_pool.hpp"
 
 namespace pamo::core {
@@ -108,23 +110,46 @@ std::size_t OutcomeModels::grid_index(const eva::StreamConfig& config) const {
   throw Error("configuration is not on the knob grid");
 }
 
+la::Matrix latin_hypercube_normals(std::size_t num_samples,
+                                   std::size_t columns, Rng& rng) {
+  PAMO_CHECK(num_samples < (std::size_t{1} << 20),
+             "Latin-hypercube strata must stay resolvable in a double");
+  const auto strata_count = static_cast<double>(num_samples);
+  std::vector<std::size_t> strata(num_samples);
+  la::Matrix z(num_samples, columns);
+  for (std::size_t i = 0; i < columns; ++i) {
+    std::iota(strata.begin(), strata.end(), std::size_t{0});
+    rng.shuffle(strata);
+    for (std::size_t s = 0; s < num_samples; ++s) {
+      // 32 random bits on a midpoint lattice: u ∈ [2⁻³³, 1 − 2⁻³³], so
+      // π + u is exact and (π + u) / S lies strictly inside (0, 1).
+      const double u =
+          (static_cast<double>(rng.next_u64() >> 32) + 0.5) * 0x1.0p-32;
+      z(s, i) =
+          normal_quantile((static_cast<double>(strata[s]) + u) / strata_count);
+    }
+  }
+  return z;
+}
+
 std::vector<la::Matrix> OutcomeModels::sample_grid_tables(
     std::size_t num_samples, Rng& rng) const {
   PAMO_CHECK(is_fit(), "sample before fit");
-  // Pre-draw every standard normal serially, in exactly the order the
-  // historical metric-by-metric loop consumed `rng` (metric-major, then
-  // sample-major); the per-metric colouring transforms are deterministic
-  // and run concurrently without touching the stream.
-  const std::size_t g = grid_inputs_.size();
+  // Draw every normal serially, metric by metric, then colour the metrics
+  // concurrently: the colouring never touches `rng`.
   std::vector<la::Matrix> normals;
   normals.reserve(kNumMetrics);
   for (std::size_t m = 0; m < kNumMetrics; ++m) {
-    la::Matrix z(num_samples, g);
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      for (std::size_t i = 0; i < g; ++i) z(s, i) = rng.normal();
-    }
-    normals.push_back(std::move(z));
+    normals.push_back(
+        latin_hypercube_normals(num_samples, grid_inputs_.size(), rng));
   }
+  return colour_grid_tables(normals);
+}
+
+std::vector<la::Matrix> OutcomeModels::colour_grid_tables(
+    const std::vector<la::Matrix>& normals) const {
+  PAMO_CHECK(is_fit(), "sample before fit");
+  PAMO_CHECK(normals.size() == kNumMetrics, "one normal table per metric");
   std::vector<la::Matrix> tables(kNumMetrics);
   parallel_for(kNumMetrics, [&](std::size_t m) {
     tables[m] = models_[m].sample_joint_given(grid_inputs_, normals[m]);

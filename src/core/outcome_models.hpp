@@ -31,6 +31,14 @@ enum class Metric : std::size_t {
 };
 inline constexpr std::size_t kNumMetrics = 5;
 
+/// Latin-hypercube standard normals, (num_samples × columns). Column by
+/// column, `rng` draws one Fisher–Yates permutation π of the S strata and
+/// then one uniform u_s per sample, strictly inside (0, 1); the entry is
+/// z_s = Φ⁻¹((π_s + u_s) / S). So every column holds exactly one draw
+/// from each of S equal-probability strata of N(0, 1). Needs S < 2²⁰.
+la::Matrix latin_hypercube_normals(std::size_t num_samples,
+                                   std::size_t columns, Rng& rng);
+
 class OutcomeModels {
  public:
   explicit OutcomeModels(const eva::ConfigSpace& space,
@@ -64,8 +72,18 @@ class OutcomeModels {
   /// Joint posterior sample tables over the knob grid: result[m] is an
   /// (S × |grid|) matrix for metric m. Samples of different metrics are
   /// independent; within a metric, samples are jointly drawn over the grid.
+  /// The driving normals are latin_hypercube_normals(S, |grid|, rng),
+  /// drawn metric by metric in Metric order, then coloured by
+  /// colour_grid_tables (see DESIGN.md, "Determinism under parallelism").
   [[nodiscard]] std::vector<la::Matrix> sample_grid_tables(
       std::size_t num_samples, Rng& rng) const;
+
+  /// Colour given standard normals into posterior sample tables:
+  /// normals[m] is (S × |grid|) for metric m, and row s of it drives
+  /// scenario s of result[m]. sample_grid_tables draws the normals and
+  /// calls this; it is deterministic and runs the metrics in parallel.
+  [[nodiscard]] std::vector<la::Matrix> colour_grid_tables(
+      const std::vector<la::Matrix>& normals) const;
 
   /// Posterior-mean table over the grid (one row per metric).
   [[nodiscard]] la::Matrix mean_grid_table() const;

@@ -71,6 +71,41 @@ Phase1Profiles profile_phase1(const eva::Workload& workload, std::size_t count,
   return out;
 }
 
+eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
+                                      std::size_t sample,
+                                      const std::vector<std::size_t>& grid_rows,
+                                      const eva::JointConfig& config,
+                                      const sched::ScheduleResult& schedule) {
+  PAMO_EXPECTS(tables.size() == kNumMetrics && sample < tables[0].rows() &&
+                   grid_rows.size() == config.size() &&
+                   schedule.uplink_per_parent.size() == config.size(),
+               "one grid row and one uplink per stream of the config");
+  const auto m = static_cast<double>(config.size());
+  eva::OutcomeVector y{};
+  for (std::size_t i = 0; i < config.size(); ++i) {
+    const std::size_t g = grid_rows[i];
+    const double acc =
+        tables[static_cast<std::size_t>(Metric::kAccuracy)](sample, g);
+    const double bw =
+        tables[static_cast<std::size_t>(Metric::kBandwidth)](sample, g);
+    const double com =
+        tables[static_cast<std::size_t>(Metric::kCompute)](sample, g);
+    const double eng =
+        tables[static_cast<std::size_t>(Metric::kPower)](sample, g);
+    const double proc =
+        tables[static_cast<std::size_t>(Metric::kProcTime)](sample, g);
+    eva::at(y, eva::Objective::kAccuracy) += acc / m;
+    eva::at(y, eva::Objective::kNetwork) += std::max(0.0, bw);
+    eva::at(y, eva::Objective::kCompute) += std::max(0.0, com);
+    eva::at(y, eva::Objective::kEnergy) += std::max(0.0, eng);
+    const double bits = std::max(0.0, bw) * 1e6 / config[i].fps;
+    const double uplink = schedule.uplink_per_parent[i];
+    eva::at(y, eva::Objective::kLatency) +=
+        (std::max(0.0, proc) + bits / (uplink * 1e6)) / m;
+  }
+  return y;
+}
+
 PamoOptions PamoScheduler::harden(PamoOptions options) {
   if (options.telemetry != nullptr && options.telemetry->enabled()) {
     options.gp.reject_nonfinite = true;
@@ -201,36 +236,6 @@ PamoScheduler::Observation PamoScheduler::observe(
     model_points_ += feed_configs.size();
   }
   return obs;
-}
-
-eva::OutcomeVector PamoScheduler::outcomes_from_rows(
-    const std::vector<la::Matrix>& tables, std::size_t sample,
-    const std::vector<std::size_t>& grid_rows, const eva::JointConfig& config,
-    const sched::ScheduleResult& schedule) const {
-  const auto m = static_cast<double>(config.size());
-  eva::OutcomeVector y{};
-  for (std::size_t i = 0; i < config.size(); ++i) {
-    const std::size_t g = grid_rows[i];
-    const double acc =
-        tables[static_cast<std::size_t>(Metric::kAccuracy)](sample, g);
-    const double bw =
-        tables[static_cast<std::size_t>(Metric::kBandwidth)](sample, g);
-    const double com =
-        tables[static_cast<std::size_t>(Metric::kCompute)](sample, g);
-    const double eng =
-        tables[static_cast<std::size_t>(Metric::kPower)](sample, g);
-    const double proc =
-        tables[static_cast<std::size_t>(Metric::kProcTime)](sample, g);
-    eva::at(y, eva::Objective::kAccuracy) += acc / m;
-    eva::at(y, eva::Objective::kNetwork) += std::max(0.0, bw);
-    eva::at(y, eva::Objective::kCompute) += std::max(0.0, com);
-    eva::at(y, eva::Objective::kEnergy) += std::max(0.0, eng);
-    const double bits = std::max(0.0, bw) * 1e6 / config[i].fps;
-    const double uplink = schedule.uplink_per_parent[i];
-    eva::at(y, eva::Objective::kLatency) +=
-        (std::max(0.0, proc) + bits / (uplink * 1e6)) / m;
-  }
-  return y;
 }
 
 double PamoScheduler::utility(const eva::OutcomeVector& normalized,

@@ -118,7 +118,11 @@ struct PamoOptions {
 
   // Phase 3 (BO loop).
   std::size_t init_observations = 6;
-  std::size_t mc_samples = 40;           // S: MC scenarios per iteration
+  /// S: MC scenarios per iteration. The scenario normals are a Latin
+  /// hypercube (OutcomeModels::sample_grid_tables), whose qNEI scores at
+  /// S = 16 vary across draws no more than plain MC's at S = 40; the sweep
+  /// costs time linear in S.
+  std::size_t mc_samples = 16;
   std::size_t batch_size = 4;            // b: qNEI batch
   std::size_t max_iters = 10;            // MaxIterNum
   std::size_t max_pool_feasible = 144;   // feasible candidates kept per iter
@@ -175,6 +179,15 @@ Phase1Profiles profile_phase1(const eva::Workload& workload, std::size_t count,
                               Rng& rng, eva::TelemetryCorruption* telemetry,
                               std::uint64_t telemetry_tag);
 
+/// Model-predicted outcome vector of a scheduled joint configuration under
+/// one MC scenario (row `sample` of OutcomeModels::sample_grid_tables),
+/// given each stream's knob-grid row (OutcomeModels::grid_index).
+eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
+                                      std::size_t sample,
+                                      const std::vector<std::size_t>& grid_rows,
+                                      const eva::JointConfig& config,
+                                      const sched::ScheduleResult& schedule);
+
 class PamoScheduler {
  public:
   PamoScheduler(const eva::Workload& workload, PamoOptions options);
@@ -211,15 +224,6 @@ class PamoScheduler {
   /// jitter-free latency through the Algorithm 1 schedule.
   Observation observe(const eva::JointConfig& config,
                       sched::ScheduleResult schedule, Rng& rng);
-
-  /// Model-predicted outcome vector of a scheduled candidate under one MC
-  /// scenario (row `sample` of the grid tables), given each stream's
-  /// knob-grid row.
-  eva::OutcomeVector outcomes_from_rows(
-      const std::vector<la::Matrix>& tables, std::size_t sample,
-      const std::vector<std::size_t>& grid_rows,
-      const eva::JointConfig& config,
-      const sched::ScheduleResult& schedule) const;
 
   /// Utility of a normalized outcome vector under the current preference
   /// belief (learned model for PaMO, true benefit for PaMO+).

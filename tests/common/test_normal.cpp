@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace pamo {
 namespace {
@@ -63,6 +66,40 @@ TEST(Normal, HazardAsymptoteDeepInTail) {
     EXPECT_NEAR(h, -z, -z * 0.02) << "z = " << z;
     EXPECT_GT(h, -z) << "hazard must exceed |z| in the left tail";
   }
+}
+
+TEST(Normal, QuantileInvertsCdf) {
+  // Log-spaced lower-tail masses from 1e-12 up to about 0.45, a linear
+  // central band, and the mirror images 1 − p of the lower tail.
+  std::vector<double> probs;
+  for (int k = 0; k <= 233; ++k) {
+    probs.push_back(1e-12 * std::pow(10.0, k / 20.0));
+  }
+  for (int k = 1; k < 20; ++k) probs.push_back(0.45 + 0.005 * k);
+  for (std::size_t i = 0; i <= 233; ++i) probs.push_back(1.0 - probs[i]);
+  std::sort(probs.begin(), probs.end());
+  ASSERT_EQ(probs.front(), 1e-12);  // pamo-analyze: allow(float-eq)
+
+  double prev = -std::numeric_limits<double>::infinity();
+  for (const double p : probs) {
+    const double z = normal_quantile(p);
+    ASSERT_TRUE(std::isfinite(z)) << "p = " << p;
+    EXPECT_GT(z, prev) << "not monotone at p = " << p;
+    prev = z;
+    // Judge the round trip on the smaller tail mass, so both tails are
+    // held to relative accuracy: Φ(−z) = 1 − Φ(z) without cancellation.
+    const double tail = p < 0.5 ? p : 1.0 - p;
+    const double back = p < 0.5 ? normal_cdf(z) : normal_cdf(-z);
+    EXPECT_NEAR(back, tail, 1e-7 * tail) << "p = " << p;
+    // Antisymmetry, exact whenever 1 − p is (always for p ≥ ½).
+    if (p >= 0.5) {
+      EXPECT_EQ(normal_quantile(1.0 - p), -z)  // pamo-analyze: allow(float-eq)
+          << "p = " << p;
+    }
+  }
+  EXPECT_EQ(normal_quantile(0.5), 0.0);  // pamo-analyze: allow(float-eq)
+  EXPECT_NEAR(normal_quantile(0.975), 1.959963984540054, 1e-8);
+  EXPECT_NEAR(normal_quantile(1e-12), -7.034483825301131, 1e-7);
 }
 
 }  // namespace

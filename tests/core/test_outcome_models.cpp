@@ -4,10 +4,17 @@
 
 #include <cmath>
 #include <utility>
+#include <vector>
 
+#include "bo/acquisition.hpp"
 #include "common/error.hpp"
+#include "common/normal.hpp"
 #include "common/stats.hpp"
+#include "core/pamo.hpp"
+#include "eva/workload.hpp"
 #include "obs/json.hpp"
+#include "pref/oracle.hpp"
+#include "sched/scheduler.hpp"
 
 namespace pamo::core {
 namespace {
@@ -149,6 +156,136 @@ TEST(OutcomeModels, RejectsBadInput) {
   ms.pop_back();
   EXPECT_THROW(models.fit(configs, ms), Error);  // size mismatch
   EXPECT_THROW(models.mean_grid_table(), Error);  // before fit
+}
+
+TEST(OutcomeModels, LatinHypercubeColumnsAreStratified) {
+  constexpr std::size_t kStrata = 16;
+  Rng rng(0x1a7e);
+  const la::Matrix z = latin_hypercube_normals(kStrata, 30, rng);
+  ASSERT_EQ(z.rows(), kStrata);
+  ASSERT_EQ(z.cols(), 30u);
+  for (std::size_t i = 0; i < z.cols(); ++i) {
+    std::vector<std::size_t> hits(kStrata, 0);
+    for (std::size_t s = 0; s < kStrata; ++s) {
+      const double p = normal_cdf(z(s, i));
+      ASSERT_GT(p, 0.0);
+      ASSERT_LT(p, 1.0);
+      ++hits[static_cast<std::size_t>(p * kStrata)];
+    }
+    for (std::size_t k = 0; k < kStrata; ++k) {
+      EXPECT_EQ(hits[k], 1u) << "column " << i << ", stratum " << k;
+    }
+  }
+}
+
+/// A posterior fitted once on a paper-scale workload, with Algorithm-1-
+/// feasible candidates and a few "observed" configurations, scored the
+/// way a Phase-3 iteration scores them under the true uniform benefit.
+struct QneiFixture {
+  eva::Workload workload;
+  eva::OutcomeNormalizer normalizer;
+  OutcomeModels models;
+  std::vector<eva::JointConfig> configs;
+  std::vector<sched::ScheduleResult> schedules;
+  std::vector<std::vector<std::size_t>> rows;
+  static constexpr std::size_t kObserved = 4;
+
+  explicit QneiFixture(std::uint64_t seed)
+      : workload(eva::make_workload(12, 4, seed)),
+        normalizer(eva::OutcomeNormalizer::for_workload(workload)),
+        models(workload.space, PamoOptions{}.gp) {
+    Rng rng(seed);
+    const Phase1Profiles fit = profile_phase1(workload, 64, rng, nullptr, 0);
+    models.fit(fit.configs, fit.measurements);
+    for (std::size_t a = 0; a < 4000 && configs.size() < 36; ++a) {
+      eva::JointConfig config(workload.num_streams());
+      for (auto& c : config) c = workload.space.sample(rng);
+      sched::ScheduleResult schedule =
+          sched::schedule_zero_jitter(workload, config);
+      if (!schedule.feasible) continue;
+      std::vector<std::size_t> grid_rows;
+      for (const auto& c : config) grid_rows.push_back(models.grid_index(c));
+      configs.push_back(std::move(config));
+      schedules.push_back(std::move(schedule));
+      rows.push_back(std::move(grid_rows));
+    }
+  }
+
+  /// qNEI score of every non-observed candidate under the given tables.
+  std::vector<double> scores(const std::vector<la::Matrix>& tables) const {
+    const pref::BenefitFunction benefit = pref::BenefitFunction::uniform();
+    const std::size_t num_samples = tables.front().rows();
+    const std::size_t num_pool = configs.size() - kObserved;
+    la::Matrix z_pool(num_samples, num_pool);
+    la::Matrix z_obs(num_samples, kObserved);
+    for (std::size_t s = 0; s < num_samples; ++s) {
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        const double u = benefit.value(normalizer.normalize(outcomes_from_rows(
+            tables, s, rows[c], configs[c], schedules[c])));
+        if (c < kObserved) {
+          z_obs(s, c) = u;
+        } else {
+          z_pool(s, c - kObserved) = u;
+        }
+      }
+    }
+    return bo::acquisition_scores({}, z_pool, &z_obs, 0.0);
+  }
+};
+
+/// Plain Monte-Carlo normals in the order the pre-Latin-hypercube sampler
+/// drew them (metric, then sample, then grid column).
+std::vector<la::Matrix> plain_normals(std::size_t num_samples,
+                                      std::size_t columns, Rng& rng) {
+  std::vector<la::Matrix> normals;
+  for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    la::Matrix z(num_samples, columns);
+    for (std::size_t s = 0; s < num_samples; ++s) {
+      for (std::size_t i = 0; i < columns; ++i) z(s, i) = rng.normal();
+    }
+    normals.push_back(std::move(z));
+  }
+  return normals;
+}
+
+/// Mean over candidates of the qNEI score's variance across 60 draw seeds.
+template <typename Draw>
+double mean_score_variance(const QneiFixture& f, Draw&& draw) {
+  constexpr std::size_t kDraws = 60;
+  std::vector<std::vector<double>> runs;
+  for (std::size_t d = 0; d < kDraws; ++d) {
+    Rng rng(0x5eed0000ULL + d);
+    runs.push_back(f.scores(draw(rng)));
+  }
+  double total = 0.0;
+  for (std::size_t c = 0; c < runs.front().size(); ++c) {
+    double mean = 0.0;
+    for (const auto& run : runs) mean += run[c];
+    mean /= kDraws;
+    double var = 0.0;
+    for (const auto& run : runs) var += (run[c] - mean) * (run[c] - mean);
+    total += var / (kDraws - 1);
+  }
+  return total / static_cast<double>(runs.front().size());
+}
+
+TEST(OutcomeModels, LatinHypercubeAtSixteenScoresAsSteadilyAsPlainAtForty) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const QneiFixture f(seed);
+    ASSERT_GE(f.configs.size(), 20u) << "seed " << seed;
+    const std::size_t grid = f.models.grid().size();
+    const double lhs16 = mean_score_variance(
+        f, [&](Rng& rng) { return f.models.sample_grid_tables(16, rng); });
+    const double plain40 = mean_score_variance(f, [&](Rng& rng) {
+      return f.models.colour_grid_tables(plain_normals(40, grid, rng));
+    });
+    const double plain16 = mean_score_variance(f, [&](Rng& rng) {
+      return f.models.colour_grid_tables(plain_normals(16, grid, rng));
+    });
+    EXPECT_GT(lhs16, 0.0) << "seed " << seed;
+    EXPECT_LE(lhs16, plain40) << "seed " << seed;
+    EXPECT_LT(lhs16, plain16) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -166,17 +166,26 @@ TEST(ServiceFaults, StragglerIsPaddedForAndStaysJitterFree) {
 }
 
 TEST(ServiceFaults, DeepStragglerIsRoutedAroundLikeADeadServer) {
-  SchedulingService service(eva::make_workload(5, 4, 306), tiny_service(16));
-  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
-  const auto first = service.run_epoch(oracle);
-  ASSERT_TRUE(first.feasible);
+  // A fault plan reaches only the validation simulation, never the
+  // optimizer, so a fault-free twin previews the placement the second
+  // epoch picks. Slowing a server that placement uses forces a repair.
+  const eva::Workload workload = eva::make_workload(5, 4, 306);
+  SchedulingService twin(workload, tiny_service(16));
+  pref::PreferenceOracle twin_oracle(pref::BenefitFunction::uniform());
+  ASSERT_TRUE(twin.run_epoch(twin_oracle).feasible);
+  const auto preview = twin.run_epoch(twin_oracle);
+  ASSERT_TRUE(preview.feasible);
 
-  const std::size_t victim = first.schedule.assignment[0];
+  SchedulingService service(workload, tiny_service(16));
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  ASSERT_TRUE(service.run_epoch(oracle).feasible);
+  const std::size_t victim = preview.schedule.assignment[0];
   sim::FaultPlan plan;
   plan.slow_server(victim, 0.0, 8.0);  // >= straggler_exclusion (4x)
   service.set_fault_plan(plan);
   const auto second = service.run_epoch(oracle);
   ASSERT_TRUE(second.feasible);
+  ASSERT_EQ(second.schedule.assignment, preview.schedule.assignment);
   ASSERT_TRUE(second.repaired);
   for (std::size_t server : second.repaired_schedule.assignment) {
     EXPECT_NE(server, victim);
