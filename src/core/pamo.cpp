@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -104,6 +105,30 @@ eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
         (std::max(0.0, proc) + bits / (uplink * 1e6)) / m;
   }
   return y;
+}
+
+CandidatePool schedule_candidate_pool(
+    const eva::Workload& workload,
+    const std::vector<std::vector<double>>& raw_pool,
+    const std::vector<eva::JointConfig>& observed, std::size_t max_feasible) {
+  // Ordered, not hashed: nothing on a decision path iterates an unordered
+  // container.
+  std::set<eva::JointConfig> seen(observed.begin(), observed.end());
+  CandidatePool pool;
+  for (const auto& unit : raw_pool) {
+    if (pool.configs.size() >= max_feasible) break;
+    eva::JointConfig config = workload.space.joint_from_unit(unit);
+    if (!seen.insert(config).second) continue;
+    sched::ScheduleResult schedule =
+        sched::schedule_zero_jitter(workload, config);
+    if (!schedule.feasible) continue;  // zero-jitter constraint (Const2)
+    pool.configs.push_back(std::move(config));
+    pool.schedules.push_back(std::move(schedule));
+  }
+  PAMO_ENSURES(pool.configs.size() == pool.schedules.size() &&
+                   pool.configs.size() <= max_feasible,
+               "one schedule per kept candidate, at most max_feasible");
+  return pool;
 }
 
 PamoOptions PamoScheduler::harden(PamoOptions options) {
@@ -427,20 +452,15 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       incumbents.push_back(observed[obs_order[i]].unit);
     }
 
-    // Candidate pool: quasi-random + mutations, scheduled by Algorithm 1.
+    // Candidate pool: quasi-random + mutations, new configurations only,
+    // scheduled by Algorithm 1.
     const auto raw_pool =
         bo::make_candidate_pool(dim, incumbents, options_.pool, rng);
-    std::vector<eva::JointConfig> pool_configs;
-    std::vector<sched::ScheduleResult> pool_schedules;
-    for (const auto& unit : raw_pool) {
-      if (pool_configs.size() >= options_.max_pool_feasible) break;
-      eva::JointConfig config = workload_.space.joint_from_unit(unit);
-      sched::ScheduleResult schedule =
-          sched::schedule_zero_jitter(workload_, config);
-      if (!schedule.feasible) continue;  // zero-jitter constraint (Const2)
-      pool_configs.push_back(std::move(config));
-      pool_schedules.push_back(std::move(schedule));
-    }
+    std::vector<eva::JointConfig> observed_configs;
+    observed_configs.reserve(observed.size());
+    for (const auto& obs : observed) observed_configs.push_back(obs.config);
+    auto [pool_configs, pool_schedules] = schedule_candidate_pool(
+        workload_, raw_pool, observed_configs, options_.max_pool_feasible);
     if (pool_configs.empty()) return false;
 
     // Joint MC scenarios over the knob grid.

@@ -188,6 +188,22 @@ eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
                                       const eva::JointConfig& config,
                                       const sched::ScheduleResult& schedule);
 
+/// Phase-3 candidates that survived Algorithm 1, index-aligned.
+struct CandidatePool {
+  std::vector<eva::JointConfig> configs;
+  std::vector<sched::ScheduleResult> schedules;
+};
+
+/// Round each unit point of `raw_pool` to a joint configuration, in order,
+/// and keep the first `max_feasible` that Algorithm 1 schedules. A
+/// configuration already in `observed` or earlier in the pool is skipped
+/// before scheduling: profiling it again teaches the models nothing new,
+/// and an observed one scores exactly 0 under qNEI.
+CandidatePool schedule_candidate_pool(
+    const eva::Workload& workload,
+    const std::vector<std::vector<double>>& raw_pool,
+    const std::vector<eva::JointConfig>& observed, std::size_t max_feasible);
+
 class PamoScheduler {
  public:
   PamoScheduler(const eva::Workload& workload, PamoOptions options);

@@ -20,6 +20,9 @@ struct StreamConfig {
   std::uint32_t fps = 0;
 
   friend bool operator==(const StreamConfig&, const StreamConfig&) = default;
+  /// Lexicographic by (resolution, fps), so joint configurations order
+  /// deterministically in sorted containers.
+  friend auto operator<=>(const StreamConfig&, const StreamConfig&) = default;
 };
 
 /// Joint configuration of all M streams (index = stream id).

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "core/evaluation.hpp"
 
 namespace pamo::core {
@@ -24,6 +28,40 @@ PamoOptions fast_options(std::uint64_t seed = 42) {
   options.gp.mle_max_evals = 60;
   options.seed = seed;
   return options;
+}
+
+TEST(Pamo, CandidatePoolSkipsRepeatedAndObservedConfigurations) {
+  const eva::Workload w = eva::make_workload(5, 4, 42);
+  Rng rng(3);
+  std::vector<eva::JointConfig> distinct;
+  for (std::size_t attempt = 0; attempt < 1000 && distinct.size() < 3;
+       ++attempt) {
+    eva::JointConfig config(w.num_streams());
+    for (auto& c : config) c = w.space.sample(rng);
+    if (sched::schedule_zero_jitter(w, config).feasible &&
+        std::find(distinct.begin(), distinct.end(), config) == distinct.end()) {
+      distinct.push_back(std::move(config));
+    }
+  }
+  ASSERT_EQ(distinct.size(), 3u);
+  const auto& [a, b, c] = std::tie(distinct[0], distinct[1], distinct[2]);
+  const auto unit = [&](const eva::JointConfig& config) {
+    return w.space.joint_to_unit(config);
+  };
+  // a b a c b, with c already observed: only the first a and b survive,
+  // in pool order, each with its Algorithm 1 schedule.
+  const std::vector<std::vector<double>> raw = {unit(a), unit(b), unit(a),
+                                                unit(c), unit(b)};
+  const CandidatePool pool = schedule_candidate_pool(w, raw, {c}, 10);
+  ASSERT_EQ(pool.configs.size(), 2u);
+  EXPECT_EQ(pool.configs[0], a);
+  EXPECT_EQ(pool.configs[1], b);
+  ASSERT_EQ(pool.schedules.size(), 2u);
+  EXPECT_TRUE(pool.schedules[0].feasible);
+  EXPECT_TRUE(pool.schedules[1].feasible);
+  // The cap counts kept candidates, not skipped ones.
+  EXPECT_EQ(schedule_candidate_pool(w, raw, {a}, 2).configs,
+            (std::vector<eva::JointConfig>{b, c}));
 }
 
 TEST(Pamo, RunsEndToEndAndReturnsFeasibleSchedule) {
