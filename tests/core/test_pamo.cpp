@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -44,7 +43,9 @@ TEST(Pamo, CandidatePoolSkipsRepeatedAndObservedConfigurations) {
     }
   }
   ASSERT_EQ(distinct.size(), 3u);
-  const auto& [a, b, c] = std::tie(distinct[0], distinct[1], distinct[2]);
+  const eva::JointConfig& a = distinct[0];
+  const eva::JointConfig& b = distinct[1];
+  const eva::JointConfig& c = distinct[2];
   const auto unit = [&](const eva::JointConfig& config) {
     return w.space.joint_to_unit(config);
   };
