@@ -71,11 +71,4 @@ std::vector<double> HaltonSequence::next() {
   return point;
 }
 
-std::vector<std::vector<double>> HaltonSequence::take(std::size_t n) {
-  std::vector<std::vector<double>> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) points.push_back(next());
-  return points;
-}
-
 }  // namespace pamo

@@ -25,9 +25,6 @@ class HaltonSequence {
   /// Next point in [0,1)^dim.
   std::vector<double> next();
 
-  /// Generate `n` points at once (rows of the result).
-  std::vector<std::vector<double>> take(std::size_t n);
-
   [[nodiscard]] std::size_t dim() const { return bases_.size(); }
 
  private:

@@ -6,6 +6,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/quasi.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
@@ -28,6 +29,19 @@ std::vector<std::size_t> grid_rows_of(const OutcomeModels& models,
   rows.reserve(config.size());
   for (const auto& c : config) rows.push_back(models.grid_index(c));
   return rows;
+}
+
+/// The models' posterior means as a one-scenario table set for
+/// outcomes_from_rows (scenario 0).
+std::vector<la::Matrix> mean_tables(const OutcomeModels& models) {
+  const la::Matrix means = models.mean_grid_table();
+  std::vector<la::Matrix> tables(kNumMetrics, la::Matrix(1, means.cols()));
+  for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    for (std::size_t g = 0; g < means.cols(); ++g) {
+      tables[m](0, g) = means(m, g);
+    }
+  }
+  return tables;
 }
 
 }  // namespace
@@ -107,22 +121,85 @@ eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
   return y;
 }
 
+std::vector<eva::JointConfig> draw_candidates(
+    const eva::Workload& workload,
+    const std::vector<eva::JointConfig>& incumbents,
+    const PoolOptions& options, Rng& rng) {
+  const std::size_t m = workload.num_streams();
+  PAMO_CHECK(m >= 1, "candidate draw needs at least one stream");
+  const auto& resolutions = workload.space.resolutions();
+  const auto& fps_knobs = workload.space.fps_knobs();
+  // A point of [0,1]^(2M): coordinate 2i is stream i's resolution axis,
+  // 2i + 1 its fps axis. Each axis splits into K equal cells, one per knob.
+  const auto snap = [](double u, const std::vector<std::uint32_t>& knobs) {
+    const auto k = static_cast<std::size_t>(std::clamp(u, 0.0, 1.0) *
+                                            static_cast<double>(knobs.size()));
+    return knobs[std::min(k, knobs.size() - 1)];
+  };
+  const auto decode = [&](const std::vector<double>& u) {
+    eva::JointConfig config(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      config[i] = {snap(u[2 * i], resolutions), snap(u[2 * i + 1], fps_knobs)};
+    }
+    return config;
+  };
+  const auto midpoint = [](std::uint32_t value,
+                           const std::vector<std::uint32_t>& knobs) {
+    const auto it = std::find(knobs.begin(), knobs.end(), value);
+    PAMO_CHECK(it != knobs.end(), "incumbent value is not a knob");
+    return (static_cast<double>(it - knobs.begin()) + 0.5) /
+           static_cast<double>(knobs.size());
+  };
+
+  std::vector<eva::JointConfig> pool;
+  pool.reserve(options.num_quasi_random +
+               incumbents.size() * options.mutations_per_incumbent);
+  HaltonSequence halton(2 * m, rng.next_u64());
+  for (std::size_t i = 0; i < options.num_quasi_random; ++i) {
+    pool.push_back(decode(halton.next()));
+  }
+  for (const auto& incumbent : incumbents) {
+    PAMO_CHECK(incumbent.size() == m, "incumbent must configure every stream");
+    std::vector<double> unit(2 * m);
+    for (std::size_t i = 0; i < m; ++i) {
+      unit[2 * i] = midpoint(incumbent[i].resolution, resolutions);
+      unit[2 * i + 1] = midpoint(incumbent[i].fps, fps_knobs);
+    }
+    for (std::size_t k = 0; k < options.mutations_per_incumbent; ++k) {
+      // Perturb a few coordinates and keep the rest: local moves in a
+      // product space should change only a few streams at a time.
+      std::vector<double> mutated = unit;
+      const std::size_t num_mutated = 1 + rng.uniform_index(m);
+      for (std::size_t j = 0; j < num_mutated; ++j) {
+        double& coord = mutated[rng.uniform_index(2 * m)];
+        coord = std::clamp(coord + rng.normal(0.0, options.mutation_sigma),
+                           0.0, 1.0);
+      }
+      pool.push_back(decode(mutated));
+    }
+  }
+  PAMO_ENSURES(pool.size() == options.num_quasi_random +
+                                  incumbents.size() *
+                                      options.mutations_per_incumbent,
+               "pool size is deterministic in its options");
+  return pool;
+}
+
 CandidatePool schedule_candidate_pool(
     const eva::Workload& workload,
-    const std::vector<std::vector<double>>& raw_pool,
+    const std::vector<eva::JointConfig>& candidates,
     const std::vector<eva::JointConfig>& observed, std::size_t max_feasible) {
   // Ordered, not hashed: nothing on a decision path iterates an unordered
   // container.
   std::set<eva::JointConfig> seen(observed.begin(), observed.end());
   CandidatePool pool;
-  for (const auto& unit : raw_pool) {
+  for (const auto& config : candidates) {
     if (pool.configs.size() >= max_feasible) break;
-    eva::JointConfig config = workload.space.joint_from_unit(unit);
     if (!seen.insert(config).second) continue;
     sched::ScheduleResult schedule =
         sched::schedule_zero_jitter(workload, config);
     if (!schedule.feasible) continue;  // zero-jitter constraint (Const2)
-    pool.configs.push_back(std::move(config));
+    pool.configs.push_back(config);
     pool.schedules.push_back(std::move(schedule));
   }
   PAMO_ENSURES(pool.configs.size() == pool.schedules.size() &&
@@ -192,7 +269,6 @@ PamoScheduler::Observation PamoScheduler::observe(
   Observation obs;
   obs.config = config;
   obs.schedule = std::move(schedule);
-  obs.unit = workload_.space.joint_to_unit(config);
 
   eva::TelemetryCorruption* telemetry = options_.telemetry;
   const bool corrupting = telemetry != nullptr && telemetry->enabled();
@@ -251,8 +327,8 @@ PamoScheduler::Observation PamoScheduler::observe(
     }
   }
   ++profiles_taken_;
-  obs.raw = eva::aggregate_outcomes(measurements, latencies);
-  obs.normalized = normalizer_.normalize(obs.raw);
+  obs.normalized =
+      normalizer_.normalize(eva::aggregate_outcomes(measurements, latencies));
 
   // Feed the outcome models (respecting the training-size cap: past the
   // cap the models are informative enough and refits dominate runtime).
@@ -280,15 +356,7 @@ void PamoScheduler::heuristic_fallback(PamoResult& result,
   // One clean "scenario" built from posterior point estimates — no MC
   // sampling, no acquisition, just Algorithm 1 feasibility plus the
   // models' best guess of each candidate's utility.
-  const la::Matrix means = models_.mean_grid_table();
-  const std::size_t grid_size = models_.grid().size();
-  std::vector<la::Matrix> tables;
-  tables.reserve(kNumMetrics);
-  for (std::size_t m = 0; m < kNumMetrics; ++m) {
-    la::Matrix t(1, grid_size);
-    for (std::size_t g = 0; g < grid_size; ++g) t(0, g) = means(m, g);
-    tables.push_back(std::move(t));
-  }
+  const std::vector<la::Matrix> tables = mean_tables(models_);
   double best_utility = -1e300;
   for (std::size_t attempt = 0; attempt < 16; ++attempt) {
     auto drawn = random_feasible(rng);
@@ -359,32 +427,17 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       // learned; reuse it and let the in-loop updates keep refining it.
       active_learner_ = options_.shared_learner;
     } else if (!options_.use_true_preference) {
+      // Model-mean outcome vectors of feasible candidates: what the
+      // system can show the decision-maker without extra measurements.
+      const std::vector<la::Matrix> means = mean_tables(models_);
       std::vector<std::vector<double>> pool;
       pool.reserve(options_.pref_pool_size);
       for (std::size_t p = 0; p < options_.pref_pool_size; ++p) {
         auto drawn = random_feasible(rng);
         if (!drawn) continue;
         const auto& [config, schedule] = *drawn;
-        // Model-mean outcome vector of the candidate (what the system can
-        // show the decision-maker without extra measurements).
-        eva::OutcomeVector y{};
-        const auto m = static_cast<double>(config.size());
-        for (std::size_t i = 0; i < config.size(); ++i) {
-          const auto& c = config[i];
-          eva::at(y, eva::Objective::kAccuracy) +=
-              models_.mean(Metric::kAccuracy, c) / m;
-          const double bw = models_.mean(Metric::kBandwidth, c);
-          eva::at(y, eva::Objective::kNetwork) += bw;
-          eva::at(y, eva::Objective::kCompute) +=
-              models_.mean(Metric::kCompute, c);
-          eva::at(y, eva::Objective::kEnergy) += models_.mean(Metric::kPower, c);
-          const double bits = bw * 1e6 / c.fps;
-          eva::at(y, eva::Objective::kLatency) +=
-              (models_.mean(Metric::kProcTime, c) +
-               bits / (schedule.uplink_per_parent[i] * 1e6)) /
-              m;
-        }
-        pool.push_back(to_vector(normalizer_.normalize(y)));
+        pool.push_back(to_vector(normalizer_.normalize(outcomes_from_rows(
+            means, 0, grid_rows_of(models_, config), config, schedule))));
       }
       PAMO_CHECK(pool.size() >= 2,
                  "could not build a preference candidate pool (workload "
@@ -432,7 +485,6 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     return result;
   }
 
-  const std::size_t dim = 2 * workload_.num_streams();
   double z_prev = -1e300;
   // One BO iteration; returns false to stop the loop.
   auto step = [&](std::size_t iter) {
@@ -446,21 +498,21 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
                        return utility(observed[a].normalized, oracle) >
                               utility(observed[b].normalized, oracle);
                      });
-    std::vector<std::vector<double>> incumbents;
+    std::vector<eva::JointConfig> incumbents;
     for (std::size_t i = 0; i < std::min<std::size_t>(3, obs_order.size());
          ++i) {
-      incumbents.push_back(observed[obs_order[i]].unit);
+      incumbents.push_back(observed[obs_order[i]].config);
     }
 
     // Candidate pool: quasi-random + mutations, new configurations only,
     // scheduled by Algorithm 1.
-    const auto raw_pool =
-        bo::make_candidate_pool(dim, incumbents, options_.pool, rng);
+    const auto candidates =
+        draw_candidates(workload_, incumbents, options_.pool, rng);
     std::vector<eva::JointConfig> observed_configs;
     observed_configs.reserve(observed.size());
     for (const auto& obs : observed) observed_configs.push_back(obs.config);
     auto [pool_configs, pool_schedules] = schedule_candidate_pool(
-        workload_, raw_pool, observed_configs, options_.max_pool_feasible);
+        workload_, candidates, observed_configs, options_.max_pool_feasible);
     if (pool_configs.empty()) return false;
 
     // Joint MC scenarios over the knob grid.

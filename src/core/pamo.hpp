@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bo/acquisition.hpp"
-#include "bo/candidates.hpp"
 #include "bo/watchdog.hpp"
 #include "core/outcome_models.hpp"
 #include "eva/outcomes.hpp"
@@ -71,6 +70,17 @@ struct LearningHealth {
 /// drift as deltas, jitter as a maximum.
 void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
                       const gp::GpFitDiagnostics& base = {});
+
+/// Phase-3 candidate pool: quasi-random coverage of the joint knob space
+/// plus local mutations of the incumbents (the standard "random restarts
+/// + local perturbation" pool of discrete BO).
+struct PoolOptions {
+  std::size_t num_quasi_random = 192;
+  /// Mutations generated around *each* incumbent.
+  std::size_t mutations_per_incumbent = 24;
+  /// Gaussian mutation scale, in units of a knob axis's full range.
+  double mutation_sigma = 0.18;
+};
 
 struct PamoOptions {
   // Phase 1 (outcome models).
@@ -128,7 +138,7 @@ struct PamoOptions {
   std::size_t max_pool_feasible = 144;   // feasible candidates kept per iter
   double delta = 0.02;                   // convergence threshold δ
   bo::AcquisitionOptions acquisition;
-  bo::PoolOptions pool;
+  PoolOptions pool;
 
   /// Optional telemetry corruption injected into every profiler
   /// measurement (externally owned; survives across epochs so stuck-at
@@ -194,14 +204,24 @@ struct CandidatePool {
   std::vector<sched::ScheduleResult> schedules;
 };
 
-/// Round each unit point of `raw_pool` to a joint configuration, in order,
-/// and keep the first `max_feasible` that Algorithm 1 schedules. A
-/// configuration already in `observed` or earlier in the pool is skipped
-/// before scheduling: profiling it again teaches the models nothing new,
-/// and an observed one scores exactly 0 under qNEI.
+/// Draw the Phase-3 candidates for `workload`: options.num_quasi_random
+/// Halton points, then options.mutations_per_incumbent mutations of each
+/// incumbent in order. Every incumbent must configure every stream with
+/// knob values. The result has exactly that many configurations, possibly
+/// with repeats (schedule_candidate_pool skips them). DESIGN.md,
+/// "Candidate draw", gives the encoding and the RNG order.
+std::vector<eva::JointConfig> draw_candidates(
+    const eva::Workload& workload,
+    const std::vector<eva::JointConfig>& incumbents,
+    const PoolOptions& options, Rng& rng);
+
+/// Keep, in order, the first `max_feasible` of `candidates` that
+/// Algorithm 1 schedules. A configuration already in `observed` or earlier
+/// in the list is skipped before scheduling: profiling it again teaches
+/// the models nothing new, and an observed one scores exactly 0 under qNEI.
 CandidatePool schedule_candidate_pool(
     const eva::Workload& workload,
-    const std::vector<std::vector<double>>& raw_pool,
+    const std::vector<eva::JointConfig>& candidates,
     const std::vector<eva::JointConfig>& observed, std::size_t max_feasible);
 
 class PamoScheduler {
@@ -226,9 +246,7 @@ class PamoScheduler {
   struct Observation {
     eva::JointConfig config;
     sched::ScheduleResult schedule;
-    std::vector<double> unit;          // encoded decision vector
-    eva::OutcomeVector raw{};          // aggregated noisy observation
-    eva::OutcomeVector normalized{};   // ŷ
+    eva::OutcomeVector normalized{};  // ŷ of the aggregated noisy observation
   };
 
   /// Draw a joint configuration whose Algorithm 1 schedule is feasible,

@@ -30,45 +30,4 @@ StreamConfig ConfigSpace::sample(Rng& rng) const {
           fps_knobs_[rng.uniform_index(fps_knobs_.size())]};
 }
 
-StreamConfig ConfigSpace::from_unit(double u_res, double u_fps) const {
-  auto snap = [](double u, const std::vector<std::uint32_t>& knobs) {
-    u = std::min(1.0, std::max(0.0, u));
-    auto idx = static_cast<std::size_t>(u * static_cast<double>(knobs.size()));
-    if (idx >= knobs.size()) idx = knobs.size() - 1;
-    return knobs[idx];
-  };
-  return {snap(u_res, resolutions_), snap(u_fps, fps_knobs_)};
-}
-
-std::pair<double, double> ConfigSpace::to_unit(
-    const StreamConfig& config) const {
-  auto unsnap = [](std::uint32_t value, const std::vector<std::uint32_t>& knobs) {
-    const auto it = std::find(knobs.begin(), knobs.end(), value);
-    PAMO_CHECK(it != knobs.end(), "configuration value is not a knob");
-    const auto idx = static_cast<double>(std::distance(knobs.begin(), it));
-    return (idx + 0.5) / static_cast<double>(knobs.size());
-  };
-  return {unsnap(config.resolution, resolutions_),
-          unsnap(config.fps, fps_knobs_)};
-}
-
-JointConfig ConfigSpace::joint_from_unit(const std::vector<double>& u) const {
-  PAMO_CHECK(u.size() % 2 == 0, "unit vector length must be even (2M)");
-  JointConfig config(u.size() / 2);
-  for (std::size_t i = 0; i < config.size(); ++i) {
-    config[i] = from_unit(u[2 * i], u[2 * i + 1]);
-  }
-  return config;
-}
-
-std::vector<double> ConfigSpace::joint_to_unit(const JointConfig& config) const {
-  std::vector<double> u(config.size() * 2);
-  for (std::size_t i = 0; i < config.size(); ++i) {
-    const auto [ur, uf] = to_unit(config[i]);
-    u[2 * i] = ur;
-    u[2 * i + 1] = uf;
-  }
-  return u;
-}
-
 }  // namespace pamo::eva

@@ -2,8 +2,7 @@
 //
 // A stream configuration is (resolution, fps) drawn from discrete knob
 // sets; the scheduler's joint decision for M streams lives in the product
-// space. BO works in the continuous unit cube [0,1]^{2M} and snaps to the
-// nearest knob (standard practice for discrete BO spaces).
+// space (N · C_r · C_f)^M, and every module works in it directly.
 #pragma once
 
 #include <cstdint>
@@ -53,21 +52,6 @@ class ConfigSpace {
 
   /// Uniformly random configuration.
   [[nodiscard]] StreamConfig sample(Rng& rng) const;
-
-  /// Snap a point of the unit square (u_res, u_fps) to the nearest knobs.
-  [[nodiscard]] StreamConfig from_unit(double u_res, double u_fps) const;
-
-  /// Encode a configuration back into the unit square (knob midpoints).
-  [[nodiscard]] std::pair<double, double> to_unit(
-      const StreamConfig& config) const;
-
-  /// Decode a flat unit-cube vector of length 2M into a JointConfig.
-  [[nodiscard]] JointConfig joint_from_unit(
-      const std::vector<double>& u) const;
-
-  /// Encode a JointConfig into the flat unit cube (length 2M).
-  [[nodiscard]] std::vector<double> joint_to_unit(
-      const JointConfig& config) const;
 
  private:
   std::vector<std::uint32_t> resolutions_;  // ascending

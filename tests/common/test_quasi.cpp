@@ -51,15 +51,6 @@ TEST(Halton, DifferentSeedsScrambleDifferently) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(Halton, TakeMatchesRepeatedNext) {
-  HaltonSequence a(3, 9);
-  HaltonSequence b(3, 9);
-  const auto batch = a.take(20);
-  for (const auto& p : batch) {
-    EXPECT_EQ(p, b.next());
-  }
-}
-
 TEST(Halton, MarginalMeansAreCentered) {
   const std::size_t dim = 6;
   HaltonSequence seq(dim, 11);

@@ -46,13 +46,9 @@ TEST(Pamo, CandidatePoolSkipsRepeatedAndObservedConfigurations) {
   const eva::JointConfig& a = distinct[0];
   const eva::JointConfig& b = distinct[1];
   const eva::JointConfig& c = distinct[2];
-  const auto unit = [&](const eva::JointConfig& config) {
-    return w.space.joint_to_unit(config);
-  };
   // a b a c b, with c already observed: only the first a and b survive,
   // in pool order, each with its Algorithm 1 schedule.
-  const std::vector<std::vector<double>> raw = {unit(a), unit(b), unit(a),
-                                                unit(c), unit(b)};
+  const std::vector<eva::JointConfig> raw = {a, b, a, c, b};
   const CandidatePool pool = schedule_candidate_pool(w, raw, {c}, 10);
   ASSERT_EQ(pool.configs.size(), 2u);
   EXPECT_EQ(pool.configs[0], a);

@@ -3,43 +3,27 @@
 #include "core/report_digest.hpp"
 #include "core/service.hpp"
 #include "sim/fault.hpp"
+#include "support/service_fixtures.hpp"
 
 namespace pamo::core {
 namespace {
 
-ServiceOptions tiny_service(std::uint64_t seed) {
-  ServiceOptions options;
-  options.initial.init_profiles = 32;
-  options.initial.init_observations = 3;
-  options.initial.mc_samples = 12;
-  options.initial.batch_size = 2;
-  options.initial.max_iters = 3;
-  options.initial.pool.num_quasi_random = 32;
-  options.initial.pool.mutations_per_incumbent = 6;
-  options.initial.max_pool_feasible = 32;
-  options.initial.gp.mle_restarts = 1;
-  options.initial.gp.mle_max_evals = 50;
-  options.steady = options.initial;
-  options.steady.init_profiles = 24;
-  options.steady.max_iters = 2;
-  options.pref_pool_size = 14;
-  options.initial_comparisons = 8;
-  options.seed = seed;
-  return options;
-}
-
-/// Run two epochs — one healthy, then one with the first stream's server
-/// killed mid-horizon — and return both reports.
+/// Run two epochs — one healthy, then one with the server of its own first
+/// stream killed mid-horizon — and return both reports.
 std::pair<SchedulingService::EpochReport, SchedulingService::EpochReport>
 run_kill_scenario(const ServiceOptions& options, std::uint64_t workload_seed) {
-  SchedulingService service(eva::make_workload(5, 4, workload_seed), options);
+  const eva::Workload workload = eva::make_workload(5, 4, workload_seed);
+  const auto preview = preview_second_epoch(workload, options);
+  EXPECT_TRUE(preview.feasible);
+  SchedulingService service(workload, options);
   pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
   auto first = service.run_epoch(oracle);
   EXPECT_TRUE(first.feasible);
   sim::FaultPlan plan;
-  plan.kill_server(first.schedule.assignment[0], 2.0);
+  plan.kill_server(preview.schedule.assignment.at(0), 2.0);
   service.set_fault_plan(plan);
   auto second = service.run_epoch(oracle);
+  EXPECT_EQ(second.schedule.assignment, preview.schedule.assignment);
   return {std::move(first), std::move(second)};
 }
 
@@ -66,7 +50,7 @@ TEST(ServiceExactRepair, FiresAndLogsExactReplaceOrphans) {
   ServiceOptions options = tiny_service(42);
   options.resilience.exact_repair.enabled = true;
   const auto [first, second] = run_kill_scenario(options, 312);
-  const std::size_t victim = first.schedule.assignment[0];
+  const std::size_t victim = second.schedule.assignment[0];
   ASSERT_TRUE(second.repaired);
   ASSERT_FALSE(second.repairs.empty());
   EXPECT_EQ(second.repairs.front().kind, RepairKind::kExactReplaceOrphans);

@@ -3,48 +3,32 @@
 #include "core/service.hpp"
 #include "eva/clip.hpp"
 #include "sim/fault.hpp"
+#include "support/service_fixtures.hpp"
 
 namespace pamo::core {
 namespace {
 
-ServiceOptions tiny_service(std::uint64_t seed) {
-  ServiceOptions options;
-  options.initial.init_profiles = 32;
-  options.initial.init_observations = 3;
-  options.initial.mc_samples = 12;
-  options.initial.batch_size = 2;
-  options.initial.max_iters = 3;
-  options.initial.pool.num_quasi_random = 32;
-  options.initial.pool.mutations_per_incumbent = 6;
-  options.initial.max_pool_feasible = 32;
-  options.initial.gp.mle_restarts = 1;
-  options.initial.gp.mle_max_evals = 50;
-  options.steady = options.initial;
-  options.steady.init_profiles = 24;
-  options.steady.max_iters = 2;
-  options.pref_pool_size = 14;
-  options.initial_comparisons = 8;
-  options.seed = seed;
-  return options;
-}
-
 TEST(ServiceFaults, KillOneOfFourServersIsRepairedWithoutUnservedStreams) {
-  SchedulingService service(eva::make_workload(5, 4, 301), tiny_service(11));
+  const eva::Workload workload = eva::make_workload(5, 4, 301);
+  const auto preview = preview_second_epoch(workload, tiny_service(11));
+  ASSERT_TRUE(preview.feasible);
+  SchedulingService service(workload, tiny_service(11));
   pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
   const auto first = service.run_epoch(oracle);
   ASSERT_TRUE(first.feasible);
   EXPECT_FALSE(first.repaired);
   EXPECT_TRUE(first.repairs.empty());
 
-  // Kill the server that hosted the first split stream, mid-horizon, no
-  // recovery — the acceptance scenario of the fault model.
-  const std::size_t victim = first.schedule.assignment[0];
+  // Kill the server that hosts the second epoch's first split stream,
+  // mid-horizon, no recovery — the acceptance scenario of the fault model.
+  const std::size_t victim = preview.schedule.assignment[0];
   sim::FaultPlan plan;
   plan.kill_server(victim, 2.0);
   service.set_fault_plan(plan);
 
   const auto second = service.run_epoch(oracle);
   ASSERT_TRUE(second.feasible);
+  ASSERT_EQ(second.schedule.assignment, preview.schedule.assignment);
   EXPECT_FALSE(second.sim.server_up_at_end[victim]);
   ASSERT_TRUE(second.repaired);
   ASSERT_FALSE(second.repairs.empty());
@@ -127,17 +111,21 @@ TEST(ServiceFaults, InfeasibleEpochFallsBackToLastKnownGood) {
 TEST(ServiceFaults, UplinkCollapseTriggersRepairThatMeetsTheSlo) {
   ServiceOptions options = tiny_service(14);
   options.resilience.slo_latency = 2.0;
-  SchedulingService service(eva::make_workload(5, 4, 304), options);
+  const eva::Workload workload = eva::make_workload(5, 4, 304);
+  const auto preview = preview_second_epoch(workload, options);
+  ASSERT_TRUE(preview.feasible);
+  SchedulingService service(workload, options);
   pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
   const auto first = service.run_epoch(oracle);
   ASSERT_TRUE(first.feasible);
 
-  const std::size_t victim = first.schedule.assignment[0];
+  const std::size_t victim = preview.schedule.assignment[0];
   sim::FaultPlan plan;
   plan.collapse_uplink(victim, 0.0, 0.1);
   service.set_fault_plan(plan);
   const auto second = service.run_epoch(oracle);
   ASSERT_TRUE(second.feasible);
+  ASSERT_EQ(second.schedule.assignment, preview.schedule.assignment);
   EXPECT_EQ(second.sim.uplink_factor_at_end[victim], 0.1);
   ASSERT_TRUE(second.repaired);
   ASSERT_FALSE(second.repairs.empty());
@@ -146,17 +134,21 @@ TEST(ServiceFaults, UplinkCollapseTriggersRepairThatMeetsTheSlo) {
 }
 
 TEST(ServiceFaults, StragglerIsPaddedForAndStaysJitterFree) {
-  SchedulingService service(eva::make_workload(5, 4, 305), tiny_service(15));
+  const eva::Workload workload = eva::make_workload(5, 4, 305);
+  const auto preview = preview_second_epoch(workload, tiny_service(15));
+  ASSERT_TRUE(preview.feasible);
+  SchedulingService service(workload, tiny_service(15));
   pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
   const auto first = service.run_epoch(oracle);
   ASSERT_TRUE(first.feasible);
 
-  const std::size_t victim = first.schedule.assignment[0];
+  const std::size_t victim = preview.schedule.assignment[0];
   sim::FaultPlan plan;
   plan.slow_server(victim, 1.0, 2.5);
   service.set_fault_plan(plan);
   const auto second = service.run_epoch(oracle);
   ASSERT_TRUE(second.feasible);
+  ASSERT_EQ(second.schedule.assignment, preview.schedule.assignment);
   EXPECT_EQ(second.sim.slowdown_at_end[victim], 2.5);
   ASSERT_TRUE(second.repaired);
   // Validated at the degraded speed: everyone served, nothing queues.
@@ -166,14 +158,9 @@ TEST(ServiceFaults, StragglerIsPaddedForAndStaysJitterFree) {
 }
 
 TEST(ServiceFaults, DeepStragglerIsRoutedAroundLikeADeadServer) {
-  // A fault plan reaches only the validation simulation, never the
-  // optimizer, so a fault-free twin previews the placement the second
-  // epoch picks. Slowing a server that placement uses forces a repair.
+  // Slowing a server of the second epoch's placement forces a repair.
   const eva::Workload workload = eva::make_workload(5, 4, 306);
-  SchedulingService twin(workload, tiny_service(16));
-  pref::PreferenceOracle twin_oracle(pref::BenefitFunction::uniform());
-  ASSERT_TRUE(twin.run_epoch(twin_oracle).feasible);
-  const auto preview = twin.run_epoch(twin_oracle);
+  const auto preview = preview_second_epoch(workload, tiny_service(16));
   ASSERT_TRUE(preview.feasible);
 
   SchedulingService service(workload, tiny_service(16));

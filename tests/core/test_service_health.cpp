@@ -7,30 +7,10 @@
 #include "core/pamo.hpp"
 #include "core/service.hpp"
 #include "eva/clip.hpp"
+#include "support/service_fixtures.hpp"
 
 namespace pamo::core {
 namespace {
-
-ServiceOptions tiny_service(std::uint64_t seed) {
-  ServiceOptions options;
-  options.initial.init_profiles = 32;
-  options.initial.init_observations = 3;
-  options.initial.mc_samples = 12;
-  options.initial.batch_size = 2;
-  options.initial.max_iters = 3;
-  options.initial.pool.num_quasi_random = 32;
-  options.initial.pool.mutations_per_incumbent = 6;
-  options.initial.max_pool_feasible = 32;
-  options.initial.gp.mle_restarts = 1;
-  options.initial.gp.mle_max_evals = 50;
-  options.steady = options.initial;
-  options.steady.init_profiles = 24;
-  options.steady.max_iters = 2;
-  options.pref_pool_size = 14;
-  options.initial_comparisons = 8;
-  options.seed = seed;
-  return options;
-}
 
 TEST(ServiceHealth, CorruptedTelemetryEpochsCompleteAndAreCounted) {
   SchedulingService service(eva::make_workload(4, 3, 401), tiny_service(21));

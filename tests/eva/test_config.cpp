@@ -36,67 +36,5 @@ TEST(ConfigSpace, SampleReturnsValidKnobs) {
   }
 }
 
-TEST(ConfigSpace, FromUnitSnapsToEdges) {
-  const ConfigSpace space = ConfigSpace::standard();
-  EXPECT_EQ(space.from_unit(0.0, 0.0),
-            (StreamConfig{space.resolutions().front(),
-                          space.fps_knobs().front()}));
-  EXPECT_EQ(space.from_unit(1.0, 1.0),
-            (StreamConfig{space.resolutions().back(),
-                          space.fps_knobs().back()}));
-  // Out-of-range values are clamped.
-  EXPECT_EQ(space.from_unit(-0.5, 2.0),
-            (StreamConfig{space.resolutions().front(),
-                          space.fps_knobs().back()}));
-}
-
-TEST(ConfigSpace, UnitRoundTripIsIdentity) {
-  const ConfigSpace space = ConfigSpace::standard();
-  for (auto r : space.resolutions()) {
-    for (auto f : space.fps_knobs()) {
-      const StreamConfig c{r, f};
-      const auto [ur, uf] = space.to_unit(c);
-      EXPECT_EQ(space.from_unit(ur, uf), c);
-    }
-  }
-}
-
-TEST(ConfigSpace, ToUnitRejectsNonKnob) {
-  const ConfigSpace space = ConfigSpace::standard();
-  EXPECT_THROW(static_cast<void>(space.to_unit({999, 10})), Error);
-  EXPECT_THROW(static_cast<void>(space.to_unit({480, 7})), Error);
-}
-
-TEST(ConfigSpace, JointRoundTrip) {
-  const ConfigSpace space = ConfigSpace::standard();
-  Rng rng(8);
-  JointConfig config;
-  for (int i = 0; i < 6; ++i) config.push_back(space.sample(rng));
-  const std::vector<double> unit = space.joint_to_unit(config);
-  EXPECT_EQ(unit.size(), 12u);
-  EXPECT_EQ(space.joint_from_unit(unit), config);
-}
-
-TEST(ConfigSpace, JointFromUnitRejectsOddLength) {
-  const ConfigSpace space = ConfigSpace::standard();
-  EXPECT_THROW(space.joint_from_unit({0.5, 0.5, 0.5}), Error);
-}
-
-class SnapSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(SnapSweep, EveryUnitValueMapsToAKnob) {
-  const ConfigSpace space = ConfigSpace::standard();
-  const double u = GetParam();
-  const StreamConfig c = space.from_unit(u, u);
-  EXPECT_GE(c.resolution, space.resolutions().front());
-  EXPECT_LE(c.resolution, space.resolutions().back());
-  EXPECT_GE(c.fps, space.fps_knobs().front());
-  EXPECT_LE(c.fps, space.fps_knobs().back());
-}
-
-INSTANTIATE_TEST_SUITE_P(UnitValues, SnapSweep,
-                         ::testing::Values(0.0, 0.09, 0.17, 0.33, 0.5, 0.66,
-                                           0.83, 0.99, 1.0));
-
 }  // namespace
 }  // namespace pamo::eva

@@ -485,7 +485,7 @@ TEST(PamoLint, StripHandlesRawStrings) {
 TEST(PamoLint, SchedulingPathPredicate) {
   EXPECT_TRUE(Scope("src/sched/scheduler.cpp").scheduling_path());
   EXPECT_TRUE(Scope(scope_path("/home/u/src/pamo/src",
-                               "/home/u/src/pamo/src/bo/candidates.cpp"))
+                               "/home/u/src/pamo/src/bo/acquisition.cpp"))
                   .scheduling_path());
   EXPECT_TRUE(Scope("src/sim/fault.hpp").scheduling_path());
   EXPECT_TRUE(Scope("src/core/service.cpp").scheduling_path());
