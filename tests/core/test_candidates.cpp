@@ -124,16 +124,6 @@ TEST(CandidatePool, RejectsBadDimensions) {
   eva::Workload empty = w;
   empty.clips.clear();
   EXPECT_THROW(draw_candidates(empty, {}, options, rng), Error);
-  // An incumbent must configure every stream, with knob values.
-  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(2, {480, 10})}, options,
-                               rng),
-               Error);
-  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(3, {999, 10})}, options,
-                               rng),
-               Error);
-  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(3, {480, 7})}, options,
-                               rng),
-               Error);
 }
 
 TEST(CandidatePool, EveryDrawIsOnTheKnobGrid) {
@@ -171,24 +161,137 @@ TEST(CandidatePool, EveryDrawIsOnTheKnobGrid) {
   }
 }
 
-TEST(CandidatePool, ZeroSigmaMutationsReturnTheIncumbent) {
-  // One stream per (resolution, fps) pair: each knob encodes at its cell's
-  // midpoint and decodes back to itself.
-  const eva::Workload w = eva::make_workload(30, 4, 7);
-  eva::JointConfig incumbent;
-  for (const auto r : w.space.resolutions()) {
-    for (const auto f : w.space.fps_knobs()) incumbent.push_back({r, f});
-  }
-  ASSERT_EQ(incumbent.size(), w.num_streams());
-  Rng rng(7);
+// The ConfigSpace unit-cube codec now lives inside draw_candidates: each
+// axis splits into K equal cells, an incumbent's knob encodes at its cell's
+// midpoint, and a drawn point is clamped to [0, 1] and snapped to the knob
+// of its cell. These tests keep checking that codec, through the draw.
+
+/// Mutation-only options (no quasi-random points).
+PoolOptions mutations_only(std::size_t mutations, double sigma) {
   PoolOptions options;
   options.num_quasi_random = 0;
-  options.mutations_per_incumbent = 5;
-  options.mutation_sigma = 0.0;
-  for (const auto& config : draw_candidates(w, {incumbent}, options, rng)) {
-    EXPECT_EQ(config, incumbent);
+  options.mutations_per_incumbent = mutations;
+  options.mutation_sigma = sigma;
+  return options;
+}
+
+TEST(ConfigSpace, FromUnitSnapsToEdges) {
+  // A move far larger than the cube leaves it on every mutated coordinate,
+  // so the clamp sends each one to exactly 0 or 1: the first or last knob.
+  const eva::Workload w = eva::make_workload(1, 4, 11);
+  const auto& res = w.space.resolutions();
+  const auto& fps = w.space.fps_knobs();
+  const eva::JointConfig incumbent{{res[1], fps[1]}};
+  Rng rng(11);
+  const auto pool =
+      draw_candidates(w, {incumbent}, mutations_only(200, 1e6), rng);
+  ASSERT_EQ(pool.size(), 200u);
+  std::vector<eva::StreamConfig> seen;
+  for (const auto& config : pool) {
+    // One stream: each mutation moves exactly one of its two coordinates.
+    const eva::StreamConfig c = config.front();
+    const bool res_moved = c.resolution != incumbent.front().resolution;
+    const bool fps_moved = c.fps != incumbent.front().fps;
+    ASSERT_NE(res_moved, fps_moved);
+    if (res_moved) {
+      EXPECT_TRUE(c.resolution == res.front() || c.resolution == res.back());
+    } else {
+      EXPECT_TRUE(c.fps == fps.front() || c.fps == fps.back());
+    }
+    seen.push_back(c);
+  }
+  // Both edges of both axes are reached, from below and from above.
+  for (const eva::StreamConfig edge :
+       {eva::StreamConfig{res.front(), fps[1]},
+        eva::StreamConfig{res.back(), fps[1]},
+        eva::StreamConfig{res[1], fps.front()},
+        eva::StreamConfig{res[1], fps.back()}}) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), edge), seen.end())
+        << edge.resolution << "p@" << edge.fps;
   }
 }
+
+TEST(ConfigSpace, UnitRoundTripIsIdentity) {
+  // Every (resolution, fps) pair encodes at its midpoints and decodes back
+  // to itself when the mutation does not move it.
+  const eva::Workload w = eva::make_workload(1, 4, 12);
+  Rng rng(12);
+  for (const auto r : w.space.resolutions()) {
+    for (const auto f : w.space.fps_knobs()) {
+      const eva::JointConfig incumbent{{r, f}};
+      for (const auto& config :
+           draw_candidates(w, {incumbent}, mutations_only(3, 0.0), rng)) {
+        EXPECT_EQ(config, incumbent);
+      }
+    }
+  }
+}
+
+TEST(ConfigSpace, ToUnitRejectsNonKnob) {
+  const eva::Workload w = eva::make_workload(3, 4, 13);
+  Rng rng(13);
+  const PoolOptions options;
+  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(3, {999, 10})}, options,
+                               rng),
+               Error);
+  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(3, {480, 7})}, options,
+                               rng),
+               Error);
+}
+
+TEST(ConfigSpace, JointRoundTrip) {
+  const eva::Workload w = eva::make_workload(6, 4, 8);
+  Rng setup(8);
+  eva::JointConfig incumbent;
+  for (int i = 0; i < 6; ++i) incumbent.push_back(w.space.sample(setup));
+  Rng rng(8);
+  const auto pool =
+      draw_candidates(w, {incumbent}, mutations_only(5, 0.0), rng);
+  ASSERT_EQ(pool.size(), 5u);
+  for (const auto& config : pool) EXPECT_EQ(config, incumbent);
+}
+
+TEST(ConfigSpace, JointFromUnitRejectsOddLength) {
+  // The encoding has two coordinates per stream, so an incumbent must
+  // configure exactly the workload's streams: no more, no fewer.
+  const eva::Workload w = eva::make_workload(3, 4, 14);
+  Rng rng(14);
+  const PoolOptions options;
+  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(2, {480, 10})}, options,
+                               rng),
+               Error);
+  EXPECT_THROW(draw_candidates(w, {eva::JointConfig(4, {480, 10})}, options,
+                               rng),
+               Error);
+}
+
+/// The parameter is the mutation scale, in unit-cube lengths: 0 keeps the
+/// incumbent, 1 moves most coordinates past an edge of the cube.
+class SnapSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(SnapSweep, EveryUnitValueMapsToAKnob) {
+  const eva::Workload w = eva::make_workload(4, 4, 15);
+  const std::size_t top_res = w.space.resolutions().size() - 1;
+  const std::size_t top_fps = w.space.fps_knobs().size() - 1;
+  const std::vector<eva::JointConfig> incumbents{
+      uniform_config(w, 0, 0), uniform_config(w, 2, 2),
+      uniform_config(w, top_res, top_fps)};
+  Rng rng(15);
+  const double sigma = GetParam();
+  const auto pool =
+      draw_candidates(w, incumbents, mutations_only(32, sigma), rng);
+  ASSERT_EQ(pool.size(), 96u);
+  expect_on_grid(w, pool);
+  if (sigma == 0.0) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      EXPECT_EQ(pool[i], incumbents[i / 32]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(UnitValues, SnapSweep,
+                         ::testing::Values(0.0, 0.09, 0.17, 0.33, 0.5, 0.66,
+                                           0.83, 0.99, 1.0));
 
 /// FNV digest of a default draw around three seeded incumbents, followed
 /// by the generator's next value (so the RNG order is pinned too).
