@@ -28,8 +28,6 @@ void fold_health(LearningHealth& fleet, const LearningHealth& shard) {
   fleet.inconsistent_pairs =
       std::max(fleet.inconsistent_pairs, shard.inconsistent_pairs);
   fleet.heuristic_fallback |= shard.heuristic_fallback;
-  fleet.drift_fires += shard.drift_fires;
-  fleet.drift_downweighted += shard.drift_downweighted;
 }
 
 }  // namespace

@@ -57,8 +57,6 @@ obs::EpochRecord export_epoch_record(
   record.health.fallback_taken = h.fallback_taken;
   record.health.error_message = h.error_message;
   record.health.warm_started = h.learning.warm_started;
-  record.health.drift_fires = h.learning.drift_fires;
-  record.health.drift_downweighted = h.learning.drift_downweighted;
 
   record.churn.offered = report.churn.offered;
   record.churn.arrived = report.churn.arrived;

@@ -179,9 +179,6 @@ gp::GpFitDiagnostics OutcomeModels::diagnostics() const {
         std::max(total.posterior_jitter, d.posterior_jitter);
     total.incremental_updates += d.incremental_updates;
     total.incremental_fallbacks += d.incremental_fallbacks;
-    total.drift_fires += d.drift_fires;
-    total.drift_downweighted += d.drift_downweighted;
-    total.drift_score = std::max(total.drift_score, d.drift_score);
   }
   return total;
 }

@@ -53,8 +53,6 @@ void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
       now.outliers_downweighted - base.outliers_downweighted;
   health.cholesky_recoveries +=
       now.cholesky_recoveries - base.cholesky_recoveries;
-  health.drift_fires += now.drift_fires - base.drift_fires;
-  health.drift_downweighted += now.drift_downweighted - base.drift_downweighted;
   health.max_jitter_applied = std::max(
       {health.max_jitter_applied, now.fit_jitter, now.posterior_jitter});
 }
@@ -391,10 +389,10 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       options_.warm_start != nullptr && options_.warm_start->is_fit();
   if (warm) {
     PAMO_SPAN("pamo.phase1_warm_start");
-    // Continual learning: transplant the retained bank — posteriors,
-    // noise downweights, and drift-detector state included — and
-    // re-anchor it with a few fresh profiles through the incremental
-    // update path. The expensive MLE refit never runs.
+    // Continual learning: transplant the retained bank — posteriors and
+    // noise downweights included — and re-anchor it with a few fresh
+    // profiles through the incremental update path. The expensive MLE
+    // refit never runs.
     models_ = *options_.warm_start;
     model_points_ = models_.num_points();
     warm_base = models_.diagnostics();

@@ -58,16 +58,12 @@ struct LearningHealth {
   bool heuristic_fallback = false;
   /// True when Phase 1 reused a retained outcome-model bank.
   bool warm_started = false;
-  /// Drift-detector (CUSUM) fires across the outcome GPs this epoch.
-  std::size_t drift_fires = 0;
-  /// Training rows down-weighted by drift forgetting this epoch.
-  std::size_t drift_downweighted = 0;
 };
 
 /// Add the outcome-model robustness counters `now` gathered since
 /// `base` (the warm-start bank's counters; empty for a bank fit this
-/// epoch) to `health`: rejected rows, outliers, Cholesky recoveries and
-/// drift as deltas, jitter as a maximum.
+/// epoch) to `health`: rejected rows, outliers and Cholesky recoveries as
+/// deltas, jitter as a maximum.
 void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
                       const gp::GpFitDiagnostics& base = {});
 
@@ -87,18 +83,20 @@ struct PamoOptions {
   std::size_t init_profiles = 64;        // U: initial profiling samples
   /// Cap on the raw observations each outcome GP stores. It bounds memory
   /// and checkpoint size, not compute: the GPs solve on the distinct knob
-  /// inputs (at most the grid), whatever the row count.
+  /// inputs (at most the grid), whatever the row count. Once a bank holds
+  /// this many rows the outcome models stop learning: later Phase-1 warm
+  /// profiles and Phase-3 measurements are no longer fed to it, in this
+  /// epoch or in any epoch that warm-starts from it. A batch is fed
+  /// whole while the bank is below the cap, so it can end a few rows over.
   std::size_t max_model_points = 220;
   /// Warm start (continual learning): when set and fit, Phase 1 copies
   /// this retained outcome-model bank instead of profiling init_profiles
   /// fresh samples and re-running the MLE from scratch; only
   /// `warm_profiles` fresh profiles are taken and folded in through the
-  /// incremental update path. The copied bank keeps its own GpOptions —
-  /// including any drift-detector (CUSUM) state, so regime change across
-  /// epochs triggers selective forgetting instead of a full refit.
-  /// Because the bank pools all streams per metric, surviving streams
-  /// reuse their posterior evidence and newcomers inherit the pooled
-  /// prior mean automatically. The fleet path hands every shard the bank
+  /// incremental update path (below max_model_points). The copied bank
+  /// keeps its own GpOptions and hyperparameters. Because the bank pools
+  /// all streams per metric, surviving streams reuse their posterior
+  /// evidence and newcomers inherit the pooled prior mean automatically. The fleet path hands every shard the bank
   /// it fit over the whole fleet this way (core/fleet.hpp). Externally
   /// owned and only read; null = cold start.
   const OutcomeModels* warm_start = nullptr;

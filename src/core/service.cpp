@@ -16,6 +16,9 @@ namespace {
 
 /// Maximum (resolution, fps) step-down rounds while degrading a repair.
 constexpr std::size_t kMaxDegradeRounds = 4;
+/// A server still slowed by at least this factor at the epoch boundary is
+/// routed around like a dead one instead of being padded for.
+constexpr double kStragglerExclusion = 4.0;
 
 }  // namespace
 
@@ -115,7 +118,7 @@ void SchedulingService::attempt_repair(EpochReport& report) {
   bool degraded_net = false;
   for (std::size_t s = 0; s < num_servers; ++s) {
     if (!sim0.server_up_at_end[s] ||
-        sim0.slowdown_at_end[s] >= policy.straggler_exclusion) {
+        sim0.slowdown_at_end[s] >= kStragglerExclusion) {
       usable[s] = false;
       any_dead = true;
       continue;

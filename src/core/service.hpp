@@ -79,9 +79,6 @@ struct ResilienceOptions {
   /// Per-stream end-to-end latency SLO (seconds) enforced by the
   /// validation simulations; 0 disables latency-driven degradation.
   double slo_latency = 0.0;
-  /// A server still slowed by at least this factor at the epoch boundary
-  /// is routed around like a dead one instead of being padded for.
-  double straggler_exclusion = 4.0;
   /// Exact orphan re-placement (default-off; see ExactRepairOptions).
   ExactRepairOptions exact_repair;
 };

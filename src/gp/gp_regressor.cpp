@@ -16,6 +16,12 @@ namespace pamo::gp {
 namespace {
 
 constexpr double kLog2Pi = 1.8378770664093454835606594728112;
+/// Lower bound of the MLE's noise variance (standardized target scale).
+constexpr double kMinNoiseVar = 1e-6;
+/// PSD-repair jitter cap for posterior covariance sampling
+/// (sample_joint_given); the jitter actually applied is recorded in
+/// diagnostics().posterior_jitter.
+constexpr double kPosteriorMaxJitter = 1e-2;
 
 /// FNV-1a over the bit patterns of a query set; fingerprints the posterior
 /// workspace (backed by an exact row comparison, so collisions only cost a
@@ -93,8 +99,6 @@ void GpRegressor::fit(std::vector<std::vector<double>> x,
   PAMO_COUNT("gp.fits", 1);
   PAMO_CHECK(x.size() == y.size(), "x/y size mismatch");
   diagnostics_ = {};
-  drift_cusum_ = 0.0;
-  noise_scale_.clear();
   sanitize(x, y);
   PAMO_CHECK(x.size() >= 2, "GP fit requires at least 2 finite points");
   dim_ = x.front().size();
@@ -127,38 +131,11 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
     // exactly what a rebuild over the unchanged data would produce.
     return;
   }
-  // Drift detection: score incoming rows against the posterior *before*
-  // they are incorporated. A fire down-weights every pre-existing row and
-  // forces a re-solve (never an MLE refit), so a content shift gets
-  // explained by fresh data instead of averaged into a stale posterior.
-  bool drift_fired = false;
-  if (options_.drift_cusum_h > 0.0 && !xs.empty()) {
-    const double noise_raw =
-        std::exp(params_.log_noise_var) * y_std_ * y_std_;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const double mu = predict_mean(xs[i]);
-      const double var = predict_var(xs[i]) + noise_raw;
-      const double z = (ys[i] - mu) / std::sqrt(std::max(var, 1e-12));
-      drift_cusum_ = std::max(
-          0.0, drift_cusum_ + std::fabs(z) - options_.drift_cusum_k);
-    }
-    if (drift_cusum_ > options_.drift_cusum_h) {
-      drift_fired = true;
-      ++diagnostics_.drift_fires;
-      for (double& scale : noise_scale_) {
-        scale = std::min(options_.robust_inflation_cap,
-                         scale * options_.drift_forget_inflation);
-      }
-      diagnostics_.drift_downweighted += noise_scale_.size();
-      drift_cusum_ = 0.0;
-    }
-    diagnostics_.drift_score = drift_cusum_;
-  }
   // An in-box batch leaves the min-max scaling of the old rows — and with
-  // it every existing distinct input — unchanged, so without an MLE, a
-  // drift fire, or robust reweighting (which re-solves over all rows) the
-  // rebuild reduces to folding the new rows into the groups and
-  // re-solving the distinct-row system.
+  // it every existing distinct input — unchanged, so without an MLE or
+  // robust reweighting (which re-solves over all rows) the rebuild reduces
+  // to folding the new rows into the groups and re-solving the
+  // distinct-row system.
   auto inside_box = [this](const std::vector<std::vector<double>>& rows) {
     for (const auto& row : rows) {
       for (std::size_t d = 0; d < dim_; ++d) {
@@ -168,8 +145,8 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
     return true;
   };
   const bool in_box_solve = options_.incremental && !want_mle &&
-                            !drift_fired && !options_.robust_noise &&
-                            !xs.empty() && inside_box(xs);
+                            !options_.robust_noise && !xs.empty() &&
+                            inside_box(xs);
   const std::size_t new_rows = xs.size();
   const std::size_t first_new_row = x_raw_.size();
   for (auto& row : xs) x_raw_.push_back(std::move(row));
@@ -192,10 +169,6 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
       ++diagnostics_.incremental_fallbacks;
       rebuild(false);
     }
-  } else if (drift_fired && !want_mle) {
-    // Selective forgetting: the inflated noise scales must survive, so a
-    // plain rebuild (which resets them) is off the table.
-    refit_keep_noise();
   } else {
     if (options_.incremental && !want_mle) ++diagnostics_.incremental_fallbacks;
     rebuild(want_mle);
@@ -235,17 +208,8 @@ bool GpRegressor::try_incremental_update(std::size_t first_new) {
 void GpRegressor::rebuild(bool optimize_hyperparams) {
   PAMO_SPAN("gp.rebuild");
   PAMO_COUNT("gp.rebuilds", 1);
-  const std::size_t n = x_raw_.size();
   derive_inputs();
-  if (options_.drift_cusum_h > 0.0 && noise_scale_.size() <= n) {
-    // Drift downweights are not re-derivable from the data (unlike robust
-    // outlier weights), so a full rebuild keeps them and extends with 1.0
-    // for the fresh rows. fit() clears the scales first: a refit is a
-    // fresh start.
-    noise_scale_.resize(n, 1.0);
-  } else {
-    noise_scale_.assign(n, 1.0);
-  }
+  noise_scale_.assign(x_raw_.size(), 1.0);
 
   if (options_.fixed_params.has_value()) {
     params_ = *options_.fixed_params;
@@ -262,7 +226,7 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     }
     box.lo[dim_] = std::log(0.05);  // signal variance (standardized y)
     box.hi[dim_] = std::log(20.0);
-    box.lo[dim_ + 1] = std::log(options_.min_noise_var);
+    box.lo[dim_ + 1] = std::log(kMinNoiseVar);
     box.hi[dim_ + 1] = std::log(1.0);
 
     // Every row enters the likelihood, at the cost of a d-row solve.
@@ -284,14 +248,6 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
         objective, box, options_.mle_restarts, options_.seed, &x0, nm);
     params_ = KernelParams::unpack(best.x, dim_);
   }
-  solve_and_reweight();
-}
-
-void GpRegressor::refit_keep_noise() {
-  PAMO_SPAN("gp.refit_keep_noise");
-  PAMO_CHECK(noise_scale_.size() == x_raw_.size(),
-             "noise scales cover every row");
-  derive_inputs();
   solve_and_reweight();
 }
 
@@ -361,7 +317,7 @@ void GpRegressor::solve_system() {
 void GpRegressor::solve_and_reweight() {
   solve_system();
   if (options_.robust_noise) {
-    for (std::size_t round = 0; round < options_.robust_rounds; ++round) {
+    for (std::size_t round = 0; round < kRobustRounds; ++round) {
       if (!reweight_outliers()) break;
     }
   }
@@ -380,7 +336,7 @@ bool GpRegressor::reweight_outliers() {
                      std::sqrt(noise * noise_scale_[j]);
     if (std::fabs(z) <= options_.robust_threshold) continue;
     const double ratio = std::fabs(z) / options_.robust_threshold;
-    const double target = std::min(options_.robust_inflation_cap,
+    const double target = std::min(kRobustInflationCap,
                                    noise_scale_[j] * ratio * ratio);
     if (target > noise_scale_[j]) {
       // Scale is exactly 1.0 until the first inflation: this counts each
@@ -568,7 +524,7 @@ la::Matrix GpRegressor::sample_joint_given(
   PAMO_CHECK(z.cols() == m, "normals/query-set size mismatch");
   const Posterior post = posterior(x);
   // Small jitter for numerical PSD-ness of the posterior covariance.
-  const la::Cholesky chol(post.covariance, options_.posterior_max_jitter);
+  const la::Cholesky chol(post.covariance, kPosteriorMaxJitter);
   diagnostics_.posterior_jitter =
       std::max(diagnostics_.posterior_jitter, chol.jitter());
   la::Matrix samples(num_samples, m);

@@ -25,6 +25,11 @@
 
 namespace pamo::gp {
 
+/// Reweighting passes of the robust fit (GpOptions::robust_noise).
+inline constexpr std::size_t kRobustRounds = 3;
+/// Cap on the per-point noise-variance inflation factor of the robust fit.
+inline constexpr double kRobustInflationCap = 1e4;
+
 struct GpOptions {
   KernelType kernel = KernelType::kMatern52;
   /// Number of Nelder–Mead restarts for hyperparameter MLE.
@@ -32,8 +37,6 @@ struct GpOptions {
   std::size_t mle_max_evals = 300;
   /// If set, skip MLE and use these hyperparameters as-is.
   std::optional<KernelParams> fixed_params;
-  /// Lower bound for the noise variance (standardized target scale).
-  double min_noise_var = 1e-6;
   /// When true, non-finite (NaN/Inf) training rows are dropped and counted
   /// in diagnostics() instead of failing the fit — at least 2 finite rows
   /// must remain. When false, fit()/update() reject non-finite data with a
@@ -45,15 +48,10 @@ struct GpOptions {
   /// algebra is re-solved (iteratively reweighted noise). A heavy-tailed
   /// outlier is then explained as noise instead of bending the posterior
   /// mean. No-op (bit-for-bit) when no residual crosses the threshold.
+  /// At most kRobustRounds passes, each factor capped at
+  /// kRobustInflationCap.
   bool robust_noise = false;
-  std::size_t robust_rounds = 3;
   double robust_threshold = 3.0;
-  /// Cap on the per-point noise-variance inflation factor.
-  double robust_inflation_cap = 1e4;
-  /// PSD-repair jitter cap for posterior covariance sampling
-  /// (sample_joint_given); the jitter actually applied is recorded in
-  /// diagnostics().posterior_jitter.
-  double posterior_max_jitter = 1e-2;
   /// Hot path for the decision loop. update() of a batch inside the input
   /// box extends the cached Cholesky factor by the new inputs in O(d²)
   /// when they are all new (d = distinct inputs), or re-solves the
@@ -65,26 +63,6 @@ struct GpOptions {
   /// guaranteed — see diagnostics().incremental_fallbacks for when that
   /// happens.
   bool incremental = true;
-  /// Drift detection for continual learning: a CUSUM statistic over the
-  /// standardized prediction residuals of incoming update() rows, scored
-  /// against the posterior *before* they are incorporated. Each row
-  /// contributes max(0, S + |z| − k) to the running score S; when S
-  /// exceeds `drift_cusum_h` the detector fires: every pre-existing
-  /// training row's noise variance is inflated by
-  /// `drift_forget_inflation` (selective forgetting — stale observations
-  /// are down-weighted, never evicted) and the system is re-solved
-  /// *without* re-optimizing hyperparameters. A fire with `reoptimize`
-  /// requested still runs the full MLE rebuild (which supersedes the
-  /// forgetting). drift_cusum_h == 0 disables the detector entirely
-  /// (default; bit-for-bit no-op).
-  double drift_cusum_h = 0.0;
-  /// CUSUM drift allowance k: |z| below it decays the score. The default
-  /// sits above the folded-normal mean E|z| ≈ 0.8, so a stationary stream
-  /// decays the score instead of creeping it upward.
-  double drift_cusum_k = 1.0;
-  /// Noise-variance inflation applied to pre-drift rows on a fire
-  /// (bounded by robust_inflation_cap).
-  double drift_forget_inflation = 4.0;
   std::uint64_t seed = 0xC0FFEE;
 };
 
@@ -108,13 +86,6 @@ struct GpFitDiagnostics {
   /// (hyperparameter re-optimization, robust noise, prior jitter, a grown
   /// input box, or a non-PD extension).
   std::size_t incremental_fallbacks = 0;
-  /// Drift-detector (CUSUM) fires since the last fit().
-  std::size_t drift_fires = 0;
-  /// Training rows down-weighted by drift forgetting (cumulative over
-  /// fires; a row hit twice counts twice).
-  std::size_t drift_downweighted = 0;
-  /// Current CUSUM score (resets to 0 on a fire).
-  double drift_score = 0.0;
 };
 
 struct Posterior {
@@ -174,8 +145,7 @@ class GpRegressor {
       const KernelParams& params) const;
 
   /// Serialize the source of truth as deterministic JSON: the raw rows,
-  /// their noise scales, the hyperparameters, diagnostics counters, and
-  /// the CUSUM score. Everything else (scaling, distinct rows, factor,
+  /// their noise scales, the hyperparameters and the diagnostics counters. Everything else (scaling, distinct rows, factor,
   /// alpha, posterior workspace) is a deterministic function of these.
   [[nodiscard]] obs::json::Value snapshot() const;
 
@@ -186,8 +156,8 @@ class GpRegressor {
   /// incremental update is bit-for-bit identical to the original
   /// instance's. All-or-nothing: a snapshot that fails a check throws and
   /// leaves this instance untouched. Snapshots that also carry the derived
-  /// keys (x, y, chol, alpha, ...) restore the same way; those keys are
-  /// ignored.
+  /// keys (x, y, chol, alpha, ...) or the retired drift-detector keys
+  /// restore the same way; those keys are ignored.
   void restore(const obs::json::Value& snap);
 
  private:
@@ -259,12 +229,6 @@ class GpRegressor {
   /// false (leaving the solve untouched, bit-for-bit) when no residual
   /// crosses the threshold.
   bool reweight_outliers();
-  /// Selective refit after a drift fire: redo the input scaling and target
-  /// standardization over all rows and re-solve with the *current*
-  /// noise_scale_, so the forgetting survives. Hyperparameters are never
-  /// re-optimized here — skipping the MLE is exactly the cost the detector
-  /// avoids.
-  void refit_keep_noise();
   /// Drop non-finite rows (reject_nonfinite) or reject them loudly.
   void sanitize(std::vector<std::vector<double>>& x, std::vector<double>& y);
   [[nodiscard]] std::vector<double> scale_input(
@@ -277,13 +241,11 @@ class GpRegressor {
 
   // Source of truth: raw training rows (original scale) and their
   // per-row noise-variance inflation factors λ_j (≥ 1; 1 unless the robust
-  // fit or drift forgetting inflated the row).
+  // fit inflated the row).
   std::vector<std::vector<double>> x_raw_;
   std::vector<double> y_raw_;
   std::vector<double> noise_scale_;
   KernelParams params_;
-  // Running CUSUM score of the drift detector (see GpOptions).
-  double drift_cusum_ = 0.0;
   mutable GpFitDiagnostics diagnostics_;
 
   // Everything below is derived from the members above; restore()

@@ -1,13 +1,13 @@
 // GpRegressor checkpoint serialization (see gp_regressor.hpp).
 //
 // The snapshot carries the source of truth only: raw rows, per-row noise
-// scales, hyperparameters, diagnostics and the CUSUM score. Restore
-// re-derives the scaling, the distinct rows, the factor and alpha with one
-// solve and no MLE. Every path that leaves a factor behind (full solve,
-// jitter ladder, factor extension, robust re-solve) produces exactly what
-// that one solve produces over the same state, so the restored model
-// predicts — and keeps updating — bit-for-bit like the original, including
-// its incremental-update eligibility (jitter == 0 on the cached factor).
+// scales, hyperparameters and diagnostics. Restore re-derives the scaling,
+// the distinct rows, the factor and alpha with one solve and no MLE. Every
+// path that leaves a factor behind (full solve, jitter ladder, factor
+// extension, robust re-solve) produces exactly what that one solve
+// produces over the same state, so the restored model predicts — and keeps
+// updating — bit-for-bit like the original, including its
+// incremental-update eligibility (jitter == 0 on the cached factor).
 #include <cmath>
 #include <utility>
 
@@ -54,10 +54,6 @@ json::Value diagnostics_to_json(const GpFitDiagnostics& d) {
           json::Value(std::uint64_t{d.incremental_updates}));
   obj.set("incremental_fallbacks",
           json::Value(std::uint64_t{d.incremental_fallbacks}));
-  obj.set("drift_fires", json::Value(std::uint64_t{d.drift_fires}));
-  obj.set("drift_downweighted",
-          json::Value(std::uint64_t{d.drift_downweighted}));
-  obj.set("drift_score", json::Value(d.drift_score));
   return obj;
 }
 
@@ -75,17 +71,8 @@ GpFitDiagnostics diagnostics_from_json(const json::Value& v) {
       static_cast<std::size_t>(v.at("incremental_updates").as_uint());
   d.incremental_fallbacks =
       static_cast<std::size_t>(v.at("incremental_fallbacks").as_uint());
-  // Drift counters postdate the first snapshot format; absent keys read as
-  // zero so old checkpoints stay loadable (backward-readable addition).
-  if (const json::Value* fires = v.find("drift_fires")) {
-    d.drift_fires = static_cast<std::size_t>(fires->as_uint());
-  }
-  if (const json::Value* rows = v.find("drift_downweighted")) {
-    d.drift_downweighted = static_cast<std::size_t>(rows->as_uint());
-  }
-  if (const json::Value* score = v.find("drift_score")) {
-    d.drift_score = score->as_double();
-  }
+  // Snapshots from builds with the CUSUM drift detector also carry its
+  // three counters; they are ignored.
   return d;
 }
 
@@ -103,7 +90,6 @@ json::Value GpRegressor::snapshot() const {
   obj.set("noise_scale", codec::doubles_to_json(noise_scale_));
   obj.set("params", params_to_json(params_));
   obj.set("diagnostics", diagnostics_to_json(diagnostics_));
-  obj.set("drift_cusum", json::Value(drift_cusum_));
   return obj;
 }
 
@@ -122,9 +108,6 @@ void GpRegressor::restore(const json::Value& snap) {
   fresh.params_ = params_from_json(snap.at("params"));
   const GpFitDiagnostics diagnostics =
       diagnostics_from_json(snap.at("diagnostics"));
-  // Backward-readable addition: pre-drift snapshots carry no CUSUM state.
-  const json::Value* cusum = snap.find("drift_cusum");
-  fresh.drift_cusum_ = cusum ? cusum->as_double() : 0.0;
 
   const std::size_t n = fresh.x_raw_.size();
   PAMO_CHECK(fresh.y_raw_.size() == n && fresh.noise_scale_.size() == n,

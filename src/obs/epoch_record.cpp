@@ -23,8 +23,6 @@ json::Value health_to_json(const EpochRecord::Health& h) {
   v.set("fallback_taken", h.fallback_taken);
   v.set("error_message", h.error_message);
   v.set("warm_started", h.warm_started);
-  v.set("drift_fires", h.drift_fires);
-  v.set("drift_downweighted", h.drift_downweighted);
   return v;
 }
 
@@ -43,16 +41,11 @@ EpochRecord::Health health_from_json(const json::Value& v) {
   h.repair_error = v.at("repair_error").as_bool();
   h.fallback_taken = v.at("fallback_taken").as_bool();
   h.error_message = v.at("error_message").as_string();
-  // Post-v1 continual-learning counters: absent in older records, so read
-  // them leniently and keep the struct defaults when missing.
+  // Post-v1 continual-learning flag: absent in older records, so read it
+  // leniently and keep the default when missing. Records from builds with
+  // the GP drift detector also carry its two counters; they are ignored.
   if (const json::Value* warm = v.find("warm_started")) {
     h.warm_started = warm->as_bool();
-  }
-  if (const json::Value* fires = v.find("drift_fires")) {
-    h.drift_fires = fires->as_uint();
-  }
-  if (const json::Value* down = v.find("drift_downweighted")) {
-    h.drift_downweighted = down->as_uint();
   }
   return h;
 }

@@ -49,11 +49,9 @@ struct EpochRecord {
     bool repair_error = false;
     bool fallback_taken = false;
     std::string error_message;
-    // Continual-learning counters (post-v1 additions; absent in records
-    // written by older builds and parsed as their defaults).
+    // Continual-learning flag (post-v1 addition; absent in records
+    // written by older builds and parsed as its default).
     bool warm_started = false;
-    std::uint64_t drift_fires = 0;
-    std::uint64_t drift_downweighted = 0;
   } health;
 
   /// Aggregate of one sim::SimReport (per-stream detail stays in the

@@ -24,6 +24,11 @@ struct Vertex {
   double f;
 };
 
+constexpr double kXTolerance = 1e-8;
+constexpr double kFTolerance = 1e-10;
+/// Initial simplex edge as a fraction of the box width per dimension.
+constexpr double kInitialStep = 0.10;
+
 }  // namespace
 
 OptResult nelder_mead(const Objective& f, const Box& box,
@@ -51,7 +56,7 @@ OptResult nelder_mead(const Objective& f, const Box& box,
   for (std::size_t i = 0; i < d; ++i) {
     std::vector<double> v = base;
     const double width = box.hi[i] - box.lo[i];
-    double step = options.initial_step * (width > 0 ? width : 1.0);
+    double step = kInitialStep * (width > 0 ? width : 1.0);
     if (v[i] + step > box.hi[i]) step = -step;
     v[i] += step;
     v = box.clamp(v);
@@ -76,8 +81,8 @@ OptResult nelder_mead(const Objective& f, const Box& box,
                           std::fabs(simplex[i].x[j] - simplex[0].x[j]));
       }
     }
-    if (max_dx < options.x_tolerance &&
-        std::fabs(simplex[d].f - simplex[0].f) < options.f_tolerance) {
+    if (max_dx < kXTolerance &&
+        std::fabs(simplex[d].f - simplex[0].f) < kFTolerance) {
       break;
     }
 

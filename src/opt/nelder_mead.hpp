@@ -21,12 +21,10 @@ struct Box {
   [[nodiscard]] std::vector<double> clamp(std::vector<double> x) const;
 };
 
+/// The initial simplex edge is 10% of the box width per dimension; a run
+/// stops when the simplex spans < 1e-8 per coordinate and < 1e-10 in value.
 struct NelderMeadOptions {
   std::size_t max_evals = 2000;
-  double x_tolerance = 1e-8;
-  double f_tolerance = 1e-10;
-  /// Initial simplex edge as a fraction of the box width per dimension.
-  double initial_step = 0.10;
 };
 
 struct OptResult {

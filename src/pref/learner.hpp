@@ -26,12 +26,6 @@ struct LearnerOptions {
   PreferenceGpOptions model;
   /// Number of random candidate pairs scored per round.
   std::size_t pairs_per_round = 200;
-  /// One round in `explore_every` is a uniformly random pair instead of
-  /// the EUBO argmax. EUBO concentrates queries around the incumbent best
-  /// option; a little forced exploration keeps the *global* ordering
-  /// calibrated (what Figure 9 measures) at negligible cost to best-option
-  /// identification.
-  std::size_t explore_every = 3;
   /// When false, pick comparison pairs uniformly at random (the ablation
   /// contrast for Figure 9's EUBO-vs-random series).
   bool use_eubo = true;

@@ -12,13 +12,22 @@ namespace pamo::pref {
 namespace {
 constexpr double kSqrt2 = 1.41421356237309504880;
 constexpr double kKernelJitter = 1e-8;
+/// Kernel lengthscale and signal variance in the (normalized, [0,1]^k)
+/// outcome space.
+constexpr double kLengthscale = 1.2;
+constexpr double kSignalVar = 1.0;
+/// Comparison noise λ of the probit likelihood (Eq. 9).
+constexpr double kLambda = 0.10;
+/// Laplace (Newton) iteration budget and the ψ improvement that stops it.
+constexpr std::size_t kMaxNewtonIters = 60;
+constexpr double kNewtonTol = 1e-9;
+/// λ multiplier for pairs flagged inconsistent (>1 softens their
+/// likelihood; PreferenceGpOptions::downweight_inconsistent).
+constexpr double kInconsistencyPenalty = 4.0;
 }  // namespace
 
 PreferenceGp::PreferenceGp(PreferenceGpOptions options)
-    : options_(options) {
-  PAMO_CHECK(options_.lambda > 0, "probit noise lambda must be positive");
-  PAMO_CHECK(options_.lengthscale > 0, "lengthscale must be positive");
-}
+    : options_(options) {}
 
 void PreferenceGp::fit(std::vector<std::vector<double>> points,
                        std::vector<ComparisonPair> pairs) {
@@ -35,8 +44,8 @@ void PreferenceGp::fit(std::vector<std::vector<double>> points,
   points_ = std::move(points);
   pairs_ = std::move(pairs);
 
-  params_.log_lengthscales.assign(dim, std::log(options_.lengthscale));
-  params_.log_signal_var = std::log(options_.signal_var);
+  params_.log_lengthscales.assign(dim, std::log(kLengthscale));
+  params_.log_signal_var = std::log(kSignalVar);
   params_.log_noise_var = std::log(kKernelJitter);
   kernel_.emplace(options_.kernel, params_);
 
@@ -63,7 +72,7 @@ void PreferenceGp::update(const std::vector<std::vector<double>>& points,
 
 void PreferenceGp::compute_pair_weights() {
   const std::size_t n = points_.size();
-  const double inv_noise = 1.0 / (kSqrt2 * options_.lambda);
+  const double inv_noise = 1.0 / (kSqrt2 * kLambda);
   pair_inv_noise_.assign(pairs_.size(), inv_noise);
   num_inconsistent_ = 0;
   if (!options_.downweight_inconsistent || pairs_.empty()) return;
@@ -80,7 +89,7 @@ void PreferenceGp::compute_pair_weights() {
       inconsistent = edge[loser * n + c] != 0 && edge[c * n + winner] != 0;
     }
     if (inconsistent) {
-      pair_inv_noise_[p] = inv_noise / options_.inconsistency_penalty;
+      pair_inv_noise_[p] = inv_noise / kInconsistencyPenalty;
       ++num_inconsistent_;
     }
   }
@@ -112,7 +121,7 @@ void PreferenceGp::laplace() {
   };
 
   double current_psi = psi(g_map_);
-  for (std::size_t iter = 0; iter < options_.max_newton_iters; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxNewtonIters; ++iter) {
     // Gradient of the log likelihood (b) and its negative Hessian (W).
     la::Vector b(n, 0.0);
     w_ = la::Matrix(n, n, 0.0);
@@ -158,7 +167,7 @@ void PreferenceGp::laplace() {
     const double improvement = current_psi - next_psi;
     g_map_ = candidate;
     current_psi = next_psi;
-    if (improvement < options_.newton_tol && iter > 0) break;
+    if (improvement < kNewtonTol && iter > 0) break;
   }
 
   // Final Hessian at the MAP (for the predictive covariance).

@@ -29,21 +29,12 @@ using ComparisonPair = std::pair<std::size_t, std::size_t>;
 
 struct PreferenceGpOptions {
   gp::KernelType kernel = gp::KernelType::kRbf;
-  /// Kernel lengthscale in the (normalized, [0,1]^k) outcome space.
-  double lengthscale = 1.2;
-  double signal_var = 1.0;
-  /// Comparison noise λ of the probit likelihood (Eq. 9).
-  double lambda = 0.10;
-  std::size_t max_newton_iters = 60;
-  double newton_tol = 1e-9;
   /// Tolerate inconsistent oracle answers: a comparison contradicted by
   /// another pair (directly, or through an intransitive chain w ≻ l while
-  /// l ≻ c ≻ w) gets its effective λ inflated by `inconsistency_penalty`
-  /// instead of corrupting the MAP fit at full weight. Off by default —
-  /// every pair then carries identical weight (bit-for-bit unchanged).
+  /// l ≻ c ≻ w) gets its effective λ multiplied by 4 instead of
+  /// corrupting the MAP fit at full weight. Off by default — every pair
+  /// then carries identical weight (bit-for-bit unchanged).
   bool downweight_inconsistent = false;
-  /// λ multiplier for flagged pairs (>1 softens their likelihood).
-  double inconsistency_penalty = 4.0;
 };
 
 class PreferenceGp {

@@ -168,7 +168,7 @@ TEST(ServiceFaults, DeepStragglerIsRoutedAroundLikeADeadServer) {
   ASSERT_TRUE(service.run_epoch(oracle).feasible);
   const std::size_t victim = preview.schedule.assignment[0];
   sim::FaultPlan plan;
-  plan.slow_server(victim, 0.0, 8.0);  // >= straggler_exclusion (4x)
+  plan.slow_server(victim, 0.0, 8.0);  // >= kStragglerExclusion (4x)
   service.set_fault_plan(plan);
   const auto second = service.run_epoch(oracle);
   ASSERT_TRUE(second.feasible);

@@ -224,6 +224,8 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   // n×n factor, alpha, the scaling and the factor epoch. Restore reads the
   // raw rows, noise scales and hyperparameters and ignores the rest, so
   // the result predicts exactly like a fixed-parameter fit on those rows.
+  // Builds with the CUSUM drift detector also wrote its score and
+  // counters; those are ignored too, and not written back.
   KernelParams params;
   params.log_lengthscales = {std::log(0.4), std::log(0.7)};
   params.log_signal_var = 0.0;
@@ -252,6 +254,12 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   parent.set("chol", ckpt::codec::cholesky_to_json(chol));
   parent.set("alpha", ckpt::codec::doubles_to_json(chol->solve(y)));
   parent.set("factor_epoch", obs::json::Value(std::uint64_t{7}));
+  parent.set("drift_cusum", obs::json::Value(1.5));
+  obs::json::Value diagnostics = parent.at("diagnostics");
+  diagnostics.set("drift_fires", obs::json::Value(std::uint64_t{2}));
+  diagnostics.set("drift_downweighted", obs::json::Value(std::uint64_t{12}));
+  diagnostics.set("drift_score", obs::json::Value(0.75));
+  parent.set("diagnostics", std::move(diagnostics));
 
   GpRegressor restored(options);
   restored.restore(obs::json::Value::parse(parent.dump()));
@@ -262,6 +270,7 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
     EXPECT_EQ(bits(restored.predict_mean(q)), bits(fixed_fit.predict_mean(q)));
     EXPECT_EQ(bits(restored.predict_var(q)), bits(fixed_fit.predict_var(q)));
   }
+  EXPECT_EQ(restored.snapshot().dump(), fixed_fit.snapshot().dump());
 }
 
 }  // namespace

@@ -33,8 +33,6 @@ EpochRecord sample_record() {
   r.health.fallback_taken = true;
   r.health.error_message = "watchdog: iteration budget";
   r.health.warm_started = true;
-  r.health.drift_fires = 2;
-  r.health.drift_downweighted = 9;
   r.churn.offered = 6;
   r.churn.arrived = 2;
   r.churn.departed = 1;
@@ -97,8 +95,6 @@ void expect_equal(const EpochRecord& a, const EpochRecord& b) {
   EXPECT_EQ(a.health.fallback_taken, b.health.fallback_taken);
   EXPECT_EQ(a.health.error_message, b.health.error_message);
   EXPECT_EQ(a.health.warm_started, b.health.warm_started);
-  EXPECT_EQ(a.health.drift_fires, b.health.drift_fires);
-  EXPECT_EQ(a.health.drift_downweighted, b.health.drift_downweighted);
   EXPECT_EQ(a.churn.offered, b.churn.offered);
   EXPECT_EQ(a.churn.arrived, b.churn.arrived);
   EXPECT_EQ(a.churn.departed, b.churn.departed);
@@ -206,7 +202,9 @@ TEST(EpochRecord, RejectsMistypedFields) {
 TEST(EpochRecord, ReadsRecordsWrittenBeforeChurnExisted) {
   // Records exported by builds that predate stream churn have no "churn",
   // "governor_actions", or continual-learning health keys. They must still
-  // parse, with defaults meaning "no churn, nothing warm-started".
+  // parse, with defaults meaning "no churn, nothing warm-started". Records
+  // from builds with the GP drift detector carry two more health counters,
+  // which parse and are not written back.
   std::string text = to_json(sample_record());
   auto strip = [&text](const std::string& from, const std::string& to) {
     const auto begin = text.find(from);
@@ -223,8 +221,6 @@ TEST(EpochRecord, ReadsRecordsWrittenBeforeChurnExisted) {
 
   const EpochRecord back = record_from_json(text);
   EXPECT_FALSE(back.health.warm_started);
-  EXPECT_EQ(back.health.drift_fires, 0u);
-  EXPECT_EQ(back.health.drift_downweighted, 0u);
   EXPECT_EQ(back.churn.offered, 0u);
   EXPECT_EQ(back.churn.admitted, 0u);
   EXPECT_EQ(back.churn.load_factor, 1.0);
@@ -232,6 +228,20 @@ TEST(EpochRecord, ReadsRecordsWrittenBeforeChurnExisted) {
   // The rest of the record came through untouched.
   EXPECT_EQ(back.epoch, 7u);
   EXPECT_EQ(back.health.error_message, "watchdog: iteration budget");
+
+  const std::string current = to_json(sample_record());
+  std::string with_drift = current;
+  const std::string warm_key = "\"warm_started\":true";
+  const auto at = with_drift.find(warm_key);
+  ASSERT_NE(at, std::string::npos);
+  with_drift.insert(at + warm_key.size(),
+                    ",\"drift_fires\":2,\"drift_downweighted\":9");
+  const EpochRecord drifted = record_from_json(with_drift);
+  EXPECT_TRUE(drifted.health.warm_started);
+  const std::string rewritten = to_json(drifted);
+  EXPECT_EQ(rewritten.find("\"drift_fires\""), std::string::npos);
+  EXPECT_EQ(rewritten.find("\"drift_downweighted\""), std::string::npos);
+  EXPECT_EQ(rewritten, current);
 }
 
 TEST(EpochRecord, CapturesLiveSnapshotsFromTheGlobalRegistry) {

@@ -223,7 +223,6 @@ TEST(TraceRender, ChurnFreeRecordOmitsChurnSections) {
   const std::string text = render_record(consistent_record());
   EXPECT_EQ(text.find("churn:"), std::string::npos);
   EXPECT_EQ(text.find("governor:"), std::string::npos);
-  EXPECT_EQ(text.find("continual:"), std::string::npos);
 }
 
 TEST(TraceRender, ChurnedRecordShowsAccountingAndGovernorLog) {

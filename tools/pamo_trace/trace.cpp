@@ -277,11 +277,6 @@ std::string render_record(const obs::EpochRecord& record) {
   if (!h.error_message.empty()) {
     out << "health: last absorbed error: " << h.error_message << "\n";
   }
-  if (h.warm_started || h.drift_fires > 0 || h.drift_downweighted > 0) {
-    out << "continual: warm_started=" << h.warm_started
-        << " drift_fires=" << h.drift_fires
-        << " drift_downweighted=" << h.drift_downweighted << "\n";
-  }
   const auto& churn = record.churn;
   const bool churn_active = churn.arrived > 0 || churn.departed > 0 ||
                             churn.deferred > 0 || churn.shed > 0 ||
