@@ -191,8 +191,15 @@ CandidatePool schedule_candidate_pool(
   // container.
   std::set<eva::JointConfig> seen(observed.begin(), observed.end());
   CandidatePool pool;
+  std::size_t screened = 0;
   for (const auto& config : candidates) {
     if (pool.configs.size() >= max_feasible) break;
+    // Most quasi-random draws fail the load screen; dropping them before
+    // the set insert and the full Algorithm 1 call changes no outcome.
+    if (sched::exceeds_load_bound(workload, config)) {
+      ++screened;
+      continue;
+    }
     if (!seen.insert(config).second) continue;
     sched::ScheduleResult schedule =
         sched::schedule_zero_jitter(workload, config);
@@ -200,6 +207,7 @@ CandidatePool schedule_candidate_pool(
     pool.configs.push_back(config);
     pool.schedules.push_back(std::move(schedule));
   }
+  PAMO_COUNT("pamo.pool_screened", screened);
   PAMO_ENSURES(pool.configs.size() == pool.schedules.size() &&
                    pool.configs.size() <= max_feasible,
                "one schedule per kept candidate, at most max_feasible");
@@ -504,18 +512,26 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
 
     // Candidate pool: quasi-random + mutations, new configurations only,
     // scheduled by Algorithm 1.
-    const auto candidates =
-        draw_candidates(workload_, incumbents, options_.pool, rng);
+    const auto candidates = [&] {
+      PAMO_SPAN("pamo.draw_candidates");
+      return draw_candidates(workload_, incumbents, options_.pool, rng);
+    }();
     std::vector<eva::JointConfig> observed_configs;
     observed_configs.reserve(observed.size());
     for (const auto& obs : observed) observed_configs.push_back(obs.config);
-    auto [pool_configs, pool_schedules] = schedule_candidate_pool(
-        workload_, candidates, observed_configs, options_.max_pool_feasible);
+    auto [pool_configs, pool_schedules] = [&] {
+      PAMO_SPAN("pamo.pool_schedule");
+      return schedule_candidate_pool(workload_, candidates, observed_configs,
+                                     options_.max_pool_feasible);
+    }();
     if (pool_configs.empty()) return false;
 
     // Joint MC scenarios over the knob grid.
     const std::size_t num_samples = options_.mc_samples;
-    const auto tables = models_.sample_grid_tables(num_samples, rng);
+    const auto tables = [&] {
+      PAMO_SPAN("pamo.grid_tables");
+      return models_.sample_grid_tables(num_samples, rng);
+    }();
 
     const std::size_t num_pool = pool_configs.size();
     const std::size_t num_obs = observed.size();

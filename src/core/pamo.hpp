@@ -217,6 +217,11 @@ std::vector<eva::JointConfig> draw_candidates(
 /// Algorithm 1 schedules. A configuration already in `observed` or earlier
 /// in the list is skipped before scheduling: profiling it again teaches
 /// the models nothing new, and an observed one scores exactly 0 under qNEI.
+/// Algorithm 1's load screen (sched::exceeds_load_bound) runs before that
+/// de-duplication: a screened configuration is never feasible, so it is
+/// dropped without entering the seen set, and a later copy of it is
+/// screened again. The result equals scheduling every new configuration;
+/// traces count the screened candidates as `pamo.pool_screened`.
 CandidatePool schedule_candidate_pool(
     const eva::Workload& workload,
     const std::vector<eva::JointConfig>& candidates,

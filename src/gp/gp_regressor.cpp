@@ -1,5 +1,6 @@
 #include "gp/gp_regressor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -180,7 +181,9 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
 bool GpRegressor::try_incremental_update(std::size_t first_new) {
   aggregate_targets();
   // The new inputs' rows of K(x_, x_) + σ²·diag(1/W), entry for entry as
-  // kernel_matrix and solve_system would form them.
+  // kernel_matrix and solve_system would form them. They are computed
+  // here rather than read from training_gram(): extending that table
+  // copies all d² entries, and the next re-solve extends it anyway.
   const std::size_t m = x_.size() - first_new;
   const KernelEvaluator k_eval(options_.kernel, params_);
   const double noise = std::exp(params_.log_noise_var);
@@ -208,6 +211,8 @@ bool GpRegressor::try_incremental_update(std::size_t first_new) {
 void GpRegressor::rebuild(bool optimize_hyperparams) {
   PAMO_SPAN("gp.rebuild");
   PAMO_COUNT("gp.rebuilds", 1);
+  const KernelParams previous_params = params_;
+  const std::vector<std::vector<double>> previous_inputs = std::move(x_);
   derive_inputs();
   noise_scale_.assign(x_raw_.size(), 1.0);
 
@@ -248,6 +253,14 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
         objective, box, options_.mle_restarts, options_.seed, &x0, nm);
     params_ = KernelParams::unpack(best.x, dim_);
   }
+  // The noise variance enters no kernel table; the inputs must only grow.
+  const bool same_kernel =
+      params_.log_lengthscales == previous_params.log_lengthscales &&
+      params_.log_signal_var == previous_params.log_signal_var;
+  const bool inputs_extended =
+      previous_inputs.size() <= x_.size() &&
+      std::equal(previous_inputs.begin(), previous_inputs.end(), x_.begin());
+  if (!same_kernel || !inputs_extended) ++kernel_epoch_;
   solve_and_reweight();
 }
 
@@ -290,9 +303,36 @@ void GpRegressor::aggregate_targets() {
   for (std::size_t i = 0; i < x_.size(); ++i) y_[i] /= weight_[i];
 }
 
+const la::Matrix& GpRegressor::training_gram() {
+  const std::size_t n = x_.size();
+  const std::size_t n_prev = gram_epoch_ == kernel_epoch_ ? gram_.rows() : 0;
+  PAMO_ASSERT(n_prev <= n, "distinct inputs shrank within a kernel epoch");
+  if (n_prev == n && gram_epoch_ == kernel_epoch_) return gram_;
+  // The new columns j >= n_prev, entry for entry as kernel_matrix forms
+  // them: k(x_i, x_j) for i < j, mirrored, and σ_f² on the diagonal.
+  const KernelEvaluator k_eval(options_.kernel, params_);
+  la::Matrix k(n, n);
+  for (std::size_t i = 0; i < n_prev; ++i) {
+    for (std::size_t j = 0; j < n_prev; ++j) k(i, j) = gram_(i, j);
+  }
+  for (std::size_t j = n_prev; j < n; ++j) {
+    k(j, j) = k_eval.signal_var();
+    for (std::size_t i = 0; i < j; ++i) {
+      const double v = k_eval(x_[i], x_[j]);
+      k(i, j) = v;
+      k(j, i) = v;
+    }
+  }
+  gram_ = std::move(k);
+  gram_epoch_ = kernel_epoch_;
+  return gram_;
+}
+
 void GpRegressor::solve_system() {
   aggregate_targets();
-  la::Matrix k = kernel_matrix(options_.kernel, params_, x_);
+  la::Matrix k = options_.incremental
+                     ? training_gram()
+                     : kernel_matrix(options_.kernel, params_, x_);
   const double noise = std::exp(params_.log_noise_var);
   for (std::size_t i = 0; i < x_.size(); ++i) k(i, i) += noise / weight_[i];
   // Degrade to a wider jitter cap instead of throwing: a near-singular
@@ -425,56 +465,66 @@ double GpRegressor::predict_var(const std::vector<double>& x) const {
 
 void GpRegressor::refresh_posterior_workspace(
     std::vector<std::vector<double>>&& xs) const {
+  PosteriorWorkspace& ws = workspace_;
   const std::size_t n = x_.size();
   const std::uint64_t key = fingerprint_rows(xs);
-  const bool same_query = options_.incremental && workspace_.valid &&
-                          workspace_.key == key && workspace_.xs == xs;
-  if (same_query && workspace_.factor_epoch == factor_epoch_ &&
-      workspace_.train_rows <= n) {
-    if (workspace_.train_rows == n) return;  // fully current
-    // The factor was extended in place since the workspace was built:
-    // append the new columns of K* and continue the forward substitution
-    // for the new rows of V. Existing entries are untouched, so the
-    // result is bit-identical to recomputing against the grown set.
-    const std::size_t m = xs.size();
-    const std::size_t n_prev = workspace_.train_rows;
-    const la::Matrix& l = chol_->lower();
-    const KernelEvaluator k_eval(options_.kernel, params_);
-    la::Matrix k_cross(m, n, 0.0);
-    la::Matrix v(n, m, 0.0);
-    for (std::size_t c = 0; c < m; ++c) {
-      for (std::size_t j = 0; j < n_prev; ++j) {
-        k_cross(c, j) = workspace_.k_cross(c, j);
-        v(j, c) = workspace_.v(j, c);
-      }
-      for (std::size_t j = n_prev; j < n; ++j) {
-        k_cross(c, j) = k_eval(workspace_.xs[c], x_[j]);
-      }
-    }
-    for (std::size_t i = n_prev; i < n; ++i) {
+  const bool same_tables = options_.incremental && ws.valid &&
+                           ws.kernel_epoch == kernel_epoch_ &&
+                           ws.train_rows <= n && ws.key == key && ws.xs == xs;
+  ws.valid = false;  // until every table below is current
+  if (!same_tables) {
+    // Full recompute (new query set, disabled cache, or new kernel
+    // entries over x_).
+    ws.k_cross = kernel_cross(options_.kernel, params_, xs, x_);
+    ws.k_test = kernel_matrix(options_.kernel, params_, xs);
+    ws.v = chol_->solve_lower(ws.k_cross.transposed());
+    ws.xs = std::move(xs);
+    ws.key = key;
+  } else {
+    // K** is a function of the query rows alone. K* gains one column per
+    // distinct input appended since, entry for entry as kernel_cross forms
+    // it; existing entries are untouched.
+    const std::size_t m = ws.xs.size();
+    const std::size_t n_prev = ws.train_rows;
+    if (n_prev < n) {
+      const KernelEvaluator k_eval(options_.kernel, params_);
+      la::Matrix k_cross(m, n);
       for (std::size_t c = 0; c < m; ++c) {
-        double sum = k_cross(c, i);
-        for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * v(k, c);
-        v(i, c) = sum / l(i, i);
+        for (std::size_t j = 0; j < n_prev; ++j) {
+          k_cross(c, j) = ws.k_cross(c, j);
+        }
+        for (std::size_t j = n_prev; j < n; ++j) {
+          k_cross(c, j) = k_eval(ws.xs[c], x_[j]);
+        }
       }
+      ws.k_cross = std::move(k_cross);
     }
-    workspace_.k_cross = std::move(k_cross);
-    workspace_.v = std::move(v);
-    workspace_.train_rows = n;
-    return;
+    if (ws.factor_epoch != factor_epoch_) {
+      // Refactorized system: V alone is stale.
+      ws.v = chol_->solve_lower(ws.k_cross.transposed());
+    } else if (n_prev < n) {
+      // The factor was extended in place: continue the forward
+      // substitution for the new rows of V, bit-identical to solving
+      // against the grown factor from scratch.
+      const la::Matrix& l = chol_->lower();
+      la::Matrix v(n, m, 0.0);
+      for (std::size_t j = 0; j < n_prev; ++j) {
+        for (std::size_t c = 0; c < m; ++c) v(j, c) = ws.v(j, c);
+      }
+      for (std::size_t i = n_prev; i < n; ++i) {
+        for (std::size_t c = 0; c < m; ++c) {
+          double sum = ws.k_cross(c, i);
+          for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * v(k, c);
+          v(i, c) = sum / l(i, i);
+        }
+      }
+      ws.v = std::move(v);
+    }
   }
-  // Full recompute (new query set, disabled cache, or a refactorized
-  // system). k_test depends only on the query rows but is rebuilt here
-  // anyway — it is the cheap part, and this keeps the workspace an
-  // all-or-nothing snapshot.
-  workspace_.k_cross = kernel_cross(options_.kernel, params_, xs, x_);
-  workspace_.k_test = kernel_matrix(options_.kernel, params_, xs);
-  workspace_.v = chol_->solve_lower(workspace_.k_cross.transposed());
-  workspace_.xs = std::move(xs);
-  workspace_.key = key;
-  workspace_.factor_epoch = factor_epoch_;
-  workspace_.train_rows = n;
-  workspace_.valid = true;
+  ws.kernel_epoch = kernel_epoch_;
+  ws.factor_epoch = factor_epoch_;
+  ws.train_rows = n;
+  ws.valid = true;
 }
 
 Posterior GpRegressor::posterior(

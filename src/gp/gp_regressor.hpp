@@ -56,10 +56,13 @@ struct GpOptions {
   /// box extends the cached Cholesky factor by the new inputs in O(d²)
   /// when they are all new (d = distinct inputs), or re-solves the
   /// ≤ d-row system without rescaling or MLE when the batch repeats an
-  /// input. posterior() keeps a cross-covariance workspace that is reused
-  /// (and incrementally extended) across calls over the same query set.
-  /// All of it is bit-for-bit identical to the full recomputation and
-  /// falls back to it automatically whenever exactness cannot be
+  /// input. Every solve reuses the noise-free training Gram K(X_d, X_d)
+  /// and computes only the entries of new distinct inputs. posterior()
+  /// keeps K(X*, X_d) and K(X*, X*) across calls over the same query set
+  /// while the hyperparameters and X_d's prefix hold, and recomputes only
+  /// V = L⁻¹K*ᵀ after a refactorization. All of it is bit-for-bit
+  /// identical to the full recomputation (false recomputes everything)
+  /// and falls back to it automatically whenever exactness cannot be
   /// guaranteed — see diagnostics().incremental_fallbacks for when that
   /// happens.
   bool incremental = true;
@@ -163,13 +166,16 @@ class GpRegressor {
  private:
   /// Cross-covariance workspace reused by posterior() across calls over
   /// the same query set. `key` fingerprints the scaled query rows (with an
-  /// exact row comparison against `xs` to rule out hash collisions);
-  /// `factor_epoch` ties V to the factor it was computed against, and
-  /// `train_rows` lets an incrementally-extended factor extend k_cross/V
-  /// by the new training rows instead of recomputing them.
+  /// exact row comparison against `xs` to rule out hash collisions).
+  /// k_cross and k_test hold while `kernel_epoch` is current: their
+  /// entries over the first `train_rows` distinct inputs are unchanged, so
+  /// new inputs only append columns to k_cross. `factor_epoch` ties V to
+  /// the factor it was computed against: an in-place factor extension
+  /// continues its forward substitution, a refactorization recomputes it.
   struct PosteriorWorkspace {
     bool valid = false;
     std::uint64_t key = 0;
+    std::uint64_t kernel_epoch = 0;
     std::uint64_t factor_epoch = 0;
     std::size_t train_rows = 0;
     std::vector<std::vector<double>> xs;  // scaled query rows
@@ -195,6 +201,10 @@ class GpRegressor {
   bool try_incremental_update(std::size_t first_new);
   /// Bring workspace_ up to date for the scaled query rows `xs`.
   void refresh_posterior_workspace(std::vector<std::vector<double>>&& xs) const;
+  /// The noise-free Gram K(x_, x_) under params_: gram_ extended by the
+  /// entries of distinct inputs appended since it was computed, or
+  /// recomputed when kernel_epoch_ has moved on.
+  const la::Matrix& training_gram();
   /// Min-max scale over every raw row, then group all of them.
   void derive_inputs();
   /// Assign raw rows [first, n) to distinct inputs, appending unseen
@@ -277,7 +287,19 @@ class GpRegressor {
   // extend its V rows instead of starting over.
   // pamo-analyze: allow(snapshot-coverage)
   std::uint64_t factor_epoch_ = 0;
-  // Prediction scratch: contents are dead between calls.
+  // Bumped by rebuild() when a kernel entry over x_ may have changed: new
+  // lengthscales or signal variance, or re-derived inputs that do not
+  // merely extend the previous x_. Within one value, every kernel table
+  // over a prefix of x_ stays exact.
+  // pamo-analyze: allow(snapshot-coverage)
+  std::uint64_t kernel_epoch_ = 0;
+  // training_gram()'s table and the kernel_epoch_ it was computed in.
+  // pamo-analyze: allow(snapshot-coverage)
+  la::Matrix gram_;
+  // pamo-analyze: allow(snapshot-coverage)
+  std::uint64_t gram_epoch_ = 0;
+  // posterior()'s kernel tables for the last query set (see
+  // PosteriorWorkspace), kept across calls.
   // pamo-analyze: allow(snapshot-coverage)
   mutable PosteriorWorkspace workspace_;
 };

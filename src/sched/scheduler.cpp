@@ -172,6 +172,8 @@ std::vector<std::size_t> alg1_order(const std::vector<PeriodicStream>& streams,
 bool exceeds_load_bound(const eva::Workload& workload,
                         const eva::JointConfig& config,
                         std::size_t num_servers, double proc_headroom) {
+  PAMO_EXPECTS(config.size() == workload.num_streams(),
+               "one knob configuration per parent stream");
   double load = 0.0;
   std::uint32_t max_fps = 0;
   for (std::size_t i = 0; i < config.size(); ++i) {
@@ -191,8 +193,6 @@ ScheduleResult zero_jitter_impl(const eva::Workload& workload,
                                 const std::vector<std::size_t>& servers,
                                 double proc_headroom,
                                 bool* screened = nullptr) {
-  PAMO_EXPECTS(config.size() == workload.num_streams(),
-               "one knob configuration per parent stream");
   ScheduleResult result;
   if (exceeds_load_bound(workload, config, servers.size(), proc_headroom)) {
     if (screened != nullptr) *screened = true;
@@ -259,6 +259,12 @@ std::vector<std::size_t> usable_list(const eva::Workload& workload,
 }
 
 }  // namespace
+
+bool exceeds_load_bound(const eva::Workload& workload,
+                        const eva::JointConfig& config) {
+  return exceeds_load_bound(workload, config, workload.num_servers(),
+                            /*proc_headroom=*/1.0);
+}
 
 ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
                                     const eva::JointConfig& config) {

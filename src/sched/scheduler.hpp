@@ -46,6 +46,13 @@ struct ScheduleResult {
 ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
                                     const eva::JointConfig& config);
 
+/// schedule_zero_jitter's load screen on its own: true exactly when that
+/// call would return the screened result (infeasible, empty `streams`)
+/// without splitting or packing. Callers that discard infeasible
+/// configurations run it first to skip the rest of Algorithm 1.
+bool exceeds_load_bound(const eva::Workload& workload,
+                        const eva::JointConfig& config);
+
 /// Algorithm 1 restricted to the servers marked usable (crashed servers
 /// are excluded from grouping and assignment). `proc_headroom` >= 1
 /// inflates processing times during group packing and phase staggering —

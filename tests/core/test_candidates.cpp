@@ -1,15 +1,19 @@
 // core::draw_candidates: the Phase-3 candidate draw in the joint knob
-// space (quasi-random coverage plus incumbent mutations).
+// space (quasi-random coverage plus incumbent mutations), and
+// core::schedule_candidate_pool, which turns the draw into the pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "ckpt/digest.hpp"
 #include "common/error.hpp"
 #include "core/pamo.hpp"
+#include "sched/shard.hpp"
 
 namespace pamo::core {
 namespace {
@@ -326,6 +330,116 @@ TEST(CandidatePool, GoldenDrawMatchesTheUnitCubePool) {
             0xfad7e37d2dbd9f2fULL);
   EXPECT_EQ(draw_digest(eva::make_fleet_workload(12, 1, 8), 8),
             0x8050fe970522b81eULL);
+}
+
+/// The pool without the load screen in front: every configuration not
+/// seen yet enters the seen set and goes through Algorithm 1.
+CandidatePool reference_pool(const eva::Workload& w,
+                             const std::vector<eva::JointConfig>& candidates,
+                             const std::vector<eva::JointConfig>& observed,
+                             std::size_t max_feasible) {
+  std::set<eva::JointConfig> seen(observed.begin(), observed.end());
+  CandidatePool pool;
+  for (const auto& config : candidates) {
+    if (pool.configs.size() >= max_feasible) break;
+    if (!seen.insert(config).second) continue;
+    sched::ScheduleResult schedule = sched::schedule_zero_jitter(w, config);
+    if (!schedule.feasible) continue;
+    pool.configs.push_back(config);
+    pool.schedules.push_back(std::move(schedule));
+  }
+  return pool;
+}
+
+void expect_same_pool(const CandidatePool& got, const CandidatePool& want) {
+  ASSERT_EQ(got.configs, want.configs);
+  ASSERT_EQ(got.schedules.size(), want.schedules.size());
+  for (std::size_t i = 0; i < got.schedules.size(); ++i) {
+    const sched::ScheduleResult& a = got.schedules[i];
+    const sched::ScheduleResult& b = want.schedules[i];
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.assignment, b.assignment);
+    EXPECT_EQ(a.phase, b.phase);
+    EXPECT_EQ(a.uplink_per_parent, b.uplink_per_parent);
+    EXPECT_EQ(a.comm_cost, b.comm_cost);
+  }
+}
+
+/// The paper testbed shape and a few shards of a seeded fleet.
+std::vector<eva::Workload> pool_workloads() {
+  std::vector<eva::Workload> workloads = {eva::make_workload(12, 4, 5)};
+  const eva::Workload fleet = eva::make_fleet_workload(240, 24, 0x5C4EE);
+  const sched::ShardPlan plan = sched::make_shard_plan(fleet, {});
+  for (std::size_t s = 0; s < std::min<std::size_t>(4, plan.num_shards());
+       ++s) {
+    workloads.push_back(sched::shard_workload(fleet, plan, s));
+  }
+  return workloads;
+}
+
+TEST(CandidatePool, LoadScreenBeforeDeduplicationMatchesTheReferenceLoop) {
+  std::size_t screened_total = 0;
+  std::size_t capped_runs = 0;
+  for (const eva::Workload& w : pool_workloads()) {
+    // Incumbents: the lightest configuration, which Algorithm 1 passes.
+    const eva::JointConfig lightest = uniform_config(w, 0, 0);
+    ASSERT_TRUE(sched::schedule_zero_jitter(w, lightest).feasible);
+    Rng rng(0xC0DE + w.num_streams());
+    std::vector<eva::JointConfig> candidates =
+        draw_candidates(w, {lightest, lightest}, PoolOptions{}, rng);
+    std::vector<eva::JointConfig> screened;
+    std::vector<eva::JointConfig> feasible;
+    for (const auto& config : candidates) {
+      if (sched::exceeds_load_bound(w, config)) {
+        screened.push_back(config);
+      } else if (sched::schedule_zero_jitter(w, config).feasible) {
+        feasible.push_back(config);
+      }
+    }
+    ASSERT_FALSE(screened.empty());
+    ASSERT_GE(feasible.size(), 2u);
+    screened_total += screened.size();
+    // Screened configurations come back, feasible ones repeat, and one of
+    // them is already observed; the shuffle spreads the repeats out.
+    candidates.insert(candidates.end(), screened.begin(), screened.end());
+    candidates.insert(candidates.end(), feasible.begin(), feasible.end());
+    rng.shuffle(candidates);
+    const std::vector<eva::JointConfig> observed = {feasible[1], lightest};
+
+    const std::size_t all = reference_pool(w, candidates, observed,
+                                           std::numeric_limits<std::size_t>::max())
+                                .configs.size();
+    ASSERT_GE(all, 1u);
+    for (const std::size_t cap :
+         {std::numeric_limits<std::size_t>::max(), all, (all + 1) / 2,
+          std::size_t{1}}) {
+      SCOPED_TRACE(cap);
+      const CandidatePool pool =
+          schedule_candidate_pool(w, candidates, observed, cap);
+      expect_same_pool(pool, reference_pool(w, candidates, observed, cap));
+      EXPECT_LE(pool.configs.size(), cap);
+      if (cap < all) ++capped_runs;
+    }
+  }
+  EXPECT_GT(screened_total, 0u);
+  EXPECT_GT(capped_runs, 0u);
+}
+
+TEST(CandidatePool, LoadScreenIsExactlyTheScreenedScheduleResult) {
+  for (const eva::Workload& w : pool_workloads()) {
+    Rng rng(0x5EED + w.num_streams());
+    std::size_t screened = 0;
+    std::size_t passed = 0;
+    for (const auto& config : draw_candidates(
+             w, {uniform_config(w, 0, 0)}, PoolOptions{}, rng)) {
+      const sched::ScheduleResult result = sched::schedule_zero_jitter(w, config);
+      const bool screened_result = !result.feasible && result.streams.empty();
+      EXPECT_EQ(sched::exceeds_load_bound(w, config), screened_result);
+      (screened_result ? screened : passed) += 1;
+    }
+    EXPECT_GT(screened, 0u);
+    EXPECT_GT(passed, 0u);
+  }
 }
 
 }  // namespace

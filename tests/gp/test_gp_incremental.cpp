@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -301,6 +302,136 @@ TEST(GpIncremental, AllNewInputsExtendOverRepeatedGroups) {
   slow.update(xb, yb);
   EXPECT_EQ(fast.diagnostics().incremental_updates, 1u);
   expect_posteriors_identical(fast, slow, query);
+}
+
+/// Posterior, predictions and coloured samples of `a` and `b` are equal
+/// bit for bit over `q` (the same normals drive both samplers).
+void expect_models_identical(const GpRegressor& a, const GpRegressor& b,
+                             const std::vector<std::vector<double>>& q,
+                             const la::Matrix& z) {
+  ASSERT_EQ(a.num_points(), b.num_points());
+  ASSERT_EQ(a.num_distinct(), b.num_distinct());
+  expect_posteriors_identical(a, b, q);
+  const la::Matrix sa = a.sample_joint_given(q, z);
+  const la::Matrix sb = b.sample_joint_given(q, z);
+  EXPECT_EQ(sa.data(), sb.data());
+  for (const auto& row : q) {
+    EXPECT_EQ(a.predict_mean(row), b.predict_mean(row));
+    EXPECT_EQ(a.predict_var(row), b.predict_var(row));
+  }
+}
+
+/// Drive a cached (incremental) and a from-scratch model through every
+/// state change a GP sees in service — fit, repeated-input and new-input
+/// in-box updates, an out-of-box update, an MLE refit, copy-assignment
+/// over a model with tables of its own, snapshot/restore — and compare
+/// them after each step. The checks ask the main query set last, so the
+/// cached model's tables for it are warm when the next step lands and
+/// its first check runs on the reused tables.
+/// Returns the cached model's final diagnostics.
+GpFitDiagnostics expect_cache_exact_through_every_step(GpOptions options) {
+  options.mle_restarts = 2;
+  options.mle_max_evals = 120;
+  GpOptions cached_options = options;
+  cached_options.incremental = true;
+  GpOptions scratch_options = options;
+  scratch_options.incremental = false;
+  GpRegressor cached(cached_options);
+  GpRegressor scratch(scratch_options);
+
+  Rng rng(0x16c00013ULL);
+  Rng qrng(0x16c00014ULL);
+  const std::vector<std::vector<std::vector<double>>> queries = {
+      make_points(qrng, 9, 0.1, 0.9), make_points(qrng, 5, 0.0, 1.0)};
+  std::vector<la::Matrix> normals;
+  for (const auto& q : queries) {
+    la::Matrix z(4, q.size());
+    for (double& v : z.data()) v = qrng.normal();
+    normals.push_back(std::move(z));
+  }
+  const auto step = [&](const char* what, const auto& op) {
+    SCOPED_TRACE(what);
+    op(cached);
+    op(scratch);
+    for (const std::size_t k : {0, 1, 0}) {
+      expect_models_identical(cached, scratch, queries[k], normals[k]);
+    }
+  };
+
+  auto x0 = make_seed_points(rng, 14);
+  const std::vector<std::vector<double>> repeats(x0.begin(), x0.begin() + 4);
+  x0.insert(x0.end(), repeats.begin(), repeats.end());
+  const auto y0 = noisy_targets_of(x0, rng);
+  const auto inside = make_points(rng, 3, 0.1, 0.9);
+  const auto outside = make_points(rng, 2, 1.1, 1.3);
+  const auto batch = [&](std::vector<std::vector<double>> x) {
+    return std::make_pair(x, noisy_targets_of(x, rng));
+  };
+  const auto repeated = batch({x0[1], x0[2], x0[2]});
+  const auto one_new = batch({inside[0]});
+  const auto mixed = batch({x0[3], inside[1]});
+  const auto grown = batch({outside[0], inside[2]});
+  const auto refit = batch({outside[1]});
+  // An outlier the robust fit, when on, downweights.
+  auto spike = batch({x0[4]});
+  spike.second[0] += 40.0;
+
+  step("fit", [&](GpRegressor& gp) { gp.fit(x0, y0); });
+  step("repeated-input update", [&](GpRegressor& gp) {
+    gp.update(repeated.first, repeated.second);
+  });
+  step("new distinct input", [&](GpRegressor& gp) {
+    gp.update(one_new.first, one_new.second);
+  });
+  step("known and new input", [&](GpRegressor& gp) {
+    gp.update(mixed.first, mixed.second);
+  });
+  step("outlier", [&](GpRegressor& gp) {
+    gp.update(spike.first, spike.second);
+  });
+  step("out-of-box update", [&](GpRegressor& gp) {
+    gp.update(grown.first, grown.second);
+  });
+  const auto elsewhere = make_points(rng, 6, 0.0, 2.0);
+  step("copy-assignment", [&](GpRegressor& gp) {
+    // A model with warm tables over other inputs and hyperparameters takes
+    // gp's state, and the sequence goes on from that copy.
+    GpRegressor other(cached_options);
+    other.fit(elsewhere, targets_of(elsewhere));
+    (void)other.posterior(queries[0]);
+    other = gp;
+    gp = other;
+  });
+  step("reoptimize", [&](GpRegressor& gp) {
+    gp.update(refit.first, refit.second, /*reoptimize=*/true);
+  });
+  step("repeated-input update after the refit", [&](GpRegressor& gp) {
+    gp.update(repeated.first, repeated.second);
+  });
+  step("snapshot/restore", [&](GpRegressor& gp) {
+    const obs::json::Value snap = gp.snapshot();
+    gp.update(one_new.first, one_new.second);  // tables the restore replaces
+    (void)gp.posterior(queries[1]);
+    gp.restore(snap);
+  });
+  step("update after the restore", [&](GpRegressor& gp) {
+    gp.update(mixed.first, mixed.second);
+  });
+  return cached.diagnostics();
+}
+
+TEST(GpIncremental, CachedKernelTablesMatchFromScratchThroughEveryStep) {
+  GpOptions options;  // MLE hyperparameters, so the refit moves them
+  const GpFitDiagnostics d = expect_cache_exact_through_every_step(options);
+  // Both in-box paths ran: re-solves of repeated inputs and extensions.
+  EXPECT_GE(d.incremental_updates, 4u);
+}
+
+TEST(GpIncremental, CachedKernelTablesMatchFromScratchUnderRobustNoise) {
+  GpOptions options;
+  options.robust_noise = true;  // every update rebuilds and reweights
+  const GpFitDiagnostics d = expect_cache_exact_through_every_step(options);
+  EXPECT_GT(d.outliers_downweighted, 0u);
 }
 
 }  // namespace
