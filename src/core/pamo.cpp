@@ -275,6 +275,7 @@ PamoScheduler::Observation PamoScheduler::observe(
   Observation obs;
   obs.config = config;
   obs.schedule = std::move(schedule);
+  obs.grid_rows = grid_rows_of(models_, config);
 
   eva::TelemetryCorruption* telemetry = options_.telemetry;
   const bool corrupting = telemetry != nullptr && telemetry->enabled();
@@ -496,13 +497,18 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   auto step = [&](std::size_t iter) {
     PAMO_SPAN("pamo.bo_iteration");
     PAMO_COUNT("bo.iterations", 1);
+    // The preference belief changes only after this iteration's batch, so
+    // every observation is scored once here.
+    std::vector<double> obs_utility(observed.size());
+    for (std::size_t i = 0; i < observed.size(); ++i) {
+      obs_utility[i] = utility(observed[i].normalized, oracle);
+    }
     // Incumbents: the best few observed configurations by current utility.
     std::vector<std::size_t> obs_order(observed.size());
     for (std::size_t i = 0; i < obs_order.size(); ++i) obs_order[i] = i;
     std::stable_sort(obs_order.begin(), obs_order.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return utility(observed[a].normalized, oracle) >
-                              utility(observed[b].normalized, oracle);
+                       return obs_utility[a] > obs_utility[b];
                      });
     std::vector<eva::JointConfig> incumbents;
     for (std::size_t i = 0; i < std::min<std::size_t>(3, obs_order.size());
@@ -540,11 +546,6 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     for (const auto& config : pool_configs) {
       pool_rows.push_back(grid_rows_of(models_, config));
     }
-    std::vector<std::vector<std::size_t>> obs_rows;
-    obs_rows.reserve(num_obs);
-    for (const auto& obs : observed) {
-      obs_rows.push_back(grid_rows_of(models_, obs.config));
-    }
 
     // Scenario evaluations are independent (tables are pre-sampled and the
     // preference model is read-only here), so fan out over every
@@ -567,7 +568,7 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
             } else {
               const std::size_t o = c - num_pool;
               const eva::OutcomeVector y = outcomes_from_rows(
-                  tables, s, obs_rows[o], observed[o].config,
+                  tables, s, observed[o].grid_rows, observed[o].config,
                   observed[o].schedule);
               z_obs(s, o) = utility(normalizer_.normalize(y), oracle);
             }
@@ -575,10 +576,7 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
           /*grain=*/16);
     }
     double best_observed = -1e300;
-    for (const auto& obs : observed) {
-      best_observed =
-          std::max(best_observed, utility(obs.normalized, oracle));
-    }
+    for (const double u : obs_utility) best_observed = std::max(best_observed, u);
 
     const std::vector<double> scores = bo::acquisition_scores(
         options_.acquisition, z_pool, &z_obs, best_observed);

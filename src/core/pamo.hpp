@@ -250,6 +250,7 @@ class PamoScheduler {
     eva::JointConfig config;
     sched::ScheduleResult schedule;
     eva::OutcomeVector normalized{};  // ŷ of the aggregated noisy observation
+    std::vector<std::size_t> grid_rows;  // each stream's knob-grid row
   };
 
   /// Draw a joint configuration whose Algorithm 1 schedule is feasible,

@@ -237,7 +237,9 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     // Every row enters the likelihood, at the cost of a d-row solve.
     aggregate_targets();  // the standardization unit_moments() reads
     const GroupMoments moments = unit_moments();
+    std::size_t evals = 0;
     auto objective = [&](const std::vector<double>& packed) {
+      ++evals;
       return -lml(moments, KernelParams::unpack(packed, dim_));
     };
 
@@ -252,6 +254,7 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     const opt::OptResult best = opt::multistart_minimize(
         objective, box, options_.mle_restarts, options_.seed, &x0, nm);
     params_ = KernelParams::unpack(best.x, dim_);
+    PAMO_COUNT("gp.mle_evals", evals);
   }
   // The noise variance enters no kernel table; the inputs must only grow.
   const bool same_kernel =
