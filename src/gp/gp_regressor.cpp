@@ -9,14 +9,12 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "gp/mle.hpp"
 #include "obs/obs.hpp"
-#include "opt/nelder_mead.hpp"
 
 namespace pamo::gp {
 
 namespace {
-
-constexpr double kLog2Pi = 1.8378770664093454835606594728112;
 /// Lower bound of the MLE's noise variance (standardized target scale).
 constexpr double kMinNoiseVar = 1e-6;
 /// PSD-repair jitter cap for posterior covariance sampling
@@ -221,7 +219,7 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     PAMO_CHECK(params_.dim() == dim_, "fixed hyperparameter dim mismatch");
   } else if (optimize_hyperparams || params_.dim() != dim_) {
     // MLE over [lengthscales, signal var, noise var] in log space.
-    opt::Box box;
+    mle::Box box;
     const std::size_t p = dim_ + 2;
     box.lo.assign(p, 0.0);
     box.hi.assign(p, 0.0);
@@ -236,12 +234,11 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
 
     // Every row enters the likelihood, at the cost of a d-row solve.
     aggregate_targets();  // the standardization unit_moments() reads
-    const GroupMoments moments = unit_moments();
-    std::size_t evals = 0;
-    auto objective = [&](const std::vector<double>& packed) {
-      ++evals;
-      return -lml(moments, KernelParams::unpack(packed, dim_));
-    };
+    const mle::GroupMoments moments = unit_moments();
+    mle::NegLogLikelihood neg_lml(options_.kernel, x_, moments);
+    const mle::ValueAndGradient objective =
+        [&neg_lml](const std::vector<double>& theta,
+                   std::vector<double>& grad) { return neg_lml(theta, &grad); };
 
     KernelParams init;
     init.log_lengthscales.assign(dim_, std::log(0.3));
@@ -249,12 +246,11 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     init.log_noise_var = std::log(1e-2);
     const std::vector<double> x0 = init.pack();
 
-    opt::NelderMeadOptions nm;
-    nm.max_evals = options_.mle_max_evals;
-    const opt::OptResult best = opt::multistart_minimize(
-        objective, box, options_.mle_restarts, options_.seed, &x0, nm);
+    const mle::MinimizeResult best =
+        mle::multistart_minimize(objective, box, options_.mle_restarts,
+                                 options_.seed, &x0, options_.mle_max_evals);
     params_ = KernelParams::unpack(best.x, dim_);
-    PAMO_COUNT("gp.mle_evals", evals);
+    PAMO_COUNT("gp.mle_evals", best.evals);
   }
   // The noise variance enters no kernel table; the inputs must only grow.
   const bool same_kernel =
@@ -393,11 +389,12 @@ bool GpRegressor::reweight_outliers() {
   return changed;
 }
 
-GpRegressor::GroupMoments GpRegressor::unit_moments() const {
+mle::GroupMoments GpRegressor::unit_moments() const {
   const std::size_t d = x_.size();
-  GroupMoments m;
+  mle::GroupMoments m;
   m.count.assign(d, 0.0);
   m.mean.assign(d, 0.0);
+  m.rows = x_raw_.size();
   for (std::size_t j = 0; j < x_raw_.size(); ++j) {
     m.count[group_[j]] += 1.0;
     m.mean[group_[j]] += standardized(j);
@@ -413,34 +410,14 @@ GpRegressor::GroupMoments GpRegressor::unit_moments() const {
   return m;
 }
 
-double GpRegressor::lml(const GroupMoments& moments,
-                        const KernelParams& params) const {
-  const double noise = std::exp(params.log_noise_var);
-  la::Matrix k = kernel_matrix(options_.kernel, params, x_);
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    k(i, i) += noise / moments.count[i];
-  }
-  try {
-    const la::Cholesky chol(k);
-    const la::Vector alpha = chol.solve(moments.mean);
-    const double fit_term = la::dot(moments.mean, alpha);
-    const auto d = static_cast<double>(x_.size());
-    const double reduced = -0.5 * (fit_term + chol.log_det() + d * kLog2Pi);
-    // Π_j N(y_j; f_i, σ²) = N(ȳ_i; f_i, σ²/m_i) · (2πσ²)^{−(m_i−1)/2} ·
-    // m_i^{−1/2} · exp(−SS_i/2σ²), summed over the groups. Zero when
-    // every input is distinct.
-    const auto repeats = static_cast<double>(x_raw_.size()) - d;
-    return reduced - 0.5 * (repeats * (kLog2Pi + params.log_noise_var) +
-                            moments.log_count_sum +
-                            moments.within_ss / noise);
-  } catch (const Error&) {
-    return -std::numeric_limits<double>::max();
-  }
-}
-
 double GpRegressor::log_marginal_likelihood(const KernelParams& params) const {
   PAMO_CHECK(is_fit(), "log_marginal_likelihood before fit");
-  return lml(unit_moments(), params);
+  PAMO_CHECK(params.dim() == dim_, "hyperparameter dimension mismatch");
+  const mle::GroupMoments moments = unit_moments();
+  mle::NegLogLikelihood neg_lml(options_.kernel, x_, moments);
+  const double value = neg_lml(params.pack(), nullptr);
+  // An unfactorizable system has no likelihood: report the lowest value.
+  return std::isinf(value) ? -std::numeric_limits<double>::max() : -value;
 }
 
 double GpRegressor::predict_mean(const std::vector<double>& x) const {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "gp/kernel.hpp"
+#include "gp/mle.hpp"
 #include "la/cholesky.hpp"
 #include "obs/json.hpp"
 
@@ -184,15 +185,6 @@ class GpRegressor {
     la::Matrix v;                         // n × m, V = L⁻¹ K*ᵀ
   };
 
-  /// Unit-weight sufficient statistics of the standardized targets per
-  /// distinct input: the hyperparameter MLE's view of the data.
-  struct GroupMoments {
-    la::Vector count;            // m_i
-    la::Vector mean;             // ȳ_i
-    double log_count_sum = 0.0;  // Σ_i log m_i
-    double within_ss = 0.0;      // Σ_i Σ_{j∈i} (y_j − ȳ_i)²
-  };
-
   void rebuild(bool optimize_hyperparams);
   /// Extend the cached factor by the distinct inputs from `first_new` on
   /// (all of them fresh, each with weight 1). Returns false when the
@@ -222,11 +214,9 @@ class GpRegressor {
   [[nodiscard]] double standardized(std::size_t row) const {
     return (y_raw_[row] - y_mean_) / y_std_;
   }
-  [[nodiscard]] GroupMoments unit_moments() const;
-  /// Log marginal likelihood of every row under `params`: the distinct-row
-  /// GP with noise σ²/m_i plus the closed-form within-group term.
-  [[nodiscard]] double lml(const GroupMoments& moments,
-                           const KernelParams& params) const;
+  /// Unit-weight sufficient statistics of the standardized targets per
+  /// distinct input: the hyperparameter MLE's view of the data.
+  [[nodiscard]] mle::GroupMoments unit_moments() const;
   /// The solved system covers every kept training row (postcondition of
   /// fit()/update()).
   [[nodiscard]] bool solved_over_all_rows() const {

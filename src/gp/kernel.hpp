@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "la/matrix.hpp"
 
 namespace pamo::gp {
@@ -30,6 +31,33 @@ struct KernelParams {
   static KernelParams unpack(const std::vector<double>& packed,
                              std::size_t dim);
 };
+
+/// The kernel as a function of the scaled squared distance
+/// r² = Σ_i s_i², s_i = (x_i − z_i)/ℓ_i: the one body every kernel entry
+/// goes through. With `dk_dlog_ls` set it also writes the factor g with
+/// ∂k/∂log ℓ_i = g·s_i² (σ_f²·(5/3)(1+√5r)e^{−√5r} for Matérn-5/2, k for
+/// RBF), which needs no division by r.
+inline double kernel_of_r2(KernelType type, double signal_var, double r2,
+                           double* dk_dlog_ls = nullptr) {
+  PAMO_EXPECTS(!(r2 < 0.0), "a squared distance is never negative");
+  switch (type) {
+    case KernelType::kRbf: {
+      const double k = signal_var * std::exp(-0.5 * r2);
+      if (dk_dlog_ls != nullptr) *dk_dlog_ls = k;
+      return k;
+    }
+    case KernelType::kMatern52: {
+      const double r = std::sqrt(r2);
+      const double sqrt5_r = 2.2360679774997896 * r;
+      const double decay = std::exp(-sqrt5_r);
+      if (dk_dlog_ls != nullptr) {
+        *dk_dlog_ls = signal_var * (5.0 / 3.0) * (1.0 + sqrt5_r) * decay;
+      }
+      return signal_var * (1.0 + sqrt5_r + 5.0 / 3.0 * r2) * decay;
+    }
+  }
+  return 0.0;  // unreachable
+}
 
 /// k(·, ·) for one (type, params) pair with the loop-invariant work done
 /// once: σ_f² and the inverse lengthscales are exponentiated here, not per
@@ -55,17 +83,7 @@ class KernelEvaluator {
       const double d = (x[i] - z[i]) * inv_lengthscales_[i];
       r2 += d * d;
     }
-    switch (type_) {
-      case KernelType::kRbf:
-        return signal_var_ * std::exp(-0.5 * r2);
-      case KernelType::kMatern52: {
-        const double r = std::sqrt(r2);
-        const double sqrt5_r = 2.2360679774997896 * r;
-        return signal_var_ * (1.0 + sqrt5_r + 5.0 / 3.0 * r2) *
-               std::exp(-sqrt5_r);
-      }
-    }
-    return 0.0;  // unreachable
+    return kernel_of_r2(type_, signal_var_, r2);
   }
 
  private:

@@ -1,5 +1,6 @@
 #include "la/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -9,7 +10,11 @@ namespace pamo::la {
 
 bool Cholesky::try_factor(const Matrix& a, double jitter, Matrix& out) {
   const std::size_t n = a.rows();
-  out = Matrix(n, n, 0.0);
+  if (out.rows() == n && out.cols() == n) {
+    std::fill(out.data().begin(), out.data().end(), 0.0);
+  } else {
+    out = Matrix(n, n, 0.0);
+  }
   for (std::size_t j = 0; j < n; ++j) {
     double diag = a(j, j) + jitter;
     for (std::size_t k = 0; k < j; ++k) diag -= out(j, k) * out(j, k);
@@ -26,6 +31,12 @@ bool Cholesky::try_factor(const Matrix& a, double jitter, Matrix& out) {
 }
 
 Cholesky::Cholesky(const Matrix& a, double max_jitter) {
+  if (!factorize(a, max_jitter)) {
+    throw Error("Cholesky: matrix is not positive definite even with jitter");
+  }
+}
+
+bool Cholesky::factorize(const Matrix& a, double max_jitter) {
   PAMO_CHECK(a.rows() == a.cols(), "Cholesky requires a square matrix");
   PAMO_CHECK(a.rows() > 0, "Cholesky of an empty matrix");
   PAMO_EXPECTS(max_jitter >= 0.0, "negative jitter cap");
@@ -33,7 +44,7 @@ Cholesky::Cholesky(const Matrix& a, double max_jitter) {
   if (try_factor(a, jitter, lower_)) {
     jitter_ = jitter;
     PAMO_ENSURES(lower_.rows() == a.rows(), "factor keeps the input dimension");
-    return;
+    return true;
   }
   // Scale the starting jitter with the matrix magnitude.
   double scale = 0.0;
@@ -47,11 +58,11 @@ Cholesky::Cholesky(const Matrix& a, double max_jitter) {
     if (try_factor(a, jitter, lower_)) {
       jitter_ = jitter;
       PAMO_ENSURES(lower_.rows() == a.rows(), "factor keeps the input dimension");
-      return;
+      return true;
     }
     jitter *= 10.0;
   }
-  throw Error("Cholesky: matrix is not positive definite even with jitter");
+  return false;
 }
 
 Cholesky Cholesky::from_parts(Matrix lower, double jitter) {
@@ -91,7 +102,27 @@ Vector Cholesky::solve_upper(const Vector& y) const {
 }
 
 Vector Cholesky::solve(const Vector& b) const {
-  return solve_upper(solve_lower(b));
+  Vector x = b;
+  solve_in_place(x);
+  return x;
+}
+
+void Cholesky::solve_in_place(Vector& b) const {
+  const std::size_t n = lower_.rows();
+  PAMO_CHECK(b.size() == n, "solve dimension mismatch");
+  // Forward then backward substitution; entry i is overwritten only after
+  // every read of its old value, so this is solve_lower then solve_upper.
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= lower_(i, k) * b[k];
+    b[i] = sum / lower_(i, i);
+  }
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) sum -= lower_(k, i) * b[k];
+    b[i] = sum / lower_(i, i);
+  }
 }
 
 Matrix Cholesky::solve_lower(const Matrix& b) const {

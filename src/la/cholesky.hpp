@@ -16,6 +16,16 @@ class Cholesky {
  public:
   explicit Cholesky(const Matrix& a, double max_jitter = 1e-4);
 
+  /// An empty factor for factorize() to fill.
+  Cholesky() = default;
+
+  /// Factor `a` as the constructor does, reusing this factor's storage
+  /// when it is already a.rows() × a.rows(): the allocation-free form for
+  /// a caller that refactorizes in a loop. Returns false instead of
+  /// throwing when even the jitter cap cannot repair `a`; the factor is
+  /// then unusable until the next successful factorize().
+  [[nodiscard]] bool factorize(const Matrix& a, double max_jitter = 1e-4);
+
   /// Rebuild a factorization from a previously computed lower factor and
   /// its jitter (checkpoint/restore support). No numerical work happens:
   /// the result is the exact object that produced `lower`, so solves and
@@ -29,6 +39,9 @@ class Cholesky {
 
   /// Solve A x = b.
   [[nodiscard]] Vector solve(const Vector& b) const;
+
+  /// solve() overwriting `b` with x, bit-for-bit the same arithmetic.
+  void solve_in_place(Vector& b) const;
 
   /// Solve A X = B for all columns at once (batched substitution).
   [[nodiscard]] Matrix solve(const Matrix& b) const;
@@ -65,7 +78,6 @@ class Cholesky {
   [[nodiscard]] double log_det() const;
 
  private:
-  Cholesky() = default;  // for from_parts
   static bool try_factor(const Matrix& a, double jitter, Matrix& out);
 
   Matrix lower_;

@@ -35,10 +35,9 @@ const char* const kSchedulingDirs[] = {"sim", "sched", "bo", "core"};
 // serialization layers obs/ckpt sit below the learners that snapshot
 // through them).
 const std::pair<const char*, int> kLayerRanks[] = {
-    {"common", 0}, {"obs", 1},   {"la", 1},        {"opt", 1},
-    {"ckpt", 2},   {"gp", 3},    {"eva", 3},       {"pref", 4},
-    {"bo", 4},     {"sched", 4}, {"sim", 5},       {"baselines", 5},
-    {"core", 6},
+    {"common", 0}, {"obs", 1},   {"la", 1},  {"ckpt", 2},
+    {"gp", 3},     {"eva", 3},   {"pref", 4}, {"bo", 4},
+    {"sched", 4},  {"sim", 5},   {"baselines", 5}, {"core", 6},
 };
 constexpr int kToolsRank = 7;
 
