@@ -56,7 +56,7 @@ core::FleetOptions fleet_options(std::uint64_t seed) {
   f.shard.target_streams = 12;
   f.pamo.seed = seed;
   // Fixed kernel hyperparameters skip the per-shard MLE — the bench times
-  // the fleet machinery, not thousands of Nelder–Mead restarts.
+  // the fleet machinery, not thousands of hyperparameter MLE restarts.
   gp::KernelParams params;
   params.log_lengthscales.assign(2, std::log(0.35));
   params.log_signal_var = std::log(1.0);

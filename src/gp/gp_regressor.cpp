@@ -15,6 +15,7 @@
 namespace pamo::gp {
 
 namespace {
+
 /// Lower bound of the MLE's noise variance (standardized target scale).
 constexpr double kMinNoiseVar = 1e-6;
 /// PSD-repair jitter cap for posterior covariance sampling
@@ -412,7 +413,6 @@ mle::GroupMoments GpRegressor::unit_moments() const {
 
 double GpRegressor::log_marginal_likelihood(const KernelParams& params) const {
   PAMO_CHECK(is_fit(), "log_marginal_likelihood before fit");
-  PAMO_CHECK(params.dim() == dim_, "hyperparameter dimension mismatch");
   const mle::GroupMoments moments = unit_moments();
   mle::NegLogLikelihood neg_lml(options_.kernel, x_, moments);
   const double value = neg_lml(params.pack(), nullptr);

@@ -3,8 +3,9 @@
 // Targets are standardized internally (zero mean, unit variance); inputs
 // are min-max scaled to [0, 1] per dimension so that lengthscale priors and
 // boxes are dimensionless. Hyperparameters are fit by multi-start
-// Nelder–Mead on the negative log marginal likelihood. predict() returns
-// the posterior on the original target scale.
+// projected BFGS on the negative log marginal likelihood and its analytic
+// gradient (gp/mle.hpp). predict() returns the posterior on the original
+// target scale.
 //
 // Repeated inputs are folded exactly: the system is solved on the distinct
 // inputs X_d with per-input sufficient statistics (weight W_i = Σ_j 1/λ_j
@@ -20,11 +21,14 @@
 #include <vector>
 
 #include "gp/kernel.hpp"
-#include "gp/mle.hpp"
 #include "la/cholesky.hpp"
 #include "obs/json.hpp"
 
 namespace pamo::gp {
+
+namespace mle {
+struct GroupMoments;  // gp/mle.hpp, private to src/gp
+}  // namespace mle
 
 /// Reweighting passes of the robust fit (GpOptions::robust_noise).
 inline constexpr std::size_t kRobustRounds = 3;
@@ -33,7 +37,8 @@ inline constexpr double kRobustInflationCap = 1e4;
 
 struct GpOptions {
   KernelType kernel = KernelType::kMatern52;
-  /// Number of Nelder–Mead restarts for hyperparameter MLE.
+  /// Hyperparameter MLE: quasi-random restarts after the fixed start, and
+  /// the value-and-gradient evaluations each start may spend.
   std::size_t mle_restarts = 4;
   std::size_t mle_max_evals = 300;
   /// If set, skip MLE and use these hyperparameters as-is.

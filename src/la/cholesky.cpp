@@ -76,28 +76,37 @@ Cholesky Cholesky::from_parts(Matrix lower, double jitter) {
   return out;
 }
 
-Vector Cholesky::solve_lower(const Vector& b) const {
+void Cholesky::forward_in_place(Vector& b) const {
   const std::size_t n = lower_.rows();
   PAMO_CHECK(b.size() == n, "solve_lower dimension mismatch");
-  Vector y(n, 0.0);
+  // Entry i is overwritten only after every read of its old value.
   for (std::size_t i = 0; i < n; ++i) {
     double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= lower_(i, k) * y[k];
+    for (std::size_t k = 0; k < i; ++k) sum -= lower_(i, k) * b[k];
+    b[i] = sum / lower_(i, i);
+  }
+}
+
+void Cholesky::backward_in_place(Vector& y) const {
+  const std::size_t n = lower_.rows();
+  PAMO_CHECK(y.size() == n, "solve_upper dimension mismatch");
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = y[i];
+    for (std::size_t k = i + 1; k < n; ++k) sum -= lower_(k, i) * y[k];
     y[i] = sum / lower_(i, i);
   }
+}
+
+Vector Cholesky::solve_lower(const Vector& b) const {
+  Vector y = b;
+  forward_in_place(y);
   return y;
 }
 
 Vector Cholesky::solve_upper(const Vector& y) const {
-  const std::size_t n = lower_.rows();
-  PAMO_CHECK(y.size() == n, "solve_upper dimension mismatch");
-  Vector x(n, 0.0);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= lower_(k, i) * x[k];
-    x[i] = sum / lower_(i, i);
-  }
+  Vector x = y;
+  backward_in_place(x);
   return x;
 }
 
@@ -108,21 +117,8 @@ Vector Cholesky::solve(const Vector& b) const {
 }
 
 void Cholesky::solve_in_place(Vector& b) const {
-  const std::size_t n = lower_.rows();
-  PAMO_CHECK(b.size() == n, "solve dimension mismatch");
-  // Forward then backward substitution; entry i is overwritten only after
-  // every read of its old value, so this is solve_lower then solve_upper.
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= lower_(i, k) * b[k];
-    b[i] = sum / lower_(i, i);
-  }
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = b[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= lower_(k, i) * b[k];
-    b[i] = sum / lower_(i, i);
-  }
+  forward_in_place(b);
+  backward_in_place(b);
 }
 
 Matrix Cholesky::solve_lower(const Matrix& b) const {

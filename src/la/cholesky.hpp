@@ -40,7 +40,7 @@ class Cholesky {
   /// Solve A x = b.
   [[nodiscard]] Vector solve(const Vector& b) const;
 
-  /// solve() overwriting `b` with x, bit-for-bit the same arithmetic.
+  /// solve() overwriting `b` with x: no allocation, same arithmetic.
   void solve_in_place(Vector& b) const;
 
   /// Solve A X = B for all columns at once (batched substitution).
@@ -79,6 +79,9 @@ class Cholesky {
 
  private:
   static bool try_factor(const Matrix& a, double jitter, Matrix& out);
+  /// Solve L y = b and Lᵀ x = y over the right-hand side's own storage.
+  void forward_in_place(Vector& b) const;
+  void backward_in_place(Vector& y) const;
 
   Matrix lower_;
   double jitter_ = 0.0;

@@ -48,7 +48,7 @@ ServiceOptions fleet_service(std::uint64_t seed) {
   options.fleet.pamo.max_iters = 2;
   options.fleet.pamo.max_pool_feasible = 24;
   // Fixed kernel hyperparameters: the sweep exercises the fleet plumbing
-  // across 50 seeds, not 50 Nelder–Mead searches.
+  // across 50 seeds, not 50 hyperparameter searches.
   gp::KernelParams params;
   params.log_lengthscales.assign(2, std::log(0.35));
   params.log_signal_var = std::log(1.0);
