@@ -257,16 +257,23 @@ TEST(GpMleMinimizer, MinimizesRosenbrockInABox) {
 }
 
 TEST(GpMleMinimizer, HandlesNonFiniteObjective) {
-  // Undefined below 0.8, minimum at 1: steps that overshoot into the
-  // undefined region backtrack.
-  auto partial = [](const std::vector<double>& x, std::vector<double>& g) {
+  // Undefined below 0.8, minimum at 1: from 1.3 the first step (capped at
+  // a tenth of the box, 0.6) lands at 0.7 and has to backtrack.
+  std::size_t undefined = 0;
+  auto partial = [&undefined](const std::vector<double>& x,
+                              std::vector<double>& g) {
     g[0] = 2.0 * (x[0] - 1.0);
-    if (x[0] < 0.8) return std::nan("");
+    if (x[0] < 0.8) {
+      ++undefined;
+      return std::nan("");
+    }
     return (x[0] - 1.0) * (x[0] - 1.0);
   };
   const mle::Box box = cube(1, -2.0, 4.0);
-  const mle::MinimizeResult r = mle::minimize_box(partial, box, {3.0}, 100);
+  const mle::MinimizeResult r = mle::minimize_box(partial, box, {1.3}, 100);
+  EXPECT_GT(undefined, 0u);
   EXPECT_NEAR(r.x[0], 1.0, 1e-4);
+  EXPECT_TRUE(std::isfinite(r.value));
   // A start where the objective is undefined has no gradient to follow:
   // one evaluation, reported as +∞.
   const mle::MinimizeResult stuck = mle::minimize_box(partial, box, {0.0}, 100);
