@@ -89,8 +89,8 @@ core::ServiceOptions service_preset(bool warm) {
   o.steady = o.initial;
   // The steady-state refit budget is what the warm path amortizes away:
   // the cold service pays this profiling + 5-GP MLE bill every epoch, the
-  // warm service transplants the retained bank and folds in warm_profiles
-  // fresh samples through the incremental update (no MLE).
+  // warm service transplants the retained bank and folds warm_profiles
+  // fresh samples into its cells through update() (no MLE).
   o.steady.init_profiles = 64;
   o.steady.max_iters = 3;
   o.steady.gp.mle_restarts = 2;

@@ -1,29 +1,22 @@
 // Deterministic perf-regression harness for the BO/GP hot path.
 //
-// Two lanes, both self-verifying before they report a time:
-//
-//   gp_update  A single GP grown by update() batches to n_final points,
-//              with a posterior over a fixed query set after every batch —
-//              the full-refit path (incremental off) against the O(n²)
-//              factor-extension path (incremental on). The two final
-//              posteriors must agree bit-for-bit or the bench fails.
+// One lane, self-verifying before it reports a time:
 //
 //   epoch      A decision-loop epoch in the shape of PaMO Phase 3: five
 //              outcome GPs over the knob grid, per-iteration joint sample
 //              tables, a flattened candidate-scoring sweep, and a batch
-//              model update. Baseline = incremental off + 1-worker pool;
-//              optimized = incremental on + 8-worker pool. The per-
-//              iteration best-score traces of baseline, optimized@1 and
-//              optimized@8 must all be bit-identical or the bench fails —
-//              the speedup is only reportable because the answer is
-//              provably unchanged.
+//              model update (OutcomeModels::update). Baseline = 1-worker
+//              pool; optimized = 8-worker pool. The per-iteration
+//              best-score traces of the two must be bit-identical or the
+//              bench fails — the speedup is only reportable because the
+//              answer is provably unchanged.
 //
 // Wall-clock is best-of-N (3 by default). Flags:
 //   --smoke          small sizes (CI-friendly, a few seconds)
 //   --out PATH       write BENCH_hot_path.json-style report (default
 //                    BENCH_hot_path.json)
 //   --check PATH     compare against a committed baseline JSON and exit
-//                    nonzero when either optimized lane regressed by more
+//                    nonzero when the optimized epoch regressed by more
 //                    than 20% wall-clock
 #include <algorithm>
 #include <cmath>
@@ -50,12 +43,6 @@ using pamo::Rng;
 using pamo::ThreadPool;
 
 struct Sizes {
-  // gp_update lane.
-  std::size_t gp_initial = 32;
-  std::size_t gp_batch = 8;
-  std::size_t gp_final = 256;
-  std::size_t gp_queries = 64;
-  // epoch lane.
   std::size_t init_profiles = 320;
   std::size_t iterations = 10;
   std::size_t profiles_per_iter = 16;
@@ -67,17 +54,12 @@ struct Sizes {
 
 Sizes smoke_sizes() {
   Sizes s;
-  s.gp_initial = 24;
-  s.gp_final = 96;
-  s.gp_queries = 32;
   s.init_profiles = 64;
   s.iterations = 6;
   s.mc_samples = 24;
   s.candidates = 96;
   return s;
 }
-
-// ---- gp_update lane --------------------------------------------------------
 
 pamo::gp::KernelParams bench_params(std::size_t dim) {
   pamo::gp::KernelParams p;
@@ -87,75 +69,6 @@ pamo::gp::KernelParams bench_params(std::size_t dim) {
   return p;
 }
 
-double synth_target(const std::vector<double>& x) {
-  return std::sin(3.0 * x[0]) + 0.5 * std::cos(2.0 * x[1]) +
-         0.25 * x[0] * x[1];
-}
-
-struct GpLaneResult {
-  double ms = 0.0;
-  pamo::gp::Posterior final_posterior;
-};
-
-GpLaneResult run_gp_lane(bool incremental, const Sizes& sz) {
-  pamo::gp::GpOptions options;
-  options.fixed_params = bench_params(2);
-  options.incremental = incremental;
-  pamo::gp::GpRegressor gp(options);
-
-  Rng rng(0xBE9C0001ULL);
-  auto draw = [&rng](std::size_t n) {
-    std::vector<std::vector<double>> x(n, std::vector<double>(2));
-    for (auto& row : x) {
-      for (auto& v : row) v = rng.uniform(0.0, 1.0);
-    }
-    return x;
-  };
-  auto targets = [](const std::vector<std::vector<double>>& x) {
-    std::vector<double> y;
-    y.reserve(x.size());
-    for (const auto& row : x) y.push_back(synth_target(row));
-    return y;
-  };
-
-  auto x0 = draw(sz.gp_initial);
-  // Corner anchors pin the min-max input box to [0,1]² so every later
-  // batch is inside it and the incremental path stays eligible.
-  x0.push_back({0.0, 0.0});
-  x0.push_back({1.0, 1.0});
-  gp.fit(x0, targets(x0));
-
-  Rng qrng(0xBE9C0002ULL);
-  std::vector<std::vector<double>> query(sz.gp_queries,
-                                         std::vector<double>(2));
-  for (auto& row : query) {
-    for (auto& v : row) v = qrng.uniform(0.05, 0.95);
-  }
-
-  GpLaneResult result;
-  const double start = pamo::bench::now_ms();
-  while (gp.num_points() < sz.gp_final) {
-    const auto xb = draw(sz.gp_batch);
-    gp.update(xb, targets(xb));
-    result.final_posterior = gp.posterior(query);
-  }
-  result.ms = pamo::bench::now_ms() - start;
-  return result;
-}
-
-bool posteriors_identical(const pamo::gp::Posterior& a,
-                          const pamo::gp::Posterior& b) {
-  if (a.mean.size() != b.mean.size()) return false;
-  for (std::size_t i = 0; i < a.mean.size(); ++i) {
-    if (a.mean[i] != b.mean[i]) return false;  // pamo-analyze: allow(float-eq)
-  }
-  if (a.covariance.rows() != b.covariance.rows() ||
-      a.covariance.cols() != b.covariance.cols()) {
-    return false;
-  }
-  return a.covariance.data() == b.covariance.data();
-}
-
 // ---- epoch lane ------------------------------------------------------------
 
 struct EpochResult {
@@ -163,8 +76,7 @@ struct EpochResult {
   std::vector<double> trace;  // best candidate score per iteration
 };
 
-EpochResult run_epoch(bool incremental, std::size_t workers,
-                      const Sizes& sz) {
+EpochResult run_epoch(std::size_t workers, const Sizes& sz) {
   ThreadPool pool(workers);
   ThreadPool::ScopedDefault guard(pool);
 
@@ -174,7 +86,6 @@ EpochResult run_epoch(bool incremental, std::size_t workers,
 
   pamo::gp::GpOptions gp;
   gp.fixed_params = bench_params(2);
-  gp.incremental = incremental;
   pamo::core::OutcomeModels models(space, gp);
 
   Rng rng(0xBE9C0003ULL);
@@ -255,20 +166,13 @@ EpochResult run_epoch(bool incremental, std::size_t workers,
 // ---- report / baseline check ----------------------------------------------
 
 std::string json_report(const std::string& mode, const Sizes& sz,
-                        double full_ms, double incr_ms, double base_ms,
-                        double opt_ms) {
+                        double base_ms, double opt_ms) {
   std::ostringstream out;
   out.precision(6);
   out << std::fixed;
   out << "{\n"
       << "  \"schema\": \"pamo.perf_hot_path.v1\",\n"
       << "  \"mode\": \"" << mode << "\",\n"
-      << "  \"gp_update\": {\n"
-      << "    \"n_final\": " << sz.gp_final << ",\n"
-      << "    \"full_ms\": " << full_ms << ",\n"
-      << "    \"incremental_ms\": " << incr_ms << ",\n"
-      << "    \"speedup\": " << full_ms / incr_ms << "\n"
-      << "  },\n"
       << "  \"epoch\": {\n"
       << "    \"iterations\": " << sz.iterations << ",\n"
       << "    \"baseline_ms\": " << base_ms << ",\n"
@@ -280,13 +184,11 @@ std::string json_report(const std::string& mode, const Sizes& sz,
 }
 
 int check_against_baseline(const std::string& baseline_path,
-                           double incr_ms, double opt_ms) {
-  double base_incr = 0.0;
+                           double opt_ms) {
   double base_opt = 0.0;
   try {
     const pamo::obs::json::Value baseline =
         pamo::bench::read_baseline(baseline_path);
-    base_incr = baseline.at("gp_update").at("incremental_ms").as_double();
     base_opt = baseline.at("epoch").at("optimized_ms").as_double();
   } catch (const pamo::Error& e) {
     std::cerr << "perf_hot_path: unusable baseline " << baseline_path << ": "
@@ -294,18 +196,12 @@ int check_against_baseline(const std::string& baseline_path,
     return 2;
   }
   constexpr double kTolerance = 1.2;  // fail on >20% wall-clock regression
-  int status = 0;
-  if (incr_ms > base_incr * kTolerance) {
-    std::cerr << "perf_hot_path: gp_update regressed: " << incr_ms
-              << " ms vs baseline " << base_incr << " ms\n";
-    status = 1;
-  }
   if (opt_ms > base_opt * kTolerance) {
     std::cerr << "perf_hot_path: epoch regressed: " << opt_ms
               << " ms vs baseline " << base_opt << " ms\n";
-    status = 1;
+    return 1;
   }
-  return status;
+  return 0;
 }
 
 }  // namespace
@@ -330,58 +226,29 @@ int main(int argc, char** argv) {
   }
   const Sizes sz = smoke ? smoke_sizes() : Sizes{};
 
-  // gp_update lane: best-of-N, then the exactness gate.
-  double full_ms = 0.0;
-  double incr_ms = 0.0;
-  GpLaneResult full_run;
-  GpLaneResult incr_run;
-  for (std::size_t rep = 0; rep < sz.repeats; ++rep) {
-    full_run = run_gp_lane(/*incremental=*/false, sz);
-    incr_run = run_gp_lane(/*incremental=*/true, sz);
-    full_ms = rep == 0 ? full_run.ms : std::min(full_ms, full_run.ms);
-    incr_ms = rep == 0 ? incr_run.ms : std::min(incr_ms, incr_run.ms);
-  }
-  if (!posteriors_identical(full_run.final_posterior,
-                            incr_run.final_posterior)) {
-    std::cerr << "perf_hot_path: incremental GP posterior diverged from the "
-                 "full refit — refusing to report a speedup\n";
-    return 1;
-  }
-
-  // epoch lane: the two determinism gates, then best-of-N timing.
+  // epoch lane: best-of-N timing, then the determinism gate.
   EpochResult base_run;
   EpochResult opt_run;
   double base_ms = 0.0;
   double opt_ms = 0.0;
   for (std::size_t rep = 0; rep < sz.repeats; ++rep) {
-    base_run = run_epoch(/*incremental=*/false, /*workers=*/1, sz);
-    opt_run = run_epoch(/*incremental=*/true, /*workers=*/8, sz);
+    base_run = run_epoch(/*workers=*/1, sz);
+    opt_run = run_epoch(/*workers=*/8, sz);
     base_ms = rep == 0 ? base_run.ms : std::min(base_ms, base_run.ms);
     opt_ms = rep == 0 ? opt_run.ms : std::min(opt_ms, opt_run.ms);
   }
-  const EpochResult opt_serial = run_epoch(/*incremental=*/true,
-                                           /*workers=*/1, sz);
-  if (opt_run.trace != opt_serial.trace) {
+  if (opt_run.trace != base_run.trace) {
     std::cerr << "perf_hot_path: epoch trace differs between 1 and 8 "
                  "worker threads — determinism broken\n";
     return 1;
   }
-  if (opt_run.trace != base_run.trace) {
-    std::cerr << "perf_hot_path: optimized epoch trace differs from the "
-                 "baseline epoch — incremental path changed the answer\n";
-    return 1;
-  }
 
-  std::cout << "gp_update  n=" << sz.gp_final << "  full " << full_ms
-            << " ms  incremental " << incr_ms << " ms  speedup "
-            << full_ms / incr_ms << "x\n";
   std::cout << "epoch      iters=" << sz.iterations << "  baseline "
             << base_ms << " ms  optimized " << opt_ms << " ms  speedup "
             << base_ms / opt_ms << "x\n";
 
   const std::string report =
-      json_report(smoke ? "smoke" : "full", sz, full_ms, incr_ms, base_ms,
-                  opt_ms);
+      json_report(smoke ? "smoke" : "full", sz, base_ms, opt_ms);
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "perf_hot_path: cannot write " << out_path << "\n";
@@ -391,7 +258,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_path << "\n";
 
   if (!check_path.empty()) {
-    return check_against_baseline(check_path, incr_ms, opt_ms);
+    return check_against_baseline(check_path, opt_ms);
   }
   return 0;
 }

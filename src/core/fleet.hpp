@@ -49,7 +49,6 @@ struct FleetOptions {
     PamoOptions o;
     o.use_true_preference = true;
     o.init_profiles = 24;
-    o.max_model_points = 96;
     o.init_observations = 3;
     o.batch_size = 2;
     o.max_iters = 3;

@@ -177,8 +177,6 @@ gp::GpFitDiagnostics OutcomeModels::diagnostics() const {
     total.fit_jitter = std::max(total.fit_jitter, d.fit_jitter);
     total.posterior_jitter =
         std::max(total.posterior_jitter, d.posterior_jitter);
-    total.incremental_updates += d.incremental_updates;
-    total.incremental_fallbacks += d.incremental_fallbacks;
   }
   return total;
 }

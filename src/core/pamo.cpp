@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -336,14 +337,20 @@ PamoScheduler::Observation PamoScheduler::observe(
   ++profiles_taken_;
   obs.normalized =
       normalizer_.normalize(eva::aggregate_outcomes(measurements, latencies));
-
-  // Feed the outcome models (respecting the training-size cap: past the
-  // cap the models are informative enough and refits dominate runtime).
-  if (model_points_ < options_.max_model_points && !feed_configs.empty()) {
-    models_.update(feed_configs, feed_measurements);
-    model_points_ += feed_configs.size();
-  }
+  feed_configs_.insert(feed_configs_.end(), feed_configs.begin(),
+                       feed_configs.end());
+  feed_measurements_.insert(feed_measurements_.end(),
+                            feed_measurements.begin(), feed_measurements.end());
   return obs;
+}
+
+void PamoScheduler::feed_models() {
+  if (feed_configs_.empty()) return;
+  // Hand the rows over before updating: a refit that throws (a failed
+  // iteration under the watchdog) must not feed them twice.
+  const auto configs = std::exchange(feed_configs_, {});
+  const auto measurements = std::exchange(feed_measurements_, {});
+  models_.update(configs, measurements);
 }
 
 double PamoScheduler::utility(const eva::OutcomeVector& normalized,
@@ -400,19 +407,16 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     PAMO_SPAN("pamo.phase1_warm_start");
     // Continual learning: transplant the retained bank — posteriors and
     // noise downweights included — and re-anchor it with a few fresh
-    // profiles through the incremental update path. The expensive MLE
-    // refit never runs.
+    // profiles through update(). The expensive MLE refit never runs.
     models_ = *options_.warm_start;
-    model_points_ = models_.num_points();
     warm_base = models_.diagnostics();
     health_.warm_started = true;
     const Phase1Profiles fresh =
         profile_phase1(workload_, options_.warm_profiles, rng,
                        options_.telemetry, kPhase1Tag);
     health_.samples_rejected += fresh.dropped;
-    if (model_points_ < options_.max_model_points && !fresh.configs.empty()) {
+    if (!fresh.configs.empty()) {
       models_.update(fresh.configs, fresh.measurements);
-      model_points_ += fresh.configs.size();
     }
     profiles_taken_ = options_.warm_profiles;
   } else {
@@ -422,7 +426,6 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
                        options_.telemetry, kPhase1Tag);
     health_.samples_rejected += fresh.dropped;
     models_.fit(fresh.configs, fresh.measurements);
-    model_points_ = fresh.configs.size();
     profiles_taken_ = options_.init_profiles;
   }
 
@@ -497,6 +500,7 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   auto step = [&](std::size_t iter) {
     PAMO_SPAN("pamo.bo_iteration");
     PAMO_COUNT("bo.iterations", 1);
+    feed_models();  // the previous batch (or the initial observations)
     // The preference belief changes only after this iteration's batch, so
     // every observation is scored once here.
     std::vector<double> obs_utility(observed.size());
@@ -622,6 +626,13 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       if (!watchdog.enabled()) throw;
       watchdog.record_failure(e.what());
     }
+  }
+  // The last batch: the retained bank of a continual service learns it.
+  try {
+    feed_models();
+  } catch (const Error& e) {
+    if (!watchdog.enabled()) throw;
+    watchdog.record_failure(e.what());
   }
 
   // Final recommendation: the observed configuration with the highest

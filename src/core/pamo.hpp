@@ -81,19 +81,13 @@ struct PoolOptions {
 struct PamoOptions {
   // Phase 1 (outcome models).
   std::size_t init_profiles = 64;        // U: initial profiling samples
-  /// Cap on the raw observations each outcome GP stores. It bounds memory
-  /// and checkpoint size, not compute: the GPs solve on the distinct knob
-  /// inputs (at most the grid), whatever the row count. Once a bank holds
-  /// this many rows the outcome models stop learning: later Phase-1 warm
-  /// profiles and Phase-3 measurements are no longer fed to it, in this
-  /// epoch or in any epoch that warm-starts from it. A batch is fed
-  /// whole while the bank is below the cap, so it can end a few rows over.
-  std::size_t max_model_points = 220;
   /// Warm start (continual learning): when set and fit, Phase 1 copies
   /// this retained outcome-model bank instead of profiling init_profiles
   /// fresh samples and re-running the MLE from scratch; only
-  /// `warm_profiles` fresh profiles are taken and folded in through the
-  /// incremental update path (below max_model_points). The copied bank
+  /// `warm_profiles` fresh profiles are taken and folded in through
+  /// OutcomeModels::update, like every Phase-3 measurement after them.
+  /// The bank stores per-cell statistics over the knob grid, so it keeps
+  /// learning in every epoch at a size bounded by the grid. The copied bank
   /// keeps its own GpOptions and hyperparameters. Because the bank pools
   /// all streams per metric, surviving streams reuse their posterior
   /// evidence and newcomers inherit the pooled prior mean automatically. The fleet path hands every shard the bank
@@ -259,9 +253,14 @@ class PamoScheduler {
   random_feasible(Rng& rng) const;
 
   /// Profile a configuration for real: noisy per-stream measurements plus
-  /// jitter-free latency through the Algorithm 1 schedule.
+  /// jitter-free latency through the Algorithm 1 schedule. The profiles
+  /// that count as evidence wait for feed_models().
   Observation observe(const eva::JointConfig& config,
                       sched::ScheduleResult schedule, Rng& rng);
+
+  /// Fold every profile observed since the last call into the outcome
+  /// models with one update (line 17 of Algorithm 2, once per batch).
+  void feed_models();
 
   /// Utility of a normalized outcome vector under the current preference
   /// belief (learned model for PaMO, true benefit for PaMO+).
@@ -286,7 +285,9 @@ class PamoScheduler {
   OutcomeModels models_;
   std::optional<pref::PreferenceLearner> learner_;  // owned (default mode)
   pref::PreferenceLearner* active_learner_ = nullptr;
-  std::size_t model_points_ = 0;
+  // Profiles observe() took that feed_models() has not handed over yet.
+  std::vector<eva::StreamConfig> feed_configs_;
+  std::vector<eva::StreamMeasurement> feed_measurements_;
   std::size_t profiles_taken_ = 0;
   LearningHealth health_;
 };

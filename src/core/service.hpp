@@ -135,8 +135,7 @@ struct ServiceOptions {
   /// smaller epochs still run flat. Fleet epochs use fleet.pamo (its seed
   /// re-derived per epoch and shard) instead of initial/steady, and fit
   /// one shared outcome bank per epoch that every shard warm-starts from.
-  /// They skip outcome-model retention/warm start across epochs: keeping
-  /// the fleet bank needs a bounded raw-row store first.
+  /// They skip outcome-model retention/warm start across epochs.
   FleetOptions fleet;
   std::uint64_t seed = 1;
 };

@@ -7,7 +7,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "gp/mle.hpp"
 #include "obs/obs.hpp"
@@ -106,11 +105,15 @@ void GpRegressor::fit(std::vector<std::vector<double>> x,
   for (const auto& row : x) {
     PAMO_CHECK(row.size() == dim_, "ragged input matrix");
   }
-  x_raw_ = std::move(x);
-  y_raw_ = std::move(y);
-  rebuild(/*optimize_hyperparams=*/!options_.fixed_params.has_value());
-  PAMO_ENSURES(is_fit() && solved_over_all_rows(),
-               "fit leaves a solved system over every kept row");
+  for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_}) {
+    cells->clear();
+  }
+  cell_x_.clear();
+  x_.clear();
+  ++kernel_epoch_;
+  absorb(x, y, /*choose_params=*/true);
+  PAMO_ENSURES(is_fit() && solved_over_all_cells(),
+               "fit leaves a solved system over every cell");
 }
 
 void GpRegressor::update(const std::vector<std::vector<double>>& x,
@@ -128,97 +131,47 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
   const bool want_mle = reoptimize && !options_.fixed_params.has_value();
   if (xs.empty() && !want_mle) {
     // Nothing new and no re-optimization: the solved system already is
-    // exactly what a rebuild over the unchanged data would produce.
+    // exactly what a re-solve over the unchanged cells would produce.
     return;
   }
-  // An in-box batch leaves the min-max scaling of the old rows — and with
-  // it every existing distinct input — unchanged, so without an MLE or
-  // robust reweighting (which re-solves over all rows) the rebuild reduces
-  // to folding the new rows into the groups and re-solving the
-  // distinct-row system.
-  auto inside_box = [this](const std::vector<std::vector<double>>& rows) {
-    for (const auto& row : rows) {
-      for (std::size_t d = 0; d < dim_; ++d) {
-        if (row[d] < x_lo_[d] || row[d] > x_hi_[d]) return false;
-      }
-    }
-    return true;
-  };
-  const bool in_box_solve = options_.incremental && !want_mle &&
-                            !options_.robust_noise && !xs.empty() &&
-                            inside_box(xs);
-  const std::size_t new_rows = xs.size();
-  const std::size_t first_new_row = x_raw_.size();
-  for (auto& row : xs) x_raw_.push_back(std::move(row));
-  y_raw_.insert(y_raw_.end(), ys.begin(), ys.end());
-  noise_scale_.resize(x_raw_.size(), 1.0);  // fresh rows carry λ = 1
-  if (in_box_solve) {
-    const std::size_t first_new = x_.size();
-    group_rows(first_new_row);
-    if (x_.size() - first_new < new_rows) {
-      // The batch repeats an input: a ≤ d-row re-solve, bit-identical to
-      // rebuild(false) because the scaling and grouping are unchanged.
-      solve_system();
-      ++diagnostics_.incremental_updates;
-    } else if (chol_->jitter() == 0.0 &&  // pamo-analyze: allow(float-eq)
-               try_incremental_update(first_new)) {
-      // All-new inputs on a jitter-free factor (the ladder restarts from
-      // zero on a full rebuild): extend the factor in O(d²).
-      ++diagnostics_.incremental_updates;
-    } else {
-      ++diagnostics_.incremental_fallbacks;
-      rebuild(false);
-    }
-  } else {
-    if (options_.incremental && !want_mle) ++diagnostics_.incremental_fallbacks;
-    rebuild(want_mle);
-  }
-  PAMO_ENSURES(solved_over_all_rows(),
-               "update leaves a solved system over every kept row");
+  absorb(xs, ys, want_mle);
+  PAMO_ENSURES(solved_over_all_cells(),
+               "update leaves a solved system over every cell");
 }
 
-bool GpRegressor::try_incremental_update(std::size_t first_new) {
-  aggregate_targets();
-  // The new inputs' rows of K(x_, x_) + σ²·diag(1/W), entry for entry as
-  // kernel_matrix and solve_system would form them. They are computed
-  // here rather than read from training_gram(): extending that table
-  // copies all d² entries, and the next re-solve extends it anyway.
-  const std::size_t m = x_.size() - first_new;
-  const KernelEvaluator k_eval(options_.kernel, params_);
-  const double noise = std::exp(params_.log_noise_var);
-  la::Matrix cross(m, first_new);
-  la::Matrix corner(m, m);
-  for (std::size_t r = 0; r < m; ++r) {
-    const std::vector<double>& row = x_[first_new + r];
-    for (std::size_t j = 0; j < first_new; ++j) {
-      cross(r, j) = k_eval(row, x_[j]);
-    }
-    for (std::size_t c = 0; c < m; ++c) {
-      corner(r, c) = k_eval(row, x_[first_new + c]);
-    }
-    corner(r, r) = k_eval.signal_var();
-    corner(r, r) += noise / weight_[first_new + r];
+void GpRegressor::absorb(const std::vector<std::vector<double>>& x,
+                         const std::vector<double>& y, bool choose_params) {
+  Batch batch;
+  batch.base_weight = weight_;
+  batch.base_wmean = wmean_;
+  batch.cell.reserve(x.size());
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const std::size_t cell = cell_of(x[j]);
+    fold_unit(cell, y[j]);
+    batch.cell.push_back(cell);
   }
-  if (!chol_->extend(cross, corner)) return false;
-  // The targets were re-standardized over the grown set above — exactly
-  // the rebuild arithmetic — so only the O(d²) re-solve against the
-  // extended factor remains.
-  alpha_ = chol_->solve(y_);
-  return true;
+  batch.y = y;
+  batch.noise_scale.assign(x.size(), 1.0);  // fresh rows carry λ = 1
+  derive_inputs();
+  standardize();
+  if (choose_params) choose_hyperparams();
+  fold_weights(batch);
+  solve_system();
+  if (options_.robust_noise) {
+    for (std::size_t round = 0; round < kRobustRounds; ++round) {
+      if (!reweight_outliers(batch)) break;
+    }
+  }
 }
 
-void GpRegressor::rebuild(bool optimize_hyperparams) {
+void GpRegressor::choose_hyperparams() {
   PAMO_SPAN("gp.rebuild");
   PAMO_COUNT("gp.rebuilds", 1);
   const KernelParams previous_params = params_;
-  const std::vector<std::vector<double>> previous_inputs = std::move(x_);
-  derive_inputs();
-  noise_scale_.assign(x_raw_.size(), 1.0);
-
   if (options_.fixed_params.has_value()) {
     params_ = *options_.fixed_params;
     PAMO_CHECK(params_.dim() == dim_, "fixed hyperparameter dim mismatch");
-  } else if (optimize_hyperparams || params_.dim() != dim_) {
+  } else {
     // MLE over [lengthscales, signal var, noise var] in log space.
     mle::Box box;
     const std::size_t p = dim_ + 2;
@@ -233,8 +186,8 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     box.lo[dim_ + 1] = std::log(kMinNoiseVar);
     box.hi[dim_ + 1] = std::log(1.0);
 
-    // Every row enters the likelihood, at the cost of a d-row solve.
-    aggregate_targets();  // the standardization unit_moments() reads
+    // Every observation enters the likelihood, at the cost of a solve
+    // over the cells.
     const mle::GroupMoments moments = unit_moments();
     mle::NegLogLikelihood neg_lml(options_.kernel, x_, moments);
     const mle::ValueAndGradient objective =
@@ -253,60 +206,103 @@ void GpRegressor::rebuild(bool optimize_hyperparams) {
     params_ = KernelParams::unpack(best.x, dim_);
     PAMO_COUNT("gp.mle_evals", best.evals);
   }
-  // The noise variance enters no kernel table; the inputs must only grow.
-  const bool same_kernel =
-      params_.log_lengthscales == previous_params.log_lengthscales &&
-      params_.log_signal_var == previous_params.log_signal_var;
-  const bool inputs_extended =
-      previous_inputs.size() <= x_.size() &&
-      std::equal(previous_inputs.begin(), previous_inputs.end(), x_.begin());
-  if (!same_kernel || !inputs_extended) ++kernel_epoch_;
-  solve_and_reweight();
+  // The noise variance enters no kernel table.
+  if (params_.log_lengthscales != previous_params.log_lengthscales ||
+      params_.log_signal_var != previous_params.log_signal_var) {
+    ++kernel_epoch_;
+  }
+}
+
+std::size_t GpRegressor::cell_of(const std::vector<double>& x) {
+  for (std::size_t i = 0; i < cell_x_.size(); ++i) {
+    if (cell_x_[i] == x) return i;
+  }
+  cell_x_.push_back(x);
+  for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_}) {
+    cells->push_back(0.0);
+  }
+  return cell_x_.size() - 1;
+}
+
+void GpRegressor::fold_unit(std::size_t cell, double y) {
+  count_[cell] += 1.0;
+  const double delta = y - mean_[cell];
+  mean_[cell] += delta / count_[cell];
+  m2_[cell] += delta * (y - mean_[cell]);
+}
+
+void GpRegressor::fold_weight(std::size_t cell, double y, double w) {
+  weight_[cell] += w;
+  wmean_[cell] += w * (y - wmean_[cell]) / weight_[cell];
 }
 
 void GpRegressor::derive_inputs() {
-  x_lo_.assign(dim_, std::numeric_limits<double>::max());
-  x_hi_.assign(dim_, std::numeric_limits<double>::lowest());
-  for (const auto& row : x_raw_) {
+  std::vector<double> lo(dim_, std::numeric_limits<double>::max());
+  std::vector<double> hi(dim_, std::numeric_limits<double>::lowest());
+  for (const auto& row : cell_x_) {
     for (std::size_t i = 0; i < dim_; ++i) {
-      x_lo_[i] = std::min(x_lo_[i], row[i]);
-      x_hi_[i] = std::max(x_hi_[i], row[i]);
+      lo[i] = std::min(lo[i], row[i]);
+      hi[i] = std::max(hi[i], row[i]);
     }
   }
-  x_.clear();
-  group_.clear();
-  group_rows(0);
-}
-
-void GpRegressor::group_rows(std::size_t first) {
-  group_.reserve(x_raw_.size());
-  for (std::size_t j = first; j < x_raw_.size(); ++j) {
-    std::vector<double> scaled = scale_input(x_raw_[j]);
-    std::size_t i = 0;
-    while (i < x_.size() && x_[i] != scaled) ++i;
-    if (i == x_.size()) x_.push_back(std::move(scaled));
-    group_.push_back(i);
+  if (lo != x_lo_ || hi != x_hi_) {
+    // A grown box rescales every cell, and with it every kernel entry.
+    x_lo_ = std::move(lo);
+    x_hi_ = std::move(hi);
+    x_.clear();
+    ++kernel_epoch_;
+  }
+  for (std::size_t i = x_.size(); i < cell_x_.size(); ++i) {
+    x_.push_back(scale_input(cell_x_[i]));
   }
 }
 
-void GpRegressor::aggregate_targets() {
-  y_mean_ = mean_of(y_raw_);
-  y_std_ = stddev_of(y_raw_);
+void GpRegressor::standardize() {
+  // Chan et al.'s pairwise merge of the cells' moments, in cell order.
+  double rows = 0.0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  for (std::size_t i = 0; i < count_.size(); ++i) {
+    const double total = rows + count_[i];
+    const double delta = mean_[i] - mean;
+    mean += delta * count_[i] / total;
+    m2 += m2_[i] + delta * delta * rows * count_[i] / total;
+    rows = total;
+  }
+  y_mean_ = mean;
+  // The sample standard deviation, as common/stats' stddev_of.
+  y_std_ = rows >= 2.0 ? std::sqrt(m2 / (rows - 1.0)) : 0.0;
   if (y_std_ < 1e-12) y_std_ = 1.0;  // constant targets: keep scale sane
-  weight_.assign(x_.size(), 0.0);
-  y_.assign(x_.size(), 0.0);
-  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
-    const double w = 1.0 / noise_scale_[j];
-    weight_[group_[j]] += w;
-    y_[group_[j]] += w * standardized(j);
+}
+
+void GpRegressor::fold_weights(const Batch& batch) {
+  weight_ = batch.base_weight;
+  wmean_ = batch.base_wmean;
+  weight_.resize(cell_x_.size(), 0.0);
+  wmean_.resize(cell_x_.size(), 0.0);
+  for (std::size_t j = 0; j < batch.cell.size(); ++j) {
+    fold_weight(batch.cell[j], batch.y[j], 1.0 / batch.noise_scale[j]);
   }
-  for (std::size_t i = 0; i < x_.size(); ++i) y_[i] /= weight_[i];
+  standardize_targets();
+}
+
+void GpRegressor::standardize_targets() {
+  y_.resize(wmean_.size());
+  for (std::size_t i = 0; i < wmean_.size(); ++i) {
+    y_[i] = (wmean_[i] - y_mean_) / y_std_;
+  }
+}
+
+std::size_t GpRegressor::num_points() const {
+  double rows = 0.0;
+  for (const double c : count_) rows += c;
+  return static_cast<std::size_t>(rows);
 }
 
 const la::Matrix& GpRegressor::training_gram() {
   const std::size_t n = x_.size();
   const std::size_t n_prev = gram_epoch_ == kernel_epoch_ ? gram_.rows() : 0;
-  PAMO_ASSERT(n_prev <= n, "distinct inputs shrank within a kernel epoch");
+  PAMO_ASSERT(n_prev <= n, "cells shrank within a kernel epoch");
   if (n_prev == n && gram_epoch_ == kernel_epoch_) return gram_;
   // The new columns j >= n_prev, entry for entry as kernel_matrix forms
   // them: k(x_i, x_j) for i < j, mirrored, and σ_f² on the diagonal.
@@ -329,10 +325,7 @@ const la::Matrix& GpRegressor::training_gram() {
 }
 
 void GpRegressor::solve_system() {
-  aggregate_targets();
-  la::Matrix k = options_.incremental
-                     ? training_gram()
-                     : kernel_matrix(options_.kernel, params_, x_);
+  la::Matrix k = training_gram();
   const double noise = std::exp(params_.log_noise_var);
   for (std::size_t i = 0; i < x_.size(); ++i) k(i, i) += noise / weight_[i];
   // Degrade to a wider jitter cap instead of throwing: a near-singular
@@ -351,63 +344,50 @@ void GpRegressor::solve_system() {
   }
   diagnostics_.fit_jitter = std::max(diagnostics_.fit_jitter, chol_->jitter());
   alpha_ = chol_->solve(y_);
-  ++factor_epoch_;  // full refactorization: cached V rows are now stale
+  ++factor_epoch_;  // the posterior workspace's V is now stale
 }
 
-void GpRegressor::solve_and_reweight() {
-  solve_system();
-  if (options_.robust_noise) {
-    for (std::size_t round = 0; round < kRobustRounds; ++round) {
-      if (!reweight_outliers()) break;
-    }
-  }
-}
-
-bool GpRegressor::reweight_outliers() {
+bool GpRegressor::reweight_outliers(Batch& batch) {
   const double noise = std::exp(params_.log_noise_var);
-  // Posterior mean at each distinct input: μ_i = ȳ_i − (σ²/W_i)·α_i.
-  std::vector<double> mu(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    mu[i] = y_[i] - noise / weight_[i] * alpha_[i];
-  }
   bool changed = false;
-  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
-    const double z = (standardized(j) - mu[group_[j]]) /
-                     std::sqrt(noise * noise_scale_[j]);
+  for (std::size_t j = 0; j < batch.cell.size(); ++j) {
+    const std::size_t i = batch.cell[j];
+    // Posterior mean at the row's input: μ_i = ȳ_i − (σ²/W_i)·α_i.
+    const double mu = y_[i] - noise / weight_[i] * alpha_[i];
+    double& lambda = batch.noise_scale[j];
+    const double z =
+        ((batch.y[j] - y_mean_) / y_std_ - mu) / std::sqrt(noise * lambda);
     if (std::fabs(z) <= options_.robust_threshold) continue;
     const double ratio = std::fabs(z) / options_.robust_threshold;
-    const double target = std::min(kRobustInflationCap,
-                                   noise_scale_[j] * ratio * ratio);
-    if (target > noise_scale_[j]) {
+    const double target =
+        std::min(kRobustInflationCap, lambda * ratio * ratio);
+    if (target > lambda) {
       // Scale is exactly 1.0 until the first inflation: this counts each
       // point at most once across the reweighting rounds.
-      if (noise_scale_[j] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-analyze: allow(float-eq)
-      noise_scale_[j] = target;
+      if (lambda == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-analyze: allow(float-eq)
+      lambda = target;
       changed = true;
     }
   }
-  if (changed) solve_system();
+  if (changed) {
+    fold_weights(batch);
+    solve_system();
+  }
   return changed;
 }
 
 mle::GroupMoments GpRegressor::unit_moments() const {
-  const std::size_t d = x_.size();
+  const std::size_t d = count_.size();
   mle::GroupMoments m;
-  m.count.assign(d, 0.0);
-  m.mean.assign(d, 0.0);
-  m.rows = x_raw_.size();
-  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
-    m.count[group_[j]] += 1.0;
-    m.mean[group_[j]] += standardized(j);
-  }
+  m.count = count_;
+  m.mean.resize(d);
+  m.rows = num_points();
   for (std::size_t i = 0; i < d; ++i) {
-    m.mean[i] /= m.count[i];
-    m.log_count_sum += std::log(m.count[i]);
+    m.mean[i] = (mean_[i] - y_mean_) / y_std_;
+    m.log_count_sum += std::log(count_[i]);
+    m.within_ss += m2_[i];
   }
-  for (std::size_t j = 0; j < x_raw_.size(); ++j) {
-    const double r = standardized(j) - m.mean[group_[j]];
-    m.within_ss += r * r;
-  }
+  m.within_ss /= y_std_ * y_std_;
   return m;
 }
 
@@ -448,13 +428,11 @@ void GpRegressor::refresh_posterior_workspace(
   PosteriorWorkspace& ws = workspace_;
   const std::size_t n = x_.size();
   const std::uint64_t key = fingerprint_rows(xs);
-  const bool same_tables = options_.incremental && ws.valid &&
-                           ws.kernel_epoch == kernel_epoch_ &&
+  const bool same_tables = ws.valid && ws.kernel_epoch == kernel_epoch_ &&
                            ws.train_rows <= n && ws.key == key && ws.xs == xs;
   ws.valid = false;  // until every table below is current
   if (!same_tables) {
-    // Full recompute (new query set, disabled cache, or new kernel
-    // entries over x_).
+    // Full recompute (new query set, or new kernel entries over x_).
     ws.k_cross = kernel_cross(options_.kernel, params_, xs, x_);
     ws.k_test = kernel_matrix(options_.kernel, params_, xs);
     ws.v = chol_->solve_lower(ws.k_cross.transposed());
@@ -462,8 +440,8 @@ void GpRegressor::refresh_posterior_workspace(
     ws.key = key;
   } else {
     // K** is a function of the query rows alone. K* gains one column per
-    // distinct input appended since, entry for entry as kernel_cross forms
-    // it; existing entries are untouched.
+    // cell appended since, entry for entry as kernel_cross forms it;
+    // existing entries are untouched.
     const std::size_t m = ws.xs.size();
     const std::size_t n_prev = ws.train_rows;
     if (n_prev < n) {
@@ -479,26 +457,9 @@ void GpRegressor::refresh_posterior_workspace(
       }
       ws.k_cross = std::move(k_cross);
     }
+    // A new cell always comes with a new factor, so this covers both.
     if (ws.factor_epoch != factor_epoch_) {
-      // Refactorized system: V alone is stale.
       ws.v = chol_->solve_lower(ws.k_cross.transposed());
-    } else if (n_prev < n) {
-      // The factor was extended in place: continue the forward
-      // substitution for the new rows of V, bit-identical to solving
-      // against the grown factor from scratch.
-      const la::Matrix& l = chol_->lower();
-      la::Matrix v(n, m, 0.0);
-      for (std::size_t j = 0; j < n_prev; ++j) {
-        for (std::size_t c = 0; c < m; ++c) v(j, c) = ws.v(j, c);
-      }
-      for (std::size_t i = n_prev; i < n; ++i) {
-        for (std::size_t c = 0; c < m; ++c) {
-          double sum = ws.k_cross(c, i);
-          for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * v(k, c);
-          v(i, c) = sum / l(i, i);
-        }
-      }
-      ws.v = std::move(v);
     }
   }
   ws.kernel_epoch = kernel_epoch_;

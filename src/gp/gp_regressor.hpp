@@ -7,13 +7,14 @@
 // gradient (gp/mle.hpp). predict() returns the posterior on the original
 // target scale.
 //
-// Repeated inputs are folded exactly: the system is solved on the distinct
-// inputs X_d with per-input sufficient statistics (weight W_i = Σ_j 1/λ_j
-// over the rows at input i, and their weighted mean target), because
-// Π_j N(y_j; f_i, σ²λ_j) = N(ȳ_i; f_i, σ²/W_i) × (a term free of f). So a
-// caller on a finite grid pays for at most |grid| rows in every solve,
-// marginal-likelihood evaluation and posterior, however many observations
-// it has fed in.
+// The model stores no observation rows. Each distinct input is a cell of
+// sufficient statistics: the unit-weight count, mean and M2 of its
+// targets (what the standardization and the MLE read), and its weight
+// W_i = Σ_j 1/λ_j with the W-weighted mean target (what the solve reads),
+// because Π_j N(y_j; f_i, σ²λ_j) = N(ȳ_i; f_i, σ²/W_i) × (a term free of
+// f). So a caller on a finite grid pays for at most |grid| cells in
+// memory, in every solve, marginal-likelihood evaluation and posterior,
+// and in every snapshot, however many observations it has fed in.
 #pragma once
 
 #include <cstdint>
@@ -55,23 +56,11 @@ struct GpOptions {
   /// outlier is then explained as noise instead of bending the posterior
   /// mean. No-op (bit-for-bit) when no residual crosses the threshold.
   /// At most kRobustRounds passes, each factor capped at
-  /// kRobustInflationCap.
+  /// kRobustInflationCap. The rounds reweight only the rows of the
+  /// fit()/update() call in hand; a row keeps its factor once it has
+  /// folded into its cell.
   bool robust_noise = false;
   double robust_threshold = 3.0;
-  /// Hot path for the decision loop. update() of a batch inside the input
-  /// box extends the cached Cholesky factor by the new inputs in O(d²)
-  /// when they are all new (d = distinct inputs), or re-solves the
-  /// ≤ d-row system without rescaling or MLE when the batch repeats an
-  /// input. Every solve reuses the noise-free training Gram K(X_d, X_d)
-  /// and computes only the entries of new distinct inputs. posterior()
-  /// keeps K(X*, X_d) and K(X*, X*) across calls over the same query set
-  /// while the hyperparameters and X_d's prefix hold, and recomputes only
-  /// V = L⁻¹K*ᵀ after a refactorization. All of it is bit-for-bit
-  /// identical to the full recomputation (false recomputes everything)
-  /// and falls back to it automatically whenever exactness cannot be
-  /// guaranteed — see diagnostics().incremental_fallbacks for when that
-  /// happens.
-  bool incremental = true;
   std::uint64_t seed = 0xC0FFEE;
 };
 
@@ -88,13 +77,6 @@ struct GpFitDiagnostics {
   double fit_jitter = 0.0;
   /// Largest jitter used to repair a sampled posterior covariance.
   double posterior_jitter = 0.0;
-  /// update() calls served without a full rebuild: the factor extension
-  /// or the in-box re-solve of a batch that repeats an input.
-  std::size_t incremental_updates = 0;
-  /// Incremental-eligible update() calls that fell back to a full rebuild
-  /// (hyperparameter re-optimization, robust noise, prior jitter, a grown
-  /// input box, or a non-PD extension).
-  std::size_t incremental_fallbacks = 0;
 };
 
 struct Posterior {
@@ -110,16 +92,17 @@ class GpRegressor {
   /// dimension. Refitting replaces previous data.
   void fit(std::vector<std::vector<double>> x, std::vector<double> y);
 
-  /// Add observations and refit the linear algebra. Hyperparameters are
-  /// re-optimized only when `reoptimize` is true (it is the expensive part).
+  /// Add observations: they fold into their cells and the system is
+  /// re-solved over the cells. Hyperparameters are re-optimized only when
+  /// `reoptimize` is true (it is the expensive part).
   void update(const std::vector<std::vector<double>>& x,
               const std::vector<double>& y, bool reoptimize = false);
 
-  [[nodiscard]] bool is_fit() const { return !x_raw_.empty(); }
-  /// Observations held (raw rows, repeats included).
-  [[nodiscard]] std::size_t num_points() const { return x_raw_.size(); }
-  /// Distinct inputs the system is solved on (≤ num_points()).
-  [[nodiscard]] std::size_t num_distinct() const { return x_.size(); }
+  [[nodiscard]] bool is_fit() const { return !cell_x_.empty(); }
+  /// Observations folded in (repeats included).
+  [[nodiscard]] std::size_t num_points() const;
+  /// Distinct inputs (cells) the system is solved on (≤ num_points()).
+  [[nodiscard]] std::size_t num_distinct() const { return cell_x_.size(); }
   [[nodiscard]] std::size_t dim() const { return dim_; }
   [[nodiscard]] const KernelParams& params() const { return params_; }
 
@@ -148,25 +131,29 @@ class GpRegressor {
   [[nodiscard]] la::Matrix sample_joint_given(
       const std::vector<std::vector<double>>& x, const la::Matrix& z) const;
 
-  /// Log marginal likelihood of the standardized data (every row, unit
-  /// noise weights) under `params`, computed on the distinct inputs.
+  /// Log marginal likelihood of the standardized data (every observation,
+  /// unit noise weights) under `params`, computed on the cells.
   [[nodiscard]] double log_marginal_likelihood(
       const KernelParams& params) const;
 
-  /// Serialize the source of truth as deterministic JSON: the raw rows,
-  /// their noise scales, the hyperparameters and the diagnostics counters. Everything else (scaling, distinct rows, factor,
-  /// alpha, posterior workspace) is a deterministic function of these.
+  /// Serialize the source of truth as deterministic JSON: the cells, the
+  /// hyperparameters and the diagnostics counters. Its size depends on
+  /// the number of cells, not of observations. Everything else (scaling,
+  /// standardization, factor, alpha, kernel tables) is a deterministic
+  /// function of these.
   [[nodiscard]] obs::json::Value snapshot() const;
 
   /// Rebuild the fitted state from snapshot() by re-deriving the scaling,
-  /// the distinct rows, the factor and alpha with one solve (no MLE). The
-  /// regressor must have been constructed with the same GpOptions as the
-  /// snapshotted one; after restore, every prediction, sample, and
-  /// incremental update is bit-for-bit identical to the original
-  /// instance's. All-or-nothing: a snapshot that fails a check throws and
-  /// leaves this instance untouched. Snapshots that also carry the derived
-  /// keys (x, y, chol, alpha, ...) or the retired drift-detector keys
-  /// restore the same way; those keys are ignored.
+  /// the standardization, the factor and alpha with one solve (no MLE).
+  /// The regressor must have been constructed with the same GpOptions as
+  /// the snapshotted one; after restore, every prediction, sample, and
+  /// update is bit-for-bit identical to the original instance's.
+  /// All-or-nothing: a snapshot that fails a check throws and leaves this
+  /// instance untouched. Snapshots of builds that stored every row
+  /// (x_raw, y_raw, noise_scale) restore by folding those rows into their
+  /// cells, each with weight 1/λ; their derived keys (x, y, chol, alpha,
+  /// ...), the retired drift-detector keys and the retired update-path
+  /// counters are ignored.
   void restore(const obs::json::Value& snap);
 
  private:
@@ -174,10 +161,9 @@ class GpRegressor {
   /// the same query set. `key` fingerprints the scaled query rows (with an
   /// exact row comparison against `xs` to rule out hash collisions).
   /// k_cross and k_test hold while `kernel_epoch` is current: their
-  /// entries over the first `train_rows` distinct inputs are unchanged, so
-  /// new inputs only append columns to k_cross. `factor_epoch` ties V to
-  /// the factor it was computed against: an in-place factor extension
-  /// continues its forward substitution, a refactorization recomputes it.
+  /// entries over the first `train_rows` cells are unchanged, so new cells
+  /// only append columns to k_cross. V is solved again whenever the factor
+  /// has changed since (`factor_epoch`).
   struct PosteriorWorkspace {
     bool valid = false;
     std::uint64_t key = 0;
@@ -190,66 +176,90 @@ class GpRegressor {
     la::Matrix v;                         // n × m, V = L⁻¹ K*ᵀ
   };
 
-  void rebuild(bool optimize_hyperparams);
-  /// Extend the cached factor by the distinct inputs from `first_new` on
-  /// (all of them fresh, each with weight 1). Returns false when the
-  /// extension would not be bit-identical to a full rebuild (see
-  /// GpOptions::incremental); callers then rebuild.
-  bool try_incremental_update(std::size_t first_new);
-  /// Bring workspace_ up to date for the scaled query rows `xs`.
-  void refresh_posterior_workspace(std::vector<std::vector<double>>&& xs) const;
-  /// The noise-free Gram K(x_, x_) under params_: gram_ extended by the
-  /// entries of distinct inputs appended since it was computed, or
-  /// recomputed when kernel_epoch_ has moved on.
-  const la::Matrix& training_gram();
-  /// Min-max scale over every raw row, then group all of them.
+  /// The rows of one fit()/update() call, alive only during it: their
+  /// cells, raw targets and noise scales λ_j (1 until a robust round
+  /// inflates one), over the cells' weighted statistics from before the
+  /// call.
+  struct Batch {
+    std::vector<std::size_t> cell;
+    std::vector<double> y;
+    std::vector<double> noise_scale;
+    std::vector<double> base_weight;
+    std::vector<double> base_wmean;
+  };
+
+  /// The one path of fit() (on emptied cells) and update(): fold the rows
+  /// into their cells, rescale when the input box grew, re-standardize,
+  /// choose the hyperparameters when `choose_params` (the fixed ones, or
+  /// by MLE), solve, then run the robust rounds over these rows.
+  void absorb(const std::vector<std::vector<double>>& x,
+              const std::vector<double>& y, bool choose_params);
+  /// Set params_ to the fixed hyperparameters or fit them by MLE.
+  void choose_hyperparams();
+  /// Index of the cell at raw input `x`, appending an empty cell if new.
+  std::size_t cell_of(const std::vector<double>& x);
+  /// Chan/Welford: fold one target into a cell's unit-weight moments.
+  void fold_unit(std::size_t cell, double y);
+  /// Fold one target with weight w = 1/λ into a cell's W and W-mean.
+  void fold_weight(std::size_t cell, double y, double w);
+  /// Min-max box over the cell inputs and the scaled inputs x_: every
+  /// cell is rescaled when the box moved, otherwise only cells new since
+  /// the last call are scaled. Bumps kernel_epoch_ when the box moved.
   void derive_inputs();
-  /// Assign raw rows [first, n) to distinct inputs, appending unseen
-  /// scaled inputs to x_ in first-occurrence order.
-  void group_rows(std::size_t first);
-  /// Standardize the targets and aggregate them per distinct input: W_i
-  /// and the W-weighted mean ȳ_i.
-  void aggregate_targets();
-  /// aggregate_targets(), then factorize K(x_, x_) + σ²·diag(1/W_i) and
-  /// solve for alpha_, recovering from Cholesky failures by widening the
-  /// jitter cap.
+  /// Merge the cells' unit moments into the global target mean and
+  /// standard deviation.
+  void standardize();
+  /// Every cell's W and W-mean: its statistics from before the batch,
+  /// then the batch rows at their current noise scales. Then the targets
+  /// of the solve.
+  void fold_weights(const Batch& batch);
+  /// ȳ_i of the solve: each cell's W-weighted mean, standardized.
+  void standardize_targets();
+  /// Factorize K(x_, x_) + σ²·diag(1/W_i) and solve for alpha_,
+  /// recovering from Cholesky failures by widening the jitter cap.
   void solve_system();
-  /// solve_system(), then the robust reweighting rounds when enabled.
-  void solve_and_reweight();
-  [[nodiscard]] double standardized(std::size_t row) const {
-    return (y_raw_[row] - y_mean_) / y_std_;
-  }
   /// Unit-weight sufficient statistics of the standardized targets per
-  /// distinct input: the hyperparameter MLE's view of the data.
+  /// cell: the hyperparameter MLE's view of the data.
   [[nodiscard]] mle::GroupMoments unit_moments() const;
-  /// The solved system covers every kept training row (postcondition of
+  /// The solved system covers every cell (postcondition of
   /// fit()/update()).
-  [[nodiscard]] bool solved_over_all_rows() const {
-    return group_.size() == x_raw_.size() &&
-           noise_scale_.size() == x_raw_.size() &&
-           alpha_.size() == x_.size();
+  [[nodiscard]] bool solved_over_all_cells() const {
+    const std::size_t n = cell_x_.size();
+    return count_.size() == n && mean_.size() == n && m2_.size() == n &&
+           weight_.size() == n && wmean_.size() == n && x_.size() == n &&
+           alpha_.size() == n;
   }
-  /// One pass of iteratively reweighted noise: inflate noise_scale_ for
-  /// points with large standardized residuals, then re-solve. Returns
-  /// false (leaving the solve untouched, bit-for-bit) when no residual
-  /// crosses the threshold.
-  bool reweight_outliers();
+  /// One pass of iteratively reweighted noise over the batch: inflate the
+  /// noise scales of rows with large standardized residuals, then re-fold
+  /// and re-solve. Returns false (leaving the solve untouched, bit-for-bit)
+  /// when no residual crosses the threshold.
+  bool reweight_outliers(Batch& batch);
   /// Drop non-finite rows (reject_nonfinite) or reject them loudly.
   void sanitize(std::vector<std::vector<double>>& x, std::vector<double>& y);
   [[nodiscard]] std::vector<double> scale_input(
       const std::vector<double>& x) const;
+  /// Bring workspace_ up to date for the scaled query rows `xs`.
+  void refresh_posterior_workspace(std::vector<std::vector<double>>&& xs) const;
+  /// The noise-free Gram K(x_, x_) under params_: gram_ extended by the
+  /// entries of cells appended since it was computed, or recomputed when
+  /// kernel_epoch_ has moved on.
+  const la::Matrix& training_gram();
 
   // Construction-time configuration, re-supplied by the ctor on restore.
   // pamo-analyze: allow(snapshot-coverage)
   GpOptions options_;
   std::size_t dim_ = 0;
 
-  // Source of truth: raw training rows (original scale) and their
-  // per-row noise-variance inflation factors λ_j (≥ 1; 1 unless the robust
-  // fit inflated the row).
-  std::vector<std::vector<double>> x_raw_;
-  std::vector<double> y_raw_;
-  std::vector<double> noise_scale_;
+  // Source of truth: one cell per distinct raw input, in first-occurrence
+  // order. The unit-weight count, mean and M2 of its targets, and its
+  // weight W = Σ_j 1/λ_j with the W-weighted mean target (original scale;
+  // λ_j ≥ 1 is 1 unless the robust fit inflated row j).
+  std::vector<std::vector<double>> cell_x_;
+  std::vector<double> count_;
+  std::vector<double> mean_;
+  std::vector<double> m2_;
+  std::vector<double> weight_;
+  std::vector<double> wmean_;
   KernelParams params_;
   mutable GpFitDiagnostics diagnostics_;
 
@@ -260,16 +270,10 @@ class GpRegressor {
   std::vector<double> x_lo_, x_hi_;
   // pamo-analyze: allow(snapshot-coverage)
   double y_mean_ = 0.0, y_std_ = 1.0;
-  // Distinct scaled inputs X_d in first-occurrence order.
+  // The cell inputs, scaled.
   // pamo-analyze: allow(snapshot-coverage)
   std::vector<std::vector<double>> x_;
-  // Raw row → index into x_.
-  // pamo-analyze: allow(snapshot-coverage)
-  std::vector<std::size_t> group_;
-  // Per distinct input: W_i = Σ_j 1/λ_j and the W-weighted mean ȳ_i of
-  // the standardized targets.
-  // pamo-analyze: allow(snapshot-coverage)
-  std::vector<double> weight_;
+  // The standardized W-weighted mean ȳ_i of each cell.
   // pamo-analyze: allow(snapshot-coverage)
   std::vector<double> y_;
   // pamo-analyze: allow(snapshot-coverage)
@@ -277,15 +281,13 @@ class GpRegressor {
   // (K_d + σ²·diag(1/W))⁻¹ ȳ
   // pamo-analyze: allow(snapshot-coverage)
   la::Vector alpha_;
-  // Bumped by every full refactorization (solve_system); incremental
-  // factor extensions keep it, which is what lets the posterior workspace
-  // extend its V rows instead of starting over.
+  // Bumped by every factorization (solve_system); the posterior
+  // workspace re-solves V when it has moved on.
   // pamo-analyze: allow(snapshot-coverage)
   std::uint64_t factor_epoch_ = 0;
-  // Bumped by rebuild() when a kernel entry over x_ may have changed: new
-  // lengthscales or signal variance, or re-derived inputs that do not
-  // merely extend the previous x_. Within one value, every kernel table
-  // over a prefix of x_ stays exact.
+  // Bumped when a kernel entry over x_ may have changed: new lengthscales
+  // or signal variance, or a grown input box that rescales every cell.
+  // Within one value, every kernel table over a prefix of x_ stays exact.
   // pamo-analyze: allow(snapshot-coverage)
   std::uint64_t kernel_epoch_ = 0;
   // training_gram()'s table and the kernel_epoch_ it was computed in.

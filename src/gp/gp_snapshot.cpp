@@ -1,13 +1,13 @@
 // GpRegressor checkpoint serialization (see gp_regressor.hpp).
 //
-// The snapshot carries the source of truth only: raw rows, per-row noise
-// scales, hyperparameters and diagnostics. Restore re-derives the scaling,
-// the distinct rows, the factor and alpha with one solve and no MLE. Every
-// path that leaves a factor behind (full solve, jitter ladder, factor
-// extension, robust re-solve) produces exactly what that one solve
-// produces over the same state, so the restored model predicts — and keeps
-// updating — bit-for-bit like the original, including its
-// incremental-update eligibility (jitter == 0 on the cached factor).
+// The snapshot carries the source of truth only: the cells (inputs, unit
+// moments, weights and weighted means), hyperparameters and diagnostics,
+// so its size is bounded by the number of distinct inputs. Restore
+// re-derives the scaling, the standardization, the factor and alpha with
+// one solve and no MLE. fit() and update() leave the factor of exactly that
+// solve over the cells they store (the robust rounds' last solve is over
+// the folded weights), so the restored model predicts — and keeps
+// updating — bit-for-bit like the original.
 #include <cmath>
 #include <utility>
 
@@ -50,10 +50,6 @@ json::Value diagnostics_to_json(const GpFitDiagnostics& d) {
           json::Value(std::uint64_t{d.cholesky_recoveries}));
   obj.set("fit_jitter", json::Value(d.fit_jitter));
   obj.set("posterior_jitter", json::Value(d.posterior_jitter));
-  obj.set("incremental_updates",
-          json::Value(std::uint64_t{d.incremental_updates}));
-  obj.set("incremental_fallbacks",
-          json::Value(std::uint64_t{d.incremental_fallbacks}));
   return obj;
 }
 
@@ -67,12 +63,9 @@ GpFitDiagnostics diagnostics_from_json(const json::Value& v) {
       static_cast<std::size_t>(v.at("cholesky_recoveries").as_uint());
   d.fit_jitter = v.at("fit_jitter").as_double();
   d.posterior_jitter = v.at("posterior_jitter").as_double();
-  d.incremental_updates =
-      static_cast<std::size_t>(v.at("incremental_updates").as_uint());
-  d.incremental_fallbacks =
-      static_cast<std::size_t>(v.at("incremental_fallbacks").as_uint());
   // Snapshots from builds with the CUSUM drift detector also carry its
-  // three counters; they are ignored.
+  // three counters, and builds with the factor-extension update their
+  // incremental_updates/incremental_fallbacks counts; they are ignored.
   return d;
 }
 
@@ -80,14 +73,20 @@ GpFitDiagnostics diagnostics_from_json(const json::Value& v) {
 
 // pamo-analyze: snapshot(GpRegressor)
 json::Value GpRegressor::snapshot() const {
-  PAMO_CHECK(x_raw_.size() == y_raw_.size() &&
-                 noise_scale_.size() == x_raw_.size(),
-             "GP snapshot over inconsistent training arrays");
+  const std::size_t n = cell_x_.size();
+  PAMO_CHECK(count_.size() == n && mean_.size() == n && m2_.size() == n &&
+                 weight_.size() == n && wmean_.size() == n,
+             "GP snapshot over inconsistent cell arrays");
+  json::Value cells = json::Value::object();
+  cells.set("x", codec::rows_to_json(cell_x_));
+  cells.set("count", codec::doubles_to_json(count_));
+  cells.set("mean", codec::doubles_to_json(mean_));
+  cells.set("m2", codec::doubles_to_json(m2_));
+  cells.set("weight", codec::doubles_to_json(weight_));
+  cells.set("wmean", codec::doubles_to_json(wmean_));
   json::Value obj = json::Value::object();
   obj.set("dim", json::Value(std::uint64_t{dim_}));
-  obj.set("x_raw", codec::rows_to_json(x_raw_));
-  obj.set("y_raw", codec::doubles_to_json(y_raw_));
-  obj.set("noise_scale", codec::doubles_to_json(noise_scale_));
+  obj.set("cells", std::move(cells));
   obj.set("params", params_to_json(params_));
   obj.set("diagnostics", diagnostics_to_json(diagnostics_));
   return obj;
@@ -102,29 +101,68 @@ void GpRegressor::restore(const json::Value& snap) {
   // passed: a rejected snapshot leaves this model untouched.
   GpRegressor fresh(options_);
   fresh.dim_ = static_cast<std::size_t>(snap.at("dim").as_uint());
-  fresh.x_raw_ = codec::rows_from_json(snap.at("x_raw"));
-  fresh.y_raw_ = codec::doubles_from_json(snap.at("y_raw"));
-  fresh.noise_scale_ = codec::doubles_from_json(snap.at("noise_scale"));
   fresh.params_ = params_from_json(snap.at("params"));
   const GpFitDiagnostics diagnostics =
       diagnostics_from_json(snap.at("diagnostics"));
 
-  const std::size_t n = fresh.x_raw_.size();
-  PAMO_CHECK(fresh.y_raw_.size() == n && fresh.noise_scale_.size() == n,
-             "GP snapshot is internally inconsistent: x_raw, y_raw and "
-             "noise_scale differ in length");
-  for (std::size_t j = 0; j < n; ++j) {
-    PAMO_CHECK(fresh.x_raw_[j].size() == fresh.dim_,
-               "GP snapshot row width differs from its dim");
-    PAMO_CHECK(std::isfinite(fresh.noise_scale_[j]) &&
-                   fresh.noise_scale_[j] >= 1.0,
-               "GP snapshot noise scales must be finite and >= 1");
+  if (const json::Value* cells = snap.find("cells")) {
+    fresh.cell_x_ = codec::rows_from_json(cells->at("x"));
+    fresh.count_ = codec::doubles_from_json(cells->at("count"));
+    fresh.mean_ = codec::doubles_from_json(cells->at("mean"));
+    fresh.m2_ = codec::doubles_from_json(cells->at("m2"));
+    fresh.weight_ = codec::doubles_from_json(cells->at("weight"));
+    fresh.wmean_ = codec::doubles_from_json(cells->at("wmean"));
+    const std::size_t n = fresh.cell_x_.size();
+    PAMO_CHECK(fresh.count_.size() == n && fresh.mean_.size() == n &&
+                   fresh.m2_.size() == n && fresh.weight_.size() == n &&
+                   fresh.wmean_.size() == n,
+               "GP snapshot is internally inconsistent: the cell arrays "
+               "differ in length");
+    for (std::size_t i = 0; i < n; ++i) {
+      PAMO_CHECK(fresh.cell_x_[i].size() == fresh.dim_,
+                 "GP snapshot cell width differs from its dim");
+      // λ ≥ 1 per row, so 0 < W ≤ count.
+      PAMO_CHECK(std::isfinite(fresh.count_[i]) && fresh.count_[i] >= 1.0 &&
+                     std::isfinite(fresh.mean_[i]) &&
+                     std::isfinite(fresh.m2_[i]) && fresh.m2_[i] >= 0.0 &&
+                     std::isfinite(fresh.wmean_[i]) && fresh.weight_[i] > 0.0 &&
+                     fresh.weight_[i] <= fresh.count_[i],
+                 "GP snapshot cell statistics must be finite, with count "
+                 ">= 1, M2 >= 0 and 0 < weight <= count");
+    }
+  } else {
+    // A build that stored every row: fold them, each with weight 1/λ.
+    const json::Value* x_raw = snap.find("x_raw");
+    const json::Value* y_raw = snap.find("y_raw");
+    const json::Value* noise_scale = snap.find("noise_scale");
+    PAMO_CHECK(x_raw != nullptr && y_raw != nullptr && noise_scale != nullptr,
+               "GP snapshot carries neither cells nor raw rows");
+    const auto x = codec::rows_from_json(*x_raw);
+    const auto y = codec::doubles_from_json(*y_raw);
+    const auto lambda = codec::doubles_from_json(*noise_scale);
+    PAMO_CHECK(y.size() == x.size() && lambda.size() == x.size(),
+               "GP snapshot is internally inconsistent: x_raw, y_raw and "
+               "noise_scale differ in length");
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      PAMO_CHECK(x[j].size() == fresh.dim_,
+                 "GP snapshot row width differs from its dim");
+      PAMO_CHECK(std::isfinite(y[j]),
+                 "GP snapshot rows must have finite targets");
+      PAMO_CHECK(std::isfinite(lambda[j]) && lambda[j] >= 1.0,
+                 "GP snapshot noise scales must be finite and >= 1");
+      const std::size_t cell = fresh.cell_of(x[j]);
+      fresh.fold_unit(cell, y[j]);
+      fresh.fold_weight(cell, y[j], 1.0 / lambda[j]);
+    }
   }
-  if (n > 0) {
-    PAMO_CHECK(n >= 2 && fresh.dim_ >= 1 && fresh.params_.dim() == fresh.dim_,
-               "fitted GP snapshot must carry >= 2 rows and hyperparameters "
-               "of its input dimension");
+  if (fresh.is_fit()) {
+    PAMO_CHECK(fresh.num_points() >= 2 && fresh.dim_ >= 1 &&
+                   fresh.params_.dim() == fresh.dim_,
+               "fitted GP snapshot must carry >= 2 observations and "
+               "hyperparameters of its input dimension");
     fresh.derive_inputs();
+    fresh.standardize();
+    fresh.standardize_targets();
     fresh.solve_system();
   }
   // The re-derivation may walk the jitter ladder again; its counters were

@@ -20,12 +20,12 @@ struct GroupMoments {
   la::Vector mean;             // ȳ_i
   double log_count_sum = 0.0;  // Σ_i log m_i
   double within_ss = 0.0;      // Σ_i Σ_{j∈i} (y_j − ȳ_i)²
-  std::size_t rows = 0;        // raw rows, Σ_i m_i
+  std::size_t rows = 0;        // observations, Σ_i m_i
 };
 
 /// −log p(y | θ) over the packed log-hyperparameters
 /// θ = [log ℓ_1..d, log σ_f², log σ_n²] (KernelParams::pack order). Every
-/// raw row enters: the distinct-input GP with noise σ²/m_i, plus the
+/// observation enters: the distinct-input GP with noise σ²/m_i, plus the
 /// closed-form within-group term of the repeated rows. The buffers are
 /// sized once at construction, so an evaluation allocates nothing.
 class NegLogLikelihood {

@@ -159,65 +159,6 @@ Matrix Cholesky::solve(const Matrix& b) const {
   return solve_upper(solve_lower(b));
 }
 
-bool Cholesky::extend(const Matrix& cross, const Matrix& corner) {
-  const std::size_t n = lower_.rows();
-  const std::size_t m = cross.rows();
-  PAMO_CHECK(cross.cols() == n, "extend: cross block must be m x n");
-  PAMO_CHECK(corner.rows() == m && corner.cols() == m,
-             "extend: corner block must be m x m");
-  PAMO_CHECK(m > 0, "extend with no new rows");
-  // A jittered factor is L(A + jI); the full refactorization would rerun
-  // the ladder on the grown matrix from jitter 0, which no extension of
-  // this factor can reproduce exactly.
-  if (jitter_ != 0.0) return false;  // pamo-analyze: allow(float-eq)
-
-  // New rows of the factor: row r of L21 solves L11 y = cross(r, ·)ᵀ. The
-  // accumulation (k ascending) and the divide match try_factor's column
-  // sweep for these entries exactly.
-  Matrix l21(m, n, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double sum = cross(r, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l21(r, k) * lower_(j, k);
-      l21(r, j) = sum / lower_(j, j);
-    }
-  }
-
-  // Trailing m x m factor of the Schur complement, again with
-  // try_factor's exact accumulation order: the k sum over the old columns
-  // (L21 entries) comes before the k sum over the new ones (L22 entries),
-  // just as the full factorization walks k = 0..j-1 across both ranges.
-  Matrix l22(m, m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    double diag = corner(j, j);
-    for (std::size_t k = 0; k < n; ++k) diag -= l21(j, k) * l21(j, k);
-    for (std::size_t k = 0; k < j; ++k) diag -= l22(j, k) * l22(j, k);
-    if (!(diag > 0.0) || !std::isfinite(diag)) return false;
-    const double ljj = std::sqrt(diag);
-    l22(j, j) = ljj;
-    for (std::size_t i = j + 1; i < m; ++i) {
-      double sum = corner(i, j);
-      for (std::size_t k = 0; k < n; ++k) sum -= l21(i, k) * l21(j, k);
-      for (std::size_t k = 0; k < j; ++k) sum -= l22(i, k) * l22(j, k);
-      l22(i, j) = sum / ljj;
-    }
-  }
-
-  // Commit only after the whole extension is known to succeed, so a failed
-  // extend leaves the factor usable for the caller's full-refit fallback.
-  Matrix grown(n + m, n + m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) grown(i, j) = lower_(i, j);
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t j = 0; j < n; ++j) grown(n + r, j) = l21(r, j);
-    for (std::size_t j = 0; j <= r; ++j) grown(n + r, n + j) = l22(r, j);
-  }
-  lower_ = std::move(grown);
-  PAMO_ENSURES(lower_.rows() == n + m, "extend grows the factor by m rows");
-  return true;
-}
-
 double Cholesky::log_det() const {
   double sum = 0.0;
   for (std::size_t i = 0; i < lower_.rows(); ++i) sum += std::log(lower_(i, i));

@@ -28,8 +28,8 @@ class Cholesky {
 
   /// Rebuild a factorization from a previously computed lower factor and
   /// its jitter (checkpoint/restore support). No numerical work happens:
-  /// the result is the exact object that produced `lower`, so solves and
-  /// extend() behave bit-for-bit as before the round-trip. `lower` must be
+  /// the result is the exact object that produced `lower`, so solves
+  /// behave bit-for-bit as before the round-trip. `lower` must be
   /// square; its strict upper triangle is ignored by every operation.
   static Cholesky from_parts(Matrix lower, double jitter);
 
@@ -59,20 +59,6 @@ class Cholesky {
 
   /// Solve Lᵀ X = Y, batched like solve_lower(Matrix).
   [[nodiscard]] Matrix solve_upper(const Matrix& y) const;
-
-  /// Grow the factor of A (n×n) into the factor of [[A, crossᵀ],[cross,
-  /// corner]] in O(n²m) instead of the O((n+m)³) refactorization, where
-  /// `cross` is m×n and `corner` is m×m (diagonal noise already added).
-  /// The arithmetic matches the trailing columns of a from-scratch
-  /// factorization operation-for-operation, so the extended factor is
-  /// bit-for-bit identical to refactorizing the full matrix.
-  ///
-  /// Returns false — leaving this factor untouched — when the extension is
-  /// not exactly reproducible: the extended matrix is not positive
-  /// definite without jitter, or this factor itself carries jitter (the
-  /// ladder re-runs from scratch on the full matrix, which an extension
-  /// cannot imitate). Callers fall back to a full refactorization.
-  [[nodiscard]] bool extend(const Matrix& cross, const Matrix& corner);
 
   /// log |A| = 2 Σ log L_ii.
   [[nodiscard]] double log_det() const;

@@ -137,7 +137,7 @@ TEST(OutcomeModels, RestoreIsAllOrNothing) {
   obs::json::Value broken = obs::json::Value::array();
   for (std::size_t m = 0; m < snap.items().size(); ++m) {
     obs::json::Value metric = snap.items()[m];
-    if (m == 3) metric.set("y_raw", obs::json::Value::array());
+    if (m == 3) metric.set("cells", obs::json::Value::object());
     broken.push_back(std::move(metric));
   }
   EXPECT_THROW(target.restore(broken), Error);

@@ -154,6 +154,26 @@ TEST(ServiceChurn, WarmStartReportsAndStaysFeasible) {
   }
 }
 
+TEST(ServiceChurn, WarmBankLearnsInEveryWarmEpoch) {
+  // Every warm epoch folds its fresh profiles and Phase-3 measurements
+  // into the retained bank: no row count stops continual learning.
+  const eva::Workload workload = eva::make_workload(8, 4, 1);
+  ServiceOptions options;
+  options.continual.warm_start = true;
+  SchedulingService service(workload, options);
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  (void)service.run_epoch(oracle);
+  ASSERT_NE(service.retained_models(), nullptr);
+  std::size_t rows = service.retained_models()->num_points();
+  for (int epoch = 1; epoch < 6; ++epoch) {
+    const auto report = service.run_epoch(oracle);
+    ASSERT_TRUE(report.health.learning.warm_started) << "epoch " << epoch;
+    const std::size_t now = service.retained_models()->num_points();
+    EXPECT_GT(now, rows) << "epoch " << epoch;
+    rows = now;
+  }
+}
+
 TEST(ServiceChurn, WatchdogStaysQuietWhenPhase3IsSkippedOnWarmEpochs) {
   // Satellite regression: a warm-started epoch that skips the BO loop
   // outright (zero iterations — nothing new to optimize) must not trip

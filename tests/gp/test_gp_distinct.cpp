@@ -1,8 +1,9 @@
-// GpRegressor solves on the distinct inputs with per-input sufficient
-// statistics. That is an exact reduction, so every posterior and the log
+// GpRegressor keeps per-input sufficient statistics (cells) and solves on
+// them. That is an exact reduction, so every posterior and the log
 // marginal likelihood must match a GP factored over every row — computed
 // here directly with la::Cholesky — to rounding, for unit and for
-// robust-inflated per-row noise alike.
+// robust-inflated per-row noise alike, and however the rows were fed. The
+// cells also bound the model: its snapshot does not grow with the rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,22 +165,40 @@ Rows queries_for(const RepeatedData& d, std::uint64_t seed) {
   return q;
 }
 
-std::vector<double> noise_scales_of(const GpRegressor& gp) {
+/// The weight W_i = Σ 1/λ_j of each of `gp`'s cells, in cell order.
+std::vector<double> cell_weights_of(const GpRegressor& gp) {
   const obs::json::Value snap = gp.snapshot();
   std::vector<double> out;
-  for (const auto& v : snap.at("noise_scale").items()) {
+  for (const auto& v : snap.at("cells").at("weight").items()) {
     out.push_back(v.as_double());
   }
   return out;
 }
 
+/// Σ 1/λ_j per distinct input of `x`, in first-occurrence order.
+std::vector<double> weights_by_input(const Rows& x,
+                                     const std::vector<double>& lambda) {
+  Rows seen;
+  std::vector<double> out;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const auto it = std::find(seen.begin(), seen.end(), x[j]);
+    if (it == seen.end()) {
+      seen.push_back(x[j]);
+      out.push_back(1.0 / lambda[j]);
+    } else {
+      out[static_cast<std::size_t>(it - seen.begin())] += 1.0 / lambda[j];
+    }
+  }
+  return out;
+}
+
 /// Posterior mean/variance of `gp` (joint and pointwise) against the
-/// full-row reference over the same rows and noise scales.
+/// full-row reference over the same rows with noise scales `lambda`.
 void expect_matches_full_row(const GpRegressor& gp, const Rows& x,
                              const std::vector<double>& y, const Rows& q,
-                             KernelType kernel) {
-  const FullRowGp ref =
-      full_row_gp(kernel, gp.params(), x, y, noise_scales_of(gp));
+                             KernelType kernel,
+                             const std::vector<double>& lambda) {
+  const FullRowGp ref = full_row_gp(kernel, gp.params(), x, y, lambda);
   ASSERT_EQ(ref.chol->jitter(), 0.0);  // pamo-analyze: allow(float-eq)
   const Posterior post = gp.posterior(q);
   const KernelEvaluator k_eval(kernel, gp.params());
@@ -209,8 +228,9 @@ TEST_P(DistinctRowExactness, PosteriorAndLmlMatchTheFullRowGp) {
   gp.fit(d.x, d.y);
   EXPECT_EQ(gp.num_points(), 60u);
   EXPECT_EQ(gp.num_distinct(), 12u);
+  const std::vector<double> unit(d.x.size(), 1.0);
   expect_matches_full_row(gp, d.x, d.y, queries_for(d, 0xD15C0002ULL),
-                          GetParam());
+                          GetParam(), unit);
 
   const FullRowGp ref = full_row_gp(GetParam(), params_2d(), d.x, d.y,
                                     std::vector<double>(d.x.size(), 1.0));
@@ -235,17 +255,103 @@ TEST_P(DistinctRowExactness, RobustOutlierScalesFoldIntoTheWeights) {
   GpRegressor gp(options);
   gp.fit(d.x, d.y);
   ASSERT_GE(gp.diagnostics().outliers_downweighted, 1u);
-  const auto scales = noise_scales_of(gp);
-  EXPECT_GT(scales[30], 1.0);
-  // The per-row residuals behind the reweighting are the full-row GP's.
-  const auto expected =
+  // The per-row residuals behind the reweighting are the full-row GP's,
+  // and each row's scale folds into its cell's weight.
+  const auto lambda =
       full_row_irls(GetParam(), params_2d(), d.x, d.y, options);
-  ASSERT_EQ(scales.size(), expected.size());
-  for (std::size_t j = 0; j < scales.size(); ++j) {
-    EXPECT_NEAR(scales[j], expected[j], 1e-9 * expected[j]) << "row " << j;
+  EXPECT_GT(lambda[30], 1.0);
+  const auto weights = cell_weights_of(gp);
+  const auto expected = weights_by_input(d.x, lambda);
+  ASSERT_EQ(weights.size(), expected.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    EXPECT_NEAR(weights[i], expected[i], 1e-9 * expected[i]) << "cell " << i;
   }
   expect_matches_full_row(gp, d.x, d.y, queries_for(d, 0xD15C0004ULL),
-                          GetParam());
+                          GetParam(), lambda);
+}
+
+/// `rows` observations over the 6 × 5 knob grid (raw resolution and fps
+/// values): every cell appears once, the rest uniformly with replacement.
+RepeatedData make_grid_rows(std::size_t rows, std::uint64_t seed) {
+  Rng rng(seed);
+  RepeatedData d;
+  for (const double r : {360.0, 480.0, 600.0, 720.0, 840.0, 960.0}) {
+    for (const double f : {1.0, 2.0, 5.0, 10.0, 15.0}) d.distinct.push_back({r, f});
+  }
+  for (std::size_t j = 0; j < rows; ++j) {
+    const auto& row = d.distinct[j < d.distinct.size()
+                                     ? j
+                                     : rng.uniform_index(d.distinct.size())];
+    d.x.push_back(row);
+    d.y.push_back(surface({row[0] / 960.0, row[1] / 15.0}) +
+                  0.1 * rng.normal());
+  }
+  return d;
+}
+
+/// Feed `d` to `gp`: fit on the first `first` rows, then update() in
+/// batches of `batch` rows.
+void feed(GpRegressor& gp, const RepeatedData& d, std::size_t first,
+          std::size_t batch) {
+  gp.fit(Rows(d.x.begin(), d.x.begin() + static_cast<std::ptrdiff_t>(first)),
+         std::vector<double>(d.y.begin(),
+                             d.y.begin() + static_cast<std::ptrdiff_t>(first)));
+  for (std::size_t j = first; j < d.x.size(); j += batch) {
+    const std::size_t end = std::min(d.x.size(), j + batch);
+    const auto b = static_cast<std::ptrdiff_t>(j);
+    const auto e = static_cast<std::ptrdiff_t>(end);
+    gp.update(Rows(d.x.begin() + b, d.x.begin() + e),
+              std::vector<double>(d.y.begin() + b, d.y.begin() + e));
+  }
+}
+
+TEST_P(DistinctRowExactness, StreamedRowsMatchTheFullRowGp) {
+  // The cells' streaming moments over updates of the grid stay exact to
+  // rounding against the GP factored over all 600 rows.
+  const RepeatedData d = make_grid_rows(600, 0xD15C0005ULL);
+  GpRegressor gp(fixed_options(GetParam()));
+  feed(gp, d, /*first=*/60, /*batch=*/55);
+  ASSERT_EQ(gp.num_points(), 600u);
+  ASSERT_EQ(gp.num_distinct(), 30u);
+  Rows q(d.distinct.begin(), d.distinct.begin() + 6);
+  q.push_back({500.0, 3.0});
+  q.push_back({900.0, 12.5});
+  expect_matches_full_row(gp, d.x, d.y, q, GetParam(),
+                          std::vector<double>(d.x.size(), 1.0));
+  const FullRowGp ref = full_row_gp(GetParam(), params_2d(), d.x, d.y,
+                                    std::vector<double>(d.x.size(), 1.0));
+  const double expected = full_row_lml(ref);
+  EXPECT_NEAR(gp.log_marginal_likelihood(params_2d()), expected,
+              1e-9 * std::fabs(expected));
+}
+
+/// `json` with every number replaced by one character: its length is the
+/// snapshot's shape, free of how many digits each value prints with.
+std::size_t shape_length(const std::string& json) {
+  std::size_t length = 0;
+  bool in_number = false;
+  for (const char c : json) {
+    const bool numeric = (c >= '0' && c <= '9') || c == '-' || c == '+' ||
+                         c == '.' || c == 'e' || c == 'E';
+    if (!numeric || !in_number) ++length;
+    in_number = numeric;
+  }
+  return length;
+}
+
+TEST_P(DistinctRowExactness, SnapshotIsBoundedByTheCells) {
+  // 30,000 rows and 300 rows over the same 30 cells leave a model, and a
+  // checkpoint, of one size.
+  const RepeatedData few = make_grid_rows(300, 0xD15C0006ULL);
+  const RepeatedData many = make_grid_rows(30000, 0xD15C0007ULL);
+  GpRegressor small(fixed_options(GetParam()));
+  GpRegressor large(fixed_options(GetParam()));
+  feed(small, few, /*first=*/300, /*batch=*/1);
+  feed(large, many, /*first=*/300, /*batch=*/300);
+  ASSERT_EQ(large.num_points(), 30000u);
+  ASSERT_EQ(large.num_distinct(), small.num_distinct());
+  EXPECT_EQ(shape_length(large.snapshot().dump()),
+            shape_length(small.snapshot().dump()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, DistinctRowExactness,

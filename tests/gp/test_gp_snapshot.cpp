@@ -1,8 +1,8 @@
 // GP snapshot/restore is an exact-state transplant: the restored model
 // predicts bit-identically AND *continues* bit-identically (restore
-// re-derives the factor, standardization and distinct rows with the same
-// deterministic solve, and carries the diagnostics over, so future
-// incremental updates take the same code path with the same arithmetic).
+// re-derives the scaling, standardization and factor from the cells with
+// the same deterministic solve, and carries the diagnostics over, so
+// future updates run the same arithmetic).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -117,11 +117,7 @@ TEST(GpSnapshot, ContinuedUpdatesMatchTheUninterruptedModel) {
     EXPECT_EQ(bits(restored.predict_var(q)),
               bits(uninterrupted.predict_var(q)));
   }
-  // Same incremental-vs-rebuild path decisions on both sides.
-  EXPECT_EQ(restored.diagnostics().incremental_updates,
-            uninterrupted.diagnostics().incremental_updates);
-  EXPECT_EQ(restored.diagnostics().incremental_fallbacks,
-            uninterrupted.diagnostics().incremental_fallbacks);
+  EXPECT_EQ(restored.snapshot().dump(), uninterrupted.snapshot().dump());
 }
 
 TEST(GpSnapshot, DiagnosticsSurviveTheRoundTrip) {
@@ -164,38 +160,52 @@ TEST(GpSnapshot, RestoreRejectsMangledSnapshots) {
   original.fit(x, y);
 
   obs::json::Value snap = original.snapshot();
-  // Drop rows from y only: sizes disagree, restore must throw, and the
-  // target model must not be half-written into a fit state.
-  obs::json::Value mangled = obs::json::Value::parse(snap.dump());
+  // `snap` with cells.<key> replaced.
+  const auto with_cells = [&snap](const char* key, obs::json::Value value) {
+    obs::json::Value out = obs::json::Value::parse(snap.dump());
+    obs::json::Value cells = out.at("cells");
+    cells.set(key, std::move(value));
+    out.set("cells", std::move(cells));
+    return out;
+  };
+  // Drop cells from the counts only: sizes disagree, restore must throw,
+  // and the target model must not be half-written into a fit state.
   obs::json::Value shorter = obs::json::Value::array();
   shorter.push_back(obs::json::Value(1.0));
-  mangled.set("y_raw", std::move(shorter));
+  const obs::json::Value mangled = with_cells("count", std::move(shorter));
   GpRegressor victim(options);
   EXPECT_THROW(victim.restore(mangled), pamo::Error);
   EXPECT_FALSE(victim.is_fit());
 
   // A fitted target keeps its own state, bit for bit, through every
-  // rejected snapshot: a short noise_scale, a row of the wrong width, and
-  // hyperparameters of the wrong dimension.
+  // rejected snapshot: short weights, a weight above its count, a cell of
+  // the wrong width, and hyperparameters of the wrong dimension.
   Rng other_rng(106);
   const auto x2 = grid_inputs(10, other_rng);
   GpRegressor fitted(options);
   fitted.fit(x2, targets_of(x2, other_rng));
   const double before = fitted.predict_mean({1.0, 1.0});
-  obs::json::Value short_scales = obs::json::Value::parse(snap.dump());
-  short_scales.set("noise_scale", obs::json::Value::array());
-  obs::json::Value ragged = obs::json::Value::parse(snap.dump());
-  obs::json::Value rows = ragged.at("x_raw");
+  const obs::json::Value short_weights =
+      with_cells("weight", obs::json::Value::array());
+  obs::json::Value heavy = snap.at("cells").at("weight");
+  obs::json::Value heavier = obs::json::Value::array();
+  for (std::size_t i = 0; i < heavy.items().size(); ++i) {
+    heavier.push_back(obs::json::Value(i == 2 ? 2.5 : 1.0));
+  }
+  const obs::json::Value overweight = with_cells("weight", std::move(heavier));
+  obs::json::Value rows = snap.at("cells").at("x");
   obs::json::Value narrow = obs::json::Value::array();
   narrow.push_back(obs::json::Value(0.5));
   obs::json::Value patched = obs::json::Value::array();
   for (std::size_t i = 0; i < rows.items().size(); ++i) {
     patched.push_back(i == 3 ? narrow : rows.items()[i]);
   }
-  ragged.set("x_raw", std::move(patched));
+  const obs::json::Value ragged = with_cells("x", std::move(patched));
   obs::json::Value wrong_dim = obs::json::Value::parse(snap.dump());
   wrong_dim.set("dim", obs::json::Value(std::uint64_t{3}));
-  for (const auto* bad : {&mangled, &short_scales, &ragged, &wrong_dim}) {
+  const obs::json::Value* const rejected[] = {
+      &mangled, &short_weights, &overweight, &ragged, &wrong_dim};
+  for (const obs::json::Value* bad : rejected) {
     EXPECT_THROW(fitted.restore(*bad), pamo::Error);
     EXPECT_TRUE(fitted.is_fit());
     EXPECT_EQ(fitted.num_points(), x2.size());
@@ -219,13 +229,15 @@ TEST(GpSnapshot, SparseBackendSnapshotIsRejected) {
 }
 
 TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
-  // Checkpoints written before the distinct-row solve also carry the
-  // derived state over every raw row: scaled inputs x, standardized y, the
-  // n×n factor, alpha, the scaling and the factor epoch. Restore reads the
-  // raw rows, noise scales and hyperparameters and ignores the rest, so
-  // the result predicts exactly like a fixed-parameter fit on those rows.
-  // Builds with the CUSUM drift detector also wrote its score and
-  // counters; those are ignored too, and not written back.
+  // Checkpoints written before the cells carry every raw row with its
+  // noise scale, and some also the derived state over the rows: scaled
+  // inputs x, standardized y, the n×n factor, alpha, the scaling and the
+  // factor epoch. Restore folds the raw rows into cells, each with weight
+  // 1/λ, and ignores the rest, so the result predicts exactly like a
+  // fixed-parameter fit on those rows. Builds with the CUSUM drift
+  // detector also wrote its score and counters, and builds with the
+  // factor-extension update their update-path counters; those are ignored
+  // too, and not written back.
   KernelParams params;
   params.log_lengthscales = {std::log(0.4), std::log(0.7)};
   params.log_signal_var = 0.0;
@@ -239,7 +251,13 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   GpRegressor fixed_fit(options);
   fixed_fit.fit(x, y);
 
-  obs::json::Value parent = fixed_fit.snapshot();
+  obs::json::Value parent = obs::json::Value::object();
+  parent.set("dim", obs::json::Value(std::uint64_t{2}));
+  parent.set("x_raw", ckpt::codec::rows_to_json(x));
+  parent.set("y_raw", ckpt::codec::doubles_to_json(y));
+  parent.set("noise_scale",
+             ckpt::codec::doubles_to_json(std::vector<double>(x.size(), 1.0)));
+  parent.set("params", fixed_fit.snapshot().at("params"));
   std::vector<std::vector<double>> scaled;
   for (const auto& row : x) scaled.push_back({row[0] / 4.0, row[1] / 3.0});
   la::Matrix k = kernel_matrix(options.kernel, params, scaled);
@@ -255,7 +273,9 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   parent.set("alpha", ckpt::codec::doubles_to_json(chol->solve(y)));
   parent.set("factor_epoch", obs::json::Value(std::uint64_t{7}));
   parent.set("drift_cusum", obs::json::Value(1.5));
-  obs::json::Value diagnostics = parent.at("diagnostics");
+  obs::json::Value diagnostics = fixed_fit.snapshot().at("diagnostics");
+  diagnostics.set("incremental_updates", obs::json::Value(std::uint64_t{4}));
+  diagnostics.set("incremental_fallbacks", obs::json::Value(std::uint64_t{1}));
   diagnostics.set("drift_fires", obs::json::Value(std::uint64_t{2}));
   diagnostics.set("drift_downweighted", obs::json::Value(std::uint64_t{12}));
   diagnostics.set("drift_score", obs::json::Value(0.75));
@@ -271,6 +291,29 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
     EXPECT_EQ(bits(restored.predict_var(q)), bits(fixed_fit.predict_var(q)));
   }
   EXPECT_EQ(restored.snapshot().dump(), fixed_fit.snapshot().dump());
+
+  // A robust-inflated row folds into its cell with weight 1/λ, and the
+  // cells then keep learning like those of a new-format checkpoint.
+  std::vector<double> lambda(x.size(), 1.0);
+  lambda[2] = 4.0;  // the second row at {0, 1}
+  obs::json::Value inflated = obs::json::Value::parse(parent.dump());
+  inflated.set("noise_scale", ckpt::codec::doubles_to_json(lambda));
+  GpRegressor folded(options);
+  folded.restore(inflated);
+  const obs::json::Value cell = folded.snapshot().at("cells");
+  EXPECT_EQ(cell.at("count").items()[0].as_double(), 2.0);  // pamo-analyze: allow(float-eq)
+  EXPECT_EQ(cell.at("weight").items()[0].as_double(), 1.25);  // pamo-analyze: allow(float-eq)
+  EXPECT_NEAR(cell.at("mean").items()[0].as_double(), 0.35, 1e-15);
+  EXPECT_NEAR(cell.at("wmean").items()[0].as_double(),
+              (0.3 + 0.25 * 0.4) / 1.25, 1e-15);
+  GpRegressor resumed(options);
+  resumed.restore(folded.snapshot());
+  const std::vector<std::vector<double>> xb = {{0.0, 1.0}, {3.0, 3.0}};
+  const std::vector<double> yb = {0.35, 0.9};
+  folded.update(xb, yb);
+  resumed.update(xb, yb);
+  EXPECT_EQ(resumed.snapshot().dump(), folded.snapshot().dump());
+  EXPECT_EQ(folded.num_points(), x.size() + xb.size());
 }
 
 }  // namespace

@@ -127,78 +127,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskySizeSweep,
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// The grown factor must match a from-scratch factorization of the full
-/// matrix bit-for-bit (extend()'s documented contract).
-void expect_extend_matches_refactorization(std::size_t n, std::size_t m,
-                                           Rng& rng) {
-  const Matrix full = random_spd(n + m, rng);
-  Matrix head(n, n);
-  Matrix cross(m, n);
-  Matrix corner(m, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) head(i, j) = full(i, j);
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t j = 0; j < n; ++j) cross(r, j) = full(n + r, j);
-    for (std::size_t c = 0; c < m; ++c) corner(r, c) = full(n + r, n + c);
-  }
-  Cholesky grown(head);
-  ASSERT_TRUE(grown.extend(cross, corner));
-  const Cholesky direct(full);
-  ASSERT_EQ(grown.lower().rows(), n + m);
-  for (std::size_t i = 0; i < n + m; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      EXPECT_EQ(bits(grown.lower()(i, j)), bits(direct.lower()(i, j)))
-          << "entry (" << i << ", " << j << ") at n=" << n << " m=" << m;
-    }
-  }
-}
-
-TEST(CholeskyExtend, DegenerateShapesMatchRefactorizationBitForBit) {
-  Rng rng(61);
-  expect_extend_matches_refactorization(/*n=*/1, /*m=*/1, rng);  // 1x1 seed
-  expect_extend_matches_refactorization(/*n=*/1, /*m=*/5, rng);
-  expect_extend_matches_refactorization(/*n=*/6, /*m=*/1, rng);  // one column
-  expect_extend_matches_refactorization(/*n=*/7, /*m=*/4, rng);
-}
-
-TEST(CholeskyExtend, RejectsEmptyExtension) {
-  // k = 0 new rows is a caller bug, not a no-op: the precondition fires.
-  Rng rng(62);
-  Cholesky chol(random_spd(3, rng));
-  EXPECT_THROW((void)chol.extend(Matrix(0, 3), Matrix(0, 0)), Error);
-}
-
-TEST(CholeskyExtend, RefusesNonPdSchurComplementAndStaysUsable) {
-  // corner − cross A⁻¹ crossᵀ = 0.5 − 1 < 0: the extension must refuse
-  // and leave the factor byte-identical for the refit fallback.
-  const Cholesky pristine(Matrix::identity(2));
-  Cholesky chol(Matrix::identity(2));
-  Matrix cross(1, 2, 0.0);
-  cross(0, 0) = 1.0;
-  Matrix corner(1, 1, 0.5);
-  EXPECT_FALSE(chol.extend(cross, corner));
-  ASSERT_EQ(chol.lower().rows(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(bits(chol.lower()(i, j)), bits(pristine.lower()(i, j)));
-    }
-  }
-  // A still-PD corner on the same factor succeeds afterwards.
-  corner(0, 0) = 2.0;
-  EXPECT_TRUE(chol.extend(cross, corner));
-  EXPECT_EQ(chol.lower().rows(), 3u);
-}
-
-TEST(CholeskyExtend, RefusesJitteredFactor) {
-  // A jitter-repaired factor cannot be extended exactly: the full
-  // refactorization would rerun the ladder from zero.
-  Matrix a(2, 2, 1.0);  // rank-1 PSD, forces jitter
-  Cholesky chol(a);
-  ASSERT_GT(chol.jitter(), 0.0);
-  EXPECT_FALSE(chol.extend(Matrix(1, 2, 0.1), Matrix(1, 1, 2.0)));
-}
-
 TEST(CholeskyBatched, MatrixSolvesMatchVectorSolvesBitForBit) {
   // The batched solve_lower/solve_upper claim per-column arithmetic
   // identical to the vector solves — including at the degenerate shapes:

@@ -1,8 +1,7 @@
-// Property tests for the blocked / batched / incremental la kernels over
-// seeded random inputs: the fast paths must agree with naive references —
-// and, where the implementation argues bit-for-bit equivalence (blocked
-// matmul, batched substitution, Cholesky extension), the comparison is
-// exact, not approximate.
+// Property tests for the blocked / batched la kernels over seeded random
+// inputs: the fast paths must agree with naive references — and, where the
+// implementation argues bit-for-bit equivalence (blocked matmul, batched
+// substitution), the comparison is exact, not approximate.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -149,114 +148,6 @@ TEST(LaProperties, MatrixSolveLeavesSmallResidual) {
       EXPECT_NEAR(ax(i, c), b(i, c), 1e-8);
     }
   }
-}
-
-// ---- incremental Cholesky extension ---------------------------------------
-
-/// Build the (n+m)×(n+m) matrix [[A, crossᵀ], [cross, corner]].
-Matrix grown_matrix(const Matrix& a, const Matrix& cross,
-                    const Matrix& corner) {
-  const std::size_t n = a.rows();
-  const std::size_t m = corner.rows();
-  Matrix full(n + m, n + m);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) full(i, j) = a(i, j);
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      full(n + i, j) = cross(i, j);
-      full(j, n + i) = cross(i, j);
-    }
-    for (std::size_t j = 0; j < m; ++j) full(n + i, n + j) = corner(i, j);
-  }
-  return full;
-}
-
-TEST(LaProperties, ExtendMatchesFromScratchFactorBitForBit) {
-  Rng rng(0x5eed0007ULL);
-  for (std::size_t m : {1ul, 3ul, 8ul}) {
-    const std::size_t n = 24;
-    // Grow an SPD matrix of order n+m and factor its leading block, so the
-    // extension below reproduces the full factorization exactly.
-    const Matrix src = random_matrix(rng, n + m, n + m);
-    Matrix full = matmul(src.transposed(), src);
-    full.add_diagonal(static_cast<double>(n + m));
-    Matrix lead(n, n);
-    Matrix cross(m, n);
-    Matrix corner(m, m);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) lead(i, j) = full(i, j);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) cross(i, j) = full(n + i, j);
-      for (std::size_t j = 0; j < m; ++j) corner(i, j) = full(n + i, n + j);
-    }
-    Cholesky incremental(lead);
-    ASSERT_TRUE(incremental.extend(cross, corner));
-    const Cholesky scratch(full);
-    expect_identical(incremental.lower(), scratch.lower());
-    EXPECT_EQ(incremental.jitter(), 0.0);  // pamo-analyze: allow(float-eq)
-  }
-}
-
-TEST(LaProperties, ExtendedFactorSolvesTheGrownSystem) {
-  Rng rng(0x5eed0008ULL);
-  const std::size_t n = 20;
-  const std::size_t m = 4;
-  const Matrix a = random_spd(rng, n);
-  Cholesky chol(a);
-  const Matrix cross = random_matrix(rng, m, n);
-  // corner = cross·A⁻¹·crossᵀ + m·I keeps the Schur complement positive.
-  const Matrix inv_cross = chol.solve(cross.transposed());
-  Matrix corner = matmul(cross, inv_cross);
-  corner.add_diagonal(static_cast<double>(m));
-  const Matrix full = grown_matrix(a, cross, corner);
-  ASSERT_TRUE(chol.extend(cross, corner));
-  const Matrix b = random_matrix(rng, n + m, 3);
-  const Matrix x = chol.solve(b);
-  const Matrix ax = matmul(full, x);
-  for (std::size_t i = 0; i < n + m; ++i) {
-    for (std::size_t c = 0; c < b.cols(); ++c) {
-      EXPECT_NEAR(ax(i, c), b(i, c), 1e-8);
-    }
-  }
-}
-
-TEST(LaProperties, ExtendRefusesJitteredFactor) {
-  // A singular matrix forces the jitter ladder; the resulting factor must
-  // refuse extension (the ladder re-runs on the full matrix, which an
-  // extension cannot imitate).
-  const std::size_t n = 6;
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = 1.0;
-  }
-  Cholesky chol(a, /*max_jitter=*/1.0);
-  ASSERT_GT(chol.jitter(), 0.0);
-  const Matrix before = chol.lower();
-  Matrix cross(1, n, 0.5);
-  Matrix corner(1, 1, 10.0);
-  EXPECT_FALSE(chol.extend(cross, corner));
-  expect_identical(chol.lower(), before);
-}
-
-TEST(LaProperties, ExtendRefusesNonPositiveSchurComplement) {
-  Rng rng(0x5eed0009ULL);
-  const std::size_t n = 10;
-  const Matrix a = random_spd(rng, n);
-  Cholesky chol(a);
-  const Matrix before = chol.lower();
-  // A zero corner cannot dominate cross·A⁻¹·crossᵀ: Schur diag goes
-  // non-positive and the factor must stay untouched.
-  Matrix cross(2, n, 1.0);
-  Matrix corner(2, 2, 0.0);
-  EXPECT_FALSE(chol.extend(cross, corner));
-  expect_identical(chol.lower(), before);
-  // The refused factor must still be usable.
-  const Vector b(n, 1.0);
-  const Vector x = chol.solve(b);
-  const Vector ax = matvec(a, x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
 }
 
 TEST(LaProperties, FactorReproducesInputToTolerance) {

@@ -204,7 +204,6 @@ TEST(ShardMerge, FleetBenefitWithinDeclaredFactorOfFlat) {
   core::PamoOptions flat_options;
   flat_options.use_true_preference = true;
   flat_options.init_profiles = 24;
-  flat_options.max_model_points = 96;
   flat_options.init_observations = 3;
   flat_options.mc_samples = 16;
   flat_options.batch_size = 2;
