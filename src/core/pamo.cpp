@@ -280,6 +280,9 @@ PamoScheduler::Observation PamoScheduler::observe(
 
   eva::TelemetryCorruption* telemetry = options_.telemetry;
   const bool corrupting = telemetry != nullptr && telemetry->enabled();
+  // A lost or non-finite report is replaced by the models' belief, which
+  // must include every profile taken so far.
+  if (corrupting) feed_models();
 
   const eva::Profiler profiler;
   std::vector<eva::StreamMeasurement> measurements;
@@ -344,6 +347,13 @@ PamoScheduler::Observation PamoScheduler::observe(
   return obs;
 }
 
+OutcomeModels PamoScheduler::take_outcome_models(PamoResult& result) {
+  const gp::GpFitDiagnostics before = models_.diagnostics();
+  feed_models();
+  add_model_health(result.health, models_.diagnostics(), before);
+  return std::move(models_);
+}
+
 void PamoScheduler::feed_models() {
   if (feed_configs_.empty()) return;
   // Hand the rows over before updating: a refit that throws (a failed
@@ -367,6 +377,7 @@ void PamoScheduler::heuristic_fallback(PamoResult& result,
                                        Rng& rng) {
   health_.heuristic_fallback = true;
   if (!models_.is_fit()) return;  // nothing to score with
+  feed_models();
   // One clean "scenario" built from posterior point estimates — no MC
   // sampling, no acquisition, just Algorithm 1 feasibility plus the
   // models' best guess of each candidate's utility.
@@ -393,6 +404,8 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   Rng rng(options_.seed);
   PamoResult result;
   health_ = {};
+  feed_configs_.clear();  // left by a run() that threw
+  feed_measurements_.clear();
   const std::size_t queries_before = oracle.queries_answered();
   bo::EpochWatchdog watchdog(options_.watchdog);
   watchdog.arm();
@@ -407,17 +420,18 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     PAMO_SPAN("pamo.phase1_warm_start");
     // Continual learning: transplant the retained bank — posteriors and
     // noise downweights included — and re-anchor it with a few fresh
-    // profiles through update(). The expensive MLE refit never runs.
+    // profiles. The expensive MLE refit never runs. The profiles wait for
+    // the first feed_models(), so without an earlier read of the models
+    // they fold in with the initial observations in one update.
     models_ = *options_.warm_start;
     warm_base = models_.diagnostics();
     health_.warm_started = true;
-    const Phase1Profiles fresh =
+    Phase1Profiles fresh =
         profile_phase1(workload_, options_.warm_profiles, rng,
                        options_.telemetry, kPhase1Tag);
     health_.samples_rejected += fresh.dropped;
-    if (!fresh.configs.empty()) {
-      models_.update(fresh.configs, fresh.measurements);
-    }
+    feed_configs_ = std::move(fresh.configs);
+    feed_measurements_ = std::move(fresh.measurements);
     profiles_taken_ = options_.warm_profiles;
   } else {
     PAMO_SPAN("pamo.phase1_outcome_fit");
@@ -439,6 +453,7 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
     } else if (!options_.use_true_preference) {
       // Model-mean outcome vectors of feasible candidates: what the
       // system can show the decision-maker without extra measurements.
+      feed_models();
       const std::vector<la::Matrix> means = mean_tables(models_);
       std::vector<std::vector<double>> pool;
       pool.reserve(options_.pref_pool_size);
@@ -627,14 +642,6 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       watchdog.record_failure(e.what());
     }
   }
-  // The last batch: the retained bank of a continual service learns it.
-  try {
-    feed_models();
-  } catch (const Error& e) {
-    if (!watchdog.enabled()) throw;
-    watchdog.record_failure(e.what());
-  }
-
   // Final recommendation: the observed configuration with the highest
   // *believed* benefit (the model, not the ground truth, does the picking).
   std::size_t best = 0;

@@ -84,14 +84,16 @@ struct PamoOptions {
   /// Warm start (continual learning): when set and fit, Phase 1 copies
   /// this retained outcome-model bank instead of profiling init_profiles
   /// fresh samples and re-running the MLE from scratch; only
-  /// `warm_profiles` fresh profiles are taken and folded in through
-  /// OutcomeModels::update, like every Phase-3 measurement after them.
-  /// The bank stores per-cell statistics over the knob grid, so it keeps
-  /// learning in every epoch at a size bounded by the grid. The copied bank
-  /// keeps its own GpOptions and hyperparameters. Because the bank pools
-  /// all streams per metric, surviving streams reuse their posterior
-  /// evidence and newcomers inherit the pooled prior mean automatically. The fleet path hands every shard the bank
-  /// it fit over the whole fleet this way (core/fleet.hpp). Externally
+  /// `warm_profiles` fresh profiles are taken, and they fold in with the
+  /// first Phase-3 batch through OutcomeModels::update, like every
+  /// Phase-3 measurement after them. The bank stores per-cell statistics
+  /// over the knob grid, so it keeps learning in every epoch at a size
+  /// bounded by the grid. The copied bank keeps its own GpOptions and
+  /// hyperparameters. Because the bank pools all streams per metric,
+  /// surviving streams reuse their posterior evidence and newcomers
+  /// inherit the pooled prior mean automatically. The fleet path hands
+  /// every shard the bank it fit over the whole fleet this way
+  /// (core/fleet.hpp). Externally
   /// owned and only read; null = cold start.
   const OutcomeModels* warm_start = nullptr;
   /// Fresh profiles taken when warm-starting (cheap re-anchoring).
@@ -228,9 +230,11 @@ class PamoScheduler {
   /// Run all three phases against the decision-maker oracle.
   PamoResult run(pref::PreferenceOracle& oracle);
 
-  [[nodiscard]] const OutcomeModels& outcome_models() const {
-    return models_;
-  }
+  /// Once run() has returned: fold in the last batch, which run() leaves
+  /// pending because a caller that drops the bank (a fleet shard) needs
+  /// no update for it, add that update's diagnostics to result.health,
+  /// and move the bank out.
+  [[nodiscard]] OutcomeModels take_outcome_models(PamoResult& result);
 
   /// Auto-enable the robust GP / preference options when a telemetry
   /// corruption model is attached and enabled (no-op otherwise, keeping
@@ -258,8 +262,9 @@ class PamoScheduler {
   Observation observe(const eva::JointConfig& config,
                       sched::ScheduleResult schedule, Rng& rng);
 
-  /// Fold every profile observed since the last call into the outcome
+  /// Fold every profile taken since the last call into the outcome
   /// models with one update (line 17 of Algorithm 2, once per batch).
+  /// Called before every read of the models.
   void feed_models();
 
   /// Utility of a normalized outcome vector under the current preference
@@ -285,7 +290,8 @@ class PamoScheduler {
   OutcomeModels models_;
   std::optional<pref::PreferenceLearner> learner_;  // owned (default mode)
   pref::PreferenceLearner* active_learner_ = nullptr;
-  // Profiles observe() took that feed_models() has not handed over yet.
+  // Profiles (warm Phase 1, observe()) feed_models() has not handed
+  // over yet.
   std::vector<eva::StreamConfig> feed_configs_;
   std::vector<eva::StreamMeasurement> feed_measurements_;
   std::size_t profiles_taken_ = 0;

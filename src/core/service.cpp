@@ -404,10 +404,11 @@ SchedulingService::EpochReport SchedulingService::run_epoch(
 
       PamoScheduler scheduler(active, options);
       result = scheduler.run(oracle);
-      if (scheduler.outcome_models().is_fit()) {
-        // Copy (never move — the scheduler still owns its run) so the
-        // fitted model bank rides along in snapshot(). No RNG is touched.
-        retained_models_ = scheduler.outcome_models();
+      OutcomeModels bank = scheduler.take_outcome_models(result);
+      if (bank.is_fit()) {
+        // The fitted model bank rides along in snapshot(). No RNG is
+        // touched.
+        retained_models_ = std::move(bank);
       }
     }
   } catch (const Error& e) {

@@ -105,7 +105,7 @@ void GpRegressor::fit(std::vector<std::vector<double>> x,
   for (const auto& row : x) {
     PAMO_CHECK(row.size() == dim_, "ragged input matrix");
   }
-  for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_}) {
+  for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_, &hi_, &lo_}) {
     cells->clear();
   }
   cell_x_.clear();
@@ -161,6 +161,7 @@ void GpRegressor::absorb(const std::vector<std::vector<double>>& x,
     for (std::size_t round = 0; round < kRobustRounds; ++round) {
       if (!reweight_outliers(batch)) break;
     }
+    note_extremes(batch);
   }
 }
 
@@ -221,6 +222,8 @@ std::size_t GpRegressor::cell_of(const std::vector<double>& x) {
   for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_}) {
     cells->push_back(0.0);
   }
+  hi_.push_back(-std::numeric_limits<double>::infinity());
+  lo_.push_back(std::numeric_limits<double>::infinity());
   return cell_x_.size() - 1;
 }
 
@@ -347,18 +350,36 @@ void GpRegressor::solve_system() {
   ++factor_epoch_;  // the posterior workspace's V is now stale
 }
 
-bool GpRegressor::reweight_outliers(Batch& batch) {
+double GpRegressor::robust_z(std::size_t cell, double y,
+                             double lambda) const {
   const double noise = std::exp(params_.log_noise_var);
+  // Posterior mean at the cell's input: μ_i = ȳ_i − (σ²/W_i)·α_i.
+  const double mu = y_[cell] - noise / weight_[cell] * alpha_[cell];
+  return ((y - y_mean_) / y_std_ - mu) / std::sqrt(noise * lambda);
+}
+
+bool GpRegressor::reweight_outliers(Batch& batch) {
+  // Earlier rows are judged in the same round as the batch, as one IRLS
+  // over every row would: each crossing row's λ grows with its own
+  // residual, so an old outlier that clean rows expose is inflated the
+  // most instead of masked by them.
+  pull_extremes(batch);
+  const bool changed = inflate_outliers(batch);
+  if (changed) {
+    fold_weights(batch);
+    solve_system();
+  }
+  return changed;
+}
+
+bool GpRegressor::inflate_outliers(Batch& batch) {
+  const double threshold = options_.robust_threshold;
   bool changed = false;
   for (std::size_t j = 0; j < batch.cell.size(); ++j) {
-    const std::size_t i = batch.cell[j];
-    // Posterior mean at the row's input: μ_i = ȳ_i − (σ²/W_i)·α_i.
-    const double mu = y_[i] - noise / weight_[i] * alpha_[i];
     double& lambda = batch.noise_scale[j];
-    const double z =
-        ((batch.y[j] - y_mean_) / y_std_ - mu) / std::sqrt(noise * lambda);
-    if (std::fabs(z) <= options_.robust_threshold) continue;
-    const double ratio = std::fabs(z) / options_.robust_threshold;
+    const double z = robust_z(batch.cell[j], batch.y[j], lambda);
+    if (std::fabs(z) <= threshold) continue;
+    const double ratio = std::fabs(z) / threshold;
     const double target =
         std::min(kRobustInflationCap, lambda * ratio * ratio);
     if (target > lambda) {
@@ -369,11 +390,44 @@ bool GpRegressor::reweight_outliers(Batch& batch) {
       changed = true;
     }
   }
-  if (changed) {
-    fold_weights(batch);
-    solve_system();
-  }
   return changed;
+}
+
+void GpRegressor::pull_extremes(Batch& batch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < hi_.size(); ++i) {
+    for (double* extreme : {&hi_[i], &lo_[i]}) {
+      const double y = *extreme;
+      if (!std::isfinite(y) ||
+          std::fabs(robust_z(i, y, 1.0)) <= options_.robust_threshold) {
+        continue;
+      }
+      // Take the row's unit weight out of the cell's statistics from
+      // before the call; every other row weighs at least 1/cap.
+      double& w = batch.base_weight[i];
+      double& wmean = batch.base_wmean[i];
+      const double rest = w - 1.0;
+      const bool others = rest > 0.5 / kRobustInflationCap;
+      wmean = others ? (w * wmean - y) / rest : 0.0;
+      w = others ? rest : 0.0;
+      batch.cell.push_back(i);
+      batch.y.push_back(y);
+      batch.noise_scale.push_back(1.0);
+      // hi == lo may be one row, which must not be pulled twice.
+      const bool one_row = hi_[i] == lo_[i];  // pamo-analyze: allow(float-eq)
+      if (one_row || extreme == &hi_[i]) hi_[i] = -kInf;
+      if (one_row || extreme == &lo_[i]) lo_[i] = kInf;
+    }
+  }
+}
+
+void GpRegressor::note_extremes(const Batch& batch) {
+  for (std::size_t j = 0; j < batch.cell.size(); ++j) {
+    if (batch.noise_scale[j] != 1.0) continue;  // pamo-analyze: allow(float-eq)
+    const std::size_t i = batch.cell[j];
+    hi_[i] = std::max(hi_[i], batch.y[j]);
+    lo_[i] = std::min(lo_[i], batch.y[j]);
+  }
 }
 
 mle::GroupMoments GpRegressor::unit_moments() const {
@@ -490,15 +544,25 @@ Posterior GpRegressor::posterior(
     post.mean[i] = y_mean_ + y_std_ * sum;
   }
 
-  // cov = K** - K*ᵀ (K + σ²I)⁻¹ K* = K** - VᵀV with V = L⁻¹ K*ᵀ. The
-  // blocked product accumulates r-ascending per element, so VᵀV is exactly
-  // symmetric and matches the naive triangle loop term-for-term.
-  const la::Matrix vtv = la::matmul_blocked(ws.v.transposed(), ws.v);
+  // cov = K** - K*ᵀ (K + σ²I)⁻¹ K* = K** - VᵀV with V = L⁻¹ K*ᵀ. VᵀV is
+  // formed on and above the diagonal, each entry accumulated over r
+  // ascending (as la::matmul_blocked(Vᵀ, V) does), and mirrored, so it is
+  // exactly symmetric at half the products.
+  la::Matrix vtv(m, m, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const double vri = ws.v(r, i);
+      // Exact-zero skip, as in matmul_blocked.
+      if (vri == 0.0) continue;  // pamo-analyze: allow(float-eq)
+      for (std::size_t j = i; j < m; ++j) vtv(i, j) += vri * ws.v(r, j);
+    }
+  }
   post.covariance = la::Matrix(m, m);
   const double scale2 = y_std_ * y_std_;
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
-      post.covariance(i, j) = (ws.k_test(i, j) - vtv(i, j)) * scale2;
+      const double cross = j >= i ? vtv(i, j) : vtv(j, i);
+      post.covariance(i, j) = (ws.k_test(i, j) - cross) * scale2;
     }
   }
   PAMO_ENSURES(post.mean.size() == m && post.covariance.rows() == m &&

@@ -56,9 +56,10 @@ struct GpOptions {
   /// outlier is then explained as noise instead of bending the posterior
   /// mean. No-op (bit-for-bit) when no residual crosses the threshold.
   /// At most kRobustRounds passes, each factor capped at
-  /// kRobustInflationCap. The rounds reweight only the rows of the
-  /// fit()/update() call in hand; a row keeps its factor once it has
-  /// folded into its cell.
+  /// kRobustInflationCap. The rounds reweight the rows of the
+  /// fit()/update() call in hand, plus each cell's largest and smallest
+  /// earlier full-weight target, which a later posterior may flag; a
+  /// flagged row keeps its factor once it has folded into its cell.
   bool robust_noise = false;
   double robust_threshold = 3.0;
   std::uint64_t seed = 0xC0FFEE;
@@ -179,7 +180,7 @@ class GpRegressor {
   /// The rows of one fit()/update() call, alive only during it: their
   /// cells, raw targets and noise scales λ_j (1 until a robust round
   /// inflates one), over the cells' weighted statistics from before the
-  /// call.
+  /// call, plus the earlier rows a robust round pulled out of them.
   struct Batch {
     std::vector<std::size_t> cell;
     std::vector<double> y;
@@ -226,14 +227,23 @@ class GpRegressor {
   [[nodiscard]] bool solved_over_all_cells() const {
     const std::size_t n = cell_x_.size();
     return count_.size() == n && mean_.size() == n && m2_.size() == n &&
-           weight_.size() == n && wmean_.size() == n && x_.size() == n &&
-           alpha_.size() == n;
+           weight_.size() == n && wmean_.size() == n && hi_.size() == n &&
+           lo_.size() == n && x_.size() == n && alpha_.size() == n;
   }
   /// One pass of iteratively reweighted noise over the batch: inflate the
   /// noise scales of rows with large standardized residuals, then re-fold
-  /// and re-solve. Returns false (leaving the solve untouched, bit-for-bit)
-  /// when no residual crosses the threshold.
+  /// and re-solve; the cells' extremes are judged in the same round.
+  /// Returns false (leaving the solve untouched, bit-for-bit) when no
+  /// residual crosses the threshold.
   bool reweight_outliers(Batch& batch);
+  bool inflate_outliers(Batch& batch);
+  /// Move each cell extreme whose residual crosses the threshold out of
+  /// the base statistics into the batch at λ = 1, and clear its slot.
+  void pull_extremes(Batch& batch);
+  [[nodiscard]] double robust_z(std::size_t cell, double y,
+                                double lambda) const;
+  /// Record the batch's full-weight targets as their cells' extremes.
+  void note_extremes(const Batch& batch);
   /// Drop non-finite rows (reject_nonfinite) or reject them loudly.
   void sanitize(std::vector<std::vector<double>>& x, std::vector<double>& y);
   [[nodiscard]] std::vector<double> scale_input(
@@ -260,6 +270,12 @@ class GpRegressor {
   std::vector<double> m2_;
   std::vector<double> weight_;
   std::vector<double> wmean_;
+  // Robust fit only: the largest and smallest target among the cell's
+  // full-weight (λ = 1) rows, the ones a later posterior flags first
+  // (−∞ / +∞ when none is known: a pulled extreme's slot waits for the
+  // next full-weight row).
+  std::vector<double> hi_;
+  std::vector<double> lo_;
   KernelParams params_;
   mutable GpFitDiagnostics diagnostics_;
 

@@ -1,14 +1,17 @@
 // GpRegressor checkpoint serialization (see gp_regressor.hpp).
 //
 // The snapshot carries the source of truth only: the cells (inputs, unit
-// moments, weights and weighted means), hyperparameters and diagnostics,
+// moments, weights and weighted means, and under the robust fit their
+// full-weight extremes), hyperparameters and diagnostics,
 // so its size is bounded by the number of distinct inputs. Restore
 // re-derives the scaling, the standardization, the factor and alpha with
 // one solve and no MLE. fit() and update() leave the factor of exactly that
 // solve over the cells they store (the robust rounds' last solve is over
 // the folded weights), so the restored model predicts — and keeps
 // updating — bit-for-bit like the original.
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ckpt/codec.hpp"
@@ -69,6 +72,25 @@ GpFitDiagnostics diagnostics_from_json(const json::Value& v) {
   return d;
 }
 
+/// A cell extreme, or null where the cell has none (±∞ in memory).
+json::Value extremes_to_json(const std::vector<double>& values) {
+  json::Value arr = json::Value::array();
+  for (const double v : values) {
+    arr.push_back(std::isfinite(v) ? json::Value(v) : json::Value());
+  }
+  return arr;
+}
+
+std::vector<double> extremes_from_json(const json::Value& v, double none) {
+  std::vector<double> out;
+  out.reserve(v.items().size());
+  for (const auto& item : v.items()) {
+    out.push_back(item.kind() == json::Value::Kind::kNull ? none
+                                                          : item.as_double());
+  }
+  return out;
+}
+
 }  // namespace
 
 // pamo-analyze: snapshot(GpRegressor)
@@ -84,6 +106,10 @@ json::Value GpRegressor::snapshot() const {
   cells.set("m2", codec::doubles_to_json(m2_));
   cells.set("weight", codec::doubles_to_json(weight_));
   cells.set("wmean", codec::doubles_to_json(wmean_));
+  if (options_.robust_noise) {
+    cells.set("hi", extremes_to_json(hi_));
+    cells.set("lo", extremes_to_json(lo_));
+  }
   json::Value obj = json::Value::object();
   obj.set("dim", json::Value(std::uint64_t{dim_}));
   obj.set("cells", std::move(cells));
@@ -113,9 +139,17 @@ void GpRegressor::restore(const json::Value& snap) {
     fresh.weight_ = codec::doubles_from_json(cells->at("weight"));
     fresh.wmean_ = codec::doubles_from_json(cells->at("wmean"));
     const std::size_t n = fresh.cell_x_.size();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const json::Value* hi = cells->find("hi");
+    const json::Value* lo = cells->find("lo");
+    fresh.hi_ = hi != nullptr ? extremes_from_json(*hi, -kInf)
+                              : std::vector<double>(n, -kInf);
+    fresh.lo_ = lo != nullptr ? extremes_from_json(*lo, kInf)
+                              : std::vector<double>(n, kInf);
     PAMO_CHECK(fresh.count_.size() == n && fresh.mean_.size() == n &&
                    fresh.m2_.size() == n && fresh.weight_.size() == n &&
-                   fresh.wmean_.size() == n,
+                   fresh.wmean_.size() == n && fresh.hi_.size() == n &&
+                   fresh.lo_.size() == n,
                "GP snapshot is internally inconsistent: the cell arrays "
                "differ in length");
     for (std::size_t i = 0; i < n; ++i) {
@@ -153,6 +187,11 @@ void GpRegressor::restore(const json::Value& snap) {
       const std::size_t cell = fresh.cell_of(x[j]);
       fresh.fold_unit(cell, y[j]);
       fresh.fold_weight(cell, y[j], 1.0 / lambda[j]);
+      // pamo-analyze: allow(float-eq)
+      if (fresh.options_.robust_noise && lambda[j] == 1.0) {
+        fresh.hi_[cell] = std::max(fresh.hi_[cell], y[j]);
+        fresh.lo_[cell] = std::min(fresh.lo_[cell], y[j]);
+      }
     }
   }
   if (fresh.is_fit()) {

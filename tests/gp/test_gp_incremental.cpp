@@ -3,8 +3,8 @@
 // bit-for-bit invisible: after any sequence of updates a model must agree
 // EXACTLY with a cold model rebuilt from its snapshot (one solve over the
 // same cells, no cached tables), and — the robust rounds aside, which
-// reweight only the batch in hand — with a fresh fit on the union of every
-// row it was fed, in the same order.
+// reweight the batch in hand and the cells' earlier extremes — with a
+// fresh fit on the union of every row it was fed, in the same order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -143,7 +143,7 @@ TEST(GpIncremental, UpdateEqualsFreshFitOnUnion) {
   EXPECT_EQ(updated.snapshot().dump(), fresh.snapshot().dump());
 }
 
-TEST(GpIncremental, RobustUpdateReweightsOnlyItsBatch) {
+TEST(GpIncremental, RobustUpdateLeavesCleanEarlierRowsAlone) {
   Rng rng(0x16c00005ULL);
   auto x0 = make_seed_points(rng, 18);
   auto y0 = targets_of(x0);
@@ -164,8 +164,8 @@ TEST(GpIncremental, RobustUpdateReweightsOnlyItsBatch) {
   gp.update(xb, yb);
   EXPECT_GT(gp.diagnostics().outliers_downweighted, fit_outliers);
 
-  // The fit's rows keep the weights they folded in with: no round of the
-  // update revisits them, so every old cell is unchanged bit for bit.
+  // The fit's rows are clean, so no round of the update pulls one back:
+  // every old cell is unchanged bit for bit.
   const obs::json::Value after = gp.snapshot().at("cells");
   const std::size_t old_cells = before.at("weight").items().size();
   ASSERT_EQ(after.at("weight").items().size(), old_cells + 2);
@@ -180,6 +180,42 @@ TEST(GpIncremental, RobustUpdateReweightsOnlyItsBatch) {
   Rng qrng(0x16c00006ULL);
   expect_posteriors_identical(gp, rebuilt(gp, options),
                               make_points(qrng, 6, 0.2, 0.8));
+}
+
+TEST(GpIncremental, RobustUpdateFlagsAnEarlierRowALaterPosteriorExposes) {
+  // Seed rows in one corner, so nothing near {0.8, 0.2} contradicts the
+  // first row that lands there: the posterior follows that corrupt row
+  // and its own batch does not flag it.
+  Rng rng(0x16c0000bULL);
+  auto x0 = concat(make_points(rng, 18, 0.0, 0.4), {{0.0, 0.0}, {1.0, 1.0}});
+  GpOptions options = fixed_options();
+  options.fixed_params->log_noise_var = std::log(0.03);
+  options.robust_noise = true;
+  GpRegressor gp(options);
+  gp.fit(x0, targets_of(x0));
+  const std::vector<double> p = {0.8, 0.2};
+  gp.update({p}, {target(p) + 1.0});
+  ASSERT_EQ(gp.diagnostics().outliers_downweighted, 0u);
+  EXPECT_GT(gp.predict_mean(p) - target(p), 0.9);
+
+  // Clean rows at p expose it: it leaves its cell and is down-weighted,
+  // and the mean drops far below the 1/7 bias of a weight-1 cell mean.
+  gp.update(std::vector<std::vector<double>>(6, p),
+            std::vector<double>(6, target(p)));
+  EXPECT_EQ(gp.diagnostics().outliers_downweighted, 1u);
+  const obs::json::Value cells = gp.snapshot().at("cells");
+  const std::size_t cell = cells.at("weight").items().size() - 1;
+  EXPECT_LT(cells.at("weight").items()[cell].as_double(), 6.1);
+  EXPECT_EQ(cells.at("hi").items()[cell].as_double(), target(p));
+  EXPECT_LT(std::fabs(gp.predict_mean(p) - target(p)), 0.02);
+
+  // The extremes survive a snapshot: a restored model keeps updating bit
+  // for bit like this one.
+  GpRegressor cold = rebuilt(gp, options);
+  const auto more = make_points(rng, 3, 0.1, 0.9);
+  gp.update(more, targets_of(more));
+  cold.update(more, targets_of(more));
+  expect_posteriors_identical(gp, cold, make_points(rng, 5, 0.2, 0.8));
 }
 
 TEST(GpIncremental, OutOfBoxPointRescalesTheCells) {
