@@ -4,7 +4,7 @@
 #   unit + integration   always run (the default lane, `-LE slow`)
 #   slow                 the randomized fleet sweep + anything else marked
 #                        slow; included with --with-slow (CI runs it on
-#                        the dedicated fleet-smoke job instead)
+#                        the fleet-smoke, tsan and asan-ubsan jobs)
 #
 # usage: scripts/run_tier1.sh [--with-slow] [build-dir]   (default: build)
 set -eu

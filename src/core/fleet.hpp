@@ -65,8 +65,9 @@ struct FleetShardReport {
   std::size_t servers = 0;
   bool feasible = false;
   std::size_t iterations = 0;
-  /// Final model-estimated benefit of the shard's incumbent (0 when the
-  /// shard produced no trace).
+  /// The last entry of the shard's benefit_trace: the best utility of its
+  /// last BO batch, in the preference model's latent units under PaMO (0
+  /// when the shard produced no trace).
   double benefit = 0.0;
 };
 
@@ -80,9 +81,10 @@ struct FleetReport {
 /// feasible decision, best_config/best_schedule merged through the plan,
 /// counters summed (the bank's profiles and fit diagnostics counted once),
 /// iterations the per-shard maximum, benefit_trace a single entry holding
-/// the mean final shard benefit, health.warm_started false (the bank is
-/// fit this epoch). `report`, when non-null, receives the plan and
-/// per-shard outcomes.
+/// the mean FleetShardReport::benefit of the shards with a trace (each
+/// one's last batch utility, in latent units under PaMO),
+/// health.warm_started false (the bank is fit this epoch). `report`, when
+/// non-null, receives the plan and per-shard outcomes.
 PamoResult run_fleet_epoch(const eva::Workload& workload,
                            const FleetOptions& options,
                            const pref::PreferenceOracle& oracle,

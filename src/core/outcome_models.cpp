@@ -88,7 +88,7 @@ void OutcomeModels::update(
     for (const auto& meas : measurements) {
       targets.push_back(metric_of(meas, static_cast<Metric>(m)));
     }
-    models_[m].update(inputs, targets, /*reoptimize=*/false);
+    models_[m].update(inputs, targets);
   });
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -120,25 +121,32 @@ eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
   return y;
 }
 
-std::vector<eva::JointConfig> draw_candidates(
-    const eva::Workload& workload,
-    const std::vector<eva::JointConfig>& incumbents,
-    const PoolOptions& options, Rng& rng) {
+CandidatePool draw_feasible(const eva::Workload& workload,
+                            const std::vector<eva::JointConfig>& incumbents,
+                            const std::vector<eva::JointConfig>& observed,
+                            const PoolOptions& options,
+                            std::size_t max_feasible, Rng& rng) {
+  PAMO_SPAN("pamo.draw_feasible");
   const std::size_t m = workload.num_streams();
   PAMO_CHECK(m >= 1, "candidate draw needs at least one stream");
   const auto& resolutions = workload.space.resolutions();
   const auto& fps_knobs = workload.space.fps_knobs();
   // A point of [0,1]^(2M): coordinate 2i is stream i's resolution axis,
-  // 2i + 1 its fps axis. Each axis splits into K equal cells, one per knob.
-  const auto snap = [](double u, const std::vector<std::uint32_t>& knobs) {
+  // 2i + 1 its fps axis. An axis narrowed by n knobs keeps its lowest
+  // K - n (at least one) and splits into that many equal cells.
+  const auto snap = [](double u, const std::vector<std::uint32_t>& knobs,
+                       std::size_t narrow) {
+    const std::size_t cells =
+        knobs.size() > narrow ? knobs.size() - narrow : 1;
     const auto k = static_cast<std::size_t>(std::clamp(u, 0.0, 1.0) *
-                                            static_cast<double>(knobs.size()));
-    return knobs[std::min(k, knobs.size() - 1)];
+                                            static_cast<double>(cells));
+    return knobs[std::min(k, cells - 1)];
   };
-  const auto decode = [&](const std::vector<double>& u) {
+  const auto decode = [&](const std::vector<double>& u, std::size_t narrow) {
     eva::JointConfig config(m);
     for (std::size_t i = 0; i < m; ++i) {
-      config[i] = {snap(u[2 * i], resolutions), snap(u[2 * i + 1], fps_knobs)};
+      config[i] = {snap(u[2 * i], resolutions, narrow),
+                   snap(u[2 * i + 1], fps_knobs, narrow)};
     }
     return config;
   };
@@ -150,13 +158,29 @@ std::vector<eva::JointConfig> draw_candidates(
            static_cast<double>(knobs.size());
   };
 
-  std::vector<eva::JointConfig> pool;
-  pool.reserve(options.num_quasi_random +
-               incumbents.size() * options.mutations_per_incumbent);
+  // Ordered, not hashed: nothing on a decision path iterates an unordered
+  // container.
+  std::set<eva::JointConfig> seen(observed.begin(), observed.end());
+  CandidatePool pool;
+  std::size_t screened = 0;
+  const auto full = [&] { return pool.configs.size() >= max_feasible; };
+  // Algorithm 1's load screen runs first: a screened configuration is
+  // never feasible, so it pays neither the set insert nor the full call.
+  const auto keep = [&](eva::JointConfig config) {
+    if (sched::exceeds_load_bound(workload, config)) {
+      ++screened;
+      return false;
+    }
+    if (!seen.insert(config).second) return false;
+    sched::ScheduleResult schedule =
+        sched::schedule_zero_jitter(workload, config);
+    if (!schedule.feasible) return false;  // zero-jitter constraint (Const2)
+    pool.configs.push_back(std::move(config));
+    pool.schedules.push_back(std::move(schedule));
+    return true;
+  };
+
   HaltonSequence halton(2 * m, rng.next_u64());
-  for (std::size_t i = 0; i < options.num_quasi_random; ++i) {
-    pool.push_back(decode(halton.next()));
-  }
   for (const auto& incumbent : incumbents) {
     PAMO_CHECK(incumbent.size() == m, "incumbent must configure every stream");
     std::vector<double> unit(2 * m);
@@ -164,7 +188,8 @@ std::vector<eva::JointConfig> draw_candidates(
       unit[2 * i] = midpoint(incumbent[i].resolution, resolutions);
       unit[2 * i + 1] = midpoint(incumbent[i].fps, fps_knobs);
     }
-    for (std::size_t k = 0; k < options.mutations_per_incumbent; ++k) {
+    for (std::size_t k = 0; k < options.mutations_per_incumbent && !full();
+         ++k) {
       // Perturb a few coordinates and keep the rest: local moves in a
       // product space should change only a few streams at a time.
       std::vector<double> mutated = unit;
@@ -174,39 +199,23 @@ std::vector<eva::JointConfig> draw_candidates(
         coord = std::clamp(coord + rng.normal(0.0, options.mutation_sigma),
                            0.0, 1.0);
       }
-      pool.push_back(decode(mutated));
+      keep(decode(mutated, 0));
     }
   }
-  PAMO_ENSURES(pool.size() == options.num_quasi_random +
-                                  incumbents.size() *
-                                      options.mutations_per_incumbent,
-               "pool size is deterministic in its options");
-  return pool;
-}
-
-CandidatePool schedule_candidate_pool(
-    const eva::Workload& workload,
-    const std::vector<eva::JointConfig>& candidates,
-    const std::vector<eva::JointConfig>& observed, std::size_t max_feasible) {
-  // Ordered, not hashed: nothing on a decision path iterates an unordered
-  // container.
-  std::set<eva::JointConfig> seen(observed.begin(), observed.end());
-  CandidatePool pool;
-  std::size_t screened = 0;
-  for (const auto& config : candidates) {
-    if (pool.configs.size() >= max_feasible) break;
-    // Most quasi-random draws fail the load screen; dropping them before
-    // the set insert and the full Algorithm 1 call changes no outcome.
-    if (sched::exceeds_load_bound(workload, config)) {
-      ++screened;
-      continue;
-    }
-    if (!seen.insert(config).second) continue;
-    sched::ScheduleResult schedule =
-        sched::schedule_zero_jitter(workload, config);
-    if (!schedule.feasible) continue;  // zero-jitter constraint (Const2)
-    pool.configs.push_back(config);
-    pool.schedules.push_back(std::move(schedule));
+  // With incumbents the Halton share is num_quasi_random points. Without
+  // them it has 64 attempts per wanted configuration, and each run of 8
+  // failures narrows both axes by one more knob, towards the light end
+  // where loaded workloads still pass, until one is kept.
+  const bool narrowing = incumbents.empty();
+  const std::size_t attempts =
+      narrowing ? 64 * std::min(max_feasible,
+                                std::numeric_limits<std::size_t>::max() / 64)
+                : options.num_quasi_random;
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < attempts && !full(); ++i) {
+    const bool kept =
+        keep(decode(halton.next(), narrowing ? failures / 8 : 0));
+    failures = kept ? 0 : failures + 1;
   }
   PAMO_COUNT("pamo.pool_screened", screened);
   PAMO_ENSURES(pool.configs.size() == pool.schedules.size() &&
@@ -243,31 +252,6 @@ eva::StreamMeasurement PamoScheduler::model_mean_measurement(
   m.power_watts = models_.mean(Metric::kPower, config);
   m.proc_time = models_.mean(Metric::kProcTime, config);
   return m;
-}
-
-std::optional<std::pair<eva::JointConfig, sched::ScheduleResult>>
-PamoScheduler::random_feasible(Rng& rng) const {
-  const auto& space = workload_.space;
-  const std::size_t num_res = space.resolutions().size();
-  const std::size_t num_fps = space.fps_knobs().size();
-  // Start unconstrained; shrink the knob caps after failed attempts so we
-  // always find something schedulable on heavily loaded workloads.
-  for (std::size_t attempt = 0; attempt < 64; ++attempt) {
-    const std::size_t shrink = attempt / 8;
-    const std::size_t cap_res = num_res > shrink ? num_res - shrink : 1;
-    const std::size_t cap_fps = num_fps > shrink ? num_fps - shrink : 1;
-    eva::JointConfig config(workload_.num_streams());
-    for (auto& c : config) {
-      c.resolution = space.resolutions()[rng.uniform_index(cap_res)];
-      c.fps = space.fps_knobs()[rng.uniform_index(cap_fps)];
-    }
-    sched::ScheduleResult schedule =
-        sched::schedule_zero_jitter(workload_, config);
-    if (schedule.feasible) {
-      return std::make_pair(std::move(config), std::move(schedule));
-    }
-  }
-  return std::nullopt;
 }
 
 PamoScheduler::Observation PamoScheduler::observe(
@@ -382,18 +366,18 @@ void PamoScheduler::heuristic_fallback(PamoResult& result,
   // sampling, no acquisition, just Algorithm 1 feasibility plus the
   // models' best guess of each candidate's utility.
   const std::vector<la::Matrix> tables = mean_tables(models_);
+  CandidatePool drawn =
+      draw_feasible(workload_, {}, {}, PoolOptions{}, 16, rng);
   double best_utility = -1e300;
-  for (std::size_t attempt = 0; attempt < 16; ++attempt) {
-    auto drawn = random_feasible(rng);
-    if (!drawn) continue;
-    const auto& [config, schedule] = *drawn;
-    const eva::OutcomeVector y = outcomes_from_rows(
-        tables, 0, grid_rows_of(models_, config), config, schedule);
+  for (std::size_t c = 0; c < drawn.configs.size(); ++c) {
+    const eva::OutcomeVector y =
+        outcomes_from_rows(tables, 0, grid_rows_of(models_, drawn.configs[c]),
+                           drawn.configs[c], drawn.schedules[c]);
     const double u = utility(normalizer_.normalize(y), oracle);
     if (u > best_utility) {
       best_utility = u;
-      result.best_config = config;
-      result.best_schedule = schedule;
+      result.best_config = drawn.configs[c];
+      result.best_schedule = std::move(drawn.schedules[c]);
       result.feasible = true;
     }
   }
@@ -455,14 +439,15 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       // system can show the decision-maker without extra measurements.
       feed_models();
       const std::vector<la::Matrix> means = mean_tables(models_);
+      const CandidatePool drawn = draw_feasible(
+          workload_, {}, {}, PoolOptions{}, options_.pref_pool_size, rng);
       std::vector<std::vector<double>> pool;
-      pool.reserve(options_.pref_pool_size);
-      for (std::size_t p = 0; p < options_.pref_pool_size; ++p) {
-        auto drawn = random_feasible(rng);
-        if (!drawn) continue;
-        const auto& [config, schedule] = *drawn;
-        pool.push_back(to_vector(normalizer_.normalize(outcomes_from_rows(
-            means, 0, grid_rows_of(models_, config), config, schedule))));
+      pool.reserve(drawn.configs.size());
+      for (std::size_t c = 0; c < drawn.configs.size(); ++c) {
+        const eva::JointConfig& config = drawn.configs[c];
+        pool.push_back(to_vector(normalizer_.normalize(
+            outcomes_from_rows(means, 0, grid_rows_of(models_, config), config,
+                               drawn.schedules[c]))));
       }
       PAMO_CHECK(pool.size() >= 2,
                  "could not build a preference candidate pool (workload "
@@ -489,13 +474,19 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   };
 
   // ---- Phase 3: best-configuration solving (lines 12–26). ----
+  // Initial observations: each is drawn right before it is profiled, and
+  // never repeats an earlier one; a breached watchdog stops the drawing.
   std::vector<Observation> observed;
+  std::vector<eva::JointConfig> drawn_initial;
   for (std::size_t i = 0; i < options_.init_observations; ++i) {
     if (watchdog.breached()) break;
-    auto drawn = random_feasible(rng);
-    if (!drawn) break;
+    CandidatePool initial =
+        draw_feasible(workload_, {}, drawn_initial, PoolOptions{}, 1, rng);
+    if (initial.configs.empty()) break;
+    drawn_initial.push_back(initial.configs[0]);
     try {
-      observed.push_back(observe(drawn->first, std::move(drawn->second), rng));
+      observed.push_back(
+          observe(initial.configs[0], std::move(initial.schedules[0]), rng));
     } catch (const Error& e) {
       if (!watchdog.enabled()) throw;
       watchdog.record_failure(e.what());
@@ -535,20 +526,14 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
       incumbents.push_back(observed[obs_order[i]].config);
     }
 
-    // Candidate pool: quasi-random + mutations, new configurations only,
-    // scheduled by Algorithm 1.
-    const auto candidates = [&] {
-      PAMO_SPAN("pamo.draw_candidates");
-      return draw_candidates(workload_, incumbents, options_.pool, rng);
-    }();
+    // Candidate pool: incumbent mutations + quasi-random points, new
+    // configurations only, scheduled by Algorithm 1.
     std::vector<eva::JointConfig> observed_configs;
     observed_configs.reserve(observed.size());
     for (const auto& obs : observed) observed_configs.push_back(obs.config);
-    auto [pool_configs, pool_schedules] = [&] {
-      PAMO_SPAN("pamo.pool_schedule");
-      return schedule_candidate_pool(workload_, candidates, observed_configs,
-                                     options_.max_pool_feasible);
-    }();
+    auto [pool_configs, pool_schedules] =
+        draw_feasible(workload_, incumbents, observed_configs, options_.pool,
+                      options_.max_pool_feasible, rng);
     if (pool_configs.empty()) return false;
 
     // Joint MC scenarios over the knob grid.

@@ -67,9 +67,9 @@ struct LearningHealth {
 void add_model_health(LearningHealth& health, const gp::GpFitDiagnostics& now,
                       const gp::GpFitDiagnostics& base = {});
 
-/// Phase-3 candidate pool: quasi-random coverage of the joint knob space
-/// plus local mutations of the incumbents (the standard "random restarts
-/// + local perturbation" pool of discrete BO).
+/// Phase-3 candidate pool (draw_feasible): local mutations of the
+/// incumbents plus quasi-random coverage of the joint knob space (the
+/// standard "local perturbation + random restarts" pool of discrete BO).
 struct PoolOptions {
   std::size_t num_quasi_random = 192;
   /// Mutations generated around *each* incumbent.
@@ -158,7 +158,10 @@ struct PamoResult {
   std::size_t iterations = 0;
   std::size_t oracle_queries = 0;
   std::size_t profiles_taken = 0;
-  /// Model-estimated benefit of the incumbent after each BO iteration.
+  /// Per BO iteration, the best utility among that iteration's observed
+  /// batch (not of the incumbent, which run() picks at the end). Under
+  /// PaMO the utility is the preference model's latent mean, in its own
+  /// units; under PaMO+ it is the true benefit.
   std::vector<double> benefit_trace;
   /// Robustness counters of this epoch (all-zero on a clean run).
   LearningHealth health;
@@ -192,36 +195,35 @@ eva::OutcomeVector outcomes_from_rows(const std::vector<la::Matrix>& tables,
                                       const eva::JointConfig& config,
                                       const sched::ScheduleResult& schedule);
 
-/// Phase-3 candidates that survived Algorithm 1, index-aligned.
+/// Configurations that survived Algorithm 1 and their schedules,
+/// index-aligned.
 struct CandidatePool {
   std::vector<eva::JointConfig> configs;
   std::vector<sched::ScheduleResult> schedules;
 };
 
-/// Draw the Phase-3 candidates for `workload`: options.num_quasi_random
-/// Halton points, then options.mutations_per_incumbent mutations of each
-/// incumbent in order. Every incumbent must configure every stream with
-/// knob values. The result has exactly that many configurations, possibly
-/// with repeats (schedule_candidate_pool skips them). DESIGN.md,
-/// "Candidate draw", gives the encoding and the RNG order.
-std::vector<eva::JointConfig> draw_candidates(
-    const eva::Workload& workload,
-    const std::vector<eva::JointConfig>& incumbents,
-    const PoolOptions& options, Rng& rng);
-
-/// Keep, in order, the first `max_feasible` of `candidates` that
-/// Algorithm 1 schedules. A configuration already in `observed` or earlier
-/// in the list is skipped before scheduling: profiling it again teaches
-/// the models nothing new, and an observed one scores exactly 0 under qNEI.
-/// Algorithm 1's load screen (sched::exceeds_load_bound) runs before that
-/// de-duplication: a screened configuration is never feasible, so it is
-/// dropped without entering the seen set, and a later copy of it is
-/// screened again. The result equals scheduling every new configuration;
-/// traces count the screened candidates as `pamo.pool_screened`.
-CandidatePool schedule_candidate_pool(
-    const eva::Workload& workload,
-    const std::vector<eva::JointConfig>& candidates,
-    const std::vector<eva::JointConfig>& observed, std::size_t max_feasible);
+/// The one sampler of configurations Algorithm 1 schedules: the initial
+/// observations, the Phase-2 preference pool and the Phase-3 candidate
+/// pool. It draws one candidate at a time, first
+/// options.mutations_per_incumbent mutations of each incumbent in order,
+/// then scrambled-Halton points, and returns, in draw order, the first
+/// `max_feasible` that pass Algorithm 1's load screen
+/// (sched::exceeds_load_bound), are new (not in `observed`, not drawn
+/// before: a repeat teaches the models nothing, and an observed one scores
+/// 0 under qNEI) and that Algorithm 1 schedules. With incumbents the
+/// Halton share is options.num_quasi_random points. Without them it has 64
+/// attempts per wanted configuration, and every 8 consecutive failures
+/// narrow both knob axes by one more knob from the top until one passes;
+/// `options` is read only when there are incumbents. The result may hold
+/// fewer than `max_feasible` configurations, none when nothing fits.
+/// Every incumbent must configure every stream with knob values. Traces
+/// count screened draws as `pamo.pool_screened`. DESIGN.md, "Candidate
+/// draw", gives the encoding and the RNG order.
+CandidatePool draw_feasible(const eva::Workload& workload,
+                            const std::vector<eva::JointConfig>& incumbents,
+                            const std::vector<eva::JointConfig>& observed,
+                            const PoolOptions& options,
+                            std::size_t max_feasible, Rng& rng);
 
 class PamoScheduler {
  public:
@@ -251,11 +253,6 @@ class PamoScheduler {
     std::vector<std::size_t> grid_rows;  // each stream's knob-grid row
   };
 
-  /// Draw a joint configuration whose Algorithm 1 schedule is feasible,
-  /// biasing knobs downward on failures.
-  std::optional<std::pair<eva::JointConfig, sched::ScheduleResult>>
-  random_feasible(Rng& rng) const;
-
   /// Profile a configuration for real: noisy per-stream measurements plus
   /// jitter-free latency through the Algorithm 1 schedule. The profiles
   /// that count as evidence wait for feed_models().
@@ -278,9 +275,9 @@ class PamoScheduler {
       const eva::StreamConfig& config) const;
 
   /// Degraded-mode recommendation when the BO loop produced no feasible
-  /// observation: score random feasible candidates on the models' clean
-  /// point estimates (zero-jitter schedules, no MC sampling) and return
-  /// the best. Fills `result` and sets health.heuristic_fallback.
+  /// observation: score up to 16 draw_feasible candidates on the models'
+  /// clean point estimates (zero-jitter schedules, no MC sampling) and
+  /// return the best. Fills `result` and sets health.heuristic_fallback.
   void heuristic_fallback(PamoResult& result,
                           const pref::PreferenceOracle& oracle, Rng& rng);
 

@@ -214,9 +214,11 @@ class SchedulingService {
     eva::JointConfig config;
     sched::ScheduleResult schedule;
     sim::SimReport sim;              // measured behaviour of the decision
-    /// Model-estimated benefit of the incumbent after each BO iteration of
-    /// this epoch's optimization (empty when the optimizer threw). Part of
-    /// the service's reproducibility surface: same seed, same trajectory.
+    /// PamoResult::benefit_trace of this epoch's optimization: per BO
+    /// iteration, the best utility of its observed batch, in the learned
+    /// preference model's latent units under PaMO (empty when the
+    /// optimizer threw). Part of the service's reproducibility surface:
+    /// same seed, same trajectory.
     std::vector<double> benefit_trace;
     std::size_t oracle_queries = 0;  // asked during this epoch
     // -- Resilience loop output. --

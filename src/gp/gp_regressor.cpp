@@ -117,7 +117,7 @@ void GpRegressor::fit(std::vector<std::vector<double>> x,
 }
 
 void GpRegressor::update(const std::vector<std::vector<double>>& x,
-                         const std::vector<double>& y, bool reoptimize) {
+                         const std::vector<double>& y) {
   PAMO_SPAN("gp.update");
   PAMO_COUNT("gp.updates", 1);
   PAMO_CHECK(is_fit(), "update before fit");
@@ -128,13 +128,10 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
     PAMO_CHECK(row.size() == dim_, "input dimension mismatch");
   }
   sanitize(xs, ys);
-  const bool want_mle = reoptimize && !options_.fixed_params.has_value();
-  if (xs.empty() && !want_mle) {
-    // Nothing new and no re-optimization: the solved system already is
-    // exactly what a re-solve over the unchanged cells would produce.
-    return;
-  }
-  absorb(xs, ys, want_mle);
+  // Nothing new: the solved system already is exactly what a re-solve over
+  // the unchanged cells would produce.
+  if (xs.empty()) return;
+  absorb(xs, ys, /*choose_params=*/false);
   PAMO_ENSURES(solved_over_all_cells(),
                "update leaves a solved system over every cell");
 }
@@ -545,14 +542,14 @@ Posterior GpRegressor::posterior(
   }
 
   // cov = K** - K*ᵀ (K + σ²I)⁻¹ K* = K** - VᵀV with V = L⁻¹ K*ᵀ. VᵀV is
-  // formed on and above the diagonal, each entry accumulated over r
-  // ascending (as la::matmul_blocked(Vᵀ, V) does), and mirrored, so it is
-  // exactly symmetric at half the products.
+  // formed on and above the diagonal, each entry summed over the cells r
+  // in ascending order, and mirrored, so it is exactly symmetric at half
+  // the products.
   la::Matrix vtv(m, m, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t i = 0; i < m; ++i) {
       const double vri = ws.v(r, i);
-      // Exact-zero skip, as in matmul_blocked.
+      // Exact-zero skip: a zero V(r, i) adds nothing to row i's sums.
       if (vri == 0.0) continue;  // pamo-analyze: allow(float-eq)
       for (std::size_t j = i; j < m; ++j) vtv(i, j) += vri * ws.v(r, j);
     }

@@ -94,10 +94,10 @@ class GpRegressor {
   void fit(std::vector<std::vector<double>> x, std::vector<double> y);
 
   /// Add observations: they fold into their cells and the system is
-  /// re-solved over the cells. Hyperparameters are re-optimized only when
-  /// `reoptimize` is true (it is the expensive part).
+  /// re-solved over the cells. The hyperparameters stay; only fit()
+  /// chooses them.
   void update(const std::vector<std::vector<double>>& x,
-              const std::vector<double>& y, bool reoptimize = false);
+              const std::vector<double>& y);
 
   [[nodiscard]] bool is_fit() const { return !cell_x_.empty(); }
   /// Observations folded in (repeats included).

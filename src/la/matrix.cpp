@@ -1,7 +1,5 @@
 #include "la/matrix.hpp"
 
-#include <algorithm>
-
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 
@@ -42,29 +40,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
       if (aik == 0.0) continue;  // pamo-analyze: allow(float-eq)
       for (std::size_t j = 0; j < b.cols(); ++j) {
         c(i, j) += aik * b(k, j);
-      }
-    }
-  }
-  return c;
-}
-
-Matrix matmul_blocked(const Matrix& a, const Matrix& b, std::size_t block) {
-  PAMO_CHECK(a.cols() == b.rows(), "matmul dimension mismatch");
-  PAMO_EXPECTS(block > 0, "matmul_blocked requires a positive block size");
-  Matrix c(a.rows(), b.cols(), 0.0);
-  for (std::size_t i0 = 0; i0 < a.rows(); i0 += block) {
-    const std::size_t i1 = std::min(a.rows(), i0 + block);
-    for (std::size_t j0 = 0; j0 < b.cols(); j0 += block) {
-      const std::size_t j1 = std::min(b.cols(), j0 + block);
-      for (std::size_t i = i0; i < i1; ++i) {
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-          const double aik = a(i, k);
-          // Exact-zero skip: sparsity shortcut, any nonzero must multiply.
-          if (aik == 0.0) continue;  // pamo-analyze: allow(float-eq)
-          for (std::size_t j = j0; j < j1; ++j) {
-            c(i, j) += aik * b(k, j);
-          }
-        }
       }
     }
   }

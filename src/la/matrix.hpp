@@ -44,13 +44,6 @@ class Matrix {
 /// c = a * b.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// c = a * b with i/j panel tiling so a block² panel of c stays hot while
-/// a stripe of b streams through. The k loop stays ascending and untiled,
-/// so every output element accumulates in exactly the same order as
-/// matmul() — the two are bit-for-bit interchangeable.
-Matrix matmul_blocked(const Matrix& a, const Matrix& b,
-                      std::size_t block = 64);
-
 /// y = a * x.
 Vector matvec(const Matrix& a, const Vector& x);
 

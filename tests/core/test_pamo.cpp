@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -46,10 +47,15 @@ TEST(Pamo, CandidatePoolSkipsRepeatedAndObservedConfigurations) {
   const eva::JointConfig& a = distinct[0];
   const eva::JointConfig& b = distinct[1];
   const eva::JointConfig& c = distinct[2];
+  // One unmoved mutation per incumbent draws the incumbents themselves:
   // a b a c b, with c already observed: only the first a and b survive,
-  // in pool order, each with its Algorithm 1 schedule.
+  // in draw order, each with its Algorithm 1 schedule.
   const std::vector<eva::JointConfig> raw = {a, b, a, c, b};
-  const CandidatePool pool = schedule_candidate_pool(w, raw, {c}, 10);
+  PoolOptions options;
+  options.num_quasi_random = 0;
+  options.mutations_per_incumbent = 1;
+  options.mutation_sigma = 0.0;
+  const CandidatePool pool = draw_feasible(w, raw, {c}, options, 10, rng);
   ASSERT_EQ(pool.configs.size(), 2u);
   EXPECT_EQ(pool.configs[0], a);
   EXPECT_EQ(pool.configs[1], b);
@@ -57,8 +63,53 @@ TEST(Pamo, CandidatePoolSkipsRepeatedAndObservedConfigurations) {
   EXPECT_TRUE(pool.schedules[0].feasible);
   EXPECT_TRUE(pool.schedules[1].feasible);
   // The cap counts kept candidates, not skipped ones.
-  EXPECT_EQ(schedule_candidate_pool(w, raw, {a}, 2).configs,
+  EXPECT_EQ(draw_feasible(w, raw, {a}, options, 2, rng).configs,
             (std::vector<eva::JointConfig>{b, c}));
+}
+
+TEST(Pamo, OnlyOneFittingConfiguration) {
+  // 26 streams on one server: the lightest configuration fits, and raising
+  // any one knob of any stream breaks the load bound, which only grows
+  // with the knobs. So nothing else fits.
+  const eva::Workload w = eva::make_fleet_workload(26, 1, 7);
+  const auto& resolutions = w.space.resolutions();
+  const auto& fps_knobs = w.space.fps_knobs();
+  const eva::JointConfig lightest(w.num_streams(),
+                                  {resolutions[0], fps_knobs[0]});
+  ASSERT_TRUE(sched::schedule_zero_jitter(w, lightest).feasible);
+  for (std::size_t i = 0; i < lightest.size(); ++i) {
+    eva::JointConfig heavier = lightest;
+    heavier[i].resolution = resolutions[1];
+    ASSERT_TRUE(sched::exceeds_load_bound(w, heavier));
+    heavier = lightest;
+    heavier[i].fps = fps_knobs[1];
+    ASSERT_TRUE(sched::exceeds_load_bound(w, heavier));
+  }
+  Rng rng(7);
+  EXPECT_EQ(draw_feasible(w, {}, {}, PoolOptions{}, 32, rng).configs,
+            std::vector<eva::JointConfig>{lightest});
+
+  // PaMO cannot show the decision-maker two outcomes to compare.
+  PamoScheduler pamo(w, fast_options());
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  try {
+    pamo.run(oracle);
+    ADD_FAILURE() << "a one-configuration preference pool must not run";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "could not build a preference candidate pool"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // PaMO+ needs no preference pool and returns the one configuration.
+  PamoOptions plus_options = fast_options();
+  plus_options.use_true_preference = true;
+  PamoScheduler plus(w, plus_options);
+  const PamoResult result = plus.run(oracle);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.best_config, lightest);
+  EXPECT_TRUE(result.best_schedule.feasible);
 }
 
 TEST(Pamo, RunsEndToEndAndReturnsFeasibleSchedule) {

@@ -159,8 +159,9 @@ TEST(FixedAssignment, HonorsParentMapping) {
 // feasible flag, assignment, phases, per-parent uplinks and communication
 // cost of 2,040 seeded configurations on the paper's testbed shape (12
 // streams, 4 servers) and the fleet-shard shapes (12 streams on 1 and on 2
-// servers). Knob draws are capped the way PamoScheduler::random_feasible
-// caps them, so light (packable) and heavy (rejected) draws alternate.
+// servers). Each draw caps both knob axes at their lowest K - k knobs,
+// k = trial mod 6, the way core::draw_feasible narrows its caps after
+// failures, so light (packable) and heavy (rejected) draws alternate.
 // The constant was computed before the load screen and the vector-free
 // packing existed; an optimization of Algorithm 1 must leave it unchanged.
 TEST(ZeroJitter, GoldenDigestOverSeededConfigs) {
