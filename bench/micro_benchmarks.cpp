@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the substrates: dense Cholesky, GP
-// fit/predict, preference-GP Laplace, Hungarian assignment, Algorithm 1,
+// fit/posterior, preference-GP Laplace, Hungarian assignment, Algorithm 1,
 // the qNEI scoring kernel, and simulator throughput.
 #include <benchmark/benchmark.h>
 
@@ -40,44 +40,58 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Complexity();
 
+/// The 6 × 5 (resolution, fps) knob grid the outcome GPs live on.
+std::vector<std::vector<double>> knob_grid() {
+  std::vector<std::vector<double>> grid;
+  for (const double r : {360.0, 480.0, 600.0, 720.0, 840.0, 960.0}) {
+    for (const double f : {1.0, 2.0, 5.0, 10.0, 15.0}) grid.push_back({r, f});
+  }
+  return grid;
+}
+
+/// `n` observations drawn uniformly from the knob grid.
+void grid_data(std::size_t n, Rng& rng, std::vector<std::size_t>& at,
+               std::vector<double>& y) {
+  const auto grid = knob_grid();
+  for (std::size_t i = 0; i < n; ++i) {
+    at.push_back(rng.uniform_index(grid.size()));
+    const auto& x = grid[at.back()];
+    y.push_back(std::sin(x[0] / 300.0) + 0.1 * x[1] + 0.05 * rng.normal());
+  }
+}
+
 void BM_GpFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  std::vector<std::vector<double>> x;
+  std::vector<std::size_t> at;
   std::vector<double> y;
-  for (std::size_t i = 0; i < n; ++i) {
-    x.push_back({rng.uniform(), rng.uniform()});
-    y.push_back(std::sin(3.0 * x.back()[0]) + x.back()[1]);
-  }
+  grid_data(n, rng, at, y);
   gp::GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 60;
   for (auto _ : state) {
-    gp::GpRegressor gp(options);
-    gp.fit(x, y);
-    benchmark::DoNotOptimize(gp.predict_mean({0.5, 0.5}));
+    gp::GpRegressor gp(knob_grid(), options);
+    gp.fit(at, y);
+    benchmark::DoNotOptimize(gp.predict_mean(12));
   }
 }
 BENCHMARK(BM_GpFit)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GpPredict(benchmark::State& state) {
+void BM_GpPosterior(benchmark::State& state) {
   Rng rng(3);
-  std::vector<std::vector<double>> x;
+  std::vector<std::size_t> at;
   std::vector<double> y;
-  for (std::size_t i = 0; i < 200; ++i) {
-    x.push_back({rng.uniform(), rng.uniform()});
-    y.push_back(x.back()[0] * x.back()[1]);
-  }
+  grid_data(200, rng, at, y);
   gp::GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 40;
-  gp::GpRegressor gp(options);
-  gp.fit(x, y);
+  gp::GpRegressor gp(knob_grid(), options);
+  gp.fit(at, y);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gp.predict_mean({0.3, 0.7}));
+    benchmark::DoNotOptimize(gp.posterior().covariance(7, 7));
   }
 }
-BENCHMARK(BM_GpPredict);
+BENCHMARK(BM_GpPosterior);
 
 void BM_PreferenceLaplace(benchmark::State& state) {
   const auto pairs = static_cast<std::size_t>(state.range(0));

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -120,7 +121,10 @@ void ThreadPool::parallel_for(std::size_t n,
       }
       std::lock_guard<std::mutex> block_lock(batch->mutex);
       if (error) {
-        if (!batch->first_error) batch->first_error = error;
+        // Hand the exception over, or drop it, under the lock: a reference
+        // released after the unlock could race the caller's rethrow.
+        if (!batch->first_error) batch->first_error = std::move(error);
+        error = nullptr;
         batch->aborted.store(true, std::memory_order_relaxed);
       }
       if (++batch->blocks_finished == batch->num_blocks) {
@@ -140,10 +144,16 @@ void ThreadPool::parallel_for(std::size_t n,
 
   run_blocks();
 
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->done.wait(lock,
-                   [&] { return batch->blocks_finished == batch->num_blocks; });
-  if (batch->first_error) std::rethrow_exception(batch->first_error);
+  // Take the exception out of the batch under its lock: a helper's task may
+  // still own the batch, and must not release the exception when it drops it.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(batch->mutex);
+    batch->done.wait(
+        lock, [&] { return batch->blocks_finished == batch->num_blocks; });
+    error = std::exchange(batch->first_error, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {

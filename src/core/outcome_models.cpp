@@ -28,17 +28,18 @@ double metric_of(const eva::StreamMeasurement& m, Metric metric) {
 
 OutcomeModels::OutcomeModels(const eva::ConfigSpace& space,
                              gp::GpOptions gp_options) {
+  std::vector<std::vector<double>> inputs;
   for (auto r : space.resolutions()) {
     for (auto s : space.fps_knobs()) {
       grid_.push_back({r, s});
-      grid_inputs_.push_back({static_cast<double>(r), static_cast<double>(s)});
+      inputs.push_back({static_cast<double>(r), static_cast<double>(s)});
     }
   }
   models_.reserve(kNumMetrics);
   for (std::size_t m = 0; m < kNumMetrics; ++m) {
     gp::GpOptions options = gp_options;
     options.seed = gp_options.seed + m;  // decorrelate MLE restarts
-    models_.emplace_back(options);
+    models_.emplace_back(inputs, options);
   }
   PAMO_ENSURES(grid_.size() == space.resolutions().size() *
                                    space.fps_knobs().size() &&
@@ -52,12 +53,7 @@ void OutcomeModels::fit(const std::vector<eva::StreamConfig>& configs,
   PAMO_CHECK(configs.size() == measurements.size(),
              "configs/measurements size mismatch");
   PAMO_CHECK(configs.size() >= 2, "outcome models need >= 2 profiles");
-  std::vector<std::vector<double>> inputs;
-  inputs.reserve(configs.size());
-  for (const auto& c : configs) {
-    inputs.push_back({static_cast<double>(c.resolution),
-                      static_cast<double>(c.fps)});
-  }
+  const std::vector<std::size_t> at = grid_indices(configs);
   // The five metric fits are independent (per-model options carry their
   // own MLE seed and no model touches another's state), so fan them out.
   parallel_for(kNumMetrics, [&](std::size_t m) {
@@ -66,7 +62,7 @@ void OutcomeModels::fit(const std::vector<eva::StreamConfig>& configs,
     for (const auto& meas : measurements) {
       targets.push_back(metric_of(meas, static_cast<Metric>(m)));
     }
-    models_[m].fit(inputs, targets);
+    models_[m].fit(at, targets);
   });
 }
 
@@ -76,19 +72,14 @@ void OutcomeModels::update(
   PAMO_CHECK(configs.size() == measurements.size(),
              "configs/measurements size mismatch");
   PAMO_CHECK(is_fit(), "update before fit");
-  std::vector<std::vector<double>> inputs;
-  inputs.reserve(configs.size());
-  for (const auto& c : configs) {
-    inputs.push_back({static_cast<double>(c.resolution),
-                      static_cast<double>(c.fps)});
-  }
+  const std::vector<std::size_t> at = grid_indices(configs);
   parallel_for(kNumMetrics, [&](std::size_t m) {
     std::vector<double> targets;
     targets.reserve(measurements.size());
     for (const auto& meas : measurements) {
       targets.push_back(metric_of(meas, static_cast<Metric>(m)));
     }
-    models_[m].update(inputs, targets);
+    models_[m].update(at, targets);
   });
 }
 
@@ -99,8 +90,7 @@ bool OutcomeModels::is_fit() const {
 double OutcomeModels::mean(Metric metric,
                            const eva::StreamConfig& config) const {
   return models_[static_cast<std::size_t>(metric)].predict_mean(
-      {static_cast<double>(config.resolution),
-       static_cast<double>(config.fps)});
+      grid_index(config));
 }
 
 std::size_t OutcomeModels::grid_index(const eva::StreamConfig& config) const {
@@ -108,6 +98,14 @@ std::size_t OutcomeModels::grid_index(const eva::StreamConfig& config) const {
     if (grid_[i] == config) return i;
   }
   throw Error("configuration is not on the knob grid");
+}
+
+std::vector<std::size_t> OutcomeModels::grid_indices(
+    const std::vector<eva::StreamConfig>& configs) const {
+  std::vector<std::size_t> at;
+  at.reserve(configs.size());
+  for (const auto& c : configs) at.push_back(grid_index(c));
+  return at;
 }
 
 la::Matrix latin_hypercube_normals(std::size_t num_samples,
@@ -141,7 +139,7 @@ std::vector<la::Matrix> OutcomeModels::sample_grid_tables(
   normals.reserve(kNumMetrics);
   for (std::size_t m = 0; m < kNumMetrics; ++m) {
     normals.push_back(
-        latin_hypercube_normals(num_samples, grid_inputs_.size(), rng));
+        latin_hypercube_normals(num_samples, grid_.size(), rng));
   }
   return colour_grid_tables(normals);
 }
@@ -152,7 +150,7 @@ std::vector<la::Matrix> OutcomeModels::colour_grid_tables(
   PAMO_CHECK(normals.size() == kNumMetrics, "one normal table per metric");
   std::vector<la::Matrix> tables(kNumMetrics);
   parallel_for(kNumMetrics, [&](std::size_t m) {
-    tables[m] = models_[m].sample_joint_given(grid_inputs_, normals[m]);
+    tables[m] = models_[m].sample_joint_given(normals[m]);
   });
   return tables;
 }
@@ -207,7 +205,7 @@ la::Matrix OutcomeModels::mean_grid_table() const {
   la::Matrix table(kNumMetrics, grid_.size());
   parallel_for(kNumMetrics, [&](std::size_t m) {
     for (std::size_t g = 0; g < grid_.size(); ++g) {
-      table(m, g) = models_[m].predict_mean(grid_inputs_[g]);
+      table(m, g) = models_[m].predict_mean(g);
     }
   });
   return table;

@@ -4,8 +4,10 @@
 // metric, trained on pooled noisy per-stream profiles; clip-to-clip
 // variation is absorbed as observation noise).
 //
-// Because the knob sets are small, the models expose *joint posterior
-// samples over the whole knob grid*: one (S × |grid|) table per metric.
+// Each GP is built over the knob grid and fed and queried only there:
+// observations and queries are grid indices, and the models expose *joint
+// posterior samples over the whole knob grid*: one (S × |grid|) table per
+// metric.
 // Evaluating any candidate joint configuration under MC scenario s is then
 // a table lookup per stream — this is what makes qNEI over hundreds of
 // pool candidates affordable.
@@ -44,7 +46,8 @@ class OutcomeModels {
   explicit OutcomeModels(const eva::ConfigSpace& space,
                          gp::GpOptions gp_options = {});
 
-  /// Fit all five GPs from profiled (config, measurement) pairs.
+  /// Fit all five GPs from profiled (config, measurement) pairs. Every
+  /// config must be on the knob grid.
   void fit(const std::vector<eva::StreamConfig>& configs,
            const std::vector<eva::StreamMeasurement>& measurements);
 
@@ -63,7 +66,7 @@ class OutcomeModels {
   [[nodiscard]] double mean(Metric metric,
                             const eva::StreamConfig& config) const;
 
-  /// Index of a configuration in the knob grid.
+  /// Index of a configuration in the knob grid; throws when it is off it.
   [[nodiscard]] std::size_t grid_index(const eva::StreamConfig& config) const;
   [[nodiscard]] const std::vector<eva::StreamConfig>& grid() const {
     return grid_;
@@ -92,7 +95,7 @@ class OutcomeModels {
   /// (counts summed, jitters maxed).
   [[nodiscard]] gp::GpFitDiagnostics diagnostics() const;
 
-  /// Serialize all five metric GPs (grid geometry is derived from the
+  /// Serialize all five metric GPs (the grid is derived from the
   /// ConfigSpace at construction and is not serialized).
   [[nodiscard]] obs::json::Value snapshot() const;
 
@@ -101,12 +104,14 @@ class OutcomeModels {
   void restore(const obs::json::Value& snap);
 
  private:
-  // grid_/grid_inputs_ are derived from the ConfigSpace in the ctor
-  // (pure function of the workload, not learned state).
+  [[nodiscard]] std::vector<std::size_t> grid_indices(
+      const std::vector<eva::StreamConfig>& configs) const;
+
+  // grid_ is derived from the ConfigSpace in the ctor (pure function of
+  // the workload, not learned state); each GP is built over it, in the
+  // same order.
   // pamo-analyze: allow(snapshot-coverage)
   std::vector<eva::StreamConfig> grid_;
-  // pamo-analyze: allow(snapshot-coverage)
-  std::vector<std::vector<double>> grid_inputs_;
   std::vector<gp::GpRegressor> models_;  // one per metric
 };
 

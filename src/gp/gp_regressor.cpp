@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/contracts.hpp"
@@ -22,134 +21,117 @@ constexpr double kMinNoiseVar = 1e-6;
 /// diagnostics().posterior_jitter.
 constexpr double kPosteriorMaxJitter = 1e-2;
 
-/// FNV-1a over the bit patterns of a query set; fingerprints the posterior
-/// workspace (backed by an exact row comparison, so collisions only cost a
-/// recompute, never a wrong reuse).
-std::uint64_t fingerprint_rows(const std::vector<std::vector<double>>& xs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(xs.size());
-  for (const auto& row : xs) {
-    for (const double d : row) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &d, sizeof(bits));
-      mix(bits);
-    }
-  }
-  return h;
-}
-
 }  // namespace
 
-GpRegressor::GpRegressor(GpOptions options) : options_(std::move(options)) {}
-
-std::vector<double> GpRegressor::scale_input(
-    const std::vector<double>& x) const {
-  PAMO_CHECK(x.size() == dim_, "input dimension mismatch");
-  std::vector<double> scaled(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const double width = x_hi_[i] - x_lo_[i];
-    scaled[i] = width > 0 ? (x[i] - x_lo_[i]) / width : 0.0;
+GpRegressor::GpRegressor(std::vector<std::vector<double>> grid,
+                         GpOptions options)
+    : options_(std::move(options)), grid_(std::move(grid)) {
+  PAMO_CHECK(!grid_.empty(), "a GP needs a non-empty input set");
+  dim_ = grid_.front().size();
+  PAMO_CHECK(dim_ >= 1, "GP inputs must have dimension >= 1");
+  std::vector<double> lo(dim_, std::numeric_limits<double>::max());
+  std::vector<double> hi(dim_, std::numeric_limits<double>::lowest());
+  for (std::size_t g = 0; g < grid_.size(); ++g) {
+    const auto& row = grid_[g];
+    PAMO_CHECK(row.size() == dim_, "ragged GP input set");
+    for (std::size_t i = 0; i < dim_; ++i) {
+      PAMO_CHECK(std::isfinite(row[i]), "non-finite GP input");
+      lo[i] = std::min(lo[i], row[i]);
+      hi[i] = std::max(hi[i], row[i]);
+    }
+    PAMO_CHECK(grid_index(row) == g, "GP input set has a repeated point");
   }
-  return scaled;
+  scaled_grid_.reserve(grid_.size());
+  for (const auto& row : grid_) {
+    std::vector<double> scaled(dim_);
+    for (std::size_t i = 0; i < dim_; ++i) {
+      const double width = hi[i] - lo[i];
+      scaled[i] = width > 0 ? (row[i] - lo[i]) / width : 0.0;
+    }
+    scaled_grid_.push_back(std::move(scaled));
+  }
 }
 
-void GpRegressor::sanitize(std::vector<std::vector<double>>& x,
-                           std::vector<double>& y) {
-  auto row_finite = [](const std::vector<double>& row, double yi) {
-    if (!std::isfinite(yi)) return false;
-    for (const double v : row) {
-      if (!std::isfinite(v)) return false;
-    }
-    return true;
-  };
+std::size_t GpRegressor::grid_index(const std::vector<double>& x) const {
+  for (std::size_t g = 0; g < grid_.size(); ++g) {
+    if (grid_[g] == x) return g;
+  }
+  throw Error("GP input is not a point of the model's input set");
+}
+
+std::size_t GpRegressor::sanitize(std::vector<std::size_t>& at,
+                                  std::vector<double>& y) const {
+  PAMO_CHECK(at.size() == y.size(), "grid-index/target size mismatch");
+  for (const std::size_t g : at) {
+    PAMO_CHECK(g < grid_.size(), "observation index is off the input set");
+  }
   if (!options_.reject_nonfinite) {
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      PAMO_CHECK(row_finite(x[i], y[i]),
+    for (const double v : y) {
+      PAMO_CHECK(std::isfinite(v),
                  "non-finite observation (NaN/Inf) in GP training data; set "
                  "GpOptions::reject_nonfinite to drop such rows");
     }
-    return;
+    return 0;
   }
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (row_finite(x[i], y[i])) {
-      if (kept != i) {
-        x[kept] = std::move(x[i]);
-        y[kept] = y[i];
-      }
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (std::isfinite(y[i])) {
+      at[kept] = at[i];
+      y[kept] = y[i];
       ++kept;
-    } else {
-      ++diagnostics_.rows_rejected;
     }
   }
-  x.resize(kept);
+  const std::size_t dropped = y.size() - kept;
+  at.resize(kept);
   y.resize(kept);
+  return dropped;
 }
 
-void GpRegressor::fit(std::vector<std::vector<double>> x,
-                      std::vector<double> y) {
+void GpRegressor::fit(std::vector<std::size_t> at, std::vector<double> y) {
   PAMO_SPAN("gp.fit");
   PAMO_COUNT("gp.fits", 1);
-  PAMO_CHECK(x.size() == y.size(), "x/y size mismatch");
+  const std::size_t rejected = sanitize(at, y);
   diagnostics_ = {};
-  sanitize(x, y);
-  PAMO_CHECK(x.size() >= 2, "GP fit requires at least 2 finite points");
-  dim_ = x.front().size();
-  PAMO_CHECK(dim_ >= 1, "GP inputs must have dimension >= 1");
-  for (const auto& row : x) {
-    PAMO_CHECK(row.size() == dim_, "ragged input matrix");
-  }
+  diagnostics_.rows_rejected = rejected;
+  PAMO_CHECK(at.size() >= 2, "GP fit requires at least 2 finite points");
   for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_, &hi_, &lo_}) {
     cells->clear();
   }
-  cell_x_.clear();
-  x_.clear();
-  ++kernel_epoch_;
-  absorb(x, y, /*choose_params=*/true);
+  cell_.clear();
+  absorb(at, y, /*choose_params=*/true);
   PAMO_ENSURES(is_fit() && solved_over_all_cells(),
                "fit leaves a solved system over every cell");
 }
 
-void GpRegressor::update(const std::vector<std::vector<double>>& x,
+void GpRegressor::update(const std::vector<std::size_t>& at,
                          const std::vector<double>& y) {
   PAMO_SPAN("gp.update");
   PAMO_COUNT("gp.updates", 1);
   PAMO_CHECK(is_fit(), "update before fit");
-  PAMO_CHECK(x.size() == y.size(), "x/y size mismatch");
-  std::vector<std::vector<double>> xs = x;
+  std::vector<std::size_t> points = at;
   std::vector<double> ys = y;
-  for (const auto& row : xs) {
-    PAMO_CHECK(row.size() == dim_, "input dimension mismatch");
-  }
-  sanitize(xs, ys);
+  diagnostics_.rows_rejected += sanitize(points, ys);
   // Nothing new: the solved system already is exactly what a re-solve over
   // the unchanged cells would produce.
-  if (xs.empty()) return;
-  absorb(xs, ys, /*choose_params=*/false);
+  if (points.empty()) return;
+  absorb(points, ys, /*choose_params=*/false);
   PAMO_ENSURES(solved_over_all_cells(),
                "update leaves a solved system over every cell");
 }
 
-void GpRegressor::absorb(const std::vector<std::vector<double>>& x,
+void GpRegressor::absorb(const std::vector<std::size_t>& at,
                          const std::vector<double>& y, bool choose_params) {
   Batch batch;
   batch.base_weight = weight_;
   batch.base_wmean = wmean_;
-  batch.cell.reserve(x.size());
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    const std::size_t cell = cell_of(x[j]);
+  batch.cell.reserve(at.size());
+  for (std::size_t j = 0; j < at.size(); ++j) {
+    const std::size_t cell = cell_of(at[j]);
     fold_unit(cell, y[j]);
     batch.cell.push_back(cell);
   }
   batch.y = y;
-  batch.noise_scale.assign(x.size(), 1.0);  // fresh rows carry λ = 1
-  derive_inputs();
+  batch.noise_scale.assign(at.size(), 1.0);  // fresh rows carry λ = 1
   standardize();
   if (choose_params) choose_hyperparams();
   fold_weights(batch);
@@ -165,7 +147,6 @@ void GpRegressor::absorb(const std::vector<std::vector<double>>& x,
 void GpRegressor::choose_hyperparams() {
   PAMO_SPAN("gp.rebuild");
   PAMO_COUNT("gp.rebuilds", 1);
-  const KernelParams previous_params = params_;
   if (options_.fixed_params.has_value()) {
     params_ = *options_.fixed_params;
     PAMO_CHECK(params_.dim() == dim_, "fixed hyperparameter dim mismatch");
@@ -187,7 +168,8 @@ void GpRegressor::choose_hyperparams() {
     // Every observation enters the likelihood, at the cost of a solve
     // over the cells.
     const mle::GroupMoments moments = unit_moments();
-    mle::NegLogLikelihood neg_lml(options_.kernel, x_, moments);
+    const std::vector<std::vector<double>> x = cell_inputs();
+    mle::NegLogLikelihood neg_lml(options_.kernel, x, moments);
     const mle::ValueAndGradient objective =
         [&neg_lml](const std::vector<double>& theta,
                    std::vector<double>& grad) { return neg_lml(theta, &grad); };
@@ -204,24 +186,30 @@ void GpRegressor::choose_hyperparams() {
     params_ = KernelParams::unpack(best.x, dim_);
     PAMO_COUNT("gp.mle_evals", best.evals);
   }
-  // The noise variance enters no kernel table.
-  if (params_.log_lengthscales != previous_params.log_lengthscales ||
-      params_.log_signal_var != previous_params.log_signal_var) {
-    ++kernel_epoch_;
-  }
+  form_kernel_table();
 }
 
-std::size_t GpRegressor::cell_of(const std::vector<double>& x) {
-  for (std::size_t i = 0; i < cell_x_.size(); ++i) {
-    if (cell_x_[i] == x) return i;
-  }
-  cell_x_.push_back(x);
+void GpRegressor::form_kernel_table() {
+  k_grid_ = kernel_matrix(options_.kernel, params_, scaled_grid_);
+}
+
+std::vector<std::vector<double>> GpRegressor::cell_inputs() const {
+  std::vector<std::vector<double>> x;
+  x.reserve(cell_.size());
+  for (const std::size_t g : cell_) x.push_back(scaled_grid_[g]);
+  return x;
+}
+
+std::size_t GpRegressor::cell_of(std::size_t g) {
+  const auto it = std::find(cell_.begin(), cell_.end(), g);
+  if (it != cell_.end()) return static_cast<std::size_t>(it - cell_.begin());
+  cell_.push_back(g);
   for (auto* cells : {&count_, &mean_, &m2_, &weight_, &wmean_}) {
     cells->push_back(0.0);
   }
   hi_.push_back(-std::numeric_limits<double>::infinity());
   lo_.push_back(std::numeric_limits<double>::infinity());
-  return cell_x_.size() - 1;
+  return cell_.size() - 1;
 }
 
 void GpRegressor::fold_unit(std::size_t cell, double y) {
@@ -234,27 +222,6 @@ void GpRegressor::fold_unit(std::size_t cell, double y) {
 void GpRegressor::fold_weight(std::size_t cell, double y, double w) {
   weight_[cell] += w;
   wmean_[cell] += w * (y - wmean_[cell]) / weight_[cell];
-}
-
-void GpRegressor::derive_inputs() {
-  std::vector<double> lo(dim_, std::numeric_limits<double>::max());
-  std::vector<double> hi(dim_, std::numeric_limits<double>::lowest());
-  for (const auto& row : cell_x_) {
-    for (std::size_t i = 0; i < dim_; ++i) {
-      lo[i] = std::min(lo[i], row[i]);
-      hi[i] = std::max(hi[i], row[i]);
-    }
-  }
-  if (lo != x_lo_ || hi != x_hi_) {
-    // A grown box rescales every cell, and with it every kernel entry.
-    x_lo_ = std::move(lo);
-    x_hi_ = std::move(hi);
-    x_.clear();
-    ++kernel_epoch_;
-  }
-  for (std::size_t i = x_.size(); i < cell_x_.size(); ++i) {
-    x_.push_back(scale_input(cell_x_[i]));
-  }
 }
 
 void GpRegressor::standardize() {
@@ -278,8 +245,8 @@ void GpRegressor::standardize() {
 void GpRegressor::fold_weights(const Batch& batch) {
   weight_ = batch.base_weight;
   wmean_ = batch.base_wmean;
-  weight_.resize(cell_x_.size(), 0.0);
-  wmean_.resize(cell_x_.size(), 0.0);
+  weight_.resize(cell_.size(), 0.0);
+  wmean_.resize(cell_.size(), 0.0);
   for (std::size_t j = 0; j < batch.cell.size(); ++j) {
     fold_weight(batch.cell[j], batch.y[j], 1.0 / batch.noise_scale[j]);
   }
@@ -299,35 +266,14 @@ std::size_t GpRegressor::num_points() const {
   return static_cast<std::size_t>(rows);
 }
 
-const la::Matrix& GpRegressor::training_gram() {
-  const std::size_t n = x_.size();
-  const std::size_t n_prev = gram_epoch_ == kernel_epoch_ ? gram_.rows() : 0;
-  PAMO_ASSERT(n_prev <= n, "cells shrank within a kernel epoch");
-  if (n_prev == n && gram_epoch_ == kernel_epoch_) return gram_;
-  // The new columns j >= n_prev, entry for entry as kernel_matrix forms
-  // them: k(x_i, x_j) for i < j, mirrored, and σ_f² on the diagonal.
-  const KernelEvaluator k_eval(options_.kernel, params_);
-  la::Matrix k(n, n);
-  for (std::size_t i = 0; i < n_prev; ++i) {
-    for (std::size_t j = 0; j < n_prev; ++j) k(i, j) = gram_(i, j);
-  }
-  for (std::size_t j = n_prev; j < n; ++j) {
-    k(j, j) = k_eval.signal_var();
-    for (std::size_t i = 0; i < j; ++i) {
-      const double v = k_eval(x_[i], x_[j]);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  gram_ = std::move(k);
-  gram_epoch_ = kernel_epoch_;
-  return gram_;
-}
-
 void GpRegressor::solve_system() {
-  la::Matrix k = training_gram();
+  const std::size_t n = cell_.size();
+  la::Matrix k(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) k(i, j) = k_grid_(cell_[i], cell_[j]);
+  }
   const double noise = std::exp(params_.log_noise_var);
-  for (std::size_t i = 0; i < x_.size(); ++i) k(i, i) += noise / weight_[i];
+  for (std::size_t i = 0; i < n; ++i) k(i, i) += noise / weight_[i];
   // Degrade to a wider jitter cap instead of throwing: a near-singular
   // training covariance (near-duplicate inputs, heavily inflated outlier
   // rows) yields a smoother posterior rather than a dead learner.
@@ -344,7 +290,6 @@ void GpRegressor::solve_system() {
   }
   diagnostics_.fit_jitter = std::max(diagnostics_.fit_jitter, chol_->jitter());
   alpha_ = chol_->solve(y_);
-  ++factor_epoch_;  // the posterior workspace's V is now stale
 }
 
 double GpRegressor::robust_z(std::size_t cell, double y,
@@ -445,113 +390,55 @@ mle::GroupMoments GpRegressor::unit_moments() const {
 double GpRegressor::log_marginal_likelihood(const KernelParams& params) const {
   PAMO_CHECK(is_fit(), "log_marginal_likelihood before fit");
   const mle::GroupMoments moments = unit_moments();
-  mle::NegLogLikelihood neg_lml(options_.kernel, x_, moments);
+  const std::vector<std::vector<double>> x = cell_inputs();
+  mle::NegLogLikelihood neg_lml(options_.kernel, x, moments);
   const double value = neg_lml(params.pack(), nullptr);
   // An unfactorizable system has no likelihood: report the lowest value.
   return std::isinf(value) ? -std::numeric_limits<double>::max() : -value;
 }
 
-double GpRegressor::predict_mean(const std::vector<double>& x) const {
+double GpRegressor::predict_mean(std::size_t g) const {
   PAMO_CHECK(is_fit(), "predict before fit");
-  const std::vector<double> xs = scale_input(x);
-  const KernelEvaluator k_eval(options_.kernel, params_);
+  PAMO_CHECK(g < grid_.size(), "prediction index is off the input set");
   double sum = 0.0;
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    sum += k_eval(xs, x_[i]) * alpha_[i];
+  for (std::size_t i = 0; i < cell_.size(); ++i) {
+    sum += k_grid_(g, cell_[i]) * alpha_[i];
   }
   return y_mean_ + y_std_ * sum;
 }
 
-double GpRegressor::predict_var(const std::vector<double>& x) const {
-  PAMO_CHECK(is_fit(), "predict before fit");
-  const std::vector<double> xs = scale_input(x);
-  const KernelEvaluator k_eval(options_.kernel, params_);
-  const double prior = k_eval.signal_var();
-  la::Vector kstar(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i) kstar[i] = k_eval(xs, x_[i]);
-  const la::Vector v = chol_->solve_lower(kstar);
-  const double var = prior - la::dot(v, v);
-  return std::max(0.0, var) * y_std_ * y_std_;
-}
-
-void GpRegressor::refresh_posterior_workspace(
-    std::vector<std::vector<double>>&& xs) const {
-  PosteriorWorkspace& ws = workspace_;
-  const std::size_t n = x_.size();
-  const std::uint64_t key = fingerprint_rows(xs);
-  const bool same_tables = ws.valid && ws.kernel_epoch == kernel_epoch_ &&
-                           ws.train_rows <= n && ws.key == key && ws.xs == xs;
-  ws.valid = false;  // until every table below is current
-  if (!same_tables) {
-    // Full recompute (new query set, or new kernel entries over x_).
-    ws.k_cross = kernel_cross(options_.kernel, params_, xs, x_);
-    ws.k_test = kernel_matrix(options_.kernel, params_, xs);
-    ws.v = chol_->solve_lower(ws.k_cross.transposed());
-    ws.xs = std::move(xs);
-    ws.key = key;
-  } else {
-    // K** is a function of the query rows alone. K* gains one column per
-    // cell appended since, entry for entry as kernel_cross forms it;
-    // existing entries are untouched.
-    const std::size_t m = ws.xs.size();
-    const std::size_t n_prev = ws.train_rows;
-    if (n_prev < n) {
-      const KernelEvaluator k_eval(options_.kernel, params_);
-      la::Matrix k_cross(m, n);
-      for (std::size_t c = 0; c < m; ++c) {
-        for (std::size_t j = 0; j < n_prev; ++j) {
-          k_cross(c, j) = ws.k_cross(c, j);
-        }
-        for (std::size_t j = n_prev; j < n; ++j) {
-          k_cross(c, j) = k_eval(ws.xs[c], x_[j]);
-        }
-      }
-      ws.k_cross = std::move(k_cross);
-    }
-    // A new cell always comes with a new factor, so this covers both.
-    if (ws.factor_epoch != factor_epoch_) {
-      ws.v = chol_->solve_lower(ws.k_cross.transposed());
-    }
-  }
-  ws.kernel_epoch = kernel_epoch_;
-  ws.factor_epoch = factor_epoch_;
-  ws.train_rows = n;
-  ws.valid = true;
-}
-
-Posterior GpRegressor::posterior(
-    const std::vector<std::vector<double>>& x) const {
+Posterior GpRegressor::posterior() const {
   PAMO_SPAN("gp.posterior");
   PAMO_COUNT("gp.posteriors", 1);
   PAMO_CHECK(is_fit(), "posterior before fit");
-  const std::size_t m = x.size();
-  PAMO_CHECK(m > 0, "posterior over an empty set");
-  std::vector<std::vector<double>> xs;
-  xs.reserve(m);
-  for (const auto& row : x) xs.push_back(scale_input(row));
-  refresh_posterior_workspace(std::move(xs));
-  const PosteriorWorkspace& ws = workspace_;
+  const std::size_t m = grid_.size();
+  const std::size_t n = cell_.size();
+  // K*ᵀ (cells × grid) is a row slice of K_grid; V = L⁻¹ K*ᵀ.
+  la::Matrix k_cross_t(n, m);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t c = 0; c < m; ++c) k_cross_t(j, c) = k_grid_(cell_[j], c);
+  }
+  const la::Matrix v = chol_->solve_lower(k_cross_t);
 
-  const std::size_t n = x_.size();
   Posterior post;
   post.mean.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) sum += ws.k_cross(i, j) * alpha_[j];
+    for (std::size_t j = 0; j < n; ++j) sum += k_cross_t(j, i) * alpha_[j];
     post.mean[i] = y_mean_ + y_std_ * sum;
   }
 
-  // cov = K** - K*ᵀ (K + σ²I)⁻¹ K* = K** - VᵀV with V = L⁻¹ K*ᵀ. VᵀV is
+  // cov = K** - K*ᵀ (K + σ²I)⁻¹ K* = K** - VᵀV with K** = K_grid. VᵀV is
   // formed on and above the diagonal, each entry summed over the cells r
   // in ascending order, and mirrored, so it is exactly symmetric at half
   // the products.
   la::Matrix vtv(m, m, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t i = 0; i < m; ++i) {
-      const double vri = ws.v(r, i);
+      const double vri = v(r, i);
       // Exact-zero skip: a zero V(r, i) adds nothing to row i's sums.
       if (vri == 0.0) continue;  // pamo-analyze: allow(float-eq)
-      for (std::size_t j = i; j < m; ++j) vtv(i, j) += vri * ws.v(r, j);
+      for (std::size_t j = i; j < m; ++j) vtv(i, j) += vri * v(r, j);
     }
   }
   post.covariance = la::Matrix(m, m);
@@ -559,22 +446,21 @@ Posterior GpRegressor::posterior(
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
       const double cross = j >= i ? vtv(i, j) : vtv(j, i);
-      post.covariance(i, j) = (ws.k_test(i, j) - cross) * scale2;
+      post.covariance(i, j) = (k_grid_(i, j) - cross) * scale2;
     }
   }
   PAMO_ENSURES(post.mean.size() == m && post.covariance.rows() == m &&
                    post.covariance.cols() == m,
-               "posterior is square over the query set");
+               "posterior is square over the input set");
   return post;
 }
 
-la::Matrix GpRegressor::sample_joint_given(
-    const std::vector<std::vector<double>>& x, const la::Matrix& z) const {
-  const std::size_t m = x.size();
+la::Matrix GpRegressor::sample_joint_given(const la::Matrix& z) const {
+  const std::size_t m = grid_.size();
   const std::size_t num_samples = z.rows();
   PAMO_EXPECTS(num_samples > 0, "sample_joint_given of zero samples");
-  PAMO_CHECK(z.cols() == m, "normals/query-set size mismatch");
-  const Posterior post = posterior(x);
+  PAMO_CHECK(z.cols() == m, "normals/input-set size mismatch");
+  const Posterior post = posterior();
   // Small jitter for numerical PSD-ness of the posterior covariance.
   const la::Cholesky chol(post.covariance, kPosteriorMaxJitter);
   diagnostics_.posterior_jitter =

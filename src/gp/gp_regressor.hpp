@@ -1,20 +1,28 @@
-// Exact Gaussian process regression with MLE hyperparameters.
+// Exact Gaussian process regression over a finite input set, with MLE
+// hyperparameters (Rasmussen & Williams, 2006, ch. 2, on a finite index
+// set).
 //
-// Targets are standardized internally (zero mean, unit variance); inputs
-// are min-max scaled to [0, 1] per dimension so that lengthscale priors and
-// boxes are dimensionless. Hyperparameters are fit by multi-start
-// projected BFGS on the negative log marginal likelihood and its analytic
-// gradient (gp/mle.hpp). predict() returns the posterior on the original
-// target scale.
+// The model is built with its input set, the grid, and never leaves it:
+// every observation and every query sits at a grid point, named by its
+// index. The grid is min-max scaled to [0, 1] per dimension once, at
+// construction, so that lengthscale priors and boxes are dimensionless;
+// targets are standardized internally (zero mean, unit variance).
+// Whenever the hyperparameters are set (by MLE, from fixed_params or by
+// restore) the model forms one kernel table over the grid, K_grid. The
+// training system, the cross-covariances and the prior covariance of a
+// posterior are index slices of it, so no posterior or update evaluates a
+// kernel. Hyperparameters are fit by multi-start projected BFGS on the
+// negative log marginal likelihood and its analytic gradient
+// (gp/mle.hpp). Predictions are on the original target scale.
 //
-// The model stores no observation rows. Each distinct input is a cell of
-// sufficient statistics: the unit-weight count, mean and M2 of its
-// targets (what the standardization and the MLE read), and its weight
+// The model stores no observation rows. Each observed grid point is a
+// cell of sufficient statistics: the unit-weight count, mean and M2 of
+// its targets (what the standardization and the MLE read), and its weight
 // W_i = Σ_j 1/λ_j with the W-weighted mean target (what the solve reads),
 // because Π_j N(y_j; f_i, σ²λ_j) = N(ȳ_i; f_i, σ²/W_i) × (a term free of
-// f). So a caller on a finite grid pays for at most |grid| cells in
-// memory, in every solve, marginal-likelihood evaluation and posterior,
-// and in every snapshot, however many observations it has fed in.
+// f). So the model pays for at most |grid| cells in memory, in every
+// solve, marginal-likelihood evaluation and posterior, and in every
+// snapshot, however many observations it has fed in.
 #pragma once
 
 #include <cstdint>
@@ -87,24 +95,33 @@ struct Posterior {
 
 class GpRegressor {
  public:
-  explicit GpRegressor(GpOptions options = {});
+  /// A model over `grid`: at least one row, every row of one width ≥ 1,
+  /// finite and distinct from the others.
+  explicit GpRegressor(std::vector<std::vector<double>> grid,
+                       GpOptions options = {});
 
-  /// Fit to (x, y). Requires at least 2 points; all rows must share one
-  /// dimension. Refitting replaces previous data.
-  void fit(std::vector<std::vector<double>> x, std::vector<double> y);
+  /// Fit to the targets `y` observed at grid points `at` (indices into the
+  /// grid). Requires at least 2 observations. Refitting replaces previous
+  /// data.
+  void fit(std::vector<std::size_t> at, std::vector<double> y);
 
   /// Add observations: they fold into their cells and the system is
   /// re-solved over the cells. The hyperparameters stay; only fit()
   /// chooses them.
-  void update(const std::vector<std::vector<double>>& x,
+  void update(const std::vector<std::size_t>& at,
               const std::vector<double>& y);
 
-  [[nodiscard]] bool is_fit() const { return !cell_x_.empty(); }
+  [[nodiscard]] bool is_fit() const { return !cell_.empty(); }
   /// Observations folded in (repeats included).
   [[nodiscard]] std::size_t num_points() const;
-  /// Distinct inputs (cells) the system is solved on (≤ num_points()).
-  [[nodiscard]] std::size_t num_distinct() const { return cell_x_.size(); }
+  /// Observed grid points (cells) the system is solved on
+  /// (≤ num_points()).
+  [[nodiscard]] std::size_t num_distinct() const { return cell_.size(); }
   [[nodiscard]] std::size_t dim() const { return dim_; }
+  /// The input set, as given to the constructor.
+  [[nodiscard]] const std::vector<std::vector<double>>& grid() const {
+    return grid_;
+  }
   [[nodiscard]] const KernelParams& params() const { return params_; }
 
   /// Robustness bookkeeping since the last fit(). posterior_jitter is
@@ -113,72 +130,49 @@ class GpRegressor {
     return diagnostics_;
   }
 
-  /// Posterior mean at one point (original target scale).
-  [[nodiscard]] double predict_mean(const std::vector<double>& x) const;
+  /// Posterior mean at grid point `g` (original target scale).
+  [[nodiscard]] double predict_mean(std::size_t g) const;
 
-  /// Posterior variance of the latent function at one point (original
-  /// target scale, without observation noise).
-  [[nodiscard]] double predict_var(const std::vector<double>& x) const;
+  /// Joint posterior over the whole grid, in grid order.
+  [[nodiscard]] Posterior posterior() const;
 
-  /// Joint posterior over a set of points.
-  [[nodiscard]] Posterior posterior(
-      const std::vector<std::vector<double>>& x) const;
-
-  /// Joint samples of the latent function at `x`, driven by standard
-  /// normals the caller supplies: row s of `z` (num_samples × x.size())
-  /// drives sample s, and the result is (num_samples × x.size()). Callers
-  /// pre-draw the randomness serially in a fixed order; the deterministic
-  /// colouring transform then runs in parallel.
-  [[nodiscard]] la::Matrix sample_joint_given(
-      const std::vector<std::vector<double>>& x, const la::Matrix& z) const;
+  /// Joint samples of the latent function over the grid, driven by
+  /// standard normals the caller supplies: row s of `z`
+  /// (num_samples × |grid|) drives sample s, and the result is
+  /// (num_samples × |grid|). Callers pre-draw the randomness serially in a
+  /// fixed order; the deterministic colouring transform then runs in
+  /// parallel.
+  [[nodiscard]] la::Matrix sample_joint_given(const la::Matrix& z) const;
 
   /// Log marginal likelihood of the standardized data (every observation,
   /// unit noise weights) under `params`, computed on the cells.
   [[nodiscard]] double log_marginal_likelihood(
       const KernelParams& params) const;
 
-  /// Serialize the source of truth as deterministic JSON: the cells, the
-  /// hyperparameters and the diagnostics counters. Its size depends on
-  /// the number of cells, not of observations. Everything else (scaling,
-  /// standardization, factor, alpha, kernel tables) is a deterministic
-  /// function of these.
+  /// Serialize the source of truth as deterministic JSON: the cells (each
+  /// with its raw grid input), the hyperparameters and the diagnostics
+  /// counters. Its size depends on the number of cells, not of
+  /// observations. Everything else (standardization, kernel table, factor,
+  /// alpha) is a deterministic function of these and the grid.
   [[nodiscard]] obs::json::Value snapshot() const;
 
-  /// Rebuild the fitted state from snapshot() by re-deriving the scaling,
-  /// the standardization, the factor and alpha with one solve (no MLE).
-  /// The regressor must have been constructed with the same GpOptions as
-  /// the snapshotted one; after restore, every prediction, sample, and
-  /// update is bit-for-bit identical to the original instance's.
+  /// Rebuild the fitted state from snapshot() by re-deriving the
+  /// standardization, the kernel table, the factor and alpha with one
+  /// solve (no MLE). The regressor must have been constructed with the
+  /// same grid and GpOptions as the snapshotted one; after restore, every
+  /// prediction, sample, and update is bit-for-bit identical to the
+  /// original instance's. Each cell's input must be a grid point.
   /// All-or-nothing: a snapshot that fails a check throws and leaves this
   /// instance untouched. Snapshots of builds that stored every row
-  /// (x_raw, y_raw, noise_scale) restore by folding those rows into their
-  /// cells, each with weight 1/λ; their derived keys (x, y, chol, alpha,
-  /// ...), the retired drift-detector keys and the retired update-path
-  /// counters are ignored.
+  /// (x_raw, y_raw, noise_scale) restore by folding those rows, each at a
+  /// grid point, into their cells with weight 1/λ; their derived keys (x,
+  /// y, chol, alpha, ...), the retired drift-detector keys and the retired
+  /// update-path counters are ignored.
   void restore(const obs::json::Value& snap);
 
  private:
-  /// Cross-covariance workspace reused by posterior() across calls over
-  /// the same query set. `key` fingerprints the scaled query rows (with an
-  /// exact row comparison against `xs` to rule out hash collisions).
-  /// k_cross and k_test hold while `kernel_epoch` is current: their
-  /// entries over the first `train_rows` cells are unchanged, so new cells
-  /// only append columns to k_cross. V is solved again whenever the factor
-  /// has changed since (`factor_epoch`).
-  struct PosteriorWorkspace {
-    bool valid = false;
-    std::uint64_t key = 0;
-    std::uint64_t kernel_epoch = 0;
-    std::uint64_t factor_epoch = 0;
-    std::size_t train_rows = 0;
-    std::vector<std::vector<double>> xs;  // scaled query rows
-    la::Matrix k_cross;                   // m × n
-    la::Matrix k_test;                    // m × m
-    la::Matrix v;                         // n × m, V = L⁻¹ K*ᵀ
-  };
-
-  /// The rows of one fit()/update() call, alive only during it: their
-  /// cells, raw targets and noise scales λ_j (1 until a robust round
+  /// The observations of one fit()/update() call, alive only during it:
+  /// their cells, raw targets and noise scales λ_j (1 until a robust round
   /// inflates one), over the cells' weighted statistics from before the
   /// call, plus the earlier rows a robust round pulled out of them.
   struct Batch {
@@ -189,24 +183,27 @@ class GpRegressor {
     std::vector<double> base_wmean;
   };
 
-  /// The one path of fit() (on emptied cells) and update(): fold the rows
-  /// into their cells, rescale when the input box grew, re-standardize,
-  /// choose the hyperparameters when `choose_params` (the fixed ones, or
-  /// by MLE), solve, then run the robust rounds over these rows.
-  void absorb(const std::vector<std::vector<double>>& x,
-              const std::vector<double>& y, bool choose_params);
-  /// Set params_ to the fixed hyperparameters or fit them by MLE.
+  /// The one path of fit() (on emptied cells) and update(): fold the
+  /// observations into their cells, re-standardize, choose the
+  /// hyperparameters when `choose_params` (the fixed ones, or by MLE),
+  /// solve, then run the robust rounds over these observations.
+  void absorb(const std::vector<std::size_t>& at, const std::vector<double>& y,
+              bool choose_params);
+  /// Set params_ to the fixed hyperparameters or fit them by MLE, then
+  /// form the kernel table.
   void choose_hyperparams();
-  /// Index of the cell at raw input `x`, appending an empty cell if new.
-  std::size_t cell_of(const std::vector<double>& x);
+  /// K_grid under params_.
+  void form_kernel_table();
+  /// Index of the cell at grid point `g`, appending an empty cell if new.
+  std::size_t cell_of(std::size_t g);
+  /// Index of the grid point equal to `x`; throws when there is none.
+  [[nodiscard]] std::size_t grid_index(const std::vector<double>& x) const;
+  /// The scaled grid inputs of the cells, in cell order.
+  [[nodiscard]] std::vector<std::vector<double>> cell_inputs() const;
   /// Chan/Welford: fold one target into a cell's unit-weight moments.
   void fold_unit(std::size_t cell, double y);
   /// Fold one target with weight w = 1/λ into a cell's W and W-mean.
   void fold_weight(std::size_t cell, double y, double w);
-  /// Min-max box over the cell inputs and the scaled inputs x_: every
-  /// cell is rescaled when the box moved, otherwise only cells new since
-  /// the last call are scaled. Bumps kernel_epoch_ when the box moved.
-  void derive_inputs();
   /// Merge the cells' unit moments into the global target mean and
   /// standard deviation.
   void standardize();
@@ -216,8 +213,8 @@ class GpRegressor {
   void fold_weights(const Batch& batch);
   /// ȳ_i of the solve: each cell's W-weighted mean, standardized.
   void standardize_targets();
-  /// Factorize K(x_, x_) + σ²·diag(1/W_i) and solve for alpha_,
-  /// recovering from Cholesky failures by widening the jitter cap.
+  /// Factorize K_grid over the cells + σ²·diag(1/W_i) and solve for
+  /// alpha_, recovering from Cholesky failures by widening the jitter cap.
   void solve_system();
   /// Unit-weight sufficient statistics of the standardized targets per
   /// cell: the hyperparameter MLE's view of the data.
@@ -225,10 +222,10 @@ class GpRegressor {
   /// The solved system covers every cell (postcondition of
   /// fit()/update()).
   [[nodiscard]] bool solved_over_all_cells() const {
-    const std::size_t n = cell_x_.size();
+    const std::size_t n = cell_.size();
     return count_.size() == n && mean_.size() == n && m2_.size() == n &&
            weight_.size() == n && wmean_.size() == n && hi_.size() == n &&
-           lo_.size() == n && x_.size() == n && alpha_.size() == n;
+           lo_.size() == n && alpha_.size() == n;
   }
   /// One pass of iteratively reweighted noise over the batch: inflate the
   /// noise scales of rows with large standardized residuals, then re-fold
@@ -244,27 +241,27 @@ class GpRegressor {
                                 double lambda) const;
   /// Record the batch's full-weight targets as their cells' extremes.
   void note_extremes(const Batch& batch);
-  /// Drop non-finite rows (reject_nonfinite) or reject them loudly.
-  void sanitize(std::vector<std::vector<double>>& x, std::vector<double>& y);
-  [[nodiscard]] std::vector<double> scale_input(
-      const std::vector<double>& x) const;
-  /// Bring workspace_ up to date for the scaled query rows `xs`.
-  void refresh_posterior_workspace(std::vector<std::vector<double>>&& xs) const;
-  /// The noise-free Gram K(x_, x_) under params_: gram_ extended by the
-  /// entries of cells appended since it was computed, or recomputed when
-  /// kernel_epoch_ has moved on.
-  const la::Matrix& training_gram();
+  /// Reject indices off the grid, then drop non-finite targets
+  /// (reject_nonfinite; returns how many) or reject them loudly.
+  std::size_t sanitize(std::vector<std::size_t>& at,
+                       std::vector<double>& y) const;
 
-  // Construction-time configuration, re-supplied by the ctor on restore.
+  // Construction-time configuration, re-supplied by the ctor on restore:
+  // the options, the grid as given, and scaled by its own per-dimension
+  // min-max.
   // pamo-analyze: allow(snapshot-coverage)
   GpOptions options_;
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<std::vector<double>> grid_;
+  // pamo-analyze: allow(snapshot-coverage)
+  std::vector<std::vector<double>> scaled_grid_;
   std::size_t dim_ = 0;
 
-  // Source of truth: one cell per distinct raw input, in first-occurrence
-  // order. The unit-weight count, mean and M2 of its targets, and its
-  // weight W = Σ_j 1/λ_j with the W-weighted mean target (original scale;
-  // λ_j ≥ 1 is 1 unless the robust fit inflated row j).
-  std::vector<std::vector<double>> cell_x_;
+  // Source of truth: one cell per observed grid point, in first-occurrence
+  // order: its grid index, the unit-weight count, mean and M2 of its
+  // targets, and its weight W = Σ_j 1/λ_j with the W-weighted mean target
+  // (original scale; λ_j ≥ 1 is 1 unless the robust fit inflated row j).
+  std::vector<std::size_t> cell_;
   std::vector<double> count_;
   std::vector<double> mean_;
   std::vector<double> m2_;
@@ -281,40 +278,21 @@ class GpRegressor {
 
   // Everything below is derived from the members above; restore()
   // re-derives it with one solve instead of reading it back.
-  // Input scaling (min-max per dimension) and target standardization.
-  // pamo-analyze: allow(snapshot-coverage)
-  std::vector<double> x_lo_, x_hi_;
+  // Target standardization.
   // pamo-analyze: allow(snapshot-coverage)
   double y_mean_ = 0.0, y_std_ = 1.0;
-  // The cell inputs, scaled.
-  // pamo-analyze: allow(snapshot-coverage)
-  std::vector<std::vector<double>> x_;
   // The standardized W-weighted mean ȳ_i of each cell.
   // pamo-analyze: allow(snapshot-coverage)
   std::vector<double> y_;
+  // K_grid: the noise-free kernel over every pair of grid points under
+  // params_ (|grid| × |grid|).
+  // pamo-analyze: allow(snapshot-coverage)
+  la::Matrix k_grid_;
   // pamo-analyze: allow(snapshot-coverage)
   std::optional<la::Cholesky> chol_;
-  // (K_d + σ²·diag(1/W))⁻¹ ȳ
+  // (K_cells + σ²·diag(1/W))⁻¹ ȳ
   // pamo-analyze: allow(snapshot-coverage)
   la::Vector alpha_;
-  // Bumped by every factorization (solve_system); the posterior
-  // workspace re-solves V when it has moved on.
-  // pamo-analyze: allow(snapshot-coverage)
-  std::uint64_t factor_epoch_ = 0;
-  // Bumped when a kernel entry over x_ may have changed: new lengthscales
-  // or signal variance, or a grown input box that rescales every cell.
-  // Within one value, every kernel table over a prefix of x_ stays exact.
-  // pamo-analyze: allow(snapshot-coverage)
-  std::uint64_t kernel_epoch_ = 0;
-  // training_gram()'s table and the kernel_epoch_ it was computed in.
-  // pamo-analyze: allow(snapshot-coverage)
-  la::Matrix gram_;
-  // pamo-analyze: allow(snapshot-coverage)
-  std::uint64_t gram_epoch_ = 0;
-  // posterior()'s kernel tables for the last query set (see
-  // PosteriorWorkspace), kept across calls.
-  // pamo-analyze: allow(snapshot-coverage)
-  mutable PosteriorWorkspace workspace_;
 };
 
 }  // namespace pamo::gp

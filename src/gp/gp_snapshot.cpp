@@ -1,11 +1,12 @@
 // GpRegressor checkpoint serialization (see gp_regressor.hpp).
 //
-// The snapshot carries the source of truth only: the cells (inputs, unit
-// moments, weights and weighted means, and under the robust fit their
-// full-weight extremes), hyperparameters and diagnostics,
-// so its size is bounded by the number of distinct inputs. Restore
-// re-derives the scaling, the standardization, the factor and alpha with
-// one solve and no MLE. fit() and update() leave the factor of exactly that
+// The snapshot carries the source of truth only: the cells (raw grid
+// inputs, unit moments, weights and weighted means, and under the robust
+// fit their full-weight extremes), hyperparameters and diagnostics,
+// so its size is bounded by the number of observed grid points. Restore
+// maps each input back to its grid point and re-derives the
+// standardization, the kernel table, the factor and alpha with one solve
+// and no MLE. fit() and update() leave the factor of exactly that
 // solve over the cells they store (the robust rounds' last solve is over
 // the folded weights), so the restored model predicts — and keeps
 // updating — bit-for-bit like the original.
@@ -95,12 +96,15 @@ std::vector<double> extremes_from_json(const json::Value& v, double none) {
 
 // pamo-analyze: snapshot(GpRegressor)
 json::Value GpRegressor::snapshot() const {
-  const std::size_t n = cell_x_.size();
+  const std::size_t n = cell_.size();
   PAMO_CHECK(count_.size() == n && mean_.size() == n && m2_.size() == n &&
                  weight_.size() == n && wmean_.size() == n,
              "GP snapshot over inconsistent cell arrays");
+  std::vector<std::vector<double>> x;
+  x.reserve(n);
+  for (const std::size_t g : cell_) x.push_back(grid_[g]);
   json::Value cells = json::Value::object();
-  cells.set("x", codec::rows_to_json(cell_x_));
+  cells.set("x", codec::rows_to_json(x));
   cells.set("count", codec::doubles_to_json(count_));
   cells.set("mean", codec::doubles_to_json(mean_));
   cells.set("m2", codec::doubles_to_json(m2_));
@@ -125,20 +129,22 @@ void GpRegressor::restore(const json::Value& snap) {
              "backend no longer exists, so this checkpoint cannot be resumed");
   // Decode into a fresh instance and move it in only once every check has
   // passed: a rejected snapshot leaves this model untouched.
-  GpRegressor fresh(options_);
-  fresh.dim_ = static_cast<std::size_t>(snap.at("dim").as_uint());
+  GpRegressor fresh(grid_, options_);
+  const auto dim = static_cast<std::size_t>(snap.at("dim").as_uint());
   fresh.params_ = params_from_json(snap.at("params"));
   const GpFitDiagnostics diagnostics =
       diagnostics_from_json(snap.at("diagnostics"));
 
   if (const json::Value* cells = snap.find("cells")) {
-    fresh.cell_x_ = codec::rows_from_json(cells->at("x"));
+    for (const auto& x : codec::rows_from_json(cells->at("x"))) {
+      fresh.cell_.push_back(fresh.grid_index(x));
+    }
     fresh.count_ = codec::doubles_from_json(cells->at("count"));
     fresh.mean_ = codec::doubles_from_json(cells->at("mean"));
     fresh.m2_ = codec::doubles_from_json(cells->at("m2"));
     fresh.weight_ = codec::doubles_from_json(cells->at("weight"));
     fresh.wmean_ = codec::doubles_from_json(cells->at("wmean"));
-    const std::size_t n = fresh.cell_x_.size();
+    const std::size_t n = fresh.cell_.size();
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const json::Value* hi = cells->find("hi");
     const json::Value* lo = cells->find("lo");
@@ -153,8 +159,6 @@ void GpRegressor::restore(const json::Value& snap) {
                "GP snapshot is internally inconsistent: the cell arrays "
                "differ in length");
     for (std::size_t i = 0; i < n; ++i) {
-      PAMO_CHECK(fresh.cell_x_[i].size() == fresh.dim_,
-                 "GP snapshot cell width differs from its dim");
       // λ ≥ 1 per row, so 0 < W ≤ count.
       PAMO_CHECK(std::isfinite(fresh.count_[i]) && fresh.count_[i] >= 1.0 &&
                      std::isfinite(fresh.mean_[i]) &&
@@ -178,13 +182,11 @@ void GpRegressor::restore(const json::Value& snap) {
                "GP snapshot is internally inconsistent: x_raw, y_raw and "
                "noise_scale differ in length");
     for (std::size_t j = 0; j < x.size(); ++j) {
-      PAMO_CHECK(x[j].size() == fresh.dim_,
-                 "GP snapshot row width differs from its dim");
       PAMO_CHECK(std::isfinite(y[j]),
                  "GP snapshot rows must have finite targets");
       PAMO_CHECK(std::isfinite(lambda[j]) && lambda[j] >= 1.0,
                  "GP snapshot noise scales must be finite and >= 1");
-      const std::size_t cell = fresh.cell_of(x[j]);
+      const std::size_t cell = fresh.cell_of(fresh.grid_index(x[j]));
       fresh.fold_unit(cell, y[j]);
       fresh.fold_weight(cell, y[j], 1.0 / lambda[j]);
       // pamo-analyze: allow(float-eq)
@@ -195,11 +197,11 @@ void GpRegressor::restore(const json::Value& snap) {
     }
   }
   if (fresh.is_fit()) {
-    PAMO_CHECK(fresh.num_points() >= 2 && fresh.dim_ >= 1 &&
+    PAMO_CHECK(fresh.num_points() >= 2 && dim == fresh.dim_ &&
                    fresh.params_.dim() == fresh.dim_,
-               "fitted GP snapshot must carry >= 2 observations and "
-               "hyperparameters of its input dimension");
-    fresh.derive_inputs();
+               "fitted GP snapshot must carry >= 2 observations, and the "
+               "input dimension and hyperparameters of this model's grid");
+    fresh.form_kernel_table();
     fresh.standardize();
     fresh.standardize_targets();
     fresh.solve_system();

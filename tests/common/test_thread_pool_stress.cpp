@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -90,6 +91,32 @@ TEST(ThreadPoolStress, ExceptionsPropagateWithoutLeakingTasks) {
     });
     ASSERT_EQ(ok.load(), 8u);
   }
+}
+
+// Every block throws, so every helper hands an exception to the batch
+// while the caller may already be rethrowing the first one. The caller
+// must own the exception it rethrows outright; under TSan, a worker
+// releasing its reference after the hand-off is reported as a race.
+TEST(ThreadPoolStress, EveryIndexThrowingRethrowsOncePerCall) {
+  ThreadPool pool(4);
+  for (std::size_t round = 0; round < 300; ++round) {
+    std::size_t caught = 0;
+    try {
+      pool.parallel_for(64, [round](std::size_t i) {
+        throw std::runtime_error("index " + std::to_string(i) + " of round " +
+                                 std::to_string(round));
+      });
+    } catch (const std::runtime_error& e) {
+      ++caught;
+      EXPECT_NE(std::string(e.what()).find("of round"), std::string::npos);
+    }
+    ASSERT_EQ(caught, 1u) << "round " << round;
+  }
+  std::atomic<std::size_t> ok{0};
+  pool.parallel_for(64, [&ok](std::size_t) {
+    ok.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ok.load(), 64u);
 }
 
 TEST(ThreadPoolStress, ConcurrentThrowingAndCleanBatches) {

@@ -1,9 +1,10 @@
 // GpRegressor keeps per-input sufficient statistics (cells) and solves on
 // them. That is an exact reduction, so every posterior and the log
 // marginal likelihood must match a GP factored over every row — computed
-// here directly with la::Cholesky — to rounding, for unit and for
-// robust-inflated per-row noise alike, and however the rows were fed. The
-// cells also bound the model: its snapshot does not grow with the rows.
+// here directly with la::Cholesky, on the input set's scaling — to
+// rounding, for unit and for robust-inflated per-row noise alike, and
+// however the rows were fed. The cells also bound the model: its snapshot
+// does not grow with the rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,17 +20,17 @@
 #include "la/cholesky.hpp"
 #include "la/matrix.hpp"
 #include "obs/json.hpp"
+#include "support/gp_grid.hpp"
 
 namespace pamo::gp {
 namespace {
 
-using Rows = std::vector<std::vector<double>>;
-
 constexpr double kLog2Pi = 1.8378770664093454835606594728112;
 
-/// 60 observations of a noisy surface on 12 distinct 2-D inputs: every
-/// input appears at least once, the rest are drawn with replacement.
+/// Observations of a noisy surface on distinct points of an input set:
+/// every one appears at least once, the rest are drawn with replacement.
 struct RepeatedData {
+  Rows grid;
   Rows distinct;
   Rows x;
   std::vector<double> y;
@@ -39,13 +40,20 @@ double surface(const std::vector<double>& x) {
   return std::sin(3.0 * x[0]) + 0.5 * std::cos(2.0 * x[1]) + 0.3 * x[0];
 }
 
+/// 60 observations on 12 distinct points of the 9 × 9 grid over [0, 1]².
 RepeatedData make_repeated(std::uint64_t seed) {
   constexpr std::size_t distinct = 12;
   constexpr std::size_t rows = 60;
   Rng rng(seed);
   RepeatedData d;
+  std::vector<double> axis;
+  for (int i = 0; i <= 8; ++i) axis.push_back(0.125 * i);
+  d.grid = product_grid(axis, axis);
+  std::vector<std::size_t> order(d.grid.size());
+  for (std::size_t g = 0; g < order.size(); ++g) order[g] = g;
+  rng.shuffle(order);
   for (std::size_t i = 0; i < distinct; ++i) {
-    d.distinct.push_back({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)});
+    d.distinct.push_back(d.grid[order[i]]);
   }
   for (std::size_t j = 0; j < rows; ++j) {
     const auto& row =
@@ -71,8 +79,8 @@ GpOptions fixed_options(KernelType kernel) {
   return o;
 }
 
-/// The full-row GP, in the regressor's own scaling: min-max inputs,
-/// standardized targets, per-row noise σ²·λ_j.
+/// The full-row GP, in the regressor's own scaling: inputs min-max scaled
+/// by the input set, standardized targets, per-row noise σ²·λ_j.
 struct FullRowGp {
   KernelType kernel = KernelType::kRbf;
   KernelParams params;
@@ -93,14 +101,15 @@ struct FullRowGp {
 };
 
 FullRowGp full_row_gp(KernelType kernel, const KernelParams& params,
-                      const Rows& x, const std::vector<double>& y,
+                      const Rows& grid, const Rows& x,
+                      const std::vector<double>& y,
                       const std::vector<double>& noise_scale) {
   FullRowGp g;
   g.kernel = kernel;
   g.params = params;
-  g.lo = x.front();
-  g.hi = x.front();
-  for (const auto& row : x) {
+  g.lo = grid.front();
+  g.hi = grid.front();
+  for (const auto& row : grid) {
     for (std::size_t d = 0; d < row.size(); ++d) {
       g.lo[d] = std::min(g.lo[d], row[d]);
       g.hi[d] = std::max(g.hi[d], row[d]);
@@ -133,12 +142,13 @@ double full_row_lml(const FullRowGp& g) {
 /// The robust IRLS of GpOptions::robust_noise run on the full-row GP, where
 /// row j's standardized residual is √(σ²λ_j)·α_j.
 std::vector<double> full_row_irls(KernelType kernel, const KernelParams& params,
-                                  const Rows& x, const std::vector<double>& y,
+                                  const Rows& grid, const Rows& x,
+                                  const std::vector<double>& y,
                                   const GpOptions& o) {
   std::vector<double> lambda(x.size(), 1.0);
   const double noise = std::exp(params.log_noise_var);
   for (std::size_t round = 0; round < kRobustRounds; ++round) {
-    const FullRowGp g = full_row_gp(kernel, params, x, y, lambda);
+    const FullRowGp g = full_row_gp(kernel, params, grid, x, y, lambda);
     bool changed = false;
     for (std::size_t j = 0; j < x.size(); ++j) {
       const double z = std::fabs(std::sqrt(noise * lambda[j]) * g.alpha[j]);
@@ -154,15 +164,6 @@ std::vector<double> full_row_irls(KernelType kernel, const KernelParams& params,
     if (!changed) break;
   }
   return lambda;
-}
-
-Rows queries_for(const RepeatedData& d, std::uint64_t seed) {
-  Rows q(d.distinct.begin(), d.distinct.begin() + 4);  // training inputs
-  Rng rng(seed);
-  for (int i = 0; i < 8; ++i) {
-    q.push_back({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)});
-  }
-  return q;
 }
 
 /// The weight W_i = Σ 1/λ_j of each of `gp`'s cells, in cell order.
@@ -192,15 +193,16 @@ std::vector<double> weights_by_input(const Rows& x,
   return out;
 }
 
-/// Posterior mean/variance of `gp` (joint and pointwise) against the
-/// full-row reference over the same rows with noise scales `lambda`.
+/// Posterior mean/variance of `gp` (joint and pointwise) over its whole
+/// input set against the full-row reference over the same rows with noise
+/// scales `lambda`.
 void expect_matches_full_row(const GpRegressor& gp, const Rows& x,
-                             const std::vector<double>& y, const Rows& q,
-                             KernelType kernel,
+                             const std::vector<double>& y, KernelType kernel,
                              const std::vector<double>& lambda) {
-  const FullRowGp ref = full_row_gp(kernel, gp.params(), x, y, lambda);
+  const Rows& q = gp.grid();
+  const FullRowGp ref = full_row_gp(kernel, gp.params(), q, x, y, lambda);
   ASSERT_EQ(ref.chol->jitter(), 0.0);  // pamo-analyze: allow(float-eq)
-  const Posterior post = gp.posterior(q);
+  const Posterior post = gp.posterior();
   const KernelEvaluator k_eval(kernel, gp.params());
   for (std::size_t c = 0; c < q.size(); ++c) {
     const std::vector<double> qs = ref.scale(q[c]);
@@ -214,9 +216,7 @@ void expect_matches_full_row(const GpRegressor& gp, const Rows& x,
         (k_eval.signal_var() - la::dot(v, v)) * ref.y_std * ref.y_std;
     EXPECT_NEAR(post.mean[c], mean, 1e-9) << "query " << c;
     EXPECT_NEAR(post.covariance(c, c), var, 1e-9) << "query " << c;
-    EXPECT_NEAR(gp.predict_mean(q[c]), mean, 1e-9) << "query " << c;
-    EXPECT_NEAR(gp.predict_var(q[c]), std::max(0.0, var), 1e-9)
-        << "query " << c;
+    EXPECT_NEAR(gp.predict_mean(c), mean, 1e-9) << "query " << c;
   }
 }
 
@@ -224,15 +224,14 @@ class DistinctRowExactness : public ::testing::TestWithParam<KernelType> {};
 
 TEST_P(DistinctRowExactness, PosteriorAndLmlMatchTheFullRowGp) {
   const RepeatedData d = make_repeated(0xD15C0001ULL);
-  GpRegressor gp(fixed_options(GetParam()));
-  gp.fit(d.x, d.y);
+  GpRegressor gp(d.grid, fixed_options(GetParam()));
+  gp.fit(indices_of(gp, d.x), d.y);
   EXPECT_EQ(gp.num_points(), 60u);
   EXPECT_EQ(gp.num_distinct(), 12u);
   const std::vector<double> unit(d.x.size(), 1.0);
-  expect_matches_full_row(gp, d.x, d.y, queries_for(d, 0xD15C0002ULL),
-                          GetParam(), unit);
+  expect_matches_full_row(gp, d.x, d.y, GetParam(), unit);
 
-  const FullRowGp ref = full_row_gp(GetParam(), params_2d(), d.x, d.y,
+  const FullRowGp ref = full_row_gp(GetParam(), params_2d(), d.grid, d.x, d.y,
                                     std::vector<double>(d.x.size(), 1.0));
   // The MLE's likelihood surface, away from the fit's own parameters too.
   KernelParams other = params_2d();
@@ -252,13 +251,13 @@ TEST_P(DistinctRowExactness, RobustOutlierScalesFoldIntoTheWeights) {
   d.y[30] += 12.0;  // one gross outlier on a repeated input
   GpOptions options = fixed_options(GetParam());
   options.robust_noise = true;
-  GpRegressor gp(options);
-  gp.fit(d.x, d.y);
+  GpRegressor gp(d.grid, options);
+  gp.fit(indices_of(gp, d.x), d.y);
   ASSERT_GE(gp.diagnostics().outliers_downweighted, 1u);
   // The per-row residuals behind the reweighting are the full-row GP's,
   // and each row's scale folds into its cell's weight.
   const auto lambda =
-      full_row_irls(GetParam(), params_2d(), d.x, d.y, options);
+      full_row_irls(GetParam(), params_2d(), d.grid, d.x, d.y, options);
   EXPECT_GT(lambda[30], 1.0);
   const auto weights = cell_weights_of(gp);
   const auto expected = weights_by_input(d.x, lambda);
@@ -266,8 +265,7 @@ TEST_P(DistinctRowExactness, RobustOutlierScalesFoldIntoTheWeights) {
   for (std::size_t i = 0; i < weights.size(); ++i) {
     EXPECT_NEAR(weights[i], expected[i], 1e-9 * expected[i]) << "cell " << i;
   }
-  expect_matches_full_row(gp, d.x, d.y, queries_for(d, 0xD15C0004ULL),
-                          GetParam(), lambda);
+  expect_matches_full_row(gp, d.x, d.y, GetParam(), lambda);
 }
 
 /// `rows` observations over the 6 × 5 knob grid (raw resolution and fps
@@ -275,9 +273,9 @@ TEST_P(DistinctRowExactness, RobustOutlierScalesFoldIntoTheWeights) {
 RepeatedData make_grid_rows(std::size_t rows, std::uint64_t seed) {
   Rng rng(seed);
   RepeatedData d;
-  for (const double r : {360.0, 480.0, 600.0, 720.0, 840.0, 960.0}) {
-    for (const double f : {1.0, 2.0, 5.0, 10.0, 15.0}) d.distinct.push_back({r, f});
-  }
+  d.grid = product_grid({360.0, 480.0, 600.0, 720.0, 840.0, 960.0},
+                        {1.0, 2.0, 5.0, 10.0, 15.0});
+  d.distinct = d.grid;
   for (std::size_t j = 0; j < rows; ++j) {
     const auto& row = d.distinct[j < d.distinct.size()
                                      ? j
@@ -293,14 +291,16 @@ RepeatedData make_grid_rows(std::size_t rows, std::uint64_t seed) {
 /// batches of `batch` rows.
 void feed(GpRegressor& gp, const RepeatedData& d, std::size_t first,
           std::size_t batch) {
-  gp.fit(Rows(d.x.begin(), d.x.begin() + static_cast<std::ptrdiff_t>(first)),
+  const std::vector<std::size_t> at = indices_of(gp, d.x);
+  gp.fit(std::vector<std::size_t>(
+             at.begin(), at.begin() + static_cast<std::ptrdiff_t>(first)),
          std::vector<double>(d.y.begin(),
                              d.y.begin() + static_cast<std::ptrdiff_t>(first)));
   for (std::size_t j = first; j < d.x.size(); j += batch) {
     const std::size_t end = std::min(d.x.size(), j + batch);
     const auto b = static_cast<std::ptrdiff_t>(j);
     const auto e = static_cast<std::ptrdiff_t>(end);
-    gp.update(Rows(d.x.begin() + b, d.x.begin() + e),
+    gp.update(std::vector<std::size_t>(at.begin() + b, at.begin() + e),
               std::vector<double>(d.y.begin() + b, d.y.begin() + e));
   }
 }
@@ -309,16 +309,13 @@ TEST_P(DistinctRowExactness, StreamedRowsMatchTheFullRowGp) {
   // The cells' streaming moments over updates of the grid stay exact to
   // rounding against the GP factored over all 600 rows.
   const RepeatedData d = make_grid_rows(600, 0xD15C0005ULL);
-  GpRegressor gp(fixed_options(GetParam()));
+  GpRegressor gp(d.grid, fixed_options(GetParam()));
   feed(gp, d, /*first=*/60, /*batch=*/55);
   ASSERT_EQ(gp.num_points(), 600u);
   ASSERT_EQ(gp.num_distinct(), 30u);
-  Rows q(d.distinct.begin(), d.distinct.begin() + 6);
-  q.push_back({500.0, 3.0});
-  q.push_back({900.0, 12.5});
-  expect_matches_full_row(gp, d.x, d.y, q, GetParam(),
+  expect_matches_full_row(gp, d.x, d.y, GetParam(),
                           std::vector<double>(d.x.size(), 1.0));
-  const FullRowGp ref = full_row_gp(GetParam(), params_2d(), d.x, d.y,
+  const FullRowGp ref = full_row_gp(GetParam(), params_2d(), d.grid, d.x, d.y,
                                     std::vector<double>(d.x.size(), 1.0));
   const double expected = full_row_lml(ref);
   EXPECT_NEAR(gp.log_marginal_likelihood(params_2d()), expected,
@@ -344,8 +341,8 @@ TEST_P(DistinctRowExactness, SnapshotIsBoundedByTheCells) {
   // checkpoint, of one size.
   const RepeatedData few = make_grid_rows(300, 0xD15C0006ULL);
   const RepeatedData many = make_grid_rows(30000, 0xD15C0007ULL);
-  GpRegressor small(fixed_options(GetParam()));
-  GpRegressor large(fixed_options(GetParam()));
+  GpRegressor small(few.grid, fixed_options(GetParam()));
+  GpRegressor large(many.grid, fixed_options(GetParam()));
   feed(small, few, /*first=*/300, /*batch=*/1);
   feed(large, many, /*first=*/300, /*batch=*/300);
   ASSERT_EQ(large.num_points(), 30000u);

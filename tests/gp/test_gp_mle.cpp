@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "gp/gp_regressor.hpp"
+#include "support/gp_grid.hpp"
 
 namespace pamo::gp {
 namespace {
@@ -107,8 +108,9 @@ TEST(GpMleLikelihood, ValueIsBitIdenticalToTheRecordedLikelihood) {
       GpOptions options;
       options.kernel = k == 0 ? KernelType::kRbf : KernelType::kMatern52;
       options.fixed_params = sets[0];
-      GpRegressor gp(options);
-      gp.fit(x, y);
+      // The input set is the observed inputs, so its box is theirs.
+      GpRegressor gp(grid_of({x}), options);
+      gp.fit(indices_of(gp, x), y);
       const double y_mean = mean_of(y);
       const double y_std = stddev_of(y);
       std::vector<double> ys;

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "support/gp_grid.hpp"
 
 namespace pamo::gp {
 namespace {
@@ -14,16 +15,15 @@ namespace {
 /// Smooth 1-D test function.
 double f1(double x) { return std::sin(3.0 * x) + 0.5 * x; }
 
-/// Joint posterior draws (num_samples × x.size()) driven by standard
-/// normals drawn row-major from `rng`.
-la::Matrix draw_joint(const GpRegressor& gp,
-                      const std::vector<std::vector<double>>& x,
-                      std::size_t num_samples, Rng& rng) {
-  la::Matrix z(num_samples, x.size());
+/// Joint posterior draws over the input set (num_samples × |grid|) driven
+/// by standard normals drawn row-major from `rng`.
+la::Matrix draw_joint(const GpRegressor& gp, std::size_t num_samples,
+                      Rng& rng) {
+  la::Matrix z(num_samples, gp.grid().size());
   for (std::size_t s = 0; s < num_samples; ++s) {
-    for (std::size_t i = 0; i < x.size(); ++i) z(s, i) = rng.normal();
+    for (std::size_t i = 0; i < z.cols(); ++i) z(s, i) = rng.normal();
   }
-  return gp.sample_joint_given(x, z);
+  return gp.sample_joint_given(z);
 }
 
 GpOptions fast_options() {
@@ -34,15 +34,17 @@ GpOptions fast_options() {
 }
 
 TEST(GpRegressor, RejectsBadInput) {
-  GpRegressor gp(fast_options());
-  EXPECT_THROW(gp.fit({{0.0}}, {1.0}), Error);             // < 2 points
-  EXPECT_THROW(gp.fit({{0.0}, {1.0}}, {1.0}), Error);      // size mismatch
-  EXPECT_THROW(gp.fit({{0.0}, {1.0, 2.0}}, {1.0, 2.0}), Error);  // ragged
-  EXPECT_THROW(static_cast<void>(gp.predict_mean({0.0})), Error);  // before fit
+  EXPECT_THROW(GpRegressor(Rows{}), Error);                      // empty set
+  EXPECT_THROW(GpRegressor(Rows{{0.0}, {1.0, 2.0}}), Error);     // ragged
+  EXPECT_THROW(GpRegressor(Rows{{0.0}, {1.0}, {0.0}}), Error);   // repeat
+  GpRegressor gp({{0.0}, {1.0}}, fast_options());
+  EXPECT_THROW(gp.fit({0}, {1.0}), Error);                       // < 2 points
+  EXPECT_THROW(gp.fit({0, 1}, {1.0}), Error);                    // size mismatch
+  EXPECT_THROW(gp.fit({0, 2}, {1.0, 2.0}), Error);               // off the set
+  EXPECT_THROW(static_cast<void>(gp.predict_mean(0)), Error);    // before fit
 }
 
 TEST(GpRegressor, InterpolatesTrainingData) {
-  GpRegressor gp(fast_options());
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i <= 10; ++i) {
@@ -50,14 +52,14 @@ TEST(GpRegressor, InterpolatesTrainingData) {
     x.push_back({xi});
     y.push_back(f1(xi));
   }
-  gp.fit(x, y);
+  GpRegressor gp(x, fast_options());
+  gp.fit(indices_of(gp, x), y);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(gp.predict_mean(x[i]), y[i], 0.05) << "at x = " << x[i][0];
+    EXPECT_NEAR(gp.predict_mean(i), y[i], 0.05) << "at x = " << x[i][0];
   }
 }
 
 TEST(GpRegressor, GeneralizesBetweenPoints) {
-  GpRegressor gp(fast_options());
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i <= 20; ++i) {
@@ -65,48 +67,53 @@ TEST(GpRegressor, GeneralizesBetweenPoints) {
     x.push_back({xi});
     y.push_back(f1(xi));
   }
-  gp.fit(x, y);
+  GpRegressor gp(grid_of({x, {{0.15}, {0.95}, {1.55}}}), fast_options());
+  gp.fit(indices_of(gp, x), y);
   for (double xt : {0.15, 0.95, 1.55}) {
-    EXPECT_NEAR(gp.predict_mean({xt}), f1(xt), 0.05) << "x = " << xt;
+    EXPECT_NEAR(gp.predict_mean(index_of(gp, {xt})), f1(xt), 0.05)
+        << "x = " << xt;
   }
 }
 
 TEST(GpRegressor, VarianceSmallAtDataLargeFarAway) {
-  GpRegressor gp(fast_options());
   std::vector<std::vector<double>> x{{0.0}, {0.1}, {0.2}, {0.3}, {0.4}};
   std::vector<double> y{0.0, 0.2, 0.3, 0.2, 0.0};
-  gp.fit(x, y);
-  const double var_at_data = gp.predict_var({0.2});
-  const double var_far = gp.predict_var({5.0});
+  GpRegressor gp(grid_of({x, {{5.0}}}), fast_options());
+  gp.fit(indices_of(gp, x), y);
+  const double var_at_data = posterior_var(gp, {0.2});
+  const double var_far = posterior_var(gp, {5.0});
   EXPECT_LT(var_at_data, var_far);
   EXPECT_GE(var_at_data, 0.0);
 }
 
 TEST(GpRegressor, HandlesNoisyTargets) {
+  // 120 noisy observations drawn uniformly over 81 points of [0, 2], and
+  // checked at the points between them.
+  Rows grid;
+  for (int i = 0; i <= 80; ++i) grid.push_back({i * 0.025});
   Rng rng(3);
-  GpRegressor gp(fast_options());
-  std::vector<std::vector<double>> x;
+  GpRegressor gp(grid, fast_options());
+  std::vector<std::size_t> at;
   std::vector<double> y;
   for (int i = 0; i < 120; ++i) {
-    const double xi = rng.uniform(0.0, 2.0);
-    x.push_back({xi});
-    y.push_back(f1(xi) + rng.normal(0.0, 0.1));
+    at.push_back(rng.uniform_index(grid.size()));
+    y.push_back(f1(grid[at.back()][0]) + rng.normal(0.0, 0.1));
   }
-  gp.fit(x, y);
+  gp.fit(at, y);
   // Predictions should be closer to the clean function than the noise std.
   std::vector<double> truth;
   std::vector<double> pred;
-  for (double xt = 0.05; xt < 2.0; xt += 0.1) {
-    truth.push_back(f1(xt));
-    pred.push_back(gp.predict_mean({xt}));
+  for (std::size_t g = 2; g < grid.size(); g += 4) {
+    truth.push_back(f1(grid[g][0]));
+    pred.push_back(gp.predict_mean(g));
   }
   EXPECT_GT(r_squared(truth, pred), 0.95);
 }
 
 TEST(GpRegressor, ConstantTargetsDoNotCrash) {
-  GpRegressor gp(fast_options());
-  gp.fit({{0.0}, {1.0}, {2.0}}, {5.0, 5.0, 5.0});
-  EXPECT_NEAR(gp.predict_mean({0.5}), 5.0, 0.2);
+  GpRegressor gp({{0.0}, {0.5}, {1.0}, {2.0}}, fast_options());
+  gp.fit({0, 2, 3}, {5.0, 5.0, 5.0});
+  EXPECT_NEAR(gp.predict_mean(1), 5.0, 0.2);
 }
 
 TEST(GpRegressor, FixedParamsSkipMle) {
@@ -116,63 +123,64 @@ TEST(GpRegressor, FixedParamsSkipMle) {
   p.log_signal_var = 0.0;
   p.log_noise_var = std::log(1e-4);
   options.fixed_params = p;
-  GpRegressor gp(options);
-  gp.fit({{0.0}, {0.5}, {1.0}}, {0.0, 1.0, 0.0});
+  GpRegressor gp({{0.0}, {0.5}, {1.0}}, options);
+  gp.fit({0, 1, 2}, {0.0, 1.0, 0.0});
   EXPECT_EQ(gp.params().log_lengthscales, p.log_lengthscales);
 }
 
 TEST(GpRegressor, UpdateAddsData) {
-  GpRegressor gp(fast_options());
-  gp.fit({{0.0}, {1.0}}, {0.0, 1.0});
+  GpRegressor gp({{0.0}, {1.0}, {2.0}}, fast_options());
+  gp.fit({0, 1}, {0.0, 1.0});
   EXPECT_EQ(gp.num_points(), 2u);
-  gp.update({{2.0}}, {2.0});
+  gp.update({2}, {2.0});
   EXPECT_EQ(gp.num_points(), 3u);
-  EXPECT_NEAR(gp.predict_mean({2.0}), 2.0, 0.1);
+  EXPECT_NEAR(gp.predict_mean(2), 2.0, 0.1);
 }
 
 TEST(GpRegressor, PosteriorCovarianceIsSymmetricPsd) {
-  GpRegressor gp(fast_options());
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i < 15; ++i) {
     x.push_back({i * 0.2});
     y.push_back(f1(i * 0.2));
   }
-  gp.fit(x, y);
-  const std::vector<std::vector<double>> test{{0.1}, {0.7}, {1.9}, {3.5}};
-  const Posterior post = gp.posterior(test);
-  for (std::size_t i = 0; i < test.size(); ++i) {
+  GpRegressor gp(grid_of({x, {{0.1}, {0.7}, {1.9}, {3.5}}}), fast_options());
+  gp.fit(indices_of(gp, x), y);
+  const Posterior post = gp.posterior();
+  const std::size_t m = gp.grid().size();
+  ASSERT_EQ(post.mean.size(), m);
+  for (std::size_t i = 0; i < m; ++i) {
     EXPECT_GE(post.covariance(i, i), -1e-9);
-    for (std::size_t j = 0; j < test.size(); ++j) {
-      EXPECT_NEAR(post.covariance(i, j), post.covariance(j, i), 1e-10);
+    for (std::size_t j = 0; j < m; ++j) {
+      // Formed on and above the diagonal and mirrored.
+      EXPECT_EQ(post.covariance(i, j), post.covariance(j, i));  // pamo-analyze: allow(float-eq)
     }
   }
 }
 
 TEST(GpRegressor, PosteriorMeanMatchesPredictMean) {
-  GpRegressor gp(fast_options());
-  gp.fit({{0.0}, {0.5}, {1.0}, {1.5}}, {0.0, 1.0, 0.5, -0.5});
-  const std::vector<std::vector<double>> test{{0.25}, {1.25}};
-  const Posterior post = gp.posterior(test);
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    EXPECT_NEAR(post.mean[i], gp.predict_mean(test[i]), 1e-9);
+  GpRegressor gp({{0.0}, {0.25}, {0.5}, {1.0}, {1.25}, {1.5}}, fast_options());
+  gp.fit(indices_of(gp, {{0.0}, {0.5}, {1.0}, {1.5}}), {0.0, 1.0, 0.5, -0.5});
+  const Posterior post = gp.posterior();
+  for (std::size_t g = 0; g < gp.grid().size(); ++g) {
+    // Both sum the same products in the same order.
+    EXPECT_EQ(post.mean[g], gp.predict_mean(g));  // pamo-analyze: allow(float-eq)
   }
 }
 
 TEST(GpRegressor, JointSamplesHaveRightMoments) {
-  GpRegressor gp(fast_options());
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i < 10; ++i) {
     x.push_back({i * 0.3});
     y.push_back(f1(i * 0.3));
   }
-  gp.fit(x, y);
-  const std::vector<std::vector<double>> test{{0.45}, {2.0}};
-  const Posterior post = gp.posterior(test);
+  GpRegressor gp(grid_of({x, {{0.45}, {2.0}}}), fast_options());
+  gp.fit(indices_of(gp, x), y);
+  const Posterior post = gp.posterior();
   Rng rng(7);
-  const la::Matrix samples = draw_joint(gp, test, 4000, rng);
-  for (std::size_t c = 0; c < test.size(); ++c) {
+  const la::Matrix samples = draw_joint(gp, 4000, rng);
+  for (const std::size_t c : indices_of(gp, {{0.45}, {2.0}})) {
     double mean = 0.0;
     for (std::size_t s = 0; s < samples.rows(); ++s) mean += samples(s, c);
     mean /= static_cast<double>(samples.rows());
@@ -182,24 +190,28 @@ TEST(GpRegressor, JointSamplesHaveRightMoments) {
 }
 
 TEST(GpRegressor, TwoDimensionalFit) {
-  GpRegressor gp(fast_options());
-  std::vector<std::vector<double>> x;
+  // 60 observations drawn from the 11 × 11 grid over [0, 1]², checked at
+  // the 5 × 5 points between the even ones.
+  std::vector<double> axis;
+  for (int i = 0; i <= 10; ++i) axis.push_back(i * 0.1);
+  const Rows grid = product_grid(axis, axis);
+  GpRegressor gp(grid, fast_options());
+  std::vector<std::size_t> at;
   std::vector<double> y;
   Rng rng(11);
-  auto f2 = [](double a, double b) { return a * a + 0.5 * b; };
+  auto f2 = [](const std::vector<double>& x) { return x[0] * x[0] + 0.5 * x[1]; };
   for (int i = 0; i < 60; ++i) {
-    const double a = rng.uniform(0.0, 1.0);
-    const double b = rng.uniform(0.0, 1.0);
-    x.push_back({a, b});
-    y.push_back(f2(a, b));
+    at.push_back(rng.uniform_index(grid.size()));
+    y.push_back(f2(grid[at.back()]));
   }
-  gp.fit(x, y);
+  gp.fit(at, y);
   std::vector<double> truth;
   std::vector<double> pred;
-  for (double a = 0.1; a < 1.0; a += 0.2) {
-    for (double b = 0.1; b < 1.0; b += 0.2) {
-      truth.push_back(f2(a, b));
-      pred.push_back(gp.predict_mean({a, b}));
+  for (std::size_t a = 1; a < axis.size(); a += 2) {
+    for (std::size_t b = 1; b < axis.size(); b += 2) {
+      const std::size_t g = a * axis.size() + b;
+      truth.push_back(f2(grid[g]));
+      pred.push_back(gp.predict_mean(g));
     }
   }
   EXPECT_GT(r_squared(truth, pred), 0.98);
@@ -210,19 +222,21 @@ class GpKernelSweep : public ::testing::TestWithParam<KernelType> {};
 TEST_P(GpKernelSweep, RecoversSmoothFunction) {
   GpOptions options = fast_options();
   options.kernel = GetParam();
-  GpRegressor gp(options);
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i <= 25; ++i) {
     x.push_back({i * 0.08});
     y.push_back(f1(i * 0.08));
   }
-  gp.fit(x, y);
+  Rows between;
+  for (double xt = 0.04; xt < 2.0; xt += 0.08) between.push_back({xt});
+  GpRegressor gp(grid_of({x, between}), options);
+  gp.fit(indices_of(gp, x), y);
   std::vector<double> truth;
   std::vector<double> pred;
-  for (double xt = 0.04; xt < 2.0; xt += 0.08) {
-    truth.push_back(f1(xt));
-    pred.push_back(gp.predict_mean({xt}));
+  for (const auto& xt : between) {
+    truth.push_back(f1(xt[0]));
+    pred.push_back(gp.predict_mean(index_of(gp, xt)));
   }
   EXPECT_GT(r_squared(truth, pred), 0.99);
 }

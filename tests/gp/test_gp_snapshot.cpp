@@ -1,8 +1,9 @@
 // GP snapshot/restore is an exact-state transplant: the restored model
 // predicts bit-identically AND *continues* bit-identically (restore
-// re-derives the scaling, standardization and factor from the cells with
-// the same deterministic solve, and carries the diagnostics over, so
-// future updates run the same arithmetic).
+// re-derives the standardization, kernel table and factor from the cells
+// with the same deterministic solve, and carries the diagnostics over, so
+// future updates run the same arithmetic). A snapshot whose inputs are
+// not on the model's grid is rejected whole.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,28 +17,50 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gp/gp_regressor.hpp"
+#include "support/gp_grid.hpp"
 
 namespace pamo::gp {
 namespace {
 
-std::vector<std::vector<double>> grid_inputs(std::size_t n, Rng& rng) {
-  std::vector<std::vector<double>> x;
-  for (std::size_t i = 0; i < n; ++i) {
-    x.push_back({rng.uniform() * 4.0, rng.uniform() * 4.0});
-  }
-  return x;
+/// The 9 × 9 grid over [0, 4]².
+Rows square_grid() {
+  std::vector<double> axis;
+  for (int i = 0; i <= 8; ++i) axis.push_back(0.5 * i);
+  return product_grid(axis, axis);
 }
 
-std::vector<double> targets_of(const std::vector<std::vector<double>>& x,
-                               Rng& rng) {
+/// `n` grid indices drawn uniformly with replacement.
+std::vector<std::size_t> grid_inputs(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < n; ++i) at.push_back(rng.uniform_index(81));
+  return at;
+}
+
+std::vector<double> targets_of(const std::vector<std::size_t>& at, Rng& rng) {
+  const Rows grid = square_grid();
   std::vector<double> y;
-  for (const auto& row : x) {
+  for (const std::size_t g : at) {
+    const auto& row = grid[g];
     y.push_back(row[0] * 0.7 - 0.2 * row[1] * row[1] + 0.05 * rng.normal());
   }
   return y;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Means and posterior covariances of `a` and `b` are equal bit for bit
+/// over the whole grid.
+void expect_same_predictions(const GpRegressor& a, const GpRegressor& b) {
+  const Posterior pa = a.posterior();
+  const Posterior pb = b.posterior();
+  for (std::size_t g = 0; g < a.grid().size(); ++g) {
+    EXPECT_EQ(bits(a.predict_mean(g)), bits(b.predict_mean(g))) << g;
+    EXPECT_EQ(bits(pa.mean[g]), bits(pb.mean[g])) << g;
+    for (std::size_t h = 0; h < a.grid().size(); ++h) {
+      EXPECT_EQ(bits(pa.covariance(g, h)), bits(pb.covariance(g, h)));
+    }
+  }
+}
 
 TEST(GpSnapshot, RestoredModelPredictsBitIdentically) {
   Rng rng(101);
@@ -46,19 +69,15 @@ TEST(GpSnapshot, RestoredModelPredictsBitIdentically) {
   GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 60;
-  GpRegressor original(options);
+  GpRegressor original(square_grid(), options);
   original.fit(x, y);
 
-  GpRegressor restored(options);
+  GpRegressor restored(square_grid(), options);
   restored.restore(original.snapshot());
 
   ASSERT_TRUE(restored.is_fit());
   EXPECT_EQ(restored.num_points(), original.num_points());
-  Rng probe_rng(7);
-  for (const auto& q : grid_inputs(20, probe_rng)) {
-    EXPECT_EQ(bits(restored.predict_mean(q)), bits(original.predict_mean(q)));
-    EXPECT_EQ(bits(restored.predict_var(q)), bits(original.predict_var(q)));
-  }
+  expect_same_predictions(restored, original);
   EXPECT_EQ(bits(restored.params().log_signal_var),
             bits(original.params().log_signal_var));
   EXPECT_EQ(bits(restored.params().log_noise_var),
@@ -74,16 +93,13 @@ TEST(GpSnapshot, SnapshotRoundTripsThroughJsonBytes) {
   GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 40;
-  GpRegressor original(options);
+  GpRegressor original(square_grid(), options);
   original.fit(x, y);
 
   const std::string bytes = original.snapshot().dump();
-  GpRegressor restored(options);
+  GpRegressor restored(square_grid(), options);
   restored.restore(obs::json::Value::parse(bytes));
-  Rng probe_rng(9);
-  for (const auto& q : grid_inputs(10, probe_rng)) {
-    EXPECT_EQ(bits(restored.predict_mean(q)), bits(original.predict_mean(q)));
-  }
+  expect_same_predictions(restored, original);
 }
 
 TEST(GpSnapshot, ContinuedUpdatesMatchTheUninterruptedModel) {
@@ -95,10 +111,10 @@ TEST(GpSnapshot, ContinuedUpdatesMatchTheUninterruptedModel) {
   GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 60;
-  GpRegressor uninterrupted(options);
+  GpRegressor uninterrupted(square_grid(), options);
   uninterrupted.fit(x, y);
 
-  GpRegressor restored(options);
+  GpRegressor restored(square_grid(), options);
   restored.restore(uninterrupted.snapshot());
 
   // Three rounds of fresh observations, fed to both models identically.
@@ -110,13 +126,7 @@ TEST(GpSnapshot, ContinuedUpdatesMatchTheUninterruptedModel) {
     restored.update(x_new, y_new);
   }
   ASSERT_EQ(restored.num_points(), uninterrupted.num_points());
-  Rng probe_rng(11);
-  for (const auto& q : grid_inputs(20, probe_rng)) {
-    EXPECT_EQ(bits(restored.predict_mean(q)),
-              bits(uninterrupted.predict_mean(q)));
-    EXPECT_EQ(bits(restored.predict_var(q)),
-              bits(uninterrupted.predict_var(q)));
-  }
+  expect_same_predictions(restored, uninterrupted);
   EXPECT_EQ(restored.snapshot().dump(), uninterrupted.snapshot().dump());
 }
 
@@ -129,10 +139,10 @@ TEST(GpSnapshot, DiagnosticsSurviveTheRoundTrip) {
   options.mle_restarts = 1;
   options.mle_max_evals = 40;
   options.robust_noise = true;
-  GpRegressor original(options);
+  GpRegressor original(square_grid(), options);
   original.fit(x, y);
 
-  GpRegressor restored(options);
+  GpRegressor restored(square_grid(), options);
   restored.restore(original.snapshot());
   EXPECT_EQ(restored.diagnostics().outliers_downweighted,
             original.diagnostics().outliers_downweighted);
@@ -143,8 +153,8 @@ TEST(GpSnapshot, DiagnosticsSurviveTheRoundTrip) {
 }
 
 TEST(GpSnapshot, UnfitModelRoundTrips) {
-  GpRegressor original;
-  GpRegressor restored;
+  GpRegressor original(square_grid());
+  GpRegressor restored(square_grid());
   restored.restore(original.snapshot());
   EXPECT_FALSE(restored.is_fit());
 }
@@ -156,7 +166,7 @@ TEST(GpSnapshot, RestoreRejectsMangledSnapshots) {
   GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 40;
-  GpRegressor original(options);
+  GpRegressor original(square_grid(), options);
   original.fit(x, y);
 
   obs::json::Value snap = original.snapshot();
@@ -173,7 +183,7 @@ TEST(GpSnapshot, RestoreRejectsMangledSnapshots) {
   obs::json::Value shorter = obs::json::Value::array();
   shorter.push_back(obs::json::Value(1.0));
   const obs::json::Value mangled = with_cells("count", std::move(shorter));
-  GpRegressor victim(options);
+  GpRegressor victim(square_grid(), options);
   EXPECT_THROW(victim.restore(mangled), pamo::Error);
   EXPECT_FALSE(victim.is_fit());
 
@@ -182,15 +192,15 @@ TEST(GpSnapshot, RestoreRejectsMangledSnapshots) {
   // the wrong width, and hyperparameters of the wrong dimension.
   Rng other_rng(106);
   const auto x2 = grid_inputs(10, other_rng);
-  GpRegressor fitted(options);
+  GpRegressor fitted(square_grid(), options);
   fitted.fit(x2, targets_of(x2, other_rng));
-  const double before = fitted.predict_mean({1.0, 1.0});
+  const double before = fitted.predict_mean(10);
   const obs::json::Value short_weights =
       with_cells("weight", obs::json::Value::array());
   obs::json::Value heavy = snap.at("cells").at("weight");
   obs::json::Value heavier = obs::json::Value::array();
   for (std::size_t i = 0; i < heavy.items().size(); ++i) {
-    heavier.push_back(obs::json::Value(i == 2 ? 2.5 : 1.0));
+    heavier.push_back(obs::json::Value(i == 2 ? 1000.0 : 1.0));
   }
   const obs::json::Value overweight = with_cells("weight", std::move(heavier));
   obs::json::Value rows = snap.at("cells").at("x");
@@ -209,8 +219,75 @@ TEST(GpSnapshot, RestoreRejectsMangledSnapshots) {
     EXPECT_THROW(fitted.restore(*bad), pamo::Error);
     EXPECT_TRUE(fitted.is_fit());
     EXPECT_EQ(fitted.num_points(), x2.size());
-    EXPECT_EQ(bits(fitted.predict_mean({1.0, 1.0})), bits(before));
+    EXPECT_EQ(bits(fitted.predict_mean(10)), bits(before));
   }
+}
+
+TEST(GpSnapshot, OffGridInputsAreRejectedWhole) {
+  // A snapshot is restored onto its model's grid: a cell, or a row of an
+  // old row-format snapshot, whose input is no grid point rejects the
+  // whole snapshot and leaves the target as it was.
+  Rng rng(108);
+  const auto x = grid_inputs(14, rng);
+  GpOptions options;
+  options.mle_restarts = 1;
+  options.mle_max_evals = 40;
+  GpRegressor source(square_grid(), options);
+  source.fit(x, targets_of(x, rng));
+  const obs::json::Value snap = source.snapshot();
+  const auto with_x = [](const obs::json::Value& base, const char* key,
+                         std::size_t at, std::vector<double> row) {
+    obs::json::Value out = obs::json::Value::parse(base.dump());
+    obs::json::Value* holder = &out;
+    obs::json::Value cells;
+    if (out.find("cells") != nullptr) {
+      cells = out.at("cells");
+      holder = &cells;
+    }
+    Rows rows = ckpt::codec::rows_from_json(holder->at(key));
+    rows[at] = std::move(row);
+    holder->set(key, ckpt::codec::rows_to_json(rows));
+    if (holder == &cells) out.set("cells", std::move(cells));
+    return out;
+  };
+  // Between two grid points, and outside the grid's box.
+  const obs::json::Value between = with_x(snap, "x", 2, {0.25, 1.0});
+  const obs::json::Value outside = with_x(snap, "x", 0, {4.5, 0.0});
+
+  // The same cells as rows of the format that stored every row.
+  obs::json::Value rows_format = obs::json::Value::object();
+  rows_format.set("dim", obs::json::Value(std::uint64_t{2}));
+  rows_format.set("x_raw", snap.at("cells").at("x"));
+  rows_format.set("y_raw", snap.at("cells").at("wmean"));
+  rows_format.set(
+      "noise_scale",
+      ckpt::codec::doubles_to_json(std::vector<double>(
+          snap.at("cells").at("x").items().size(), 1.0)));
+  rows_format.set("params", snap.at("params"));
+  rows_format.set("diagnostics", snap.at("diagnostics"));
+  GpRegressor from_rows(square_grid(), options);
+  from_rows.restore(rows_format);  // on the grid: accepted
+  ASSERT_TRUE(from_rows.is_fit());
+  const obs::json::Value off_row = with_x(rows_format, "x_raw", 1, {1.0, 3.7});
+
+  Rng other_rng(109);
+  const auto x2 = grid_inputs(9, other_rng);
+  GpRegressor fitted(square_grid(), options);
+  fitted.fit(x2, targets_of(x2, other_rng));
+  const std::string before = fitted.snapshot().dump();
+  const Posterior post_before = fitted.posterior();
+  for (const obs::json::Value* bad : {&between, &outside, &off_row}) {
+    EXPECT_THROW(fitted.restore(*bad), pamo::Error);
+    EXPECT_EQ(fitted.snapshot().dump(), before);
+    const Posterior post = fitted.posterior();
+    for (std::size_t g = 0; g < post.mean.size(); ++g) {
+      EXPECT_EQ(bits(post.mean[g]), bits(post_before.mean[g]));
+      EXPECT_EQ(bits(post.covariance(g, g)), bits(post_before.covariance(g, g)));
+    }
+  }
+  GpRegressor unfit(square_grid(), options);
+  EXPECT_THROW(unfit.restore(between), pamo::Error);
+  EXPECT_FALSE(unfit.is_fit());
 }
 
 TEST(GpSnapshot, SparseBackendSnapshotIsRejected) {
@@ -219,11 +296,11 @@ TEST(GpSnapshot, SparseBackendSnapshotIsRejected) {
   GpOptions options;
   options.mle_restarts = 1;
   options.mle_max_evals = 40;
-  GpRegressor source(options);
+  GpRegressor source(square_grid(), options);
   source.fit(x, targets_of(x, rng));
   obs::json::Value snap = source.snapshot();
   snap.set("sparse", obs::json::Value::object());
-  GpRegressor victim(options);
+  GpRegressor victim(square_grid(), options);
   EXPECT_THROW(victim.restore(snap), pamo::Error);
   EXPECT_FALSE(victim.is_fit());
 }
@@ -248,8 +325,8 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   const std::vector<std::vector<double>> x = {
       {0.0, 1.0}, {2.0, 3.0}, {0.0, 1.0}, {4.0, 2.0}, {2.0, 3.0}, {1.0, 0.0}};
   const std::vector<double> y = {0.3, -0.2, 0.4, 1.1, -0.1, 0.6};
-  GpRegressor fixed_fit(options);
-  fixed_fit.fit(x, y);
+  GpRegressor fixed_fit(square_grid(), options);
+  fixed_fit.fit(indices_of(fixed_fit, x), y);
 
   obs::json::Value parent = obs::json::Value::object();
   parent.set("dim", obs::json::Value(std::uint64_t{2}));
@@ -281,15 +358,11 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   diagnostics.set("drift_score", obs::json::Value(0.75));
   parent.set("diagnostics", std::move(diagnostics));
 
-  GpRegressor restored(options);
+  GpRegressor restored(square_grid(), options);
   restored.restore(obs::json::Value::parse(parent.dump()));
   ASSERT_EQ(restored.num_points(), x.size());
   EXPECT_EQ(restored.num_distinct(), 4u);
-  Rng probe_rng(12);
-  for (const auto& q : grid_inputs(12, probe_rng)) {
-    EXPECT_EQ(bits(restored.predict_mean(q)), bits(fixed_fit.predict_mean(q)));
-    EXPECT_EQ(bits(restored.predict_var(q)), bits(fixed_fit.predict_var(q)));
-  }
+  expect_same_predictions(restored, fixed_fit);
   EXPECT_EQ(restored.snapshot().dump(), fixed_fit.snapshot().dump());
 
   // A robust-inflated row folds into its cell with weight 1/λ, and the
@@ -298,7 +371,7 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   lambda[2] = 4.0;  // the second row at {0, 1}
   obs::json::Value inflated = obs::json::Value::parse(parent.dump());
   inflated.set("noise_scale", ckpt::codec::doubles_to_json(lambda));
-  GpRegressor folded(options);
+  GpRegressor folded(square_grid(), options);
   folded.restore(inflated);
   const obs::json::Value cell = folded.snapshot().at("cells");
   EXPECT_EQ(cell.at("count").items()[0].as_double(), 2.0);  // pamo-analyze: allow(float-eq)
@@ -306,9 +379,10 @@ TEST(GpSnapshot, ParentFormatSnapshotRestoresFromItsRawRows) {
   EXPECT_NEAR(cell.at("mean").items()[0].as_double(), 0.35, 1e-15);
   EXPECT_NEAR(cell.at("wmean").items()[0].as_double(),
               (0.3 + 0.25 * 0.4) / 1.25, 1e-15);
-  GpRegressor resumed(options);
+  GpRegressor resumed(square_grid(), options);
   resumed.restore(folded.snapshot());
-  const std::vector<std::vector<double>> xb = {{0.0, 1.0}, {3.0, 3.0}};
+  const std::vector<std::size_t> xb =
+      indices_of(folded, {{0.0, 1.0}, {3.0, 3.0}});
   const std::vector<double> yb = {0.35, 0.9};
   folded.update(xb, yb);
   resumed.update(xb, yb);
