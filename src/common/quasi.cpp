@@ -42,32 +42,44 @@ HaltonSequence::HaltonSequence(std::size_t dim, std::uint64_t seed) {
     }
     perms_[d] = std::move(perm);
   }
-  // Skip index 0 (the all-zeros point) — it adds nothing to coverage.
-  index_ = 1;
+  // Start at index 1: index 0 (the all-zeros point) adds nothing to
+  // coverage.
+  digits_.assign(dim, {1});
+  powers_.resize(dim);
+  for (std::size_t d = 0; d < dim; ++d) {
+    powers_[d] = {1.0 / static_cast<double>(bases_[d])};
+  }
 }
 
-double HaltonSequence::scrambled_radical_inverse(std::size_t d,
-                                                 std::uint64_t index) const {
-  const std::uint64_t base = bases_[d];
+double HaltonSequence::coordinate(std::size_t d) const {
   const auto& perm = perms_[d];
-  double inv_base = 1.0 / static_cast<double>(base);
-  double factor = inv_base;
+  const auto& digits = digits_[d];
+  const auto& powers = powers_[d];
   double value = 0.0;
-  while (index > 0) {
-    const auto digit = static_cast<std::uint32_t>(index % base);
-    value += static_cast<double>(perm[digit]) * factor;
-    index /= base;
-    factor *= inv_base;
+  for (std::size_t j = 0; j < digits.size(); ++j) {
+    value += static_cast<double>(perm[digits[j]]) * powers[j];
   }
   return value;
 }
 
+void HaltonSequence::advance() {
+  for (std::size_t d = 0; d < bases_.size(); ++d) {
+    auto& digits = digits_[d];
+    std::size_t j = 0;
+    while (j < digits.size() && ++digits[j] == bases_[d]) digits[j++] = 0;
+    if (j == digits.size()) {
+      digits.push_back(1);
+      // Times 1/b, not divided by b: the same rounding as the radical
+      // inverse's running factor.
+      powers_[d].push_back(powers_[d].back() * powers_[d].front());
+    }
+  }
+}
+
 std::vector<double> HaltonSequence::next() {
   std::vector<double> point(bases_.size());
-  for (std::size_t d = 0; d < bases_.size(); ++d) {
-    point[d] = scrambled_radical_inverse(d, index_);
-  }
-  ++index_;
+  for (std::size_t d = 0; d < bases_.size(); ++d) point[d] = coordinate(d);
+  advance();
   return point;
 }
 

@@ -16,25 +16,40 @@
 namespace pamo {
 
 /// Randomized-Halton generator producing points in the unit hypercube.
+/// Coordinate d of point k is the scrambled radical inverse of k in the
+/// d-th prime base: Σ_j π_d(a_j)·b^-(j+1) over k's base-b digits a_j,
+/// least significant first. The sequence keeps every index's digits per
+/// dimension and carries on each step, so no coordinate needs a 64-bit
+/// division.
 class HaltonSequence {
  public:
   /// @param dim   dimensionality of generated points (>= 1).
   /// @param seed  seed for the digit-scrambling permutations.
   HaltonSequence(std::size_t dim, std::uint64_t seed);
 
-  /// Next point in [0,1)^dim.
+  /// Next point in [0,1)^dim: every coordinate(d), then advance().
   std::vector<double> next();
+
+  /// Coordinate d of the point next() returns next, without moving on.
+  /// Callers that may reject a point early read only the coordinates
+  /// they need.
+  [[nodiscard]] double coordinate(std::size_t d) const;
+
+  /// Move past the current point.
+  void advance();
 
   [[nodiscard]] std::size_t dim() const { return bases_.size(); }
 
  private:
-  double scrambled_radical_inverse(std::size_t d, std::uint64_t index) const;
-
   std::vector<std::uint32_t> bases_;
   // perms_[d] holds a permutation of {0, ..., base_d - 1}; digit 0 is pinned
   // so leading zeros do not shift the value.
   std::vector<std::vector<std::uint32_t>> perms_;
-  std::uint64_t index_ = 0;
+  // digits_[d]: the current index in base bases_[d], least significant
+  // digit first, without leading zeros.
+  std::vector<std::vector<std::uint32_t>> digits_;
+  // powers_[d][j] = b^-(j+1): 1/b, then each the previous one times 1/b.
+  std::vector<std::vector<double>> powers_;
 };
 
 /// First `n` primes (used as Halton bases). Exposed for testing.

@@ -67,11 +67,9 @@ void ThreadPool::parallel_for(std::size_t n,
   if (n == 0) return;
   if (grain == 0) grain = 1;
 
-  // Four blocks per participant: the caller claims blocks alongside the
-  // size() helpers.
-  const std::size_t max_blocks = (size() + 1) * 4;
-  const std::size_t num_blocks =
-      std::min<std::size_t>((n + grain - 1) / grain, max_blocks);
+  // `grain` alone sets the block size: blocks of `grain` indices, the last
+  // one possibly short.
+  const std::size_t num_blocks = (n + grain - 1) / grain;
 
   // Inline paths: single-worker pools, batches not worth a dispatch, and
   // calls from inside a worker (see t_inside_worker).
@@ -79,7 +77,6 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const std::size_t block = (n + num_blocks - 1) / num_blocks;
 
   // Completion state is owned jointly by the waiter and every task (via
   // shared_ptr), not borrowed from the waiter's stack: the waiter may
@@ -102,9 +99,9 @@ void ThreadPool::parallel_for(std::size_t n,
 
   // Every participant — helpers and the caller — claims blocks from the
   // shared counter until none remain. Block boundaries depend only on
-  // (n, grain, pool size), never on which thread claims what, so the set
+  // (n, grain), never on which thread claims what, so the set
   // of fn(i) calls is identical at any thread count.
-  auto run_blocks = [batch, &fn, n, block] {
+  auto run_blocks = [batch, &fn, n, grain] {
     for (;;) {
       const std::size_t b =
           batch->next_block.fetch_add(1, std::memory_order_relaxed);
@@ -112,8 +109,8 @@ void ThreadPool::parallel_for(std::size_t n,
       std::exception_ptr error;
       if (!batch->aborted.load(std::memory_order_relaxed)) {
         try {
-          const std::size_t begin = b * block;
-          const std::size_t end = std::min(n, begin + block);
+          const std::size_t begin = b * grain;
+          const std::size_t end = std::min(n, begin + grain);
           for (std::size_t i = begin; i < end; ++i) fn(i);
         } catch (...) {
           error = std::current_exception();

@@ -1,9 +1,11 @@
 #include "core/pamo.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -131,24 +133,20 @@ CandidatePool draw_feasible(const eva::Workload& workload,
   PAMO_CHECK(m >= 1, "candidate draw needs at least one stream");
   const auto& resolutions = workload.space.resolutions();
   const auto& fps_knobs = workload.space.fps_knobs();
+  const std::size_t num_res = resolutions.size();
+  const std::size_t num_fps = fps_knobs.size();
+  // ConfigSpace holds at least one knob per axis, in ascending order.
+  const std::uint32_t slowest_fps = fps_knobs.front();
+  const std::uint32_t fastest_fps = fps_knobs.back();
   // A point of [0,1]^(2M): coordinate 2i is stream i's resolution axis,
   // 2i + 1 its fps axis. An axis narrowed by n knobs keeps its lowest
-  // K - n (at least one) and splits into that many equal cells.
-  const auto snap = [](double u, const std::vector<std::uint32_t>& knobs,
-                       std::size_t narrow) {
-    const std::size_t cells =
-        knobs.size() > narrow ? knobs.size() - narrow : 1;
+  // K - n (at least one) and splits into that many equal cells; snap
+  // returns the knob index of the cell u falls in.
+  const auto snap = [](double u, std::size_t knobs, std::size_t narrow) {
+    const std::size_t cells = knobs > narrow ? knobs - narrow : 1;
     const auto k = static_cast<std::size_t>(std::clamp(u, 0.0, 1.0) *
                                             static_cast<double>(cells));
-    return knobs[std::min(k, cells - 1)];
-  };
-  const auto decode = [&](const std::vector<double>& u, std::size_t narrow) {
-    eva::JointConfig config(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      config[i] = {snap(u[2 * i], resolutions, narrow),
-                   snap(u[2 * i + 1], fps_knobs, narrow)};
-    }
-    return config;
+    return std::min(k, cells - 1);
   };
   const auto midpoint = [](std::uint32_t value,
                            const std::vector<std::uint32_t>& knobs) {
@@ -158,20 +156,111 @@ CandidatePool draw_feasible(const eva::Workload& workload,
            static_cast<double>(knobs.size());
   };
 
-  // Ordered, not hashed: nothing on a decision path iterates an unordered
-  // container.
-  std::set<eva::JointConfig> seen(observed.begin(), observed.end());
+  // Algorithm 1's load screen, term by term as sched::exceeds_load_bound
+  // sums it: stream i at knobs (r, f) loads proc[i·R + r]·fps[f].
+  // rest_min[i] is a lower bound on the load of streams i.. at any knobs,
+  // and `reachable` bounds from above the load any knobs can pass (the
+  // capacity at the largest fps knob, widened past the rounding of either
+  // sum), so a point whose partial load already rules it out is dropped
+  // without reading its other coordinates.
+  std::vector<double> proc(m * num_res);
+  std::vector<double> rest_min(m + 1, 0.0);
+  for (std::size_t i = m; i-- > 0;) {
+    double lightest = std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < num_res; ++r) {
+      proc[i * num_res + r] = workload.clips[i].proc_time(resolutions[r]);
+      lightest = std::min(lightest, proc[i * num_res + r]);
+    }
+    rest_min[i] = rest_min[i + 1] + lightest * slowest_fps;
+  }
+  const double reachable =
+      sched::load_capacity(workload.num_servers(), fastest_fps) *
+      (1.0 + 4.0 * static_cast<double>(m + 1) *
+                 std::numeric_limits<double>::epsilon());
+  std::vector<std::size_t> knob(2 * m);  // the point's knob indices
+  const auto passes_screen = [&](const auto& coordinate, std::size_t narrow) {
+    double load = 0.0;
+    std::uint32_t max_fps = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t r = snap(coordinate(2 * i), num_res, narrow);
+      const std::size_t f = snap(coordinate(2 * i + 1), num_fps, narrow);
+      knob[2 * i] = r;
+      knob[2 * i + 1] = f;
+      load += proc[i * num_res + r] * fps_knobs[f];
+      max_fps = std::max(max_fps, fps_knobs[f]);
+      if (load + rest_min[i + 1] > reachable) return false;
+    }
+    return !(load > sched::load_capacity(workload.num_servers(), max_fps));
+  };
+
+  // Membership of drawn and observed configurations, keyed by each
+  // stream's knob-grid cell packed into bits. The set is never iterated.
+  // A repeated knob value maps to its first index, as the value compares.
+  std::vector<std::size_t> res_cell(num_res);
+  std::vector<std::size_t> fps_cell(num_fps);
+  for (std::size_t r = 0; r < num_res; ++r) {
+    res_cell[r] = static_cast<std::size_t>(
+        std::lower_bound(resolutions.begin(), resolutions.end(),
+                         resolutions[r]) -
+        resolutions.begin());
+  }
+  for (std::size_t f = 0; f < num_fps; ++f) {
+    fps_cell[f] = static_cast<std::size_t>(
+        std::lower_bound(fps_knobs.begin(), fps_knobs.end(), fps_knobs[f]) -
+        fps_knobs.begin());
+  }
+  const std::size_t cell_bits =
+      std::max<std::size_t>(1, std::bit_width(num_res * num_fps - 1));
+  std::string key;
+  const auto pack = [&](const std::vector<std::size_t>& indices) {
+    key.assign((m * cell_bits + 7) / 8, '\0');
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t cell =
+          res_cell[indices[2 * i]] * num_fps + fps_cell[indices[2 * i + 1]];
+      for (std::size_t b = 0; b < cell_bits; ++b) {
+        const std::size_t bit = i * cell_bits + b;
+        if (((cell >> b) & 1U) != 0) {
+          key[bit / 8] = static_cast<char>(key[bit / 8] | (1 << (bit % 8)));
+        }
+      }
+    }
+    return key;
+  };
+  std::unordered_set<std::string> seen;
+  for (const auto& config : observed) {
+    // A configuration off the knob grid can never equal a drawn one.
+    if (config.size() != m) continue;
+    bool on_grid = true;
+    for (std::size_t i = 0; i < m && on_grid; ++i) {
+      const auto r = std::find(resolutions.begin(), resolutions.end(),
+                               config[i].resolution);
+      const auto f =
+          std::find(fps_knobs.begin(), fps_knobs.end(), config[i].fps);
+      on_grid = r != resolutions.end() && f != fps_knobs.end();
+      if (on_grid) {
+        knob[2 * i] = static_cast<std::size_t>(r - resolutions.begin());
+        knob[2 * i + 1] = static_cast<std::size_t>(f - fps_knobs.begin());
+      }
+    }
+    if (on_grid) seen.insert(pack(knob));
+  }
+
   CandidatePool pool;
   std::size_t screened = 0;
   const auto full = [&] { return pool.configs.size() >= max_feasible; };
-  // Algorithm 1's load screen runs first: a screened configuration is
-  // never feasible, so it pays neither the set insert nor the full call.
-  const auto keep = [&](eva::JointConfig config) {
-    if (sched::exceeds_load_bound(workload, config)) {
+  // The load screen runs first: a screened point is never feasible, so it
+  // pays neither the set insert nor the full call, and only a point that
+  // passes becomes a configuration.
+  const auto keep = [&](const auto& coordinate, std::size_t narrow) {
+    if (!passes_screen(coordinate, narrow)) {
       ++screened;
       return false;
     }
-    if (!seen.insert(config).second) return false;
+    if (!seen.insert(pack(knob)).second) return false;
+    eva::JointConfig config(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      config[i] = {resolutions[knob[2 * i]], fps_knobs[knob[2 * i + 1]]};
+    }
     sched::ScheduleResult schedule =
         sched::schedule_zero_jitter(workload, config);
     if (!schedule.feasible) return false;  // zero-jitter constraint (Const2)
@@ -181,9 +270,11 @@ CandidatePool draw_feasible(const eva::Workload& workload,
   };
 
   HaltonSequence halton(2 * m, rng.next_u64());
+  std::vector<double> unit(2 * m);
+  std::vector<double> mutated(2 * m);
+  const auto mutated_at = [&](std::size_t d) { return mutated[d]; };
   for (const auto& incumbent : incumbents) {
     PAMO_CHECK(incumbent.size() == m, "incumbent must configure every stream");
-    std::vector<double> unit(2 * m);
     for (std::size_t i = 0; i < m; ++i) {
       unit[2 * i] = midpoint(incumbent[i].resolution, resolutions);
       unit[2 * i + 1] = midpoint(incumbent[i].fps, fps_knobs);
@@ -192,14 +283,14 @@ CandidatePool draw_feasible(const eva::Workload& workload,
          ++k) {
       // Perturb a few coordinates and keep the rest: local moves in a
       // product space should change only a few streams at a time.
-      std::vector<double> mutated = unit;
+      mutated = unit;
       const std::size_t num_mutated = 1 + rng.uniform_index(m);
       for (std::size_t j = 0; j < num_mutated; ++j) {
         double& coord = mutated[rng.uniform_index(2 * m)];
         coord = std::clamp(coord + rng.normal(0.0, options.mutation_sigma),
                            0.0, 1.0);
       }
-      keep(decode(mutated, 0));
+      keep(mutated_at, 0);
     }
   }
   // With incumbents the Halton share is num_quasi_random points. Without
@@ -211,10 +302,11 @@ CandidatePool draw_feasible(const eva::Workload& workload,
       narrowing ? 64 * std::min(max_feasible,
                                 std::numeric_limits<std::size_t>::max() / 64)
                 : options.num_quasi_random;
+  const auto halton_at = [&](std::size_t d) { return halton.coordinate(d); };
   std::size_t failures = 0;
   for (std::size_t i = 0; i < attempts && !full(); ++i) {
-    const bool kept =
-        keep(decode(halton.next(), narrowing ? failures / 8 : 0));
+    const bool kept = keep(halton_at, narrowing ? failures / 8 : 0);
+    halton.advance();
     failures = kept ? 0 : failures + 1;
   }
   PAMO_COUNT("pamo.pool_screened", screened);
@@ -238,7 +330,9 @@ PamoScheduler::PamoScheduler(const eva::Workload& workload,
     : workload_(workload),
       options_(harden(std::move(options))),
       normalizer_(eva::OutcomeNormalizer::for_workload(workload)),
-      models_(workload.space, options_.gp) {
+      models_(options_.warm_start != nullptr && options_.warm_start->is_fit()
+                  ? *options_.warm_start
+                  : OutcomeModels(workload.space, options_.gp)) {
   PAMO_CHECK(workload_.num_streams() > 0, "empty workload");
   PAMO_CHECK(options_.batch_size >= 1, "batch size must be >= 1");
 }
@@ -400,14 +494,16 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
   gp::GpFitDiagnostics warm_base;
   const bool warm =
       options_.warm_start != nullptr && options_.warm_start->is_fit();
+  const bool models_used = std::exchange(models_used_, true);
   if (warm) {
     PAMO_SPAN("pamo.phase1_warm_start");
     // Continual learning: transplant the retained bank — posteriors and
     // noise downweights included — and re-anchor it with a few fresh
     // profiles. The expensive MLE refit never runs. The profiles wait for
     // the first feed_models(), so without an earlier read of the models
-    // they fold in with the initial observations in one update.
-    models_ = *options_.warm_start;
+    // they fold in with the initial observations in one update. The
+    // constructor copied the bank; a later run() copies it again.
+    if (models_used) models_ = *options_.warm_start;
     warm_base = models_.diagnostics();
     health_.warm_started = true;
     Phase1Profiles fresh =

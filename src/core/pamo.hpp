@@ -93,8 +93,9 @@ struct PamoOptions {
   /// surviving streams reuse their posterior evidence and newcomers
   /// inherit the pooled prior mean automatically. The fleet path hands
   /// every shard the bank it fit over the whole fleet this way
-  /// (core/fleet.hpp). Externally
-  /// owned and only read; null = cold start.
+  /// (core/fleet.hpp). Externally owned and only read: the scheduler
+  /// copies it when constructed, and again for each later run(); null =
+  /// cold start.
   const OutcomeModels* warm_start = nullptr;
   /// Fresh profiles taken when warm-starting (cheap re-anchoring).
   std::size_t warm_profiles = 12;
@@ -284,7 +285,11 @@ class PamoScheduler {
   const eva::Workload& workload_;
   PamoOptions options_;
   eva::OutcomeNormalizer normalizer_;
+  /// The warm-start bank when one is set and fit (copied here, once),
+  /// else an unfit bank over the workload's knob grid.
   OutcomeModels models_;
+  /// run() has used models_ since the constructor built them.
+  bool models_used_ = false;
   std::optional<pref::PreferenceLearner> learner_;  // owned (default mode)
   pref::PreferenceLearner* active_learner_ = nullptr;
   // Profiles (warm Phase 1, observe()) feed_models() has not handed

@@ -1,6 +1,7 @@
 #include "sched/constraints.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -47,9 +48,29 @@ bool const1_holds(const std::vector<PeriodicStream>& streams,
 bool const2_holds(const std::vector<PeriodicStream>& streams,
                   const std::vector<std::size_t>& assignment,
                   std::size_t num_servers, const TickClock& clock) {
-  for (const auto& group : group_by_server(streams, assignment, num_servers)) {
-    if (group.empty()) continue;
-    if (!theorem1_condition(group, clock)) return false;
+  PAMO_CHECK(streams.size() == assignment.size(),
+             "assignment size does not match stream count");
+  // Theorem 1 per server, folded in stream order: the gcd of the member
+  // periods (0 for an empty server) and Σp, summed in the order a
+  // per-server group would sum it. The per-thread buffers keep Algorithm
+  // 1's assertion free of allocation.
+  thread_local std::vector<std::uint64_t> period_gcd;
+  thread_local std::vector<double> total_proc;
+  period_gcd.assign(num_servers, 0);
+  total_proc.assign(num_servers, 0.0);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const std::size_t server = assignment[i];
+    PAMO_CHECK(server < num_servers, "server index out of range");
+    PAMO_CHECK(streams[i].period_ticks > 0, "stream periods must be positive");
+    period_gcd[server] = std::gcd(period_gcd[server], streams[i].period_ticks);
+    total_proc[server] += streams[i].proc_time;
+  }
+  for (std::size_t server = 0; server < num_servers; ++server) {
+    if (period_gcd[server] == 0) continue;
+    if (!(total_proc[server] <=
+          clock.to_seconds(period_gcd[server]) + kJoinTol)) {
+      return false;
+    }
   }
   return true;
 }

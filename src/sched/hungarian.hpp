@@ -37,4 +37,24 @@ struct AssignmentResult {
 /// assignments.
 AssignmentResult solve_assignment(const la::Matrix& cost);
 
+/// The buffers of solve_assignment's search, for a caller that solves
+/// many small problems on one thread: once they have grown to a shape,
+/// solving again allocates nothing.
+struct AssignmentWorkspace {
+  /// The matching: col_of[r] = column assigned to row r.
+  std::vector<std::size_t> col_of;
+  // Search state: 1-indexed potentials, matched rows, the augmenting
+  // path and the Dijkstra frontier.
+  std::vector<double> u, v, minv;
+  std::vector<std::size_t> p, way;
+  std::vector<char> used;
+};
+
+/// solve_assignment over a rows×cols row-major cost array: leaves in
+/// workspace.col_of (and the potentials in workspace.u[1..rows],
+/// workspace.v[1..cols]) exactly what solve_assignment returns for the
+/// same costs. Same preconditions.
+void solve_assignment(const double* cost, std::size_t rows, std::size_t cols,
+                      AssignmentWorkspace& workspace);
+
 }  // namespace pamo::sched

@@ -13,6 +13,35 @@ namespace pamo::sched {
 
 namespace {
 
+/// One co-scheduled set being packed under the Theorem 3 conditions, kept
+/// as aggregates; callers record which group each stream joined.
+struct Group {
+  std::uint64_t tmin = 0;  // 0 while the group is empty
+  std::uint64_t gcd = 0;   // gcd of the member periods
+  double proc = 0.0;  // Σ of (possibly headroom-inflated) processing times
+  double bits = 0.0;  // Σ θ_bit(r_i), accumulated in join order
+};
+
+/// Per-thread working buffers of Algorithm 1 and finalize(), kept from
+/// call to call, so a schedule_zero_jitter call allocates only the vectors
+/// its result returns. A call refills every buffer before reading it and
+/// no call runs inside another on one thread, so each result is the one
+/// fresh buffers would give.
+struct Scratch {
+  std::vector<std::size_t> servers;  // 0..N-1 for schedule_zero_jitter
+  std::vector<PeriodicStream> streams;
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> priority;
+  std::vector<Group> groups;
+  std::vector<std::size_t> group_of;
+  std::vector<double> cost;  // active groups × servers, row-major
+  AssignmentWorkspace assignment;
+  std::vector<double> server_offset;
+  std::vector<double> min_phase;
+  std::vector<double> parts;
+};
+thread_local Scratch t_scratch;
+
 /// Finalize bookkeeping shared by both schedulers: phases, per-parent
 /// uplinks and jitter-free latencies, and the communication cost.
 /// `stagger` enables the Theorem-1 start-offset staggering (the zero-jitter
@@ -30,8 +59,10 @@ void finalize(const eva::Workload& workload, ScheduleResult& result,
   // its own uplink transfer time; a per-server shift keeps phases >= 0.
   result.phase.assign(result.streams.size(), 0.0);
   if (stagger) {
-    std::vector<double> server_offset(num_servers, 0.0);
-    std::vector<double> min_phase(num_servers, 0.0);
+    std::vector<double>& server_offset = t_scratch.server_offset;
+    std::vector<double>& min_phase = t_scratch.min_phase;
+    server_offset.assign(num_servers, 0.0);
+    min_phase.assign(num_servers, 0.0);
     for (std::size_t i = 0; i < result.streams.size(); ++i) {
       const std::size_t server = result.assignment[i];
       const double transfer = result.streams[i].bits_per_frame /
@@ -47,7 +78,8 @@ void finalize(const eva::Workload& workload, ScheduleResult& result,
 
   result.uplink_per_parent.assign(num_parents, 0.0);
   result.latency_per_parent.assign(num_parents, 0.0);
-  std::vector<double> parts(num_parents, 0.0);
+  std::vector<double>& parts = t_scratch.parts;
+  parts.assign(num_parents, 0.0);
   result.comm_cost = 0.0;
   for (std::size_t i = 0; i < result.streams.size(); ++i) {
     const auto& s = result.streams[i];
@@ -72,15 +104,6 @@ void finalize(const eva::Workload& workload, ScheduleResult& result,
                    result.latency_per_parent.size() == num_parents,
                "per-parent vectors must align");
 }
-
-/// One co-scheduled set being packed under the Theorem 3 conditions, kept
-/// as aggregates; callers record which group each stream joined.
-struct Group {
-  std::uint64_t tmin = 0;  // 0 while the group is empty
-  std::uint64_t gcd = 0;   // gcd of the member periods
-  double proc = 0.0;  // Σ of (possibly headroom-inflated) processing times
-  double bits = 0.0;  // Σ θ_bit(r_i), accumulated in join order
-};
 
 /// Membership test of Algorithm 1 lines 4–19: all periods must be integer
 /// multiples of the new group minimum, and Σp must fit in it (Theorem 3
@@ -132,18 +155,20 @@ void insertion_sort(std::vector<std::size_t>& items, Key key) {
   }
 }
 
-/// Lines 1–3 of Algorithm 1 over a subset of stream indices: sort by
-/// period ascending, compute divisor-count priorities, re-sort by priority
-/// ascending (stable, so period order breaks ties).
-std::vector<std::size_t> alg1_order(const std::vector<PeriodicStream>& streams,
-                                    std::vector<std::size_t> subset) {
+/// Lines 1–3 of Algorithm 1 over a subset of stream indices, in place:
+/// sort by period ascending, compute divisor-count priorities (into
+/// `priority`, indexed by stream), re-sort by priority ascending (stable,
+/// so period order breaks ties).
+void alg1_order(const std::vector<PeriodicStream>& streams,
+                std::vector<std::size_t>& subset,
+                std::vector<std::size_t>& priority) {
   const auto period = [&](std::size_t s) { return streams[s].period_ticks; };
   insertion_sort(subset, period);
   // priority[s] = #{earlier streams in period order whose period divides
   // T_s}. A stream with its predecessor's period counts exactly one more
   // (the predecessor itself), and within a run of equal periods one
   // modulo decides for the whole run.
-  std::vector<std::size_t> priority(streams.size(), 0);
+  priority.assign(streams.size(), 0);
   for (std::size_t i = 0; i < subset.size(); ++i) {
     const std::uint64_t ti = period(subset[i]);
     if (i > 0 && ti == period(subset[i - 1])) {
@@ -160,7 +185,6 @@ std::vector<std::size_t> alg1_order(const std::vector<PeriodicStream>& streams,
     priority[subset[i]] = count;
   }
   insertion_sort(subset, [&](std::size_t s) { return priority[s]; });
-  return subset;
 }
 
 /// Necessary condition for any Theorem 3 grouping onto `num_servers`
@@ -180,9 +204,7 @@ bool exceeds_load_bound(const eva::Workload& workload,
     load += workload.clips[i].proc_time(config[i].resolution) * config[i].fps;
     max_fps = std::max(max_fps, config[i].fps);
   }
-  const double slack = 1e-9 + kJoinTol * max_fps;
-  return proc_headroom * load >
-         static_cast<double>(num_servers) * (1.0 + slack);
+  return proc_headroom * load > load_capacity(num_servers, max_fps);
 }
 
 /// Algorithm 1 over the given (ascending) list of usable server indices.
@@ -198,26 +220,33 @@ ScheduleResult zero_jitter_impl(const eva::Workload& workload,
     if (screened != nullptr) *screened = true;
     return result;
   }
-  result.streams = split_streams(workload, config);
+  Scratch& scratch = t_scratch;
+  const std::vector<PeriodicStream>& streams = scratch.streams;
+  split_streams(workload, config, scratch.streams);
   const auto& clock = workload.space.clock();
-  const std::size_t m = result.streams.size();
+  const std::size_t m = streams.size();
 
-  std::vector<std::size_t> all(m);
-  std::iota(all.begin(), all.end(), 0);
-  const std::vector<std::size_t> ordered =
-      alg1_order(result.streams, std::move(all));
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(m);
+  std::iota(order.begin(), order.end(), 0);
+  alg1_order(streams, order, scratch.priority);
 
   // Lines 4–19: greedy group packing under the Theorem 3 conditions, one
   // potential group per usable server. An empty group admits whatever
   // fits its own period, so the used groups always form a prefix.
-  std::vector<Group> groups(servers.size());
-  std::vector<std::size_t> group_of(m);
-  for (std::size_t idx : ordered) {
-    const PeriodicStream& stream = result.streams[idx];
+  std::vector<Group>& groups = scratch.groups;
+  std::vector<std::size_t>& group_of = scratch.group_of;
+  groups.assign(servers.size(), Group{});
+  group_of.resize(m);
+  for (std::size_t idx : order) {
+    const PeriodicStream& stream = streams[idx];
     const std::size_t g = join_first_fit(
         groups, stream, stream.proc_time * proc_headroom, clock);
     if (g == groups.size()) {
-      result.feasible = false;  // line 16: no feasible grouping scheme
+      // Line 16: no feasible grouping scheme. The split streams still
+      // come back, which tells this result from a screened one.
+      result.streams.assign(streams.begin(), streams.end());
+      result.feasible = false;
       return result;
     }
     group_of[idx] = g;
@@ -227,15 +256,21 @@ ScheduleResult zero_jitter_impl(const eva::Workload& workload,
   // total communication latency Σ θ_bit(r_i)/B_{q_i}.
   std::size_t active = 0;
   while (active < groups.size() && groups[active].tmin != 0) ++active;
-  la::Matrix cost(active, servers.size());
+  const std::size_t n = servers.size();
+  scratch.cost.resize(active * n);
   for (std::size_t g = 0; g < active; ++g) {
-    for (std::size_t j = 0; j < servers.size(); ++j) {
-      cost(g, j) = groups[g].bits / (workload.uplink_mbps[servers[j]] * 1e6);
+    for (std::size_t j = 0; j < n; ++j) {
+      scratch.cost[g * n + j] =
+          groups[g].bits / (workload.uplink_mbps[servers[j]] * 1e6);
     }
   }
-  const AssignmentResult assignment = solve_assignment(cost);
-  for (std::size_t& g : group_of) g = servers[assignment.col_of[g]];
-  result.assignment = std::move(group_of);
+  solve_assignment(scratch.cost.data(), active, n, scratch.assignment);
+  const std::vector<std::size_t>& col_of = scratch.assignment.col_of;
+  result.streams.assign(streams.begin(), streams.end());
+  result.assignment.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    result.assignment[i] = servers[col_of[group_of[i]]];
+  }
   result.feasible = true;
   finalize(workload, result, /*stagger=*/true, proc_headroom);
 
@@ -260,6 +295,11 @@ std::vector<std::size_t> usable_list(const eva::Workload& workload,
 
 }  // namespace
 
+double load_capacity(std::size_t num_servers, std::uint32_t max_fps) {
+  const double slack = 1e-9 + kJoinTol * max_fps;
+  return static_cast<double>(num_servers) * (1.0 + slack);
+}
+
 bool exceeds_load_bound(const eva::Workload& workload,
                         const eva::JointConfig& config) {
   return exceeds_load_bound(workload, config, workload.num_servers(),
@@ -269,7 +309,8 @@ bool exceeds_load_bound(const eva::Workload& workload,
 ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
                                     const eva::JointConfig& config) {
   PAMO_SPAN("sched.zero_jitter");
-  std::vector<std::size_t> servers(workload.num_servers());
+  std::vector<std::size_t>& servers = t_scratch.servers;
+  servers.resize(workload.num_servers());
   std::iota(servers.begin(), servers.end(), 0);
   bool screened = false;
   ScheduleResult result = zero_jitter_impl(
@@ -356,7 +397,9 @@ ScheduleResult reschedule_pinned(const eva::Workload& workload,
     assignment[idx] = server;
   }
 
-  for (std::size_t idx : alg1_order(result.streams, std::move(orphans))) {
+  std::vector<std::size_t> priority;
+  alg1_order(result.streams, orphans, priority);
+  for (std::size_t idx : orphans) {
     const PeriodicStream& stream = result.streams[idx];
     const std::size_t g = join_first_fit(
         groups, stream, stream.proc_time * proc_headroom, clock);

@@ -13,6 +13,7 @@
 //      of Theorem 1, so frames never queue behind each other.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "eva/workload.hpp"
@@ -52,6 +53,11 @@ ScheduleResult schedule_zero_jitter(const eva::Workload& workload,
 /// configurations run it first to skip the rest of Algorithm 1.
 bool exceeds_load_bound(const eva::Workload& workload,
                         const eva::JointConfig& config);
+
+/// The right-hand side of the load screen: the most h·Σ p_i·s_i that
+/// `num_servers` Theorem 3 groups can carry when the fastest stream runs
+/// at `max_fps`, num_servers·(1 + 1e-9 + kJoinTol·max_fps).
+double load_capacity(std::size_t num_servers, std::uint32_t max_fps);
 
 /// Algorithm 1 restricted to the servers marked usable (crashed servers
 /// are excluded from grouping and assignment). `proc_headroom` >= 1

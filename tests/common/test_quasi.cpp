@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "support/reference_halton.hpp"
 
 namespace pamo {
 namespace {
@@ -98,6 +99,30 @@ TEST_P(HaltonDimSweep, CoversAllQuadrants) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, HaltonDimSweep,
                          ::testing::Values<std::size_t>(1, 2, 5, 10, 20, 40));
+
+TEST(Halton, DigitCountersMatchTheDivisionForm) {
+  // Bit for bit, for every dimension up to 40 and indices 1..10^4.
+  for (const std::size_t dim : {1U, 2U, 7U, 24U, 40U}) {
+    HaltonSequence seq(dim, 0xAB + dim);
+    testing::ReferenceHalton reference(dim, 0xAB + dim);
+    for (int i = 1; i <= 10000; ++i) {
+      ASSERT_EQ(seq.next(), reference.next()) << "dim " << dim << " index " << i;
+    }
+  }
+}
+
+TEST(Halton, CoordinatePeeksWithoutAdvancing) {
+  HaltonSequence a(6, 5);
+  HaltonSequence b(6, 5);
+  for (int i = 0; i < 300; ++i) {
+    const std::vector<double> point = a.next();
+    for (std::size_t d = 0; d < 6; ++d) {
+      ASSERT_EQ(b.coordinate(d), point[d]);
+      ASSERT_EQ(b.coordinate(d), point[d]);
+    }
+    b.advance();
+  }
+}
 
 }  // namespace
 }  // namespace pamo

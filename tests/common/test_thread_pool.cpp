@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -89,6 +92,39 @@ TEST(ThreadPool, ManySmallBatches) {
     std::atomic<int> count{0};
     pool.parallel_for(3, [&](std::size_t) { ++count; });
     ASSERT_EQ(count.load(), 3);
+  }
+}
+
+TEST(ThreadPool, GrainOneGivesEveryIndexItsOwnBlock) {
+  // The fleet fans out its 84 shards at grain 1. Index 0 waits until index
+  // 1 has run: that finishes only when index 1 is a block of its own, so
+  // another participant can take it while index 0 waits.
+  for (const std::size_t workers : {2U, 8U}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> counts(84);
+    std::mutex mutex;
+    std::condition_variable ran;
+    bool second_ran = false;
+    bool first_saw_second = false;
+    pool.parallel_for(
+        84,
+        [&](std::size_t i) {
+          if (i == 1) {
+            const std::lock_guard<std::mutex> lock(mutex);
+            second_ran = true;
+            ran.notify_all();
+          }
+          if (i == 0) {
+            std::unique_lock<std::mutex> lock(mutex);
+            first_saw_second = ran.wait_for(lock, std::chrono::seconds(30),
+                                            [&] { return second_ran; });
+          }
+          ++counts[i];
+        },
+        /*grain=*/1);
+    EXPECT_TRUE(first_saw_second);
+    for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "common/quasi.hpp"
 #include "core/pamo.hpp"
 #include "sched/shard.hpp"
+#include "support/reference_halton.hpp"
 
 namespace pamo::core {
 namespace {
@@ -613,6 +614,136 @@ TEST(CandidatePool, LoadScreenIsExactlyTheScreenedScheduleResult) {
     EXPECT_GT(screened, 0u);
     EXPECT_GT(passed, 0u);
   }
+}
+
+/// The draw in its decoding form: every point becomes a configuration
+/// before exceeds_load_bound screens it, an ordered set de-duplicates, and
+/// the Halton points come from the division-based radical inverse. Same
+/// RNG order as draw_feasible.
+CandidatePool decoding_draw(const eva::Workload& w,
+                            const std::vector<eva::JointConfig>& incumbents,
+                            const std::vector<eva::JointConfig>& observed,
+                            const PoolOptions& options,
+                            std::size_t max_feasible, Rng& rng) {
+  const std::size_t m = w.num_streams();
+  const auto& res = w.space.resolutions();
+  const auto& fps = w.space.fps_knobs();
+  const auto snap = [](double u, const std::vector<std::uint32_t>& knobs,
+                       std::size_t narrow) {
+    const std::size_t cells =
+        knobs.size() > narrow ? knobs.size() - narrow : 1;
+    const auto k = static_cast<std::size_t>(std::clamp(u, 0.0, 1.0) *
+                                            static_cast<double>(cells));
+    return knobs[std::min(k, cells - 1)];
+  };
+  const auto decode = [&](const std::vector<double>& u, std::size_t narrow) {
+    eva::JointConfig config(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      config[i] = {snap(u[2 * i], res, narrow),
+                   snap(u[2 * i + 1], fps, narrow)};
+    }
+    return config;
+  };
+  const auto midpoint = [](std::size_t k, std::size_t size) {
+    return (static_cast<double>(k) + 0.5) / static_cast<double>(size);
+  };
+  std::set<eva::JointConfig> seen(observed.begin(), observed.end());
+  CandidatePool pool;
+  const auto full = [&] { return pool.configs.size() >= max_feasible; };
+  const auto keep = [&](eva::JointConfig config) {
+    if (sched::exceeds_load_bound(w, config)) return false;
+    if (!seen.insert(config).second) return false;
+    sched::ScheduleResult schedule = sched::schedule_zero_jitter(w, config);
+    if (!schedule.feasible) return false;
+    pool.configs.push_back(std::move(config));
+    pool.schedules.push_back(std::move(schedule));
+    return true;
+  };
+  testing::ReferenceHalton halton(2 * m, rng.next_u64());
+  for (const auto& incumbent : incumbents) {
+    std::vector<double> unit(2 * m);
+    for (std::size_t i = 0; i < m; ++i) {
+      unit[2 * i] = midpoint(knob_index(incumbent[i].resolution, res),
+                             res.size());
+      unit[2 * i + 1] =
+          midpoint(knob_index(incumbent[i].fps, fps), fps.size());
+    }
+    for (std::size_t k = 0; k < options.mutations_per_incumbent && !full();
+         ++k) {
+      std::vector<double> mutated = unit;
+      const std::size_t num_mutated = 1 + rng.uniform_index(m);
+      for (std::size_t j = 0; j < num_mutated; ++j) {
+        double& coord = mutated[rng.uniform_index(2 * m)];
+        coord = std::clamp(coord + rng.normal(0.0, options.mutation_sigma),
+                           0.0, 1.0);
+      }
+      keep(decode(mutated, 0));
+    }
+  }
+  const bool narrowing = incumbents.empty();
+  const std::size_t attempts =
+      narrowing ? 64 * max_feasible : options.num_quasi_random;
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < attempts && !full(); ++i) {
+    const bool kept =
+        keep(decode(halton.next(), narrowing ? failures / 8 : 0));
+    failures = kept ? 0 : failures + 1;
+  }
+  return pool;
+}
+
+TEST(CandidatePool, ScreenFirstDrawEqualsTheDecodingDraw) {
+  // The testbed shape, and a 12-stream shard of fleet_cold's shape on one
+  // or two servers.
+  std::vector<eva::Workload> workloads = {eva::make_workload(12, 4, 1)};
+  const eva::Workload fleet = eva::make_fleet_workload(1000, 100, 1);
+  const sched::ShardPlan plan = sched::make_shard_plan(fleet, {});
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    if (plan.stream_ids[s].size() == 12 && plan.server_ids[s].size() <= 2) {
+      workloads.push_back(sched::shard_workload(fleet, plan, s));
+      break;
+    }
+  }
+  ASSERT_EQ(workloads.size(), 2u) << "no 12-stream shard on 1-2 servers";
+  std::size_t kept = 0;
+  std::size_t excluded = 0;
+  for (const eva::Workload& w : workloads) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      SCOPED_TRACE(seed);
+      // No incumbents: the narrowing draw.
+      Rng a(seed);
+      Rng b(seed);
+      const CandidatePool narrowed =
+          draw_feasible(w, {}, {}, PoolOptions{}, 4, a);
+      expect_same_pool(narrowed,
+                       decoding_draw(w, {}, {}, PoolOptions{}, 4, b));
+      EXPECT_EQ(a.next_u64(), b.next_u64());
+      // Incumbents, and exclusions that bite: the incumbents themselves
+      // and the first configurations the same draw keeps without them.
+      if (narrowed.configs.empty()) continue;
+      const std::vector<eva::JointConfig>& incumbents = narrowed.configs;
+      Rng probe(seed + 1000);
+      std::vector<eva::JointConfig> observed = incumbents;
+      const CandidatePool open =
+          decoding_draw(w, incumbents, {}, PoolOptions{}, 48, probe);
+      for (std::size_t c = 0; c < std::min<std::size_t>(2, open.configs.size());
+           ++c) {
+        observed.push_back(open.configs[c]);
+      }
+      Rng c(seed + 1000);
+      Rng d(seed + 1000);
+      const CandidatePool pool =
+          draw_feasible(w, incumbents, observed, PoolOptions{}, 48, c);
+      const CandidatePool want =
+          decoding_draw(w, incumbents, observed, PoolOptions{}, 48, d);
+      expect_same_pool(pool, want);
+      EXPECT_EQ(c.next_u64(), d.next_u64());
+      kept += pool.configs.size();
+      excluded += open.configs.size() > 0 && pool.configs != open.configs;
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(excluded, 0u);
 }
 
 }  // namespace

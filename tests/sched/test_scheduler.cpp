@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "ckpt/digest.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sched/constraints.hpp"
 
 namespace pamo::sched {
@@ -218,6 +221,109 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{10, 5},
                       std::pair<std::size_t, std::size_t>{11, 5},
                       std::pair<std::size_t, std::size_t>{10, 9}));
+
+// Algorithm 1 keeps its working buffers per thread. A call must not see
+// what an earlier call on its thread left behind, whatever that call's
+// size, nor what another thread does at the same time.
+
+void expect_same_schedule(const ScheduleResult& got,
+                          const ScheduleResult& want) {
+  EXPECT_EQ(got.feasible, want.feasible);
+  ASSERT_EQ(got.streams.size(), want.streams.size());
+  for (std::size_t i = 0; i < got.streams.size(); ++i) {
+    EXPECT_EQ(got.streams[i].parent, want.streams[i].parent);
+    EXPECT_EQ(got.streams[i].period_ticks, want.streams[i].period_ticks);
+    EXPECT_EQ(got.streams[i].proc_time, want.streams[i].proc_time);
+    EXPECT_EQ(got.streams[i].bits_per_frame, want.streams[i].bits_per_frame);
+  }
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.phase, want.phase);
+  EXPECT_EQ(got.uplink_per_parent, want.uplink_per_parent);
+  EXPECT_EQ(got.latency_per_parent, want.latency_per_parent);
+  EXPECT_EQ(got.comm_cost, want.comm_cost);
+}
+
+struct ScratchCase {
+  const eva::Workload* workload;
+  eva::JointConfig config;
+};
+
+/// Calls that alternate between a 12-stream, 4-server workload and a
+/// 30-stream, 9-server one, with light configurations (feasible), random
+/// ones (mostly infeasible after packing or screened) and everything in
+/// between.
+std::vector<ScratchCase> interleaved_cases(const eva::Workload& small,
+                                           const eva::Workload& large) {
+  std::vector<ScratchCase> cases;
+  Rng rng(0x5C2A7C4);
+  for (std::size_t k = 0; k < 120; ++k) {
+    const eva::Workload& w = k % 2 == 0 ? small : large;
+    eva::JointConfig config(w.num_streams());
+    const std::size_t cap = 1 + (k / 2) % w.space.fps_knobs().size();
+    for (auto& c : config) {
+      c.resolution =
+          w.space.resolutions()[rng.uniform_index(w.space.resolutions().size())];
+      c.fps = w.space.fps_knobs()[rng.uniform_index(cap)];
+    }
+    cases.push_back({&w, std::move(config)});
+  }
+  return cases;
+}
+
+TEST(ZeroJitterScratch, InterleavedSizesMatchFreshThreads) {
+  const eva::Workload small = workload(12, 4, 3);
+  const eva::Workload large = workload(30, 9, 4);
+  const std::vector<ScratchCase> cases = interleaved_cases(small, large);
+  // Each reference result comes from a thread that never scheduled before.
+  std::vector<ScheduleResult> fresh(cases.size());
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    std::thread([&, k] {
+      fresh[k] = schedule_zero_jitter(*cases[k].workload, cases[k].config);
+    }).join();
+  }
+  std::size_t feasible = 0;
+  std::size_t packed_infeasible = 0;
+  for (const ScheduleResult& r : fresh) {
+    feasible += r.feasible ? 1 : 0;
+    packed_infeasible += !r.feasible && !r.streams.empty() ? 1 : 0;
+  }
+  EXPECT_GT(feasible, 10u);
+  EXPECT_GT(packed_infeasible, 0u);
+
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(k);
+    expect_same_schedule(
+        schedule_zero_jitter(*cases[k].workload, cases[k].config), fresh[k]);
+  }
+
+  ThreadPool pool(4);
+  std::vector<ScheduleResult> pooled(cases.size());
+  pool.parallel_for(cases.size(), [&](std::size_t k) {
+    pooled[k] = schedule_zero_jitter(*cases[k].workload, cases[k].config);
+  });
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(k);
+    expect_same_schedule(pooled[k], fresh[k]);
+  }
+}
+
+TEST(ZeroJitterScratch, MaskedAndRepairCallsLeaveNoTrace) {
+  // The masked entry point and pinned repair share the per-thread
+  // buffers with schedule_zero_jitter; a plain call after them is the
+  // same as on a fresh thread.
+  const eva::Workload w = workload(12, 4, 5);
+  const eva::JointConfig config(12, {w.space.resolutions()[0],
+                                     w.space.fps_knobs()[0]});
+  ScheduleResult fresh;
+  std::thread([&] { fresh = schedule_zero_jitter(w, config); }).join();
+  ASSERT_TRUE(fresh.feasible);
+  const std::vector<bool> usable = {true, false, true, true};
+  const ScheduleResult masked =
+      schedule_zero_jitter_masked(w, config, usable, 1.5);
+  ASSERT_TRUE(masked.feasible);
+  reschedule_pinned(w, config, fresh, usable, 1.2);
+  expect_same_schedule(schedule_zero_jitter(w, config), fresh);
+}
 
 }  // namespace
 }  // namespace pamo::sched
