@@ -53,6 +53,8 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
   PAMO_CHECK(options.pamo.warm_start == nullptr,
              "fleet mode fits its own shared outcome bank every epoch; a "
              "caller-supplied warm_start bank is not supported");
+  PAMO_CHECK(options.pamo.scenario_bases == nullptr,
+             "fleet mode draws its own scenario bases");
 
   const sched::ShardPlan plan =
       sched::make_shard_plan(workload, options.shard);
@@ -95,6 +97,18 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
     fleet.profiles_taken = options.pamo.init_profiles;
   }
 
+  // One set of scenario normals per BO round, shared by every shard: each
+  // shard colours base i with its own posterior in iteration i, so it
+  // still sees fresh scenarios every iteration, and the fleet draws
+  // max_iters sets instead of every shard drawing its own.
+  Rng scenario_rng(options.pamo.seed ^ kFleetScenarioSeedTag);
+  std::vector<std::vector<la::Matrix>> scenario_bases;
+  scenario_bases.reserve(options.pamo.max_iters);
+  for (std::size_t i = 0; i < options.pamo.max_iters; ++i) {
+    scenario_bases.push_back(draw_scenario_normals(
+        options.pamo.mc_samples, bank.grid().size(), scenario_rng));
+  }
+
   // Shards corrupt telemetry concurrently, each through a private view
   // keyed by fleet stream id; the views fold back in shard-index order.
   std::vector<eva::TelemetryCorruption> shard_telemetry;
@@ -111,6 +125,7 @@ PamoResult run_fleet_epoch(const eva::Workload& workload,
     PamoOptions shard_options = options.pamo;
     shard_options.seed = shard_seeds[s];
     shard_options.warm_start = &bank;
+    shard_options.scenario_bases = &scenario_bases;
     if (telemetry != nullptr) shard_options.telemetry = &shard_telemetry[s];
     pref::PreferenceOracle shard_oracle = oracle;
     PamoScheduler scheduler(shard_loads[s], shard_options);

@@ -4,8 +4,9 @@
 // parallel — each warm-started from that bank and re-anchored on its own
 // streams — and merge the per-shard decisions into a flat PamoResult.
 //
-// Determinism contract: the bank is fit serially before the fan-out and
-// only read during it, per-shard seeds are derived from the fleet seed
+// Determinism contract: the bank is fit, and one set of scenario normals
+// per BO round drawn, serially before the fan-out; both are only read
+// during it. Per-shard seeds are derived from the fleet seed
 // and the shard *index* (never the worker thread), every shard runs
 // against its own copy of the preference oracle and its own view of the
 // telemetry corruption model, and the merge walks shards in index order —
@@ -29,6 +30,10 @@ namespace pamo::core {
 /// Phase-1 tags, so no fleet stream sees one corruption draw twice.
 inline constexpr std::uint64_t kFleetBankTelemetryTag = 0xF1EE7A000ULL;
 
+/// Seed tag of the fleet's scenario bases: they come from
+/// Rng(pamo.seed ^ kFleetScenarioSeedTag), a stream no shard draws from.
+inline constexpr std::uint64_t kFleetScenarioSeedTag = 0xF1EE75CE4A7EULL;
+
 struct FleetOptions {
   /// Route SchedulingService epochs through the hierarchical path. Off by
   /// default: the flat service is bit-for-bit unchanged.
@@ -41,7 +46,8 @@ struct FleetOptions {
   /// Optimization template. init_profiles is the budget of the fleet's
   /// shared outcome bank; each shard re-anchors that bank with
   /// warm_profiles profiles of its own streams. The seed is re-derived
-  /// per shard; warm_start must stay null (the fleet fits its own bank).
+  /// per shard; warm_start and scenario_bases must stay null (the fleet
+  /// fits its own bank and draws its own bases).
   /// The preference options must be fan-out safe: either
   /// use_true_preference (PaMO+, const oracle access only) or a
   /// shared_learner with learn_in_loop off (read-only model evaluation).
@@ -83,7 +89,9 @@ struct FleetReport {
 /// iterations the per-shard maximum, benefit_trace a single entry holding
 /// the mean FleetShardReport::benefit of the shards with a trace (each
 /// one's last batch utility, in latent units under PaMO),
-/// health.warm_started false (the bank is fit this epoch). `report`, when
+/// health.warm_started false (the bank is fit this epoch). Every shard's
+/// BO iteration i colours the same fleet-drawn scenario base i
+/// (PamoOptions::scenario_bases) with its own posterior. `report`, when
 /// non-null, receives the plan and per-shard outcomes.
 PamoResult run_fleet_epoch(const eva::Workload& workload,
                            const FleetOptions& options,

@@ -130,18 +130,23 @@ la::Matrix latin_hypercube_normals(std::size_t num_samples,
   return z;
 }
 
+std::vector<la::Matrix> draw_scenario_normals(std::size_t num_samples,
+                                              std::size_t columns, Rng& rng) {
+  std::vector<la::Matrix> normals;
+  normals.reserve(kNumMetrics);
+  for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    normals.push_back(latin_hypercube_normals(num_samples, columns, rng));
+  }
+  return normals;
+}
+
 std::vector<la::Matrix> OutcomeModels::sample_grid_tables(
     std::size_t num_samples, Rng& rng) const {
   PAMO_CHECK(is_fit(), "sample before fit");
   // Draw every normal serially, metric by metric, then colour the metrics
   // concurrently: the colouring never touches `rng`.
-  std::vector<la::Matrix> normals;
-  normals.reserve(kNumMetrics);
-  for (std::size_t m = 0; m < kNumMetrics; ++m) {
-    normals.push_back(
-        latin_hypercube_normals(num_samples, grid_.size(), rng));
-  }
-  return colour_grid_tables(normals);
+  return colour_grid_tables(
+      draw_scenario_normals(num_samples, grid_.size(), rng));
 }
 
 std::vector<la::Matrix> OutcomeModels::colour_grid_tables(

@@ -41,6 +41,14 @@ inline constexpr std::size_t kNumMetrics = 5;
 la::Matrix latin_hypercube_normals(std::size_t num_samples,
                                    std::size_t columns, Rng& rng);
 
+/// The driving normals of one scenario-table draw over `columns` grid
+/// cells: kNumMetrics tables of latin_hypercube_normals(num_samples,
+/// columns, rng), drawn metric by metric in Metric order.
+/// OutcomeModels::sample_grid_tables draws these and colours them; the
+/// fleet draws one set per BO round and hands it to every shard.
+std::vector<la::Matrix> draw_scenario_normals(std::size_t num_samples,
+                                              std::size_t columns, Rng& rng);
+
 class OutcomeModels {
  public:
   explicit OutcomeModels(const eva::ConfigSpace& space,
@@ -75,9 +83,9 @@ class OutcomeModels {
   /// Joint posterior sample tables over the knob grid: result[m] is an
   /// (S × |grid|) matrix for metric m. Samples of different metrics are
   /// independent; within a metric, samples are jointly drawn over the grid.
-  /// The driving normals are latin_hypercube_normals(S, |grid|, rng),
-  /// drawn metric by metric in Metric order, then coloured by
-  /// colour_grid_tables (see DESIGN.md, "Determinism under parallelism").
+  /// The driving normals are draw_scenario_normals(S, |grid|, rng),
+  /// coloured by colour_grid_tables (see DESIGN.md, "Determinism under
+  /// parallelism").
   [[nodiscard]] std::vector<la::Matrix> sample_grid_tables(
       std::size_t num_samples, Rng& rng) const;
 

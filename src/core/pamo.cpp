@@ -335,6 +335,20 @@ PamoScheduler::PamoScheduler(const eva::Workload& workload,
                   : OutcomeModels(workload.space, options_.gp)) {
   PAMO_CHECK(workload_.num_streams() > 0, "empty workload");
   PAMO_CHECK(options_.batch_size >= 1, "batch size must be >= 1");
+  if (options_.scenario_bases != nullptr) {
+    const auto& bases = *options_.scenario_bases;
+    PAMO_CHECK(bases.size() >= options_.max_iters,
+               "one shared scenario base per BO iteration");
+    for (const auto& base : bases) {
+      PAMO_CHECK(base.size() == kNumMetrics,
+                 "a scenario base holds one normal table per metric");
+      for (const auto& normals : base) {
+        PAMO_CHECK(normals.rows() == options_.mc_samples &&
+                       normals.cols() == models_.grid().size(),
+                   "scenario base tables are mc_samples x |knob grid|");
+      }
+    }
+  }
 }
 
 eva::StreamMeasurement PamoScheduler::model_mean_measurement(
@@ -351,6 +365,7 @@ eva::StreamMeasurement PamoScheduler::model_mean_measurement(
 PamoScheduler::Observation PamoScheduler::observe(
     const eva::JointConfig& config, sched::ScheduleResult schedule,
     Rng& rng) {
+  PAMO_SPAN("pamo.observe");
   Observation obs;
   obs.config = config;
   obs.schedule = std::move(schedule);
@@ -632,10 +647,14 @@ PamoResult PamoScheduler::run(pref::PreferenceOracle& oracle) {
                       options_.max_pool_feasible, rng);
     if (pool_configs.empty()) return false;
 
-    // Joint MC scenarios over the knob grid.
+    // Joint MC scenarios over the knob grid: fresh normals every
+    // iteration, drawn here or shared by the fleet's shards.
     const std::size_t num_samples = options_.mc_samples;
     const auto tables = [&] {
       PAMO_SPAN("pamo.grid_tables");
+      if (options_.scenario_bases != nullptr) {
+        return models_.colour_grid_tables((*options_.scenario_bases)[iter]);
+      }
       return models_.sample_grid_tables(num_samples, rng);
     }();
 

@@ -128,6 +128,15 @@ struct PamoOptions {
   /// S = 16 vary across draws no more than plain MC's at S = 40; the sweep
   /// costs time linear in S.
   std::size_t mc_samples = 16;
+  /// Shared scenario bases: when set, BO iteration i colours
+  /// (*scenario_bases)[i], kNumMetrics tables of mc_samples × |knob grid|
+  /// standard normals (draw_scenario_normals), instead of drawing fresh
+  /// normals from the run's own RNG. It must hold at least max_iters
+  /// bases; the constructor rejects a short list or a wrong shape.
+  /// run_fleet_epoch draws one base per round and hands every shard the
+  /// same list. Externally owned and only read; null = each iteration
+  /// draws its own.
+  const std::vector<std::vector<la::Matrix>>* scenario_bases = nullptr;
   std::size_t batch_size = 4;            // b: qNEI batch
   std::size_t max_iters = 10;            // MaxIterNum
   std::size_t max_pool_feasible = 144;   // feasible candidates kept per iter

@@ -7,6 +7,8 @@
 // independent services. One fleet epoch fits one shared outcome bank and
 // counts its diagnostics once, and its metric series do not grow with the
 // shard count; so does the shared learner's count of contradicted pairs.
+// The shards share the fleet's per-round scenario bases, whose shape the
+// scheduler checks before Phase 1.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -315,6 +317,82 @@ TEST(ServiceFleet, SharedLearnerInconsistencyCountsOnce) {
     EXPECT_EQ(result.health.inconsistent_pairs, 2u)
         << report.plan.num_shards() << " shards";
   }
+}
+
+// The fleet draws one set of scenario normals per BO round and every shard
+// colours the same set (PamoOptions::scenario_bases).
+
+TEST(FleetScenarioBases, ShortListOrWrongShapeThrowsBeforePhaseOne) {
+  const eva::Workload w = eva::make_workload(6, 3, 41);
+  PamoOptions options = small_fleet(5).pamo;
+  const std::size_t grid = w.space.num_knob_combinations();
+  Rng rng(3);
+  std::vector<std::vector<la::Matrix>> bases;
+  for (std::size_t i = 0; i < options.max_iters; ++i) {
+    bases.push_back(draw_scenario_normals(options.mc_samples, grid, rng));
+  }
+  options.scenario_bases = &bases;
+  // The right shape constructs, and runs.
+  {
+    PamoScheduler scheduler(w, options);
+    pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+    EXPECT_TRUE(scheduler.run(oracle).feasible);
+  }
+
+  const auto rejected = [&](std::vector<std::vector<la::Matrix>> bad) {
+    PamoOptions bad_options = options;
+    bad_options.scenario_bases = &bad;
+    // The constructor throws, so neither profiling nor the oracle runs.
+    EXPECT_THROW(PamoScheduler(w, bad_options), Error);
+  };
+  rejected({bases.begin(), bases.end() - 1});  // one base too few
+  rejected({});
+  std::vector<std::vector<la::Matrix>> bad = bases;
+  bad[1].pop_back();  // a metric missing
+  rejected(bad);
+  bad = bases;
+  bad[0][2] = la::Matrix(options.mc_samples + 1, grid);  // one scenario more
+  rejected(bad);
+  bad = bases;
+  bad[2][4] = la::Matrix(options.mc_samples, grid - 1);  // a cell short
+  rejected(bad);
+
+  // The fleet draws its own bases and refuses a caller's.
+  FleetOptions fleet = small_fleet(5);
+  fleet.pamo.scenario_bases = &bases;
+  const pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  EXPECT_THROW(
+      run_fleet_epoch(eva::make_fleet_workload(16, 5, 504), fleet, oracle),
+      Error);
+}
+
+TEST(FleetScenarioBases, DigestEqualAtOneTwoAndEightWorkers) {
+  const eva::Workload workload = eva::make_fleet_workload(36, 10, 505);
+  const FleetOptions options = small_fleet(31);
+  const pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  const auto digest_at = [&](std::size_t workers) {
+    ThreadPool pool(workers);
+    ThreadPool::ScopedDefault guard(pool);
+    FleetReport report;
+    const PamoResult result =
+        run_fleet_epoch(workload, options, oracle, &report);
+    EXPECT_TRUE(result.feasible);
+    EXPECT_GT(report.plan.num_shards(), 2u);
+    std::vector<std::uint64_t> digest = {
+        digest_schedule(result.best_schedule)};
+    for (const auto& c : result.best_config) {
+      digest.push_back(c.resolution);
+      digest.push_back(c.fps);
+    }
+    for (const auto& shard : report.shards) {
+      digest.push_back(std::bit_cast<std::uint64_t>(shard.benefit));
+      digest.push_back(shard.iterations);
+    }
+    return digest;
+  };
+  const std::vector<std::uint64_t> serial = digest_at(1);
+  EXPECT_EQ(digest_at(2), serial);
+  EXPECT_EQ(digest_at(8), serial);
 }
 
 }  // namespace
