@@ -44,19 +44,27 @@ HaltonSequence::HaltonSequence(std::size_t dim, std::uint64_t seed) {
   }
   // Start at index 1: index 0 (the all-zeros point) adds nothing to
   // coverage.
-  digits_.assign(dim, {1});
-  powers_.resize(dim);
+  offsets_.assign(dim + 1, 0);
   for (std::size_t d = 0; d < dim; ++d) {
-    powers_[d] = {1.0 / static_cast<double>(bases_[d])};
+    std::size_t width = 0;
+    for (std::uint64_t x = ~std::uint64_t{0}; x > 0; x /= bases_[d]) ++width;
+    offsets_[d + 1] = offsets_[d] + width;
+  }
+  digits_.assign(offsets_[dim], 0);
+  num_digits_.assign(dim, 1);
+  powers_.assign(offsets_[dim], 0.0);
+  for (std::size_t d = 0; d < dim; ++d) {
+    digits_[offsets_[d]] = 1;
+    powers_[offsets_[d]] = 1.0 / static_cast<double>(bases_[d]);
   }
 }
 
 double HaltonSequence::coordinate(std::size_t d) const {
-  const auto& perm = perms_[d];
-  const auto& digits = digits_[d];
-  const auto& powers = powers_[d];
+  const std::uint32_t* perm = perms_[d].data();
+  const std::uint32_t* digits = &digits_[offsets_[d]];
+  const double* powers = &powers_[offsets_[d]];
   double value = 0.0;
-  for (std::size_t j = 0; j < digits.size(); ++j) {
+  for (std::size_t j = 0; j < num_digits_[d]; ++j) {
     value += static_cast<double>(perm[digits[j]]) * powers[j];
   }
   return value;
@@ -64,14 +72,17 @@ double HaltonSequence::coordinate(std::size_t d) const {
 
 void HaltonSequence::advance() {
   for (std::size_t d = 0; d < bases_.size(); ++d) {
-    auto& digits = digits_[d];
+    // Digits past the significant ones are 0, so a carry out of the top
+    // digit starts a new one at 1.
+    std::uint32_t* digits = &digits_[offsets_[d]];
     std::size_t j = 0;
-    while (j < digits.size() && ++digits[j] == bases_[d]) digits[j++] = 0;
-    if (j == digits.size()) {
-      digits.push_back(1);
+    while (++digits[j] == bases_[d]) digits[j++] = 0;
+    if (j == num_digits_[d]) {
       // Times 1/b, not divided by b: the same rounding as the radical
       // inverse's running factor.
-      powers_[d].push_back(powers_[d].back() * powers_[d].front());
+      double* powers = &powers_[offsets_[d]];
+      powers[j] = powers[j - 1] * powers[0];
+      num_digits_[d] = j + 1;
     }
   }
 }

@@ -45,11 +45,14 @@ class HaltonSequence {
   // perms_[d] holds a permutation of {0, ..., base_d - 1}; digit 0 is pinned
   // so leading zeros do not shift the value.
   std::vector<std::vector<std::uint32_t>> perms_;
-  // digits_[d]: the current index in base bases_[d], least significant
-  // digit first, without leading zeros.
-  std::vector<std::vector<std::uint32_t>> digits_;
-  // powers_[d][j] = b^-(j+1): 1/b, then each the previous one times 1/b.
-  std::vector<std::vector<double>> powers_;
+  // digits_[offsets_[d] ...] holds the current index in base bases_[d],
+  // least significant digit first, with room for any 64-bit index;
+  // num_digits_[d] of them are significant. powers_ has the same layout:
+  // b^-(j+1) for those digits, 1/b, then each the previous one times 1/b.
+  std::vector<std::size_t> offsets_;
+  std::vector<std::uint32_t> digits_;
+  std::vector<std::size_t> num_digits_;
+  std::vector<double> powers_;
 };
 
 /// First `n` primes (used as Halton bases). Exposed for testing.

@@ -211,19 +211,22 @@ CandidatePool draw_feasible(const eva::Workload& workload,
   }
   const std::size_t cell_bits =
       std::max<std::size_t>(1, std::bit_width(num_res * num_fps - 1));
+  PAMO_CHECK(cell_bits <= 56, "knob grid too large to pack");
   std::string key;
   const auto pack = [&](const std::vector<std::size_t>& indices) {
-    key.assign((m * cell_bits + 7) / 8, '\0');
+    key.clear();
+    std::uint64_t bits = 0;  // fewer than 8 pending after each stream
+    std::size_t pending = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t cell =
-          res_cell[indices[2 * i]] * num_fps + fps_cell[indices[2 * i + 1]];
-      for (std::size_t b = 0; b < cell_bits; ++b) {
-        const std::size_t bit = i * cell_bits + b;
-        if (((cell >> b) & 1U) != 0) {
-          key[bit / 8] = static_cast<char>(key[bit / 8] | (1 << (bit % 8)));
-        }
+      bits |= static_cast<std::uint64_t>(res_cell[indices[2 * i]] * num_fps +
+                                         fps_cell[indices[2 * i + 1]])
+              << pending;
+      for (pending += cell_bits; pending >= 8; pending -= 8) {
+        key.push_back(static_cast<char>(bits & 0xFFU));
+        bits >>= 8;
       }
     }
+    if (pending > 0) key.push_back(static_cast<char>(bits));
     return key;
   };
   std::unordered_set<std::string> seen;
