@@ -195,20 +195,6 @@ CandidatePool draw_feasible(const eva::Workload& workload,
 
   // Membership of drawn and observed configurations, keyed by each
   // stream's knob-grid cell packed into bits. The set is never iterated.
-  // A repeated knob value maps to its first index, as the value compares.
-  std::vector<std::size_t> res_cell(num_res);
-  std::vector<std::size_t> fps_cell(num_fps);
-  for (std::size_t r = 0; r < num_res; ++r) {
-    res_cell[r] = static_cast<std::size_t>(
-        std::lower_bound(resolutions.begin(), resolutions.end(),
-                         resolutions[r]) -
-        resolutions.begin());
-  }
-  for (std::size_t f = 0; f < num_fps; ++f) {
-    fps_cell[f] = static_cast<std::size_t>(
-        std::lower_bound(fps_knobs.begin(), fps_knobs.end(), fps_knobs[f]) -
-        fps_knobs.begin());
-  }
   const std::size_t cell_bits =
       std::max<std::size_t>(1, std::bit_width(num_res * num_fps - 1));
   PAMO_CHECK(cell_bits <= 56, "knob grid too large to pack");
@@ -218,8 +204,8 @@ CandidatePool draw_feasible(const eva::Workload& workload,
     std::uint64_t bits = 0;  // fewer than 8 pending after each stream
     std::size_t pending = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      bits |= static_cast<std::uint64_t>(res_cell[indices[2 * i]] * num_fps +
-                                         fps_cell[indices[2 * i + 1]])
+      bits |= static_cast<std::uint64_t>(indices[2 * i] * num_fps +
+                                         indices[2 * i + 1])
               << pending;
       for (pending += cell_bits; pending >= 8; pending -= 8) {
         key.push_back(static_cast<char>(bits & 0xFFU));

@@ -1,6 +1,7 @@
 #include "eva/config.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/error.hpp"
 
@@ -13,10 +14,13 @@ ConfigSpace::ConfigSpace(std::vector<std::uint32_t> resolutions,
       clock_(fps_knobs_) {
   PAMO_CHECK(!resolutions_.empty(), "need at least one resolution knob");
   PAMO_CHECK(!fps_knobs_.empty(), "need at least one fps knob");
-  PAMO_CHECK(std::is_sorted(resolutions_.begin(), resolutions_.end()),
-             "resolution knobs must be ascending");
-  PAMO_CHECK(std::is_sorted(fps_knobs_.begin(), fps_knobs_.end()),
-             "fps knobs must be ascending");
+  // Strictly: a knob's index and its value then name the same knob.
+  PAMO_CHECK(std::is_sorted(resolutions_.begin(), resolutions_.end(),
+                            std::less_equal<>()),
+             "resolution knobs must be strictly ascending");
+  PAMO_CHECK(std::is_sorted(fps_knobs_.begin(), fps_knobs_.end(),
+                            std::less_equal<>()),
+             "fps knobs must be strictly ascending");
 }
 
 ConfigSpace ConfigSpace::standard() {

@@ -30,6 +30,7 @@ using JointConfig = std::vector<StreamConfig>;
 /// The discrete knob sets for resolution and frame rate.
 class ConfigSpace {
  public:
+  /// Each knob set is non-empty and strictly ascending.
   ConfigSpace(std::vector<std::uint32_t> resolutions,
               std::vector<std::uint32_t> fps_knobs);
 

@@ -20,6 +20,8 @@ TEST(ConfigSpace, RejectsUnsortedOrEmptyKnobs) {
   EXPECT_THROW(ConfigSpace({480}, {}), Error);
   EXPECT_THROW(ConfigSpace({720, 480}, {10}), Error);
   EXPECT_THROW(ConfigSpace({480}, {30, 10}), Error);
+  EXPECT_THROW(ConfigSpace({480, 480}, {10}), Error);
+  EXPECT_THROW(ConfigSpace({480}, {10, 10}), Error);
 }
 
 TEST(ConfigSpace, SampleReturnsValidKnobs) {
