@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/normal.hpp"
+#include "obs/obs.hpp"
 
 namespace pamo::pref {
 
@@ -131,6 +132,9 @@ std::size_t PreferenceLearner::compact_pool(std::size_t max_points,
 void PreferenceLearner::run(PreferenceOracle& oracle,
                             std::size_t num_comparisons) {
   for (std::size_t round = 0; round < num_comparisons; ++round) {
+    // One comparison: pick the pair (EUBO over the pool's joint
+    // posterior), ask the oracle, refit (pref.fit).
+    PAMO_SPAN("pref.query");
     std::size_t best_a = 0;
     std::size_t best_b = 1;
     const bool explore = pairs_.size() % kExploreEvery == kExploreEvery - 1;
