@@ -29,7 +29,6 @@ struct Group {
 /// fresh buffers would give.
 struct Scratch {
   std::vector<std::size_t> servers;  // 0..N-1 for schedule_zero_jitter
-  std::vector<PeriodicStream> streams;
   std::vector<std::size_t> order;
   std::vector<std::size_t> priority;
   std::vector<Group> groups;
@@ -220,9 +219,9 @@ ScheduleResult zero_jitter_impl(const eva::Workload& workload,
     if (screened != nullptr) *screened = true;
     return result;
   }
+  result.streams = split_streams(workload, config);
+  const std::vector<PeriodicStream>& streams = result.streams;
   Scratch& scratch = t_scratch;
-  const std::vector<PeriodicStream>& streams = scratch.streams;
-  split_streams(workload, config, scratch.streams);
   const auto& clock = workload.space.clock();
   const std::size_t m = streams.size();
 
@@ -243,10 +242,7 @@ ScheduleResult zero_jitter_impl(const eva::Workload& workload,
     const std::size_t g = join_first_fit(
         groups, stream, stream.proc_time * proc_headroom, clock);
     if (g == groups.size()) {
-      // Line 16: no feasible grouping scheme. The split streams still
-      // come back, which tells this result from a screened one.
-      result.streams.assign(streams.begin(), streams.end());
-      result.feasible = false;
+      result.feasible = false;  // line 16: no feasible grouping scheme
       return result;
     }
     group_of[idx] = g;
@@ -266,7 +262,6 @@ ScheduleResult zero_jitter_impl(const eva::Workload& workload,
   }
   solve_assignment(scratch.cost.data(), active, n, scratch.assignment);
   const std::vector<std::size_t>& col_of = scratch.assignment.col_of;
-  result.streams.assign(streams.begin(), streams.end());
   result.assignment.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     result.assignment[i] = servers[col_of[group_of[i]]];

@@ -8,19 +8,11 @@ namespace pamo::sched {
 
 std::vector<PeriodicStream> split_streams(const eva::Workload& workload,
                                           const eva::JointConfig& config) {
-  std::vector<PeriodicStream> streams;
-  streams.reserve(config.size());
-  split_streams(workload, config, streams);
-  return streams;
-}
-
-void split_streams(const eva::Workload& workload,
-                   const eva::JointConfig& config,
-                   std::vector<PeriodicStream>& streams) {
   PAMO_CHECK(config.size() == workload.num_streams(),
              "config size does not match stream count");
   const auto& clock = workload.space.clock();
-  streams.clear();
+  std::vector<PeriodicStream> streams;
+  streams.reserve(config.size());
   for (std::size_t i = 0; i < config.size(); ++i) {
     const auto& clip = workload.clips[i];
     const auto& cfg = config[i];
@@ -40,6 +32,7 @@ void split_streams(const eva::Workload& workload,
       streams.push_back(s);
     }
   }
+  return streams;
 }
 
 }  // namespace pamo::sched

@@ -30,10 +30,4 @@ struct PeriodicStream {
 std::vector<PeriodicStream> split_streams(const eva::Workload& workload,
                                           const eva::JointConfig& config);
 
-/// split_streams into `streams`, replacing its contents and keeping its
-/// capacity.
-void split_streams(const eva::Workload& workload,
-                   const eva::JointConfig& config,
-                   std::vector<PeriodicStream>& streams);
-
 }  // namespace pamo::sched
