@@ -148,12 +148,17 @@ CandidatePool draw_feasible(const eva::Workload& workload,
                                             static_cast<double>(cells));
     return std::min(k, cells - 1);
   };
-  const auto midpoint = [](std::uint32_t value,
+  // The index of a knob value; knobs.size() when it is not a knob.
+  const auto index_of = [](std::uint32_t value,
                            const std::vector<std::uint32_t>& knobs) {
-    const auto it = std::find(knobs.begin(), knobs.end(), value);
-    PAMO_CHECK(it != knobs.end(), "incumbent value is not a knob");
-    return (static_cast<double>(it - knobs.begin()) + 0.5) /
-           static_cast<double>(knobs.size());
+    return static_cast<std::size_t>(
+        std::find(knobs.begin(), knobs.end(), value) - knobs.begin());
+  };
+  const auto midpoint = [&](std::uint32_t value,
+                            const std::vector<std::uint32_t>& knobs) {
+    const std::size_t k = index_of(value, knobs);
+    PAMO_CHECK(k < knobs.size(), "incumbent value is not a knob");
+    return (static_cast<double>(k) + 0.5) / static_cast<double>(knobs.size());
   };
 
   // Algorithm 1's load screen, term by term as sched::exceeds_load_bound
@@ -221,15 +226,9 @@ CandidatePool draw_feasible(const eva::Workload& workload,
     if (config.size() != m) continue;
     bool on_grid = true;
     for (std::size_t i = 0; i < m && on_grid; ++i) {
-      const auto r = std::find(resolutions.begin(), resolutions.end(),
-                               config[i].resolution);
-      const auto f =
-          std::find(fps_knobs.begin(), fps_knobs.end(), config[i].fps);
-      on_grid = r != resolutions.end() && f != fps_knobs.end();
-      if (on_grid) {
-        knob[2 * i] = static_cast<std::size_t>(r - resolutions.begin());
-        knob[2 * i + 1] = static_cast<std::size_t>(f - fps_knobs.begin());
-      }
+      knob[2 * i] = index_of(config[i].resolution, resolutions);
+      knob[2 * i + 1] = index_of(config[i].fps, fps_knobs);
+      on_grid = knob[2 * i] < num_res && knob[2 * i + 1] < num_fps;
     }
     if (on_grid) seen.insert(pack(knob));
   }
